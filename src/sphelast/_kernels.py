@@ -2,28 +2,15 @@
 
 The brute-force verification paths integrate the fundamental solution over
 quadrature nodes for thousands of lattice copies, which is the only place in
-the package where runtime is dominated by a tight numeric loop.  The loops
-are compiled with numba when available; setting the environment variable
-``SPHELAST_DISABLE_NUMBA=1`` (or any nonempty value other than ``0``)
-selects the pure-numpy fallback instead.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+the package where runtime is dominated by a tight numeric loop; the loops
+are vectorised with numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-# avoid probing the (often too old) TBB layer for the parallel kernel
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
-__all__ = ["kelvin_apply", "kelvin_lattice_apply", "using_numba"]
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("SPHELAST_DISABLE_NUMBA", "")
-    return flag not in ("", "0")
+__all__ = ["kelvin_apply", "kelvin_lattice_apply"]
 
 
 def _kelvin_apply_numpy(targets, sources, weights, density, lam, mu):
@@ -59,83 +46,6 @@ def _kelvin_lattice_apply_numpy(
     return out
 
 
-try:  # pragma: no cover - exercised indirectly
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-
-    @njit(cache=True)
-    def _kelvin_apply_numba(targets, sources, weights, density, lam, mu):
-        c1 = (lam + 3.0 * mu) / (lam + 2.0 * mu)
-        c2 = (lam + mu) / (lam + 2.0 * mu)
-        m = targets.shape[0]
-        n = sources.shape[0]
-        out = np.zeros((m, 3))
-        for i in range(m):
-            for j in range(n):
-                dx = targets[i, 0] - sources[j, 0]
-                dy = targets[i, 1] - sources[j, 1]
-                dz = targets[i, 2] - sources[j, 2]
-                r2 = dx * dx + dy * dy + dz * dz
-                r = np.sqrt(r2)
-                w = weights[j]
-                fx = density[j, 0] * w
-                fy = density[j, 1] * w
-                fz = density[j, 2] * w
-                dot = dx * fx + dy * fy + dz * fz
-                s = c2 * dot / (r2 * r)
-                out[i, 0] += c1 * fx / r + s * dx
-                out[i, 1] += c1 * fy / r + s * dy
-                out[i, 2] += c1 * fz / r + s * dz
-        return out / (8.0 * np.pi)
-
-    @njit(cache=True, parallel=True)
-    def _kelvin_lattice_apply_numba(
-        targets, sources, weights, density, lam, mu, alpha, n_cut
-    ):
-        c1 = (lam + 3.0 * mu) / (lam + 2.0 * mu)
-        c2 = (lam + mu) / (lam + 2.0 * mu)
-        m = targets.shape[0]
-        ns = sources.shape[0]
-        out = np.zeros((m, 3), dtype=np.complex128)
-        for i in prange(m):
-            acc = np.zeros(3, dtype=np.complex128)
-            for n in range(-n_cut, n_cut + 1):
-                if n == 0:
-                    continue
-                phase = np.exp(1j * alpha * n)
-                px = 0.0 + 0.0j
-                py = 0.0 + 0.0j
-                pz = 0.0 + 0.0j
-                for j in range(ns):
-                    dx = targets[i, 0] - sources[j, 0] - n
-                    dy = targets[i, 1] - sources[j, 1]
-                    dz = targets[i, 2] - sources[j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    r = np.sqrt(r2)
-                    w = weights[j]
-                    fx = density[j, 0] * w
-                    fy = density[j, 1] * w
-                    fz = density[j, 2] * w
-                    dot = dx * fx + dy * fy + dz * fz
-                    s = c2 * dot / (r2 * r)
-                    px += c1 * fx / r + s * dx
-                    py += c1 * fy / r + s * dy
-                    pz += c1 * fz / r + s * dz
-                acc[0] += phase * px
-                acc[1] += phase * py
-                acc[2] += phase * pz
-            out[i] = acc
-        return out / (8.0 * np.pi)
-
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def using_numba() -> bool:
-    return _HAVE_NUMBA and not _numba_disabled()
-
-
 def kelvin_apply(targets, sources, weights, density, lam, mu):
     """Sum of weighted Kelvin-tensor applications:
     ``out[i] = sum_j w_j G(t_i - s_j) f_j`` (real density)."""
@@ -143,8 +53,6 @@ def kelvin_apply(targets, sources, weights, density, lam, mu):
     sources = np.ascontiguousarray(sources, dtype=float)
     weights = np.ascontiguousarray(weights, dtype=float)
     density = np.ascontiguousarray(density, dtype=float)
-    if using_numba():
-        return _kelvin_apply_numba(targets, sources, weights, density, lam, mu)
     return _kelvin_apply_numpy(targets, sources, weights, density, lam, mu)
 
 
@@ -155,10 +63,6 @@ def kelvin_lattice_apply(targets, sources, weights, density, lam, mu, alpha, n_c
     sources = np.ascontiguousarray(sources, dtype=float)
     weights = np.ascontiguousarray(weights, dtype=float)
     density = np.ascontiguousarray(density, dtype=complex)
-    if using_numba():
-        return _kelvin_lattice_apply_numba(
-            targets, sources, weights, density, lam, mu, float(alpha), int(n_cut)
-        )
     return _kelvin_lattice_apply_numpy(
         targets, sources, weights, density, lam, mu, float(alpha), int(n_cut)
     )

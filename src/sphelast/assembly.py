@@ -3,15 +3,19 @@
 Every inner product of a row harmonic against the potential of a shifted
 copy of a column harmonic reduces to one closed-form combination of four
 primitive coefficient families (plain, axis-weighted, squared-moment and
-cross-product).  The same combination is evaluated against three
-interchangeable backends:
+cross-product).  The same combination is evaluated against two kernels:
 
-* ``_SingleShiftKernel``  -- the coefficients of one copy at a given shift
+* ``_SingleShiftKernel`` -- the coefficients of one copy at a given shift
   (vectorised over many shifts), giving ``per_copy_entry``;
-* ``_BlochKernel``        -- polylogarithm lattice sums over all integer
-  shifts, giving the single-ball matrix entries;
-* ``_DimerKernel``        -- Lerch sums over the half-offset lattices,
-  giving the dimer coupling blocks.
+* ``_TraceKernel``       -- the lattice sum over all copies as a vector of
+  phase-independent coefficients over the slots of
+  ``latsum.line_values``/``dimer_values``.
+
+Since the lattice part of every entry is such a vector dotted with the
+polylogarithm (or, for the dimer coupling blocks, Lerch) values,
+``M(alpha) = D + T v(alpha)``.  ``Trace`` holds the on-ball diagonal ``D``
+and the vectors ``T`` of the entries that do not vanish identically; one
+trace serves every Bloch phase and all three blocks of the dimer matrix.
 
 Row/column structural zeros: a V-family density produces a pure W-family
 potential off its own ball, so the (V,V) off-diagonal, (X,V) and (V,X)
@@ -27,7 +31,6 @@ innermost, with the two identically-zero degree-0 labels removed, giving
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,18 +39,13 @@ from . import __version__ as _pkg_version
 from .kelvin import LameParams, norm_factor, response_coeffs
 from .coupling import cg
 from .latsum import (
+    AXIS_COMPONENT,
     DimerGeometry,
     LatticeSumCache,
-    lattice_axis_sum,
-    lattice_axis_sum_dimer,
-    lattice_cross_sum,
-    lattice_cross_sum_dimer,
-    lattice_decay_sum,
-    lattice_decay_sum_dimer,
-    lattice_moment_sum,
-    lattice_moment_sum_dimer,
+    dimer_values,
+    line_values,
     reduce_alpha,
-    AXIS_COMPONENT,
+    slot,
 )
 from .sphharm import ylm_equator
 from .translation import (
@@ -69,6 +67,7 @@ __all__ = [
     "assemble_single",
     "entry_dimer",
     "assemble_dimer",
+    "Trace",
 ]
 
 BASIS_VERSION = "vwx-ordered-1"
@@ -132,7 +131,7 @@ class AssembledMatrix:
 
 
 # ---------------------------------------------------------------------------
-# kernel backends
+# coefficient kernels
 
 
 class _SingleShiftKernel:
@@ -190,62 +189,65 @@ class _SingleShiftKernel:
         return pref * eps * self.n * self._ieq(l + lam, mt - mu)
 
 
-class _BlochKernel:
-    """Full-lattice sums through the polylogarithm closed forms."""
+class _TraceKernel:
+    """Phase-independent coefficients of the full-lattice sums: each method
+    returns a vector over the value slots ``slot(s, sign)``, ``s = 1..s_max``,
+    or the scalar ``0`` where the sum vanishes identically.
 
-    def __init__(self, alpha: float, cache: LatticeSumCache | None = None):
-        self.alpha = reduce_alpha(alpha)
-        self.cache = cache if cache is not None else LatticeSumCache(alpha)
+    With ``L = l + lam``, the plain sum lands on order ``L + 1``, the
+    squared-moment sum on ``L - 1``, and the axis and cross sums on ``L``;
+    the last two are odd in the shift, so their ``+`` value enters with a
+    minus sign.
+    """
 
-    @staticmethod
-    def zero():
-        return 0.0 + 0.0j
-
-    def plain(self, l, lam, mt, mu):
-        return lattice_decay_sum(l, lam, mt, mu, self.alpha, self.cache)
-
-    def axis(self, l, lam, mt, mu, q):
-        return lattice_axis_sum(l, lam, mt, mu, self.alpha, q, self.cache)
-
-    def moment(self, l, lam, mt, mu):
-        return lattice_moment_sum(l, lam, mt, mu, self.alpha, self.cache)
-
-    def cross(self, l, j, lam, mt, mu, q, m1):
-        return lattice_cross_sum(l, j, lam, mt, mu, q, m1, self.alpha, self.cache)
-
-
-class _DimerKernel:
-    """Half-offset lattice sums through the Lerch closed forms."""
-
-    def __init__(self, alpha, geom, block, cache=None):
-        self.alpha = reduce_alpha(alpha)
-        self.geom = geom
-        self.block = block
-        self.cache = cache if cache is not None else LatticeSumCache(alpha, geom)
+    def __init__(self, s_max: int):
+        self.size = 2 * s_max
+        self._memo = {}
 
     @staticmethod
     def zero():
         return 0.0 + 0.0j
 
+    def _pair(self, s, c_minus, c_plus):
+        vec = np.zeros(self.size, dtype=complex)
+        vec[slot(s, -1)], vec[slot(s, 1)] = c_minus, c_plus
+        return vec
+
+    def _line(self, pref, big_l, t, order_shift, plus_sign):
+        """``pref`` times the equator pair of degree ``big_l``, order ``t``,
+        on the order ``big_l + order_shift`` slots."""
+        if pref == 0.0 or abs(t) > big_l:
+            return self.zero()
+        y_pi = ylm_equator(big_l, t, at_pi=True)
+        y_0 = ylm_equator(big_l, t, at_pi=False)
+        if y_pi == 0.0 and y_0 == 0.0:
+            return self.zero()
+        pref *= math.sqrt(4.0 * math.pi / (2 * big_l + 1))
+        return self._pair(big_l + order_shift, pref * y_pi, plus_sign * pref * y_0)
+
+    def _cached(self, key, make):
+        val = self._memo.get(key)
+        if val is None:
+            val = self._memo[key] = make()
+        return val
+
     def plain(self, l, lam, mt, mu):
-        return lattice_decay_sum_dimer(
-            l, lam, mt, mu, self.alpha, self.geom, self.block, self.cache
-        )
+        return self._cached(("plain", l, lam, mt, mu), lambda: self._line(
+            decay_prefactor(l, lam, mt, mu), l + lam, mt - mu, 1, 1.0))
 
     def axis(self, l, lam, mt, mu, q):
-        return lattice_axis_sum_dimer(
-            l, lam, mt, mu, self.alpha, q, self.geom, self.block, self.cache
-        )
+        return self._cached(("axis", l, lam, mt, mu, q), lambda: self._line(
+            AXIS_COMPONENT[q] * decay_prefactor(l, lam, mt, mu),
+            l + lam, mt - mu, 0, -1.0))
 
     def moment(self, l, lam, mt, mu):
-        return lattice_moment_sum_dimer(
-            l, lam, mt, mu, self.alpha, self.geom, self.block, self.cache
-        )
+        return self._cached(("moment", l, lam, mt, mu), lambda: self._line(
+            decay_prefactor(l, lam, mt, mu), l + lam, mt - mu, -1, 1.0))
 
     def cross(self, l, j, lam, mt, mu, q, m1):
-        return lattice_cross_sum_dimer(
-            l, j, lam, mt, mu, q, m1, self.alpha, self.geom, self.block, self.cache
-        )
+        return self._cached(("cross", l, j, lam, mt, mu, q, m1), lambda: self._line(
+            AXIS_COMPONENT[q] * cross_prefactor(l, j, lam, mt, mu, q, m1),
+            l + lam, mt - mu, 0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +497,57 @@ def _diagonal_term(p, q, l, lp, m, mp, rho, params):
     return rho * tau * norm_factor(p, l)
 
 
+def _lattice_coef(p, lp, mp, q, l, m, rho, params, ker):
+    """Trace vector of one entry's lattice part, or ``None`` where that part
+    vanishes identically (the V-V and V-X blocks, and exact cancellations)."""
+    p, q = Family(p), Family(q)
+    if p == q == Family.V or {p, q} == {Family.V, Family.X}:
+        return None
+    coef = _combined_value(p, lp, mp, q, l, m, rho, params, ker)
+    if np.ndim(coef) == 0 or not coef.any():
+        return None
+    return coef
+
+
+def _contract(coef, values):
+    """Each row of ``coef`` dotted with ``values``, summed slot by slot so an
+    entry comes out bit-identical whichever rows are contracted with it."""
+    out = np.zeros(coef.shape[0], dtype=complex)
+    for k in range(coef.shape[1]):
+        out += coef[:, k] * values[k]
+    return out
+
+
+def _contract_one(coef, values) -> complex:
+    """``_contract`` for one trace vector, or the scalar structural zero."""
+    if np.ndim(coef) == 0:
+        return complex(coef)
+    return complex(_contract(coef[None, :], values)[0])
+
+
+def _entry_lattice(p, lp, mp, q, l, m, rho, params, values) -> complex:
+    """Lattice part of one entry; ``values(s_max, need)`` returns the value
+    vector with (at least) the slots of the mask ``need`` filled in."""
+    _check_labels(p, lp, mp, q, l, m)
+    s_max = l + lp + 3
+    coef = _lattice_coef(p, lp, mp, q, l, m, rho, params, _TraceKernel(s_max))
+    if coef is None:
+        return 0.0 + 0.0j
+    return _contract_one(coef, values(s_max, coef != 0))
+
+
 def entry_single(
     p, lp, mp, q, l, m, alpha, rho, params: LameParams, cache=None
 ) -> complex:
     """One entry of the quasi-periodic operator matrix: the on-ball
     diagonal plus the phased sum over all other copies in closed form."""
-    _check_labels(p, lp, mp, q, l, m)
-    p, q = Family(p), Family(q)
-    diag = _diagonal_term(p, q, l, lp, m, mp, rho, params)
-    if (p, q) in ((Family.V, Family.X), (Family.X, Family.V)):
-        return 0.0 + 0.0j
-    if p == Family.V and q == Family.V:
-        return complex(diag)
-    ker = _BlochKernel(alpha, cache)
-    return complex(_combined_value(p, lp, mp, q, l, m, rho, params, ker) + diag)
+    if cache is None:
+        cache = LatticeSumCache(alpha)
+    lattice = _entry_lattice(
+        p, lp, mp, q, l, m, rho, params,
+        lambda s_max, need: line_values(cache, s_max, need),
+    )
+    return complex(lattice + _diagonal_term(p, q, l, lp, m, mp, rho, params))
 
 
 def entry_dimer(
@@ -518,86 +557,100 @@ def entry_dimer(
     """One coupling-block entry (source ball ``s`` onto target ``t`` for
     block = "st"): the phased sum over the half-offset lattice, including
     the in-cell copy, with no on-ball diagonal."""
-    _check_labels(p, lp, mp, q, l, m)
-    p, q = Family(p), Family(q)
-    if (p, q) in ((Family.V, Family.X), (Family.X, Family.V)):
-        return 0.0 + 0.0j
-    if p == Family.V and q == Family.V:
-        return 0.0 + 0.0j
-    ker = _DimerKernel(alpha, geom, block, cache)
-    return complex(_combined_value(p, lp, mp, q, l, m, geom.rho, params, ker))
+    if cache is None:
+        cache = LatticeSumCache(alpha, geom)
+    elif cache.geom != geom:
+        raise ValueError("cache belongs to a different dimer geometry")
+    return complex(_entry_lattice(
+        p, lp, mp, q, l, m, geom.rho, params,
+        lambda s_max, need: dimer_values(cache, s_max, block, need),
+    ))
 
 
-def _fill(basis, entry_fn, n_threads=1):
-    n = basis.n_eff
-    out = np.zeros((n, n), dtype=complex)
+class Trace:
+    """Phase-independent part of ``M(alpha) = D + T v(alpha)`` for one ball
+    radius, material and truncation degree.
 
-    def fill_col(col):
-        l, m, qfam = basis.labels[col]
-        for row in range(n):
-            lp, mp, pfam = basis.labels[row]
-            out[row, col] = entry_fn(pfam, lp, mp, qfam, l, m)
+    ``diag`` is the on-ball diagonal ``D``; ``index`` holds the row-major
+    flat positions of the entries whose lattice part does not vanish
+    identically, and ``coef`` their vectors over the value slots of orders
+    ``1..s_max``.
+    """
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill_col, range(n)))
-    else:
-        for col in range(n):
-            fill_col(col)
-    return out
+    def __init__(self, rho, params: LameParams, l_max: int):
+        if not 0.0 < rho < 0.5:
+            raise ValueError("need 0 < rho < 1/2")
+        self.rho, self.params, self.l_max = rho, params, l_max
+        self.basis = BasisMap(l_max)
+        self.s_max = 2 * l_max + 3
+        labels = self.basis.labels
+        index, rows = [], []
+        for col, (l, m, q) in enumerate(labels):
+            # one kernel per column: its memo is reused down the column and
+            # does not outgrow it
+            ker = _TraceKernel(self.s_max)
+            for row, (lp, mp, p) in enumerate(labels):
+                coef = _lattice_coef(p, lp, mp, q, l, m, rho, params, ker)
+                if coef is not None:
+                    index.append(row * len(labels) + col)
+                    rows.append(coef)
+        self.index = np.array(index, dtype=np.intp)
+        self.coef = np.array(rows, dtype=complex).reshape(-1, 2 * self.s_max)
+        self.diag = np.array([
+            _diagonal_term(p, p, l, l, m, m, rho, params) for l, m, p in labels
+        ])
+
+    def _block(self, values, with_diag: bool) -> np.ndarray:
+        n = self.basis.n_eff
+        out = np.zeros(n * n, dtype=complex)
+        out[self.index] = _contract(self.coef, values)
+        out = out.reshape(n, n)
+        if with_diag:
+            out[np.diag_indices(n)] += self.diag
+        return out
+
+    def single(self, alpha) -> AssembledMatrix:
+        """The single-ball matrix at Bloch phase ``alpha``."""
+        cache = LatticeSumCache(alpha)
+        return AssembledMatrix(
+            matrix=self._block(line_values(cache, self.s_max), True),
+            basis=self.basis, alpha=cache.alpha, rho=self.rho,
+            params=self.params, l_max=self.l_max,
+        )
+
+    def dimer(self, alpha, geom: DimerGeometry) -> AssembledMatrix:
+        """The two-ball block matrix ``[[M11, M21], [M12, M22]]``.
+
+        The self blocks are the single-ball matrix; the coupling blocks sum
+        the shifted copies of the other ball (block "st" maps the density
+        on ball s to values on ball t).
+        """
+        if geom.rho != self.rho:
+            raise ValueError("dimer radius differs from the trace radius")
+        cache = LatticeSumCache(alpha, geom)
+        n = self.basis.n_eff
+        self_block = self._block(line_values(cache, self.s_max), True)
+        big = np.zeros((2 * n, 2 * n), dtype=complex)
+        big[:n, :n] = self_block
+        big[:n, n:] = self._block(dimer_values(cache, self.s_max, "21"), False)
+        big[n:, :n] = self._block(dimer_values(cache, self.s_max, "12"), False)
+        big[n:, n:] = self_block
+        return AssembledMatrix(
+            matrix=big, basis=self.basis, alpha=cache.alpha, rho=self.rho,
+            params=self.params, l_max=self.l_max, dimer=geom,
+        )
 
 
-def assemble_single(
-    alpha, rho, params: LameParams, l_max: int, n_threads: int = 1
-) -> AssembledMatrix:
+def assemble_single(alpha, rho, params: LameParams, l_max: int) -> AssembledMatrix:
     """Assemble the full single-ball operator matrix at one Bloch phase."""
-    if not 0.0 < rho < 0.5:
-        raise ValueError("need 0 < rho < 1/2")
-    basis = BasisMap(l_max)
-    cache = LatticeSumCache(alpha)
-    cache.warm(2 * l_max + 3)
-
-    def entry(pfam, lp, mp, qfam, l, m):
-        return entry_single(pfam, lp, mp, qfam, l, m, alpha, rho, params, cache)
-
-    mat = _fill(basis, entry, n_threads)
-    return AssembledMatrix(
-        matrix=mat, basis=basis, alpha=reduce_alpha(alpha), rho=rho,
-        params=params, l_max=l_max,
-    )
+    reduce_alpha(alpha)  # a singular phase fails before the trace is built
+    return Trace(rho, params, l_max).single(alpha)
 
 
 def assemble_dimer(
-    alpha, geom: DimerGeometry, params: LameParams, l_max: int,
-    n_threads: int = 1,
+    alpha, geom: DimerGeometry, params: LameParams, l_max: int
 ) -> AssembledMatrix:
-    """Assemble the two-ball block matrix ``[[M11, M21], [M12, M22]]``.
-
-    The self blocks are the single-ball matrix; the coupling blocks sum the
-    shifted copies of the other ball (block "st" maps the density on ball s
-    to values on ball t).
-    """
-    basis = BasisMap(l_max)
-    n = basis.n_eff
-    self_block = assemble_single(alpha, geom.rho, params, l_max, n_threads)
-    cache = LatticeSumCache(alpha, geom)
-    cache.warm(2 * l_max + 3)
-
-    def entry_for(block):
-        def entry(pfam, lp, mp, qfam, l, m):
-            return entry_dimer(
-                block, pfam, lp, mp, qfam, l, m, alpha, geom, params, cache
-            )
-        return entry
-
-    m21 = _fill(basis, entry_for("21"), n_threads)
-    m12 = _fill(basis, entry_for("12"), n_threads)
-    big = np.zeros((2 * n, 2 * n), dtype=complex)
-    big[:n, :n] = self_block.matrix
-    big[:n, n:] = m21
-    big[n:, :n] = m12
-    big[n:, n:] = self_block.matrix
-    return AssembledMatrix(
-        matrix=big, basis=basis, alpha=reduce_alpha(alpha), rho=geom.rho,
-        params=params, l_max=l_max, dimer=geom,
-    )
+    """Assemble the two-ball block matrix at one Bloch phase (see
+    ``Trace.dimer``)."""
+    reduce_alpha(alpha)  # a singular phase fails before the trace is built
+    return Trace(geom.rho, params, l_max).dimer(alpha, geom)

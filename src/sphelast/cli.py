@@ -5,8 +5,8 @@ Subcommands: ``assemble``, ``dimer-assemble``, ``solve``, ``sweep``,
 file (``--config``); explicit flags override the file.  The Bloch phase
 accepts plain radians or ``pi*<rational>`` literals (``pi*1/2``).
 
-Exit codes: 0 success, 2 configuration error, 3 singular Bloch phase,
-4 verification failure.
+Exit codes: 0 success, 2 configuration error (including a file that
+cannot be read or written), 3 singular Bloch phase, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, io
-from .assembly import BasisMap, assemble_dimer, assemble_single
+from .assembly import BasisMap, Trace, assemble_dimer, assemble_single
 from .kelvin import LameParams, kelvin_tensor
-from .latsum import DimerGeometry, QuasiMomentumSingular
+from .latsum import DimerGeometry, QuasiMomentumSingular, reduce_alpha
 from .oracle import build_quadrature, sample_field
 from .system import project_rhs, solve_dimer, solve_single
 from .verify import SUITES, run_suites
@@ -46,9 +46,12 @@ def parse_alpha(text: str) -> float:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad Bloch-phase literal {text!r}") from exc
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"bad Bloch-phase value {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"Bloch phase must be finite, got {text!r}")
+    return value
 
 
 def parse_grid(text: str):
@@ -67,7 +70,7 @@ def parse_grid(text: str):
 
 _FLAG_KEYS = (
     "alpha", "alpha_grid", "rho", "lambda_", "mu", "lmax", "dimer_d",
-    "phi", "out", "csv", "seed", "threads", "sign_flip", "tol", "suite",
+    "phi", "out", "csv", "seed", "sign_flip", "tol", "suite",
 )
 
 
@@ -105,20 +108,39 @@ def _params(cfg) -> LameParams:
             float(cfg["lambda_"]), float(cfg["mu"]),
             bool(cfg.get("sign_flip", False)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _common_inputs(cfg):
-    _require(cfg, "alpha", "rho", "lambda_", "mu", "lmax")
-    alpha = parse_alpha(cfg["alpha"])
-    rho = float(cfg["rho"])
-    lmax = int(cfg["lmax"])
+def _ball_inputs(cfg):
+    try:
+        rho, lmax = float(cfg["rho"]), int(cfg["lmax"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad rho or lmax value: {exc}") from exc
     if not 0.0 < rho < 0.5:
         raise ConfigError("rho must satisfy 0 < rho < 1/2")
     if lmax < 0 or lmax > 64:
         raise ConfigError("lmax must be in 0..64")
-    return alpha, rho, _params(cfg), lmax
+    return rho, _params(cfg), lmax
+
+
+def _common_inputs(cfg):
+    _require(cfg, "alpha", "rho", "lambda_", "mu", "lmax")
+    return (parse_alpha(cfg["alpha"]), *_ball_inputs(cfg))
+
+
+def _geometry(cfg, rho) -> DimerGeometry:
+    try:
+        return DimerGeometry(float(cfg["dimer_d"]), rho)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_vector(path):
+    try:
+        return io.load_vector(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read vector file {path!r}: {exc}") from exc
 
 
 def _phi_samples(spec: str, quad, basis, rho, params):
@@ -126,7 +148,7 @@ def _phi_samples(spec: str, quad, basis, rho, params):
     or ``grid:<path>``.  Returns (samples or None, coeffs or None)."""
     kind, _, rest = str(spec).partition(":")
     if kind == "coeffs":
-        vec, _hdr = io.load_vector(rest)
+        vec, _hdr = _load_vector(rest)
         if vec.shape != (basis.n_eff,):
             raise ConfigError(
                 f"coefficient file length {vec.shape[0]} != basis size "
@@ -134,7 +156,7 @@ def _phi_samples(spec: str, quad, basis, rho, params):
             )
         return None, vec
     if kind == "grid":
-        vec, hdr = io.load_vector(rest)
+        vec, hdr = _load_vector(rest)
         if hdr.get("grid_degree") != quad.degree:
             raise ConfigError(
                 f"grid file degree {hdr.get('grid_degree')} != projection "
@@ -172,7 +194,7 @@ def _phi_samples(spec: str, quad, basis, rho, params):
 def cmd_assemble(cfg) -> int:
     alpha, rho, params, lmax = _common_inputs(cfg)
     _require(cfg, "out")
-    mat = assemble_single(alpha, rho, params, lmax, int(cfg.get("threads", 1)))
+    mat = assemble_single(alpha, rho, params, lmax)
     io.save_matrix(cfg["out"], mat)
     if cfg.get("csv"):
         io.matrix_to_csv(cfg["csv"], mat)
@@ -183,11 +205,8 @@ def cmd_assemble(cfg) -> int:
 def cmd_dimer_assemble(cfg) -> int:
     alpha, rho, params, lmax = _common_inputs(cfg)
     _require(cfg, "out", "dimer_d")
-    try:
-        geom = DimerGeometry(float(cfg["dimer_d"]), rho)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    mat = assemble_dimer(alpha, geom, params, lmax, int(cfg.get("threads", 1)))
+    geom = _geometry(cfg, rho)
+    mat = assemble_dimer(alpha, geom, params, lmax)
     io.save_matrix(cfg["out"], mat)
     if cfg.get("csv"):
         io.matrix_to_csv(cfg["csv"], mat)
@@ -198,9 +217,9 @@ def cmd_dimer_assemble(cfg) -> int:
 def cmd_solve(cfg) -> int:
     alpha, rho, params, lmax = _common_inputs(cfg)
     _require(cfg, "phi", "out")
+    geom = _geometry(cfg, rho) if cfg.get("dimer_d") is not None else None
     basis = BasisMap(lmax)
     quad = build_quadrature(2 * lmax + 2)
-    dimer_d = cfg.get("dimer_d")
     samples, coeffs = _phi_samples(cfg["phi"], quad, basis, rho, params)
     if coeffs is not None:
         rhs = project_rhs(coeffs, quad, basis, coeffs=True)
@@ -210,15 +229,14 @@ def cmd_solve(cfg) -> int:
         "alpha": parse_alpha(cfg["alpha"]), "rho": rho, "lmax": lmax,
         "lambda": params.lam, "mu": params.mu, "sign_flip": params.sign_flip,
     }
-    if dimer_d is not None:
-        geom = DimerGeometry(float(dimer_d), rho)
-        mat = assemble_dimer(alpha, geom, params, lmax, int(cfg.get("threads", 1)))
+    if geom is not None:
+        mat = assemble_dimer(alpha, geom, params, lmax)
         r1, r2 = solve_dimer(mat, (rhs, rhs))
         out = np.concatenate([r1.coeffs, r2.coeffs])
         result = r1
         header["d"] = geom.d
     else:
-        mat = assemble_single(alpha, rho, params, lmax, int(cfg.get("threads", 1)))
+        mat = assemble_single(alpha, rho, params, lmax)
         result = solve_single(mat, rhs)
         out = result.coeffs
     io.save_vector(cfg["out"], out, header_extra=header)
@@ -237,14 +255,13 @@ def cmd_solve(cfg) -> int:
 def cmd_sweep(cfg) -> int:
     _require(cfg, "alpha_grid", "rho", "lambda_", "mu", "lmax")
     grid = parse_grid(cfg["alpha_grid"])
-    rho = float(cfg["rho"])
-    params = _params(cfg)
-    lmax = int(cfg["lmax"])
+    rho, params, lmax = _ball_inputs(cfg)
+    for alpha in grid:
+        reduce_alpha(alpha)
+    trace = Trace(rho, params, lmax)
     lines = ["alpha,max_entry,cond_1norm"]
     for alpha in grid:
-        mat = assemble_single(
-            float(alpha), rho, params, lmax, int(cfg.get("threads", 1))
-        )
+        mat = trace.single(float(alpha))
         cond = abs(np.linalg.cond(mat.matrix, 1))
         lines.append(
             f"{float(alpha)!r},{float(np.abs(mat.matrix).max())!r},{float(cond)!r}"
@@ -302,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path")
         p.add_argument("--csv", help="secondary flat CSV export path")
         p.add_argument("--seed", type=int, help="seed for randomized checks")
-        p.add_argument("--threads", type=int, help="assembly fill threads")
         p.add_argument("--sign-flip", dest="sign_flip", action="store_true",
                        default=None, help="negated-operator convention")
         p.add_argument("--tol", type=float, help="tolerance override")
@@ -330,6 +346,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except QuasiMomentumSingular as exc:
         print(

@@ -43,6 +43,8 @@ class LameParams:
     sign_flip: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise ValueError("lam and mu must be finite")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.lam + 2 * self.mu <= 0:

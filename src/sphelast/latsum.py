@@ -1,21 +1,17 @@
-"""Unit-circle polylogarithm/Lerch values and Bloch-phased lattice sums.
+"""Unit-circle polylogarithm/Lerch values for the Bloch-phased lattice sums.
 
 Summing a re-expansion coefficient over all lattice copies with phase
-``e^{-i n alpha}`` collapses, because the shifts all lie on one axis, to
-polylogarithm values at ``e^{+-i alpha}`` times two equator harmonics.  Four
-sum families appear:
+``e^{-i n alpha}`` collapses, because the shifts all lie on one axis, to a
+phase-independent coefficient times ``Li_s(e^{-i alpha})`` plus another times
+``Li_s(e^{+i alpha})``.  The coefficients live in ``assembly``; this module
+supplies the values they multiply, as one vector with slot ``slot(s, sign)``
+per order and phase sign:
 
-* ``lattice_decay_sum``  -- plain coefficient sum (order ``l+lam+1``),
-* ``lattice_axis_sum``   -- weighted by the axis component of the shift
-  (order ``l+lam``),
-* ``lattice_moment_sum`` -- weighted by the squared shift length
-  (order ``l+lam-1``),
-* ``lattice_cross_sum``  -- cross-product coefficient sum (order ``l+lam``).
-
-The ``*_dimer`` variants sum over a half-offset axis lattice (two balls per
-cell) and evaluate through the Lerch transcendent with offsets ``2d`` and
-``1 - 2d``; block "21" couples the right ball onto the left one, "12" the
-reverse.
+* ``line_values``  -- ``Li_s(e^{-+i alpha})`` for the sum over every nonzero
+  integer shift (one ball per cell);
+* ``dimer_values`` -- the Lerch values for the half-offset lattices of a
+  two-ball cell, offsets ``2d`` and ``1 - 2d``; block "21" couples the
+  right ball onto the left one, "12" the reverse.
 
 The polylogarithm and Lerch values themselves are delegated to mpmath at 30
 significant digits and memoised in ``LatticeSumCache``; the brute-force
@@ -28,9 +24,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-
-from .sphharm import ylm_equator
-from .translation import cross_prefactor, decay_prefactor
+import numpy as np
 
 __all__ = [
     "QuasiMomentumSingular",
@@ -39,14 +33,9 @@ __all__ = [
     "reduce_alpha",
     "polylog_unit",
     "lerch_unit",
-    "lattice_decay_sum",
-    "lattice_axis_sum",
-    "lattice_moment_sum",
-    "lattice_cross_sum",
-    "lattice_decay_sum_dimer",
-    "lattice_axis_sum_dimer",
-    "lattice_moment_sum_dimer",
-    "lattice_cross_sum_dimer",
+    "slot",
+    "line_values",
+    "dimer_values",
     "AXIS_COMPONENT",
 ]
 
@@ -71,6 +60,8 @@ class DimerGeometry:
     rho: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.d) and math.isfinite(self.rho)):
+            raise ValueError("d and rho must be finite")
         if not 0.0 < self.rho < 0.5:
             raise ValueError("need 0 < rho < 1/2")
         if 2 * self.d <= 2 * self.rho:
@@ -82,7 +73,10 @@ class DimerGeometry:
 def reduce_alpha(alpha: float, tol: float = 1e-12) -> float:
     """Reduce the Bloch phase mod 2 pi; rejects phases at the lattice
     resonance where order-1 sums diverge."""
-    a = float(alpha) % _TWO_PI
+    a = float(alpha)
+    if not math.isfinite(a):
+        raise ValueError(f"Bloch phase must be finite, got {a!r}")
+    a %= _TWO_PI
     if a < tol or _TWO_PI - a < tol:
         raise QuasiMomentumSingular(
             "Bloch phase is congruent to 0 (mod 2 pi); the order-1 lattice "
@@ -126,8 +120,7 @@ class LatticeSumCache:
     """Memoised polylog/Lerch values for one Bloch phase (and geometry).
 
     Keys are ``(s, sign, offset)`` with ``offset=None`` for the plain
-    polylogarithm.  Writes are idempotent set-once insertions, so concurrent
-    fills are safe.
+    polylogarithm.
     """
 
     def __init__(self, alpha: float, geom: DimerGeometry | None = None):
@@ -161,134 +154,57 @@ class LatticeSumCache:
         return len(self._store)
 
 
-def _line_pair(s: int, alpha: float, cache: LatticeSumCache | None):
-    if cache is None:
-        cache = LatticeSumCache(alpha)
-    return cache.polylog(s, -1), cache.polylog(s, 1)
+def slot(s: int, sign: int) -> int:
+    """Position of the order-``s`` value at phase sign ``sign`` in a value
+    vector: ``(s, -)`` and ``(s, +)`` are adjacent, orders ascend from 1."""
+    return 2 * (s - 1) + (sign > 0)
 
 
-def _dimer_pair(
-    s: int, alpha: float, geom: DimerGeometry, block: str,
-    cache: LatticeSumCache | None,
-):
-    """Lerch pair for the half-offset lattices.
+def _values(s_max, need, pair):
+    vals = np.zeros(2 * s_max, dtype=complex)
+    for s in range(1, s_max + 1):
+        lo, hi = slot(s, -1), slot(s, 1)
+        if need is None or need[lo] or need[hi]:
+            vals[lo], vals[hi] = pair(s)
+    return vals
+
+
+def line_values(cache: LatticeSumCache, s_max: int, need=None) -> np.ndarray:
+    """``Li_s(e^{-+i alpha})`` at the phase of ``cache`` for ``s = 1..s_max``.
+
+    ``need`` is an optional boolean mask over the slots: orders with no
+    needed slot are not evaluated and stay zero.
+    """
+    return _values(
+        s_max, need, lambda s: (cache.polylog(s, -1), cache.polylog(s, 1))
+    )
+
+
+def dimer_values(
+    cache: LatticeSumCache, s_max: int, block: str, need=None
+) -> np.ndarray:
+    """Lerch values for the half-offset lattice of coupling block ``block``,
+    laid out (and masked by ``need``) like ``line_values``, at the phase and
+    geometry of ``cache``.
 
     Block "21" sums shifts ``n + 2d``: positive side offsets ``2d``,
     negative side ``1 - 2d`` with one extra phase.  Block "12" mirrors the
     offsets ("negative" side at ``2d``).
     """
-    if cache is None:
-        cache = LatticeSumCache(alpha, geom)
-    alpha = reduce_alpha(alpha)
+    geom, alpha = cache.geom, cache.alpha
+    if geom is None:
+        raise ValueError("dimer values need a cache with a DimerGeometry")
+    near, far = 2 * geom.d, 1 - 2 * geom.d
     if block == "21":
-        c_minus = cache.lerch(s, -1, 2 * geom.d)
-        c_plus = complex(math.cos(alpha), math.sin(alpha)) * cache.lerch(
-            s, 1, 1 - 2 * geom.d
-        )
+        phase = complex(math.cos(alpha), math.sin(alpha))
+
+        def pair(s):
+            return cache.lerch(s, -1, near), phase * cache.lerch(s, 1, far)
     elif block == "12":
-        c_minus = complex(math.cos(alpha), -math.sin(alpha)) * cache.lerch(
-            s, -1, 1 - 2 * geom.d
-        )
-        c_plus = cache.lerch(s, 1, 2 * geom.d)
+        phase = complex(math.cos(alpha), -math.sin(alpha))
+
+        def pair(s):
+            return phase * cache.lerch(s, -1, far), cache.lerch(s, 1, near)
     else:
         raise ValueError("block must be '21' or '12'")
-    return c_minus, c_plus
-
-
-def _equator_pair(l: int, m: int):
-    if abs(m) > l:
-        return 0.0, 0.0
-    return ylm_equator(l, m, at_pi=True), ylm_equator(l, m, at_pi=False)
-
-
-def _decay_like(l, lam, m, mu, pair, order_shift, plus_sign):
-    pref = decay_prefactor(l, lam, m, mu)
-    if pref == 0.0:
-        return 0.0 + 0.0j
-    big_l = l + lam
-    y_pi, y_0 = _equator_pair(big_l, m - mu)
-    if y_pi == 0.0 and y_0 == 0.0:
-        return 0.0 + 0.0j
-    c_minus, c_plus = pair(big_l + order_shift)
-    pref *= math.sqrt(4.0 * math.pi / (2 * big_l + 1))
-    return pref * (c_minus * y_pi + plus_sign * c_plus * y_0)
-
-
-def lattice_decay_sum(l, lam, m, mu, alpha, cache=None) -> complex:
-    """Phased sum of ``decay_coeff`` over all nonzero integer shifts."""
-    return _decay_like(
-        l, lam, m, mu, lambda s: _line_pair(s, alpha, cache), 1, 1.0
-    )
-
-
-def lattice_axis_sum(l, lam, m, mu, alpha, q, cache=None) -> complex:
-    """Phased sum of ``decay_coeff`` weighted by the axis component of the
-    shift; zero for ``q = 0``."""
-    eps = AXIS_COMPONENT[q]
-    if eps == 0.0:
-        return 0.0 + 0.0j
-    return eps * _decay_like(
-        l, lam, m, mu, lambda s: _line_pair(s, alpha, cache), 0, -1.0
-    )
-
-
-def lattice_moment_sum(l, lam, m, mu, alpha, cache=None) -> complex:
-    """Phased sum of ``decay_coeff`` weighted by the squared shift length."""
-    return _decay_like(
-        l, lam, m, mu, lambda s: _line_pair(s, alpha, cache), -1, 1.0
-    )
-
-
-def lattice_cross_sum(l, j, lam, m, mu, q, m1, alpha, cache=None) -> complex:
-    """Phased sum of ``cross_coeff`` over all nonzero integer shifts."""
-    eps = AXIS_COMPONENT[q]
-    pref = cross_prefactor(l, j, lam, m, mu, q, m1)
-    if eps == 0.0 or pref == 0.0:
-        return 0.0 + 0.0j
-    big_l = l + lam
-    y_pi, y_0 = _equator_pair(big_l, m - mu)
-    if y_pi == 0.0 and y_0 == 0.0:
-        return 0.0 + 0.0j
-    c_minus, c_plus = _line_pair(big_l, alpha, cache)
-    pref = pref * eps * math.sqrt(4.0 * math.pi / (2 * big_l + 1))
-    return pref * (c_minus * y_pi - c_plus * y_0)
-
-
-def lattice_decay_sum_dimer(l, lam, m, mu, alpha, geom, block, cache=None) -> complex:
-    return _decay_like(
-        l, lam, m, mu,
-        lambda s: _dimer_pair(s, alpha, geom, block, cache), 1, 1.0,
-    )
-
-
-def lattice_axis_sum_dimer(l, lam, m, mu, alpha, q, geom, block, cache=None) -> complex:
-    eps = AXIS_COMPONENT[q]
-    if eps == 0.0:
-        return 0.0 + 0.0j
-    return eps * _decay_like(
-        l, lam, m, mu,
-        lambda s: _dimer_pair(s, alpha, geom, block, cache), 0, -1.0,
-    )
-
-
-def lattice_moment_sum_dimer(l, lam, m, mu, alpha, geom, block, cache=None) -> complex:
-    return _decay_like(
-        l, lam, m, mu,
-        lambda s: _dimer_pair(s, alpha, geom, block, cache), -1, 1.0,
-    )
-
-
-def lattice_cross_sum_dimer(
-    l, j, lam, m, mu, q, m1, alpha, geom, block, cache=None
-) -> complex:
-    eps = AXIS_COMPONENT[q]
-    pref = cross_prefactor(l, j, lam, m, mu, q, m1)
-    if eps == 0.0 or pref == 0.0:
-        return 0.0 + 0.0j
-    big_l = l + lam
-    y_pi, y_0 = _equator_pair(big_l, m - mu)
-    if y_pi == 0.0 and y_0 == 0.0:
-        return 0.0 + 0.0j
-    c_minus, c_plus = _dimer_pair(big_l, alpha, geom, block, cache)
-    pref = pref * eps * math.sqrt(4.0 * math.pi / (2 * big_l + 1))
-    return pref * (c_minus * y_pi - c_plus * y_0)
+    return _values(s_max, need, pair)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -213,6 +214,7 @@ def ylm_real(l: int, m: int, d) -> float:
     return math.sqrt(2.0) * p * math.sin(ma * d.phi)
 
 
+@lru_cache(maxsize=None)
 def ylm_equator(l: int, m: int, at_pi: bool = False) -> float:
     """``Y_l^m`` on the equator at azimuth 0 (or pi); real, zero for odd ``l+m``."""
     if abs(m) > l:

@@ -1,8 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; the
-heavy criteria (8 and 12) stay well inside their budgets with the compiled
-kernels active.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import math

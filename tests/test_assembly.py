@@ -5,6 +5,7 @@ import pytest
 
 from sphelast.assembly import (
     BasisMap,
+    Trace,
     _SingleShiftKernel,
     assemble_dimer,
     assemble_single,
@@ -13,7 +14,12 @@ from sphelast.assembly import (
     per_copy_entries,
     per_copy_entry,
 )
-from sphelast.kelvin import norm_factor, shifted_ball_potential, surface_response
+from sphelast.kelvin import (
+    LameParams,
+    norm_factor,
+    shifted_ball_potential,
+    surface_response,
+)
 from sphelast.latsum import DimerGeometry, LatticeSumCache, QuasiMomentumSingular
 from sphelast.oracle import (
     brute_lattice_entry,
@@ -149,7 +155,8 @@ class TestEntrySingle:
     def test_diagonal_consistency(self, params):
         # the diagonal entry minus its lattice part is exactly the on-ball
         # surface response times the basis norm
-        from sphelast.assembly import _BlochKernel, _combined_value
+        from sphelast.assembly import _TraceKernel, _combined_value, _contract_one
+        from sphelast.latsum import line_values
 
         alpha = 1.9
         for fam, l, slot in [(Family.W, 1, 1), (Family.X, 2, 2), (Family.V, 1, 0)]:
@@ -157,8 +164,12 @@ class TestEntrySingle:
             if fam == Family.V:
                 lattice = 0.0
             else:
-                lattice = _combined_value(
-                    fam, l, 0, fam, l, 0, RHO, params, _BlochKernel(alpha)
+                s_max = 2 * l + 3
+                lattice = _contract_one(
+                    _combined_value(
+                        fam, l, 0, fam, l, 0, RHO, params, _TraceKernel(s_max)
+                    ),
+                    line_values(LatticeSumCache(alpha), s_max),
                 )
             tau = surface_response(l, params)[slot]
             assert full - lattice == pytest.approx(
@@ -212,11 +223,6 @@ class TestAssembleSingle:
             a = assemble_single(alpha, RHO, params, 3)
             b = assemble_single(2 * math.pi - alpha, RHO, params, 3)
             assert np.abs(b.matrix - a.matrix.conjugate()).max() <= 1e-12
-
-    def test_thread_fill_matches_serial(self, params):
-        serial = assemble_single(1.3, RHO, params, 1, n_threads=1)
-        threaded = assemble_single(1.3, RHO, params, 1, n_threads=4)
-        assert np.array_equal(serial.matrix, threaded.matrix)
 
     def test_radius_validation(self, params):
         with pytest.raises(ValueError):
@@ -273,6 +279,49 @@ class TestDimer:
         assert mat.matrix[i, n + j] == expect21
         assert mat.matrix[n + i, j] == expect12
         assert expect21 != expect12
+
+
+class TestOperatorStructure:
+    """Properties of the physical operator that the trace must preserve."""
+
+    @staticmethod
+    def _hermitian_part(mat):
+        return 0.5 * (mat + mat.conj().T)
+
+    def test_hermitian(self, params):
+        single = assemble_single(1.3, RHO, params, 3).matrix
+        assert np.abs(single - single.conj().T).max() <= 1e-15
+        dimer = assemble_dimer(1.3, GEOM, params, 2).matrix
+        assert np.abs(dimer - dimer.conj().T).max() <= 1e-15
+
+    def test_definite_with_sign_convention(self):
+        for sign_flip, sign in ((False, 1.0), (True, -1.0)):
+            params = LameParams(1.0, 1.0, sign_flip)
+            mat = assemble_single(1.3, RHO, params, 3).matrix
+            eig = sign * np.linalg.eigvalsh(self._hermitian_part(mat))
+            assert eig.min() > 0.0
+
+    def test_one_trace_serves_every_phase(self, params):
+        trace = Trace(RHO, params, 3)
+        for alpha in (0.7, 1.3, 3.0):
+            assert np.array_equal(
+                trace.single(alpha).matrix,
+                assemble_single(alpha, RHO, params, 3).matrix,
+            )
+
+    def test_trace_skips_vanishing_entries(self, params):
+        trace = Trace(RHO, params, 2)
+        n = trace.basis.n_eff
+        assert trace.coef.shape == (len(trace.index), 2 * (2 * 2 + 3))
+        assert np.all(np.any(trace.coef != 0, axis=1))
+        for flat in trace.index:
+            lp, mp, pf = trace.basis.labels[flat // n]
+            l, m, qf = trace.basis.labels[flat % n]
+            assert Family.V not in (pf, qf) or Family.W in (pf, qf)
+
+    def test_dimer_radius_must_match_trace(self, params):
+        with pytest.raises(ValueError):
+            Trace(0.12, params, 1).dimer(1.3, GEOM)
 
 
 def test_brute_zero_cut(params):

@@ -250,6 +250,107 @@ class TestPhiInputs:
         assert rc == 2
 
 
+class TestBadInputs:
+    """Every bad input exits 2 with a message: no hang, no NaN output, no
+    traceback."""
+
+    BASE = TestCli.BASE
+
+    @staticmethod
+    def _argv(base, **changes):
+        argv = list(base)
+        for flag, value in changes.items():
+            argv[argv.index("--" + flag) + 1] = value
+        return argv
+
+    def _assert_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip()
+
+    def test_non_finite_alpha(self, tmp_path, capsys):
+        for bad in ("nan", "inf"):
+            self._assert_config_error([
+                "assemble", *self._argv(self.BASE, alpha=bad),
+                "--out", str(tmp_path / "m.json"),
+            ], capsys)
+        self._assert_config_error([
+            "sweep", "--alpha-grid", "0.5:nan:3", "--rho", "0.1",
+            "--lambda", "1", "--mu", "1", "--lmax", "1",
+        ], capsys)
+
+    def test_non_finite_material(self, tmp_path, capsys):
+        for flag in ("lambda", "mu"):
+            out = tmp_path / f"{flag}.json"
+            self._assert_config_error([
+                "assemble", *self._argv(self.BASE, **{flag: "nan"}),
+                "--out", str(out),
+            ], capsys)
+            assert not out.exists()
+
+    def test_non_finite_dimer_separation(self, tmp_path, capsys):
+        self._assert_config_error([
+            "dimer-assemble", *self.BASE, "--dimer-d", "nan",
+            "--out", str(tmp_path / "d.json"),
+        ], capsys)
+
+    def test_solve_with_overlapping_dimer(self, tmp_path, capsys):
+        self._assert_config_error([
+            "solve", *self.BASE, "--dimer-d", "0.05",
+            "--phi", "builtin:uniform-x", "--out", str(tmp_path / "f.json"),
+        ], capsys)
+
+    def test_missing_phi_file(self, tmp_path, capsys):
+        for kind in ("coeffs", "grid"):
+            self._assert_config_error([
+                "solve", *self.BASE, "--phi", f"{kind}:{tmp_path / 'none.json'}",
+                "--out", str(tmp_path / "f.json"),
+            ], capsys)
+
+    def test_malformed_phi_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for text in ("{not json", json.dumps({"entries": []}),
+                     json.dumps({"header": {"basis_version": io.BASIS_VERSION},
+                                 "entries": [1, 2]})):
+            bad.write_text(text)
+            for kind in ("coeffs", "grid"):
+                self._assert_config_error([
+                    "solve", *self.BASE, "--phi", f"{kind}:{bad}",
+                    "--out", str(tmp_path / "f.json"),
+                ], capsys)
+
+    def test_wrong_basis_version_phi_file(self, tmp_path, capsys):
+        path = tmp_path / "phi.json"
+        io.save_vector(path, np.zeros(10))
+        doc = json.loads(path.read_text())
+        doc["header"]["basis_version"] = "something-else"
+        path.write_text(json.dumps(doc))
+        self._assert_config_error([
+            "solve", *self.BASE, "--phi", f"coeffs:{path}",
+            "--out", str(tmp_path / "f.json"),
+        ], capsys)
+
+    def test_non_numeric_config_values(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for key, value in (("rho", "abc"), ("lmax", [1]), ("lambda", "abc")):
+            doc = {"alpha": 1.3, "rho": 0.1, "lambda": 1, "mu": 1, "lmax": 1}
+            doc[key] = value
+            cfg.write_text(json.dumps(doc))
+            self._assert_config_error([
+                "assemble", "--config", str(cfg),
+                "--out", str(tmp_path / "m.json"),
+            ], capsys)
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "m.json"
+        self._assert_config_error(
+            ["assemble", *self.BASE, "--out", str(out)], capsys
+        )
+        self._assert_config_error([
+            "sweep", "--alpha-grid", "0.5:2.5:2", "--rho", "0.1",
+            "--lambda", "1", "--mu", "1", "--lmax", "1", "--out", str(out),
+        ], capsys)
+
+
 def test_verify_failure_exit_code(monkeypatch):
     import sphelast.cli as cli_mod
 

@@ -62,6 +62,12 @@ class TestFundamentalSolution:
         with pytest.raises(ValueError):
             LameParams(-3.0, 1.0)
 
+    def test_non_finite_constants_rejected(self):
+        for lam, mu in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                        (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                LameParams(lam, mu)
+
 
 class TestResponseMatrices:
     def test_toroidal_coefficient(self, params):

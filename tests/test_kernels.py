@@ -13,30 +13,6 @@ def problem(rng):
     return targets, sources, weights, density
 
 
-def test_backends_agree_real(problem):
-    targets, sources, weights, density = problem
-    a = _kernels._kelvin_apply_numpy(targets, sources, weights, density, 1.0, 1.0)
-    if _kernels._HAVE_NUMBA:
-        b = _kernels._kelvin_apply_numba(
-            targets, sources, weights, density, 1.0, 1.0
-        )
-        assert np.abs(a - b).max() <= 1e-13
-
-
-def test_backends_agree_lattice(problem):
-    targets, sources, weights, density = problem
-    density = density.astype(complex) + 0.3j * density[::-1]
-    a = _kernels._kelvin_lattice_apply_numpy(
-        targets * 0.02, sources, weights, density, 1.0, 2.0, 1.1, 30
-    )
-    if _kernels._HAVE_NUMBA:
-        b = _kernels._kelvin_lattice_apply_numba(
-            np.ascontiguousarray(targets * 0.02), sources, weights,
-            np.ascontiguousarray(density), 1.0, 2.0, 1.1, 30,
-        )
-        assert np.abs(a - b).max() <= 1e-13
-
-
 def test_matches_direct_tensor(problem, params):
     from sphelast.kelvin import kelvin_tensor
 
@@ -47,16 +23,3 @@ def test_matches_direct_tensor(problem, params):
         for j, y in enumerate(sources):
             direct[i] += weights[j] * kelvin_tensor(x - y, params) @ density[j]
     assert np.abs(out - direct).max() <= 1e-13
-
-
-def test_env_flag_selects_numpy(problem, monkeypatch):
-    monkeypatch.setenv("SPHELAST_DISABLE_NUMBA", "1")
-    assert not _kernels.using_numba()
-    targets, sources, weights, density = problem
-    out = _kernels.kelvin_apply(targets, sources, weights, density, 1.0, 1.0)
-    expect = _kernels._kelvin_apply_numpy(
-        targets, sources, weights, density, 1.0, 1.0
-    )
-    assert np.array_equal(out, expect)
-    monkeypatch.setenv("SPHELAST_DISABLE_NUMBA", "0")
-    assert _kernels.using_numba() == _kernels._HAVE_NUMBA

@@ -3,27 +3,38 @@ import math
 import numpy as np
 import pytest
 
+from sphelast.assembly import _TraceKernel, _contract_one
 from sphelast.latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
     LatticeSumCache,
     QuasiMomentumSingular,
-    lattice_axis_sum,
-    lattice_axis_sum_dimer,
-    lattice_cross_sum,
-    lattice_cross_sum_dimer,
-    lattice_decay_sum,
-    lattice_decay_sum_dimer,
-    lattice_moment_sum,
-    lattice_moment_sum_dimer,
+    dimer_values,
     lerch_unit,
+    line_values,
     polylog_unit,
     reduce_alpha,
+    slot,
 )
 from sphelast.translation import cross_coeff, decay_coeff
 from sphelast.vsh import rhat_dot_a_expand
 
 GEOM = DimerGeometry(0.2, 0.1)
+S_MAX = 8
+
+
+def _closed(method, *args, alpha, block=None):
+    """Closed-form phased sum of one coefficient family: its trace vector
+    contracted with the polylog (or, for a dimer block, Lerch) values."""
+    cache = LatticeSumCache(alpha, None if block is None else GEOM)
+    coef = getattr(_TraceKernel(S_MAX), method)(*args)
+    if np.ndim(coef) == 0:
+        return coef
+    if block is None:
+        vals = line_values(cache, S_MAX, coef != 0)
+    else:
+        vals = dimer_values(cache, S_MAX, block, coef != 0)
+    return _contract_one(coef, vals)
 
 
 def _chunked_polylog_sum(s, alpha, sign, terms):
@@ -85,6 +96,44 @@ class TestLerch:
             lerch_unit(2, 1.0, 1, 0.0)
         with pytest.raises(ValueError):
             lerch_unit(2, 1.0, 1, 1.5)
+
+
+class TestValueVectors:
+    def test_line_layout(self):
+        cache = LatticeSumCache(1.7)
+        vals = line_values(cache, 4)
+        assert vals.shape == (8,)
+        for s in range(1, 5):
+            for sign in (1, -1):
+                assert vals[slot(s, sign)] == polylog_unit(s, 1.7, sign)
+
+    def test_only_needed_orders(self):
+        need = np.zeros(8, dtype=bool)
+        need[slot(2, 1)] = True
+        vals = line_values(LatticeSumCache(1.7), 4, need)
+        assert np.count_nonzero(vals) == 2
+        assert vals[slot(2, -1)] != 0 and vals[slot(2, 1)] != 0
+
+    def test_dimer_phase_factors(self):
+        alpha = 1.7
+        cache = LatticeSumCache(alpha, GEOM)
+        near, far = 2 * GEOM.d, 1 - 2 * GEOM.d
+        z = complex(math.cos(alpha), math.sin(alpha))
+        need = np.array([False, False, True, True])
+        v21 = dimer_values(cache, 2, "21", need)
+        v12 = dimer_values(cache, 2, "12", need)
+        assert v21[slot(2, -1)] == lerch_unit(2, alpha, -1, near)
+        assert v21[slot(2, 1)] == pytest.approx(z * lerch_unit(2, alpha, 1, far))
+        assert v12[slot(2, -1)] == pytest.approx(
+            z.conjugate() * lerch_unit(2, alpha, -1, far)
+        )
+        assert v12[slot(2, 1)] == lerch_unit(2, alpha, 1, near)
+
+    def test_dimer_validation(self):
+        with pytest.raises(ValueError):
+            dimer_values(LatticeSumCache(1.0), 2, "21")
+        with pytest.raises(ValueError):
+            dimer_values(LatticeSumCache(1.0, GEOM), 2, "11")
 
 
 class TestCache:
@@ -164,7 +213,7 @@ class TestBlochSums:
         brute = _brute_line(
             lambda n: decay_coeff(l, lam, m, mu, _shift_vec(n)), alpha, 3000
         )
-        closed = lattice_decay_sum(l, lam, m, mu, alpha)
+        closed = _closed("plain", l, lam, m, mu, alpha=alpha)
         assert abs(closed - brute) <= 1e-8
 
     def test_plain_sum(self):
@@ -173,7 +222,7 @@ class TestBlochSums:
             series = _kernel_series(
                 lambda k: k.plain(l, lam, m, mu), alpha, 20000
             )
-            closed = lattice_decay_sum(l, lam, m, mu, alpha)
+            closed = _closed("plain", l, lam, m, mu, alpha=alpha)
             assert abs(closed - series[-1]) <= 1e-8
 
     def test_axis_sum_scalar_route(self):
@@ -184,7 +233,7 @@ class TestBlochSums:
             * decay_coeff(l, lam, m, mu, _shift_vec(n)),
             alpha, 3000,
         )
-        closed = lattice_axis_sum(l, lam, m, mu, alpha, q)
+        closed = _closed("axis", l, lam, m, mu, q, alpha=alpha)
         assert abs(closed - brute) <= 1e-6
 
     def test_axis_sum(self):
@@ -194,9 +243,9 @@ class TestBlochSums:
                 series = _kernel_series(
                     lambda k: k.axis(l, lam, m, mu, q), alpha, 20000
                 )
-                closed = lattice_axis_sum(l, lam, m, mu, alpha, q)
+                closed = _closed("axis", l, lam, m, mu, q, alpha=alpha)
                 assert abs(closed - _windowed_limit(series)) <= 1e-9
-        assert lattice_axis_sum(1, 1, 0, 0, alpha, 0) == 0.0
+        assert _closed("axis", 1, 1, 0, 0, 0, alpha=alpha) == 0.0
 
     def test_moment_sum(self):
         alpha = 2.3
@@ -204,7 +253,7 @@ class TestBlochSums:
             series = _kernel_series(
                 lambda k: k.moment(l, lam, m, mu), alpha, 40000
             )
-            closed = lattice_moment_sum(l, lam, m, mu, alpha)
+            closed = _closed("moment", l, lam, m, mu, alpha=alpha)
             assert abs(closed - _windowed_limit(series)) <= 1e-7
 
     def test_cross_sum_scalar_route(self):
@@ -214,7 +263,7 @@ class TestBlochSums:
             lambda n: cross_coeff(l, j, lam, m, mu, q, m1, _shift_vec(n)),
             alpha, 3000,
         )
-        closed = lattice_cross_sum(l, j, lam, m, mu, q, m1, alpha)
+        closed = _closed("cross", l, j, lam, m, mu, q, m1, alpha=alpha)
         assert abs(closed - brute) <= 1e-6
 
     def test_cross_sum(self):
@@ -227,11 +276,11 @@ class TestBlochSums:
             series = _kernel_series(
                 lambda k: k.cross(l, j, lam, m, mu, q, m1), alpha, 20000
             )
-            closed = lattice_cross_sum(l, j, lam, m, mu, q, m1, alpha)
+            closed = _closed("cross", l, j, lam, m, mu, q, m1, alpha=alpha)
             assert abs(closed - _windowed_limit(series)) <= 1e-9
 
     def test_cross_sum_zero_axis_order(self):
-        assert lattice_cross_sum(1, 1, 1, 0, 0, 0, 1, 1.0) == 0.0
+        assert _closed("cross", 1, 1, 1, 0, 0, 0, 1, alpha=1.0) == 0.0
 
     def test_convergence_order(self):
         # the truncation-error envelope decays with the predicted power;
@@ -240,9 +289,9 @@ class TestBlochSums:
         alpha = 1.3
         window = 40
         for (l, lam, m, mu), fn, closed, predicted in [
-            ((1, 1, 0, 0), "plain", lattice_decay_sum(1, 1, 0, 0, alpha), 3),
-            ((1, 1, 0, 0), "moment", lattice_moment_sum(1, 1, 0, 0, alpha), 1),
-            ((2, 2, 1, 1), "moment", lattice_moment_sum(2, 2, 1, 1, alpha), 3),
+            ((1, 1, 0, 0), "plain", _closed("plain", 1, 1, 0, 0, alpha=alpha), 3),
+            ((1, 1, 0, 0), "moment", _closed("moment", 1, 1, 0, 0, alpha=alpha), 1),
+            ((2, 2, 1, 1), "moment", _closed("moment", 2, 2, 1, 1, alpha=alpha), 3),
         ]:
             series = _kernel_series(
                 lambda k: getattr(k, fn)(l, lam, m, mu), alpha, 10000
@@ -262,8 +311,8 @@ class TestBlochSums:
         for l, lam, m, mu in [(1, 1, 0, 0), (2, 2, 1, 1), (1, 3, 0, 0)]:
             if (l + lam + m - mu) % 2 != 0:
                 continue
-            a = lattice_decay_sum(l, lam, m, mu, alpha)
-            b = lattice_decay_sum(l, lam, m, mu, 2 * math.pi - alpha)
+            a = _closed("plain", l, lam, m, mu, alpha=alpha)
+            b = _closed("plain", l, lam, m, mu, alpha=2 * math.pi - alpha)
             assert abs(b - np.conj(a)) <= 1e-13
 
 
@@ -278,8 +327,8 @@ class TestDimerSums:
                 brute = (
                     decay_coeff(l, lam, m, mu, _shift_vec(off)) + series[-1]
                 )
-                closed = lattice_decay_sum_dimer(
-                    l, lam, m, mu, alpha, GEOM, block
+                closed = _closed(
+                    "plain", l, lam, m, mu, alpha=alpha, block=block
                 )
                 assert abs(closed - brute) <= 1e-7
 
@@ -293,13 +342,13 @@ class TestDimerSums:
             center = rhat_dot_a_expand(_shift_vec(off))[-1] * decay_coeff(
                 l, lam, m, mu, _shift_vec(off)
             )
-            closed = lattice_axis_sum_dimer(l, lam, m, mu, alpha, -1, GEOM, block)
+            closed = _closed("axis", l, lam, m, mu, -1, alpha=alpha, block=block)
             assert abs(closed - (center + _windowed_limit(series))) <= 1e-8
             series = _kernel_series(
                 lambda k: k.moment(l, lam, m, mu), alpha, 40000, shift=off
             )
             center = off * off * decay_coeff(l, lam, m, mu, _shift_vec(off))
-            closed = lattice_moment_sum_dimer(l, lam, m, mu, alpha, GEOM, block)
+            closed = _closed("moment", l, lam, m, mu, alpha=alpha, block=block)
             # first-order tail: the windowed mean itself carries O(K/N^2) bias
             assert abs(closed - (center + _windowed_limit(series))) <= 5e-6
 
@@ -312,8 +361,8 @@ class TestDimerSums:
                 alpha, 20000, shift=off,
             )
             center = cross_coeff(l, j, lam, m, mu, q, m1, _shift_vec(off))
-            closed = lattice_cross_sum_dimer(
-                l, j, lam, m, mu, q, m1, alpha, GEOM, block
+            closed = _closed(
+                "cross", l, j, lam, m, mu, q, m1, alpha=alpha, block=block
             )
             assert abs(closed - (center + _windowed_limit(series))) <= 1e-8
 
@@ -322,9 +371,9 @@ class TestDimerSums:
         # half-offset lattice {2d + n} union {-2d + n}
         alpha = 1.3
         l, lam, m, mu = 1, 1, 0, 0
-        both = lattice_decay_sum_dimer(
-            l, lam, m, mu, alpha, GEOM, "21"
-        ) + lattice_decay_sum_dimer(l, lam, m, mu, alpha, GEOM, "12")
+        both = _closed(
+            "plain", l, lam, m, mu, alpha=alpha, block="21"
+        ) + _closed("plain", l, lam, m, mu, alpha=alpha, block="12")
         brute = 0.0 + 0.0j
         for off in (2 * GEOM.d, -2 * GEOM.d):
             series = _kernel_series(
@@ -337,8 +386,8 @@ class TestDimerSums:
 def test_order_one_sum_requires_nonzero_phase():
     # the lowest-degree squared-moment sum hits the logarithmic series
     with pytest.raises(QuasiMomentumSingular):
-        lattice_moment_sum(1, 1, 0, 0, 0.0)
-    val = lattice_moment_sum(1, 1, 0, 0, 1.0)
+        _closed("moment", 1, 1, 0, 0, alpha=0.0)
+    val = _closed("moment", 1, 1, 0, 0, alpha=1.0)
     assert np.isfinite(val)
 
 
@@ -346,6 +395,16 @@ def test_reduce_alpha():
     assert reduce_alpha(2 * math.pi + 1.0) == pytest.approx(1.0)
     with pytest.raises(QuasiMomentumSingular):
         reduce_alpha(4 * math.pi)
+
+
+def test_non_finite_inputs_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            reduce_alpha(bad)
+        with pytest.raises(ValueError):
+            DimerGeometry(bad, 0.1)
+        with pytest.raises(ValueError):
+            DimerGeometry(0.2, bad)
 
 
 def test_axis_component_table():
