@@ -1,12 +1,17 @@
 """Command-line front end.
 
 Subcommands: ``assemble``, ``dimer-assemble``, ``solve``, ``sweep``,
-``verify``.  Every flag has an equal-named key in an optional JSON config
-file (``--config``); explicit flags override the file.  The Bloch phase
-accepts plain radians or ``pi*<rational>`` literals (``pi*1/2``).
+``verify``.  Each takes only the options it reads, spelled in full (README,
+"Command line"); argparse declares, converts and range-checks every one of
+them.  An optional JSON file (``--config``) holds the same command's
+options by name (``_`` or ``-`` in a key): its keys are turned into option
+text and parsed by the same subcommand parser ahead of the explicit flags,
+so explicit flags win.  The Bloch phase accepts plain radians or
+``pi*<rational>`` literals (``pi*1/2``).
 
-Exit codes: 0 success, 2 configuration error (including a file that
-cannot be read or written), 3 singular Bloch phase, 4 verification failure.
+Exit codes: 0 success, 2 configuration error (any input the parser
+rejects, or a file that cannot be read or written), 3 singular Bloch
+phase, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -33,8 +38,14 @@ EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(argparse.ArgumentTypeError, ValueError):
+    """Bad command-line or config-file input.  As an ``ArgumentTypeError``
+    raised by an option's type, argparse reports its message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def parse_alpha(text: str) -> float:
@@ -68,72 +79,67 @@ def parse_grid(text: str):
     return np.linspace(start, stop, count)
 
 
-_FLAG_KEYS = (
-    "alpha", "alpha_grid", "rho", "lambda_", "mu", "lmax", "dimer_d",
-    "phi", "out", "csv", "seed", "sign_flip", "tol", "suite",
-)
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise ConfigError(f"{rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        for key, val in file_cfg.items():
-            norm = key.replace("-", "_")
-            norm = "lambda_" if norm == "lambda" else norm
-            if norm not in _FLAG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[norm] = val
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            cfg[key] = val
-    return cfg
+_RADIUS = _checked(float, lambda r: 0.0 < r < 0.5, "rho must satisfy 0 < rho < 1/2")
+_LMAX = _checked(int, lambda l: 0 <= l <= 64, "lmax must be in 0..64")
+_TOL = _checked(float, lambda t: 0.0 < t < math.inf, "tol must be positive and finite")
+_SEED = _checked(int, lambda n: n >= 0, "seed must be >= 0")
 
 
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if cfg.get(k) is None]
-    if missing:
-        pretty = ", ".join("--" + k.rstrip("_").replace("_", "-") for k in missing)
-        raise ConfigError(f"missing required option(s): {pretty}")
-
-
-def _params(cfg) -> LameParams:
+def _config_tokens(path) -> list[str]:
+    """A config file's keys as option text: ``{"dimer_d": 0.2}`` becomes
+    ``--dimer-d=0.2``.  ``true`` gives the bare switch and ``false`` leaves
+    the option out; a list repeats ``--suite``, the one repeatable option."""
     try:
-        return LameParams(
-            float(cfg["lambda_"]), float(cfg["mu"]),
-            bool(cfg.get("sign_flip", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    tokens = []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise ConfigError("config files do not nest")
+        items = value if flag == "--suite" and isinstance(value, list) else [value]
+        for item in items:
+            if isinstance(item, bool):
+                tokens += [flag] if item else []
+            elif isinstance(item, (str, int, float)):
+                tokens.append(f"{flag}={item}")
+            else:
+                raise ConfigError(f"bad value {item!r} for config key {key!r}")
+    return tokens
 
 
-def _ball_inputs(cfg):
+def _params_geometry(args):
+    """Material constants and, with ``--dimer-d``, the two-ball cell; their
+    range checks become configuration errors."""
     try:
-        rho, lmax = float(cfg["rho"]), int(cfg["lmax"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad rho or lmax value: {exc}") from exc
-    if not 0.0 < rho < 0.5:
-        raise ConfigError("rho must satisfy 0 < rho < 1/2")
-    if lmax < 0 or lmax > 64:
-        raise ConfigError("lmax must be in 0..64")
-    return rho, _params(cfg), lmax
-
-
-def _common_inputs(cfg):
-    _require(cfg, "alpha", "rho", "lambda_", "mu", "lmax")
-    return (parse_alpha(cfg["alpha"]), *_ball_inputs(cfg))
-
-
-def _geometry(cfg, rho) -> DimerGeometry:
-    try:
-        return DimerGeometry(float(cfg["dimer_d"]), rho)
+        params = LameParams(args.lambda_, args.mu, args.sign_flip)
+        d = getattr(args, "dimer_d", None)
+        return params, None if d is None else DimerGeometry(d, args.rho)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _matrix(args, params, geom):
+    if geom is None:
+        return assemble_single(args.alpha, args.rho, params, args.lmax)
+    return assemble_dimer(args.alpha, geom, params, args.lmax)
 
 
 def _load_vector(path):
@@ -191,101 +197,75 @@ def _phi_samples(spec: str, quad, basis, rho, params):
     )
 
 
-def cmd_assemble(cfg) -> int:
-    alpha, rho, params, lmax = _common_inputs(cfg)
-    _require(cfg, "out")
-    mat = assemble_single(alpha, rho, params, lmax)
-    io.save_matrix(cfg["out"], mat)
-    if cfg.get("csv"):
-        io.matrix_to_csv(cfg["csv"], mat)
-    print(f"wrote {mat.matrix.shape[0]}x{mat.matrix.shape[1]} matrix to {cfg['out']}")
+def cmd_assemble(args) -> int:
+    params, geom = _params_geometry(args)
+    mat = _matrix(args, params, geom)
+    io.save_matrix(args.out, mat)
+    if args.csv:
+        io.matrix_to_csv(args.csv, mat)
+    kind = "matrix" if geom is None else "dimer matrix"
+    print(f"wrote {mat.matrix.shape[0]}x{mat.matrix.shape[1]} {kind} to {args.out}")
     return EXIT_OK
 
 
-def cmd_dimer_assemble(cfg) -> int:
-    alpha, rho, params, lmax = _common_inputs(cfg)
-    _require(cfg, "out", "dimer_d")
-    geom = _geometry(cfg, rho)
-    mat = assemble_dimer(alpha, geom, params, lmax)
-    io.save_matrix(cfg["out"], mat)
-    if cfg.get("csv"):
-        io.matrix_to_csv(cfg["csv"], mat)
-    print(f"wrote {mat.matrix.shape[0]}x{mat.matrix.shape[1]} dimer matrix to {cfg['out']}")
-    return EXIT_OK
-
-
-def cmd_solve(cfg) -> int:
-    alpha, rho, params, lmax = _common_inputs(cfg)
-    _require(cfg, "phi", "out")
-    geom = _geometry(cfg, rho) if cfg.get("dimer_d") is not None else None
-    basis = BasisMap(lmax)
-    quad = build_quadrature(2 * lmax + 2)
-    samples, coeffs = _phi_samples(cfg["phi"], quad, basis, rho, params)
+def cmd_solve(args) -> int:
+    params, geom = _params_geometry(args)
+    basis = BasisMap(args.lmax)
+    quad = build_quadrature(2 * args.lmax + 2)
+    samples, coeffs = _phi_samples(args.phi, quad, basis, args.rho, params)
     if coeffs is not None:
         rhs = project_rhs(coeffs, quad, basis, coeffs=True)
     else:
         rhs = project_rhs(samples, quad, basis)
     header = {
-        "alpha": parse_alpha(cfg["alpha"]), "rho": rho, "lmax": lmax,
+        "alpha": args.alpha, "rho": args.rho, "lmax": args.lmax,
         "lambda": params.lam, "mu": params.mu, "sign_flip": params.sign_flip,
     }
+    mat = _matrix(args, params, geom)
     if geom is not None:
-        mat = assemble_dimer(alpha, geom, params, lmax)
         r1, r2 = solve_dimer(mat, (rhs, rhs))
         out = np.concatenate([r1.coeffs, r2.coeffs])
         result = r1
         header["d"] = geom.d
     else:
-        mat = assemble_single(alpha, rho, params, lmax)
         result = solve_single(mat, rhs)
         out = result.coeffs
-    io.save_vector(cfg["out"], out, header_extra=header)
-    print(f"solved {mat.matrix.shape[0]} unknowns -> {cfg['out']}")
+    io.save_vector(args.out, out, header_extra=header)
+    print(f"solved {mat.matrix.shape[0]} unknowns -> {args.out}")
     print(f"relative residual: {result.residual:.3e}")
     print(f"condition estimate (1-norm): {result.cond:.3e}")
     if result.warning:
         print(f"warning: {result.warning}")
-    tol = float(cfg.get("tol", 1e-10))
-    if result.residual > tol:
-        print(f"residual exceeds tolerance {tol:g}")
+    if result.residual > args.tol:
+        print(f"residual exceeds tolerance {args.tol:g}")
         return EXIT_VERIFY
     return EXIT_OK
 
 
-def cmd_sweep(cfg) -> int:
-    _require(cfg, "alpha_grid", "rho", "lambda_", "mu", "lmax")
-    grid = parse_grid(cfg["alpha_grid"])
-    rho, params, lmax = _ball_inputs(cfg)
-    for alpha in grid:
+def cmd_sweep(args) -> int:
+    params, _ = _params_geometry(args)
+    for alpha in args.alpha_grid:
         reduce_alpha(alpha)
-    trace = Trace(rho, params, lmax)
+    trace = Trace(args.rho, params, args.lmax)
     lines = ["alpha,max_entry,cond_1norm"]
-    for alpha in grid:
+    for alpha in args.alpha_grid:
         mat = trace.single(float(alpha))
         cond = abs(np.linalg.cond(mat.matrix, 1))
         lines.append(
             f"{float(alpha)!r},{float(np.abs(mat.matrix).max())!r},{float(cond)!r}"
         )
     text = "\n".join(lines) + "\n"
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote sweep table ({len(grid)} rows) to {cfg['out']}")
+        print(f"wrote sweep table ({len(args.alpha_grid)} rows) to {args.out}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_verify(cfg) -> int:
-    names = cfg.get("suite")
-    if isinstance(names, str):
-        names = [names]
-    try:
-        rows = run_suites(names, seed=int(cfg.get("seed", 0)))
-    except KeyError as exc:
-        raise ConfigError(
-            f"{exc.args[0]}; available suites: {', '.join(SUITES)}"
-        ) from exc
+def cmd_verify(args) -> int:
+    rows = run_suites(args.suite, seed=args.seed)
     failed = 0
     for suite, check, residual, tol, ok in rows:
         status = "PASS" if ok else "FAIL"
@@ -295,55 +275,72 @@ def cmd_verify(cfg) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+_OPTIONS = {
+    "alpha": dict(type=parse_alpha, help="Bloch phase (radians or pi*<rational>)"),
+    "alpha-grid": dict(type=parse_grid, help="start:stop:count"),
+    "rho": dict(type=_RADIUS, help="ball radius (< 1/2)"),
+    "lambda": dict(dest="lambda_", type=float, help="first material constant"),
+    "mu": dict(type=float, help="shear modulus"),
+    "lmax": dict(type=_LMAX, help="basis truncation degree"),
+    "dimer-d": dict(type=float, help="half-separation of the two-ball cell"),
+    "phi": dict(help="builtin:name | coeffs:path | grid:path"),
+    "out": dict(help="output path"),
+    "csv": dict(help="secondary flat CSV export path"),
+    "sign-flip": dict(action="store_true", help="negated-operator convention"),
+    "tol": dict(type=_TOL, default=1e-10, help="largest accepted relative residual"),
+    "seed": dict(type=_SEED, default=0, help="seed for randomized checks"),
+    "suite": dict(action="append", choices=SUITES, help="one suite (repeatable)"),
+    "config": dict(help="JSON file of this command's options"),
+}
+
+# command: (handler, required options, optional options)
+_COMMANDS = {
+    "assemble": (cmd_assemble, "alpha rho lambda mu lmax out", "sign-flip csv config"),
+    "dimer-assemble": (
+        cmd_assemble, "alpha rho lambda mu lmax out dimer-d", "sign-flip csv config"
+    ),
+    "solve": (
+        cmd_solve, "alpha rho lambda mu lmax phi out", "dimer-d sign-flip tol config"
+    ),
+    "sweep": (cmd_sweep, "alpha-grid rho lambda mu lmax", "sign-flip out config"),
+    "verify": (cmd_verify, "", "seed suite config"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sphelast",
+        allow_abbrev=False,
         description="Exact operator matrices for chains of spherical "
         "elastic scatterers.",
     )
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="JSON file with flag values")
-        p.add_argument("--alpha", help="Bloch phase (radians or pi*<rational>)")
-        p.add_argument("--alpha-grid", dest="alpha_grid", help="start:stop:count")
-        p.add_argument("--rho", type=float, help="ball radius (< 1/2)")
-        p.add_argument("--lambda", dest="lambda_", type=float,
-                       help="first material constant")
-        p.add_argument("--mu", type=float, help="shear modulus")
-        p.add_argument("--lmax", type=int, help="basis truncation degree")
-        p.add_argument("--dimer-d", dest="dimer_d", type=float,
-                       help="half-separation of the two-ball cell")
-        p.add_argument("--phi", help="builtin:name | coeffs:path | grid:path")
-        p.add_argument("--out", help="output path")
-        p.add_argument("--csv", help="secondary flat CSV export path")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
-        p.add_argument("--sign-flip", dest="sign_flip", action="store_true",
-                       default=None, help="negated-operator convention")
-        p.add_argument("--tol", type=float, help="tolerance override")
-        p.add_argument("--suite", action="append",
-                       help="verify: restrict to one suite (repeatable)")
-
-    for name in ("assemble", "dimer-assemble", "solve", "sweep", "verify"):
-        add_common(sub.add_parser(name))
+    for name, (handler, required, optional) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        for opt in required.split():
+            p.add_argument("--" + opt, required=True, **_OPTIONS[opt])
+        for opt in optional.split():
+            p.add_argument("--" + opt, **_OPTIONS[opt])
     return top
 
 
-_COMMANDS = {
-    "assemble": cmd_assemble,
-    "dimer-assemble": cmd_dimer_assemble,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
+        # A --config file's options go right after the command, so the
+        # explicit flags come later and win; an explicit --suite replaces the
+        # file's list instead of extending it.
+        pre = _Parser(add_help=False, allow_abbrev=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(argv)[0].config
+        tokens = _config_tokens(path) if path else []
+        args = build_parser().parse_args([*argv[:1], *tokens, *argv[1:]])
+        n_file = sum(t.startswith("--suite=") for t in tokens)
+        if n_file and len(args.suite) > n_file:
+            args.suite = args.suite[n_file:]
+        return args.handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,6 +41,7 @@ __all__ = [
 
 _DPS = 30
 _TWO_PI = 2.0 * math.pi
+_SINGULAR_TOL = 1e-12   # distance from 0 (mod 2 pi) that counts as resonant
 
 # Spherical components of a unit shift along -x: the axis weight per unit
 # (signed) shift length.
@@ -70,14 +71,14 @@ class DimerGeometry:
             raise ValueError("balls overlap across cells (need 1 - 2d > 2 rho)")
 
 
-def reduce_alpha(alpha: float, tol: float = 1e-12) -> float:
+def reduce_alpha(alpha: float) -> float:
     """Reduce the Bloch phase mod 2 pi; rejects phases at the lattice
     resonance where order-1 sums diverge."""
     a = float(alpha)
     if not math.isfinite(a):
         raise ValueError(f"Bloch phase must be finite, got {a!r}")
     a %= _TWO_PI
-    if a < tol or _TWO_PI - a < tol:
+    if a < _SINGULAR_TOL or _TWO_PI - a < _SINGULAR_TOL:
         raise QuasiMomentumSingular(
             "Bloch phase is congruent to 0 (mod 2 pi); the order-1 lattice "
             "sums diverge there"

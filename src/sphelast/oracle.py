@@ -113,26 +113,20 @@ def basis_samples(basis: BasisMap, quad: SphQuadrature) -> np.ndarray:
 
 def brute_potential(
     x, density, center, rho: float, params: LameParams, quad: SphQuadrature,
-    basis: BasisMap | None = None,
 ) -> np.ndarray:
     """Direct quadrature of the single-layer potential of a ball.
 
-    ``density`` is either a coefficient vector over ``basis`` or samples of
-    shape (n_nodes, 3) on the quadrature grid of the unit sphere; the ball
-    has radius ``rho`` and the given centre.  Evaluation points must stay
-    at least ``0.05 rho`` away from the surface.
+    ``density`` is a direction -> 3-vector sampler or samples of shape
+    (n_nodes, 3) on the quadrature grid of the unit sphere; the ball has
+    radius ``rho`` and the given centre.  Evaluation points must stay at
+    least ``0.05 rho`` away from the surface.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     center = np.asarray(center, dtype=float)
     dist = np.abs(np.linalg.norm(x - center, axis=1) - rho)
     if np.any(dist < 0.05 * rho):
         raise ValueError("evaluation point too close to the layer surface")
-    if basis is not None:
-        density = np.asarray(density)
-        fields = basis_samples(basis, quad)
-        samples = np.tensordot(density, fields, axes=(0, 0))
-    else:
-        samples = _as_samples(density, quad)
+    samples = _as_samples(density, quad)
     sources = center + rho * quad.nodes
     w = rho * rho * quad.weights
     out = kelvin_apply(x, sources, w, samples.real, params.lam, params.mu)

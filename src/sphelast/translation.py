@@ -75,13 +75,10 @@ class TruncationPolicy:
     """Cutoff for the infinite re-expansion series."""
 
     lam_max: int = 30
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.lam_max < 1:
             raise ValueError("lam_max must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 def _sgn(x: int) -> int:

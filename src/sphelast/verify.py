@@ -190,17 +190,16 @@ def suite_kelvin(rng):
     )
     checks.append(("fundamental solution values", worst, 1e-15))
     quad = oracle.build_quadrature(60)
-    basis = assembly.BasisMap(3)
+    dirs = quad.directions()
     rho = 0.3
     worst = 0.0
     for l, fam in [(1, Family.W), (3, Family.X), (2, Family.V)]:
         m = int(rng.integers(-l, l + 1))
-        c = np.zeros(basis.n_eff)
-        c[basis.index_of(l, m, fam)] = 1.0
+        samples = np.array([vsh_real(fam, l, m, d) for d in dirs])
         xhat = _rand_dirs(rng, 1)[0]
         for fac in (1.5, 3.0):
             direct = oracle.brute_potential(
-                fac * rho * xhat, c, (0, 0, 0), rho, _PARAMS, quad, basis
+                fac * rho * xhat, samples, (0, 0, 0), rho, _PARAMS, quad
             )
             mat = exterior_response(l, fac, _PARAMS)
             closed = rho * sum(

@@ -1,12 +1,14 @@
+import argparse
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphelast import io
 from sphelast.assembly import assemble_single
-from sphelast.cli import main, parse_alpha, parse_grid
+from sphelast.cli import build_parser, main, parse_alpha, parse_grid
 from sphelast.kelvin import LameParams
 
 
@@ -349,6 +351,137 @@ class TestBadInputs:
             "sweep", "--alpha-grid", "0.5:2.5:2", "--rho", "0.1",
             "--lambda", "1", "--mu", "1", "--lmax", "1", "--out", str(out),
         ], capsys)
+
+
+class TestOptionsPerCommand:
+    """Each command takes only the options it reads; the rest exit 2, as a
+    flag and as a config-file key, before any output is written."""
+
+    BASE = TestCli.BASE
+    SWEEP = [
+        "sweep", "--alpha-grid", "0.5:2.5:2", "--rho", "0.1", "--lambda", "1",
+        "--mu", "1", "--lmax", "1",
+    ]
+    # command: (required options, optional options)
+    TABLE = {
+        "assemble": (
+            {"alpha", "rho", "lambda", "mu", "lmax", "out"},
+            {"sign-flip", "csv", "config"},
+        ),
+        "dimer-assemble": (
+            {"alpha", "rho", "lambda", "mu", "lmax", "out", "dimer-d"},
+            {"sign-flip", "csv", "config"},
+        ),
+        "solve": (
+            {"alpha", "rho", "lambda", "mu", "lmax", "phi", "out"},
+            {"dimer-d", "sign-flip", "tol", "config"},
+        ),
+        "sweep": (
+            {"alpha-grid", "rho", "lambda", "mu", "lmax"},
+            {"sign-flip", "out", "config"},
+        ),
+        "verify": (set(), {"seed", "suite", "config"}),
+    }
+
+    def test_parser_matches_table(self):
+        (commands,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) == set(self.TABLE)
+        settable = 0
+        for name, parser in commands.choices.items():
+            actions = [
+                a for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            assert all(len(a.option_strings) == 1 for a in actions)
+            required = {a.option_strings[0][2:] for a in actions if a.required}
+            optional = {a.option_strings[0][2:] for a in actions if not a.required}
+            assert (required, optional) == self.TABLE[name], name
+            settable += len(actions)
+        assert settable == 41
+
+    def test_unread_flags_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for argv in (
+            ["assemble", *self.BASE, "--dimer-d", "0.2", "--out", str(out)],
+            [*self.SWEEP, "--dimer-d", "0.2", "--out", str(out)],
+            ["solve", *self.BASE, "--phi", "builtin:uniform-x",
+             "--out", str(out), "--csv", str(tmp_path / "f.csv")],
+            ["verify", "--suite", "system", "--rho", "0.1"],
+            # no abbreviations: --cs is not taken for --csv
+            ["assemble", *self.BASE, "--out", str(out), "--cs", str(out)],
+        ):
+            assert main(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
+        assert not (tmp_path / "f.csv").exists()
+
+    def _run_config(self, tmp_path, command, doc, *argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        return main([command, "--config", str(cfg), *argv])
+
+    def test_bad_config_values_exit_2(self, tmp_path, capsys):
+        good = {"alpha": 1.3, "rho": 0.1, "lambda": 1, "mu": 1, "lmax": 1}
+        out = tmp_path / "m.json"
+        for command, changes in (
+            ("assemble", {"sign_flip": "false"}),
+            ("assemble", {"lmax": 1.9}),
+            ("assemble", {"dimer_d": 0.2}),
+            ("assemble", {"o": "x.json"}),
+            ("solve", {"phi": "builtin:uniform-x", "tol": "abc"}),
+            ("solve", {"phi": "builtin:uniform-x", "csv": str(tmp_path / "f.csv")}),
+        ):
+            rc = self._run_config(
+                tmp_path, command, {**good, **changes}, "--out", str(out)
+            )
+            assert rc == 2, changes
+            assert capsys.readouterr().err.startswith("configuration error")
+            assert not out.exists()
+        assert self._run_config(tmp_path, "verify", {"seed": "x"}) == 2
+        assert self._run_config(tmp_path, "verify", {"rho": 0.1}) == 2
+
+    def test_bad_tol_and_seed_exit_2(self, tmp_path, capsys):
+        for tol in ("nan", "inf", "-1"):
+            rc = main([
+                "solve", *self.BASE, "--phi", "builtin:uniform-x",
+                "--out", str(tmp_path / "f.json"), "--tol", tol,
+            ])
+            assert rc == 2, tol
+            assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+        assert main(["verify", "--suite", "system", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_config_file_matches_flags(self, tmp_path):
+        doc = {
+            "alpha": "pi*1/2", "rho": 0.1, "lambda": 1.5, "mu": 1,
+            "lmax": 1, "dimer-d": 0.2, "sign_flip": True,
+        }
+        flags = [
+            "--alpha", "pi*1/2", "--rho", "0.1", "--lambda", "1.5", "--mu", "1",
+            "--lmax", "1", "--dimer-d", "0.2", "--sign-flip",
+        ]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self._run_config(
+            tmp_path, "dimer-assemble", {**doc, "csv": f"{a}.csv"},
+            "--out", f"{a}.json",
+        ) == 0
+        assert main([
+            "dimer-assemble", *flags, "--out", f"{b}.json", "--csv", f"{b}.csv",
+        ]) == 0
+        for ext in ("json", "csv"):
+            assert Path(f"{a}.{ext}").read_bytes() == Path(f"{b}.{ext}").read_bytes()
+        sweep = {k: doc[k] for k in ("rho", "lambda", "mu", "lmax", "sign_flip")}
+        assert self._run_config(
+            tmp_path, "sweep", {**sweep, "alpha_grid": "0.5:2.5:2"},
+            "--out", f"{a}.csv",
+        ) == 0
+        assert main([*self.SWEEP, "--sign-flip", "--lambda", "1.5",
+                     "--out", f"{b}.csv"]) == 0
+        assert Path(f"{a}.csv").read_bytes() == Path(f"{b}.csv").read_bytes()
 
 
 def test_verify_failure_exit_code(monkeypatch):

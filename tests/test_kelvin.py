@@ -153,14 +153,14 @@ class TestShiftedBallPotential:
         ) + 1e-18
 
     def test_against_direct_quadrature(self, params, rng, quad20):
-        basis = BasisMap(2)
         rho = 0.1
         for l, m, fam in [(1, 0, Family.W), (2, 1, Family.X), (1, -1, Family.V)]:
-            c = np.zeros(basis.n_eff)
-            c[basis.index_of(l, m, fam)] = 1.0
+            samples = np.array(
+                [vsh_real(fam, l, m, d) for d in quad20.directions()]
+            )
             xhat = random_units(rng, 1)[0]
             direct = brute_potential(
-                rho * xhat, c, (1, 0, 0), rho, params, quad20, basis
+                rho * xhat, samples, (1, 0, 0), rho, params, quad20
             )
             closed = shifted_ball_potential(1, l, m, fam, xhat, rho, params)
             assert np.abs(direct - closed).max() <= 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from sphelast.assembly import BasisMap
 from sphelast.oracle import (
+    basis_samples,
     brute_lattice_entry,
     brute_potential,
     build_quadrature,
@@ -74,11 +75,16 @@ class TestInnerProduct:
 
 
 class TestBrutePotential:
+    @staticmethod
+    def _samples(c, quad):
+        # the density with coefficients c over BasisMap(1), on the grid
+        return np.tensordot(c, basis_samples(BasisMap(1), quad), axes=(0, 0))
+
     def test_zero_density(self, params, quad16):
         basis = BasisMap(1)
         out = brute_potential(
-            (1.0, 0, 0), np.zeros(basis.n_eff), (0, 0, 0), 0.2, params,
-            quad16, basis,
+            (1.0, 0, 0), self._samples(np.zeros(basis.n_eff), quad16),
+            (0, 0, 0), 0.2, params, quad16,
         )
         assert np.abs(out).max() == 0.0
 
@@ -87,25 +93,31 @@ class TestBrutePotential:
         c1 = rng.normal(size=basis.n_eff)
         c2 = rng.normal(size=basis.n_eff)
         x = (0.9, 0.1, -0.2)
-        out = brute_potential(x, c1 + 2 * c2, (0, 0, 0), 0.2, params, quad16, basis)
-        parts = brute_potential(
-            x, c1, (0, 0, 0), 0.2, params, quad16, basis
-        ) + 2 * brute_potential(x, c2, (0, 0, 0), 0.2, params, quad16, basis)
+
+        def pot(c):
+            return brute_potential(
+                x, self._samples(c, quad16), (0, 0, 0), 0.2, params, quad16
+            )
+
+        out = pot(c1 + 2 * c2)
+        parts = pot(c1) + 2 * pot(c2)
         assert np.abs(out - parts).max() <= 1e-14
 
     def test_proximity_guard(self, params, quad16):
         basis = BasisMap(1)
         with pytest.raises(ValueError):
             brute_potential(
-                (0.201, 0, 0), np.ones(basis.n_eff), (0, 0, 0), 0.2, params,
-                quad16, basis,
+                (0.201, 0, 0), self._samples(np.ones(basis.n_eff), quad16),
+                (0, 0, 0), 0.2, params, quad16,
             )
 
     def test_multiple_targets(self, params, quad16):
         basis = BasisMap(1)
         c = np.ones(basis.n_eff)
         xs = np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        out = brute_potential(xs, c, (0, 0, 0), 0.2, params, quad16, basis)
+        out = brute_potential(
+            xs, self._samples(c, quad16), (0, 0, 0), 0.2, params, quad16
+        )
         assert out.shape == (2, 3)
 
 
