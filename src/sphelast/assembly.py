@@ -17,11 +17,23 @@ polylogarithm (or, for the dimer coupling blocks, Lerch) values,
 and the vectors ``T`` of the entries that do not vanish identically; one
 trace serves every Bloch phase and all three blocks of the dimer matrix.
 
-Row/column structural zeros: a V-family density produces a pure W-family
-potential off its own ball, so the (V,V) off-diagonal, (X,V) and (V,X)
-entries vanish; ``per_copy_entry`` still evaluates the printed (V,X)
-combination so its numerical vanishing can be tested, while the assembled
-matrices store exact zeros there.
+Structural zeros: a V-family density produces a pure W-family potential
+off its own ball, so the (V,V) off-diagonal, (X,V) and (V,X) entries
+vanish.  Beyond those, a chain on the x-axis (and the dimer at
+``(+-d, 0, 0)``) is symmetric under ``z -> -z`` and ``y -> -y``, so ``M``
+splits into four parity sectors (``sector``): entries whose row and column
+labels lie in different sectors are zero.  ``per_copy_entry`` and
+``_lattice_coef`` still evaluate the printed combinations there so their
+numerical vanishing can be tested, while the assembled matrices store
+exact zeros.
+
+Mirrored triangle: ``M`` is Hermitian for every phase, and
+``conj Li_s(e^{-+i alpha}) = Li_s(e^{+-i alpha})``; since the ``Li_s`` are
+linearly independent, the trace vector of entry ``(j, i)`` is the conjugate
+of that of ``(i, j)`` with each ``(s, -)``/``(s, +)`` slot pair swapped
+(``_mirror``).  The Lerch values of the dimer blocks "21" and "12" are
+related the same way, so one triangle serves all three blocks.  Only the
+entries on or above the diagonal are evaluated; the rest are mirrored.
 
 Basis ordering: degree ascending, order ``-l..l`` ascending, family V,W,X
 innermost, with the two identically-zero degree-0 labels removed, giving
@@ -68,6 +80,7 @@ __all__ = [
     "entry_dimer",
     "assemble_dimer",
     "Trace",
+    "sector",
 ]
 
 BASIS_VERSION = "vwx-ordered-1"
@@ -509,12 +522,43 @@ def _lattice_coef(p, lp, mp, q, l, m, rho, params, ker):
     return coef
 
 
+def sector(l: int, m: int, family) -> int:
+    """Parity sector ``0..3`` of a basis label under the reflections
+    ``z -> -z`` and ``y -> -y`` of a chain on the x-axis.  For V and W the
+    z-parity is ``(l + m) % 2`` and the y-parity ``m < 0``; X flips both.
+    Entries between labels of different sectors vanish."""
+    flip = int(Family(family) == Family.X)
+    return 2 * ((l + m) % 2 ^ flip) + ((m < 0) ^ flip)
+
+
+def _mirror(coef):
+    """Trace vectors (the last axis) of the transposed entries: each
+    ``(s, -)``/``(s, +)`` slot pair swapped, then conjugated."""
+    pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)
+    return pairs[..., ::-1].reshape(coef.shape).conj()
+
+
+def _sector_coef(p, lp, mp, q, l, m, rho, params, ker):
+    """The trace vector ``Trace`` holds for one entry, or ``None``: zero
+    across sectors, the mirror of the transposed entry when the row label
+    comes after the column label in basis order, else ``_lattice_coef``."""
+    row, col = (lp, mp, Family(p)), (l, m, Family(q))
+    if sector(*row) != sector(*col):
+        return None
+    if row > col:
+        coef = _lattice_coef(q, l, m, p, lp, mp, rho, params, ker)
+        return None if coef is None else _mirror(coef)
+    return _lattice_coef(p, lp, mp, q, l, m, rho, params, ker)
+
+
 def _contract(coef, values):
-    """Each row of ``coef`` dotted with ``values``, summed slot by slot so an
-    entry comes out bit-identical whichever rows are contracted with it."""
+    """Each row of ``coef`` dotted with ``values``, summed one slot pair
+    ``(s, -)``, ``(s, +)`` at a time: an entry comes out bit-identical
+    whichever rows are contracted with it, and a mirrored entry contracted
+    with mirrored values exactly the conjugate."""
     out = np.zeros(coef.shape[0], dtype=complex)
-    for k in range(coef.shape[1]):
-        out += coef[:, k] * values[k]
+    for k in range(0, coef.shape[1], 2):
+        out += coef[:, k] * values[k] + coef[:, k + 1] * values[k + 1]
     return out
 
 
@@ -530,7 +574,7 @@ def _entry_lattice(p, lp, mp, q, l, m, rho, params, values) -> complex:
     vector with (at least) the slots of the mask ``need`` filled in."""
     _check_labels(p, lp, mp, q, l, m)
     s_max = l + lp + 3
-    coef = _lattice_coef(p, lp, mp, q, l, m, rho, params, _TraceKernel(s_max))
+    coef = _sector_coef(p, lp, mp, q, l, m, rho, params, _TraceKernel(s_max))
     if coef is None:
         return 0.0 + 0.0j
     return _contract_one(coef, values(s_max, coef != 0))
@@ -572,9 +616,10 @@ class Trace:
     radius, material and truncation degree.
 
     ``diag`` is the on-ball diagonal ``D``; ``index`` holds the row-major
-    flat positions of the entries whose lattice part does not vanish
-    identically, and ``coef`` their vectors over the value slots of orders
-    ``1..s_max``.
+    flat positions of the in-sector entries whose lattice part does not
+    vanish identically, and ``coef`` their vectors over the value slots of
+    orders ``1..s_max``.  Only the entries on or above the diagonal are
+    evaluated; those below are their mirrors (``_sector_coef``).
     """
 
     def __init__(self, rho, params: LameParams, l_max: int):
@@ -584,18 +629,26 @@ class Trace:
         self.basis = BasisMap(l_max)
         self.s_max = 2 * l_max + 3
         labels = self.basis.labels
-        index, rows = [], []
+        n = len(labels)
+        sectors = [sector(*label) for label in labels]
+        pairs, rows = [], []
         for col, (l, m, q) in enumerate(labels):
             # one kernel per column: its memo is reused down the column and
             # does not outgrow it
             ker = _TraceKernel(self.s_max)
-            for row, (lp, mp, p) in enumerate(labels):
+            for row in range(col + 1):
+                if sectors[row] != sectors[col]:
+                    continue
+                lp, mp, p = labels[row]
                 coef = _lattice_coef(p, lp, mp, q, l, m, rho, params, ker)
                 if coef is not None:
-                    index.append(row * len(labels) + col)
+                    pairs.append((row, col))
                     rows.append(coef)
-        self.index = np.array(index, dtype=np.intp)
-        self.coef = np.array(rows, dtype=complex).reshape(-1, 2 * self.s_max)
+        upper = np.array(rows, dtype=complex).reshape(-1, 2 * self.s_max)
+        row, col = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        below = row != col
+        self.index = np.concatenate([row * n + col, col[below] * n + row[below]])
+        self.coef = np.concatenate([upper, _mirror(upper[below])])
         self.diag = np.array([
             _diagonal_term(p, p, l, l, m, m, rho, params) for l, m, p in labels
         ])

@@ -311,6 +311,36 @@ def suite_assembly(rng):
         )
         worst = max(worst, abs(closed - brute))
     checks.append(("dimer blocks vs shifted sums", worst, 1e-5))
+    # the premises of the trace's sector/mirror shortcut, sampled through
+    # the unrestricted coefficients and relative to the largest diagonal one
+    labels = assembly.BasisMap(3).labels
+    ker = assembly._TraceKernel(2 * 3 + 3)
+
+    def coef(i, j):
+        (lp, mp, pf), (l, m, qf) = labels[i], labels[j]
+        c = assembly._lattice_coef(pf, lp, mp, qf, l, m, rho, _PARAMS, ker)
+        return np.zeros(ker.size, dtype=complex) if c is None else c
+
+    scale = max(np.abs(coef(i, i)).max() for i in range(len(labels)))
+    secs = [assembly.sector(*label) for label in labels]
+    across, below = [], []
+    for i, si in enumerate(secs):
+        for j, sj in enumerate(secs):
+            if si != sj:
+                across.append((i, j))
+            elif i > j:
+                below.append((i, j))
+
+    def sample(pairs):
+        return [pairs[k] for k in rng.choice(len(pairs), 32, replace=False)]
+
+    worst = max(np.abs(coef(i, j)).max() for i, j in sample(across))
+    checks.append(("sector rule", worst / scale, 1e-15))
+    worst = max(
+        np.abs(coef(i, j) - assembly._mirror(coef(j, i))).max()
+        for i, j in sample(below)
+    )
+    checks.append(("Hermitian mirror", worst / scale, 1e-15))
     return checks
 
 

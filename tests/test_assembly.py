@@ -7,12 +7,16 @@ from sphelast.assembly import (
     BasisMap,
     Trace,
     _SingleShiftKernel,
+    _TraceKernel,
+    _lattice_coef,
+    _mirror,
     assemble_dimer,
     assemble_single,
     entry_dimer,
     entry_single,
     per_copy_entries,
     per_copy_entry,
+    sector,
 )
 from sphelast.kelvin import (
     LameParams,
@@ -322,6 +326,96 @@ class TestOperatorStructure:
     def test_dimer_radius_must_match_trace(self, params):
         with pytest.raises(ValueError):
             Trace(0.12, params, 1).dimer(1.3, GEOM)
+
+
+@pytest.fixture(scope="module")
+def unrestricted_coefs():
+    """Every label pair's trace vector at L = 3 through the unrestricted
+    ``_lattice_coef`` (``None`` where it vanishes identically)."""
+    params = LameParams(1.0, 1.0)
+    labels = BasisMap(3).labels
+    ker = _TraceKernel(2 * 3 + 3)
+    coefs = {
+        (i, j): _lattice_coef(p, lp, mp, q, l, m, RHO, params, ker)
+        for i, (lp, mp, p) in enumerate(labels)
+        for j, (l, m, q) in enumerate(labels)
+    }
+    scale = max(np.abs(c).max() for c in coefs.values() if c is not None)
+    return labels, coefs, scale
+
+
+class TestParitySectors:
+    """The premises of the sector/mirror shortcut, checked on the
+    unrestricted path, and the structure it gives the assembled matrices."""
+
+    def test_sector_sizes(self):
+        sizes = np.bincount([sector(*label) for label in BasisMap(4).labels])
+        assert sizes.tolist() == [21, 18, 18, 16]
+
+    def test_pairs_across_sectors_vanish(self, unrestricted_coefs):
+        labels, coefs, scale = unrestricted_coefs
+        for (i, j), coef in coefs.items():
+            if sector(*labels[i]) != sector(*labels[j]) and coef is not None:
+                assert np.abs(coef).max() <= 1e-15 * scale
+
+    def test_lower_triangle_mirrors_upper(self, unrestricted_coefs):
+        labels, coefs, scale = unrestricted_coefs
+        zero = np.zeros(2 * (2 * 3 + 3), dtype=complex)
+        for (i, j), coef in coefs.items():
+            if i <= j or sector(*labels[i]) != sector(*labels[j]):
+                continue
+            upper = coefs[j, i]
+            lower = zero if coef is None else coef
+            mirrored = zero if upper is None else _mirror(upper)
+            assert np.abs(lower - mirrored).max() <= 1e-15 * scale
+
+    @staticmethod
+    def _matrices(params):
+        single = assemble_single(1.3, RHO, params, 3)
+        dimer = assemble_dimer(1.3, GEOM, params, 2)
+        secs = [sector(*label) for label in dimer.basis]
+        return [
+            (single.matrix, [sector(*label) for label in single.basis]),
+            (dimer.matrix, secs + secs),
+        ]
+
+    def test_zero_across_sectors(self, params):
+        for mat, secs in self._matrices(params):
+            secs = np.array(secs)
+            across = secs[:, None] != secs[None, :]
+            assert np.all(mat[across] == 0)
+            assert np.any(mat[~across] != 0)
+
+    def test_exact_mirror(self, params):
+        for mat, _secs in self._matrices(params):
+            off = ~np.eye(len(mat), dtype=bool)
+            assert np.array_equal(mat[off], mat.conj().T[off])
+
+    @pytest.mark.parametrize("l_max", [0, 3])
+    def test_trace_stores_sector_entries_once(self, params, l_max):
+        trace = Trace(RHO, params, l_max)
+        n = trace.basis.n_eff
+        assert trace.coef.shape == (len(trace.index), 2 * (2 * l_max + 3))
+        assert len(np.unique(trace.index)) == len(trace.index)
+        for flat in trace.index:
+            assert sector(*trace.basis.labels[flat // n]) == sector(
+                *trace.basis.labels[flat % n])
+
+    def test_entries_match_matrix_bitwise(self, params):
+        alpha = 1.3
+        single = assemble_single(alpha, RHO, params, 2)
+        dimer = assemble_dimer(alpha, GEOM, params, 2)
+        n = single.basis.n_eff
+        cache = LatticeSumCache(alpha, GEOM)
+        for i, (lp, mp, pf) in enumerate(single.basis):
+            for j, (l, m, qf) in enumerate(single.basis):
+                args = (pf, lp, mp, qf, l, m, alpha)
+                assert entry_single(
+                    *args, RHO, params, cache) == single.matrix[i, j]
+                assert entry_dimer(
+                    "21", *args, GEOM, params, cache) == dimer.matrix[i, n + j]
+                assert entry_dimer(
+                    "12", *args, GEOM, params, cache) == dimer.matrix[n + i, j]
 
 
 def test_brute_zero_cut(params):

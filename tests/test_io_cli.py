@@ -1,11 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphelast
 from sphelast import io
 from sphelast.assembly import assemble_single
 from sphelast.cli import build_parser, main, parse_alpha, parse_grid
@@ -492,3 +496,16 @@ def test_verify_failure_exit_code(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_suites", fake_run_suites)
     assert main(["verify"]) == 4
+
+
+def test_module_entry_point():
+    # ``python -m sphelast`` runs the CLI without the console script
+    src = str(Path(sphelast.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "sphelast", "--version"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stdout.strip() == sphelast.__version__
