@@ -27,7 +27,12 @@ import numpy as np
 from . import __version__, io
 from .assembly import BasisMap, Trace, assemble_dimer, assemble_single
 from .kelvin import LameParams, kelvin_tensor
-from .latsum import DimerGeometry, QuasiMomentumSingular, reduce_alpha
+from .latsum import (
+    DimerGeometry,
+    LatticeSumOverflow,
+    QuasiMomentumSingular,
+    reduce_alpha,
+)
 from .oracle import build_quadrature, sample_field
 from .system import project_rhs, solve_dimer, solve_single
 from .verify import SUITES, run_suites
@@ -137,9 +142,12 @@ def _params_geometry(args):
 
 
 def _matrix(args, params, geom):
-    if geom is None:
-        return assemble_single(args.alpha, args.rho, params, args.lmax)
-    return assemble_dimer(args.alpha, geom, params, args.lmax)
+    try:
+        if geom is None:
+            return assemble_single(args.alpha, args.rho, params, args.lmax)
+        return assemble_dimer(args.alpha, geom, params, args.lmax)
+    except LatticeSumOverflow as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_vector(path):

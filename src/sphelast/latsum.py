@@ -13,24 +13,42 @@ per order and phase sign:
   two-ball cell, offsets ``2d`` and ``1 - 2d``; block "21" couples the
   right ball onto the left one, "12" the reverse.
 
-The polylogarithm and Lerch values themselves are delegated to mpmath at 30
-significant digits and memoised in ``LatticeSumCache``; the brute-force
-truncated sums live in the test suite, never here.
+The values are float64, every order ``s = 1..s_max`` of one phase and one
+offset ``0 < a <= 1`` in one pass (``lerch_orders``, ``polylog_orders``).
+With ``theta`` the phase reduced to ``(-pi, pi]`` and ``mu = i theta``
+(DLMF 25.12.12 and 25.14),
+
+    Phi(e^mu, s, a) = e^{-a mu} [ sum_{k != s-1} zeta(s - k, a) mu^k / k!
+                      + mu^{s-1} / (s-1)! (psi(s) - psi(a) - ln(-mu)) ],
+
+and ``Li_s(e^mu) = e^mu Phi(e^mu, s, 1)`` is the bracket at ``a = 1``.  The
+series converges like ``(|theta| / 2 pi)^k``; all orders share one table of
+Hurwitz zeta values, ``zeta(1 - m, a) = -B_m(a) / m`` below the pole.
+Only ``theta > 0`` is computed: the value at ``-theta``, and every
+``(s, -)`` slot, is the exact conjugate.  An order's value does not depend
+on how many orders are computed with it, so a longer vector repeats a
+shorter one bit for bit.  ``oracle.polylog_ref``/``lerch_ref`` (mpmath, 30
+digits) are the reference, within ``1e-14 max(1, |ref|)`` in the tests and
+in ``sphelast verify --suite latsum``; the brute-force truncated sums live
+in the test suite, never here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 __all__ = [
     "QuasiMomentumSingular",
+    "LatticeSumOverflow",
     "DimerGeometry",
     "LatticeSumCache",
     "reduce_alpha",
+    "polylog_orders",
+    "lerch_orders",
     "polylog_unit",
     "lerch_unit",
     "slot",
@@ -39,9 +57,39 @@ __all__ = [
     "AXIS_COMPONENT",
 ]
 
-_DPS = 30
 _TWO_PI = 2.0 * math.pi
 _SINGULAR_TOL = 1e-12   # distance from 0 (mod 2 pi) that counts as resonant
+_EULER_GAMMA = 0.5772156649015329
+
+_TAIL = 64      # terms zeta(1 - m, a), m = 1.._TAIL, past the pole order
+_SHIFT = 10     # direct terms ahead of each Euler-Maclaurin remainder
+_EM = 12        # Bernoulli terms of the Euler-Maclaurin remainders
+_POLY = 12      # B_m(a) from its coefficients up to this degree,
+_FOURIER = 16   # from this many terms of its Fourier series above it
+
+
+def _bernoulli_numbers(n: int) -> list[Fraction]:
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+_B = _bernoulli_numbers(max(2 * _EM, _POLY))
+_EM_WEIGHT = [float(_B[2 * j] / math.factorial(2 * j)) for j in range(1, _EM + 1)]
+_PSI_WEIGHT = [float(_B[2 * j] / (2 * j)) for j in range(1, _EM + 1)]
+# B_m(x) = sum_k C(m, k) B_k x^(m - k), highest power first
+_POLY_COEF = [
+    [float(math.comb(m, k) * _B[k]) for k in range(m + 1)]
+    for m in range(1, _POLY + 1)
+]
+# B_m(x) = -2 m! / (2 pi)^m sum_k cos(2 pi k x - m pi / 2) / k^m
+_HIGH = np.arange(_POLY + 1, _TAIL + 1)
+_FOURIER_K = np.arange(1, _FOURIER + 1, dtype=float)
+_FOURIER_POW = _FOURIER_K ** -_HIGH[:, None].astype(float)
+_FOURIER_SCALE = np.array([
+    -2.0 * math.exp(math.lgamma(m + 1) - m * math.log(_TWO_PI)) for m in _HIGH
+])
 
 # Spherical components of a unit shift along -x: the axis weight per unit
 # (signed) shift length.
@@ -50,6 +98,11 @@ AXIS_COMPONENT = {-1: 1.0 / math.sqrt(2.0), 0: 0.0, 1: -1.0 / math.sqrt(2.0)}
 
 class QuasiMomentumSingular(ValueError):
     """Bloch phase at which a conditionally convergent sum diverges."""
+
+
+class LatticeSumOverflow(ValueError):
+    """Lattice-sum values beyond the float64 range (a tiny Lerch offset
+    raised to a high order)."""
 
 
 @dataclass(frozen=True)
@@ -86,73 +139,174 @@ def reduce_alpha(alpha: float) -> float:
     return a
 
 
-def _unit_z(alpha: float, sign: int):
-    return mpmath.exp(mpmath.mpc(0, sign) * mpmath.mpf(alpha))
+def _hurwitz(n: int, a: float) -> float:
+    """Hurwitz ``zeta(n, a)`` for integer ``n >= 2`` and ``0 < a <= 1``:
+    ``_SHIFT`` direct terms and the Euler-Maclaurin remainder (``inf`` past
+    the float64 range)."""
+    w = _SHIFT + a
+    rising = n / w          # n (n + 1) ... (n + 2j - 2) / w^(2j - 1)
+    series = 0.0
+    for j, weight in enumerate(_EM_WEIGHT, 1):
+        series += weight * rising
+        rising *= (n + 2 * j - 1) * (n + 2 * j) / (w * w)
+    total = w ** -n * (w / (n - 1) + 0.5 + series)
+    for k in range(_SHIFT - 1, 0, -1):
+        total += (k + a) ** -n
+    try:
+        return total + a ** -n
+    except OverflowError:
+        return math.inf
+
+
+def _digamma(a: float) -> float:
+    """``psi(a)`` for ``0 < a <= 1``: shifted by ``_SHIFT``, then the
+    asymptotic series."""
+    w = _SHIFT + a
+    total = math.log(w) - 0.5 / w
+    power = 1.0
+    for weight in _PSI_WEIGHT:
+        power *= w * w
+        total -= weight / power
+    for k in range(_SHIFT - 1, -1, -1):
+        total -= 1.0 / (k + a)
+    return total
+
+
+def _bernoulli_poly(a: float) -> np.ndarray:
+    """``B_m(a)`` for ``m = 1.._TAIL``."""
+    low = []
+    for coef in _POLY_COEF:
+        value = 0.0
+        for c in coef:
+            value = value * a + c
+        low.append(value)
+    angle = _TWO_PI * a * _FOURIER_K
+    trig = np.array([np.cos(angle), np.sin(angle), -np.cos(angle), -np.sin(angle)])
+    high = _FOURIER_SCALE * (_FOURIER_POW * trig[_HIGH % 4]).sum(axis=1)
+    return np.concatenate([low, high])
+
+
+def _bracket(theta: float, a: float, s_max: int) -> np.ndarray:
+    """The bracket of the expansion (module docstring) at ``mu = i theta``,
+    ``0 < theta <= pi``, for the orders ``1..s_max``."""
+    n_terms = s_max + _TAIL
+    # mu^j / j!, built term by term so that a prefix never depends on s_max
+    magnitude = [1.0]
+    for j in range(1, n_terms):
+        magnitude.append(magnitude[-1] * theta / j)
+    powers = np.array(magnitude) * np.resize([1, 1j, -1, -1j], n_terms)
+    # zeta(t, a) for t = 1 - _TAIL .. s_max, except at the pole t = 1, where
+    # order s has psi(s) - psi(a) - ln(-mu) with psi(s) = H_{s-1} - gamma
+    harmonic = np.cumsum(np.r_[0.0, 1.0 / np.arange(1, s_max)])[:s_max]
+    log_mu = complex(math.log(theta), -math.pi / 2)
+    pole = harmonic - _EULER_GAMMA - _digamma(a) - log_mu
+    zeta = [
+        *(-_bernoulli_poly(a)[::-1] / np.arange(_TAIL, 0, -1)),
+        pole,
+        *(_hurwitz(t, a) for t in range(2, s_max + 1)),
+    ]
+    total = np.zeros(s_max, dtype=complex)
+    for t, coef in zip(range(1 - _TAIL, s_max + 1), zeta):
+        first = max(t, 1)   # the lowest order with a zeta(t, a) term
+        total[first - 1:] += coef * powers[first - t:s_max + 1 - t]
+    return total
+
+
+def _times(vec: np.ndarray, w: complex) -> np.ndarray:
+    """``w * vec`` in real arithmetic: a vectorised complex product may fuse
+    its multiply-adds differently in its tail, which would make an order's
+    value depend on the vector's length."""
+    out = np.empty_like(vec)
+    out.real = vec.real * w.real - vec.imag * w.imag
+    out.imag = vec.real * w.imag + vec.imag * w.real
+    return out
+
+
+def polylog_orders(alpha: float, s_max: int) -> np.ndarray:
+    """``Li_s(e^{i alpha})`` for ``s = 1..s_max``."""
+    theta = math.remainder(reduce_alpha(alpha), _TWO_PI)
+    vec = _bracket(abs(theta), 1.0, s_max)
+    return vec.conj() if theta < 0 else vec
+
+
+def lerch_orders(alpha: float, offset: float, s_max: int) -> np.ndarray:
+    """``Phi(e^{i alpha}, s, offset)`` for ``s = 1..s_max`` and
+    ``0 < offset <= 1``; raises ``LatticeSumOverflow`` when a value is
+    beyond float64."""
+    if not 0.0 < offset <= 1.0:
+        raise ValueError("offset must lie in (0, 1]")
+    theta = math.remainder(reduce_alpha(alpha), _TWO_PI)
+    phase = abs(theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vec = _times(
+            _bracket(phase, offset, s_max),
+            complex(math.cos(offset * phase), -math.sin(offset * phase)),
+        )
+    if not np.isfinite(vec).all():
+        raise LatticeSumOverflow(
+            f"Lerch values at offset {offset:.3g} exceed float64 for orders "
+            f"up to {s_max}: the ball radius, the separation and lmax put the "
+            "lattice sums outside float64"
+        )
+    return vec.conj() if theta < 0 else vec
+
+
+def _pick(orders, s: int, sign: int) -> complex:
+    """The ``(s, sign)`` value, where ``orders(n)`` gives the ``(s, +)``
+    values of the orders ``1..n``."""
+    if s < 1:
+        raise ValueError("polylog/Lerch order must be >= 1")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +-1")
+    value = complex(orders(s)[s - 1])
+    return value if sign > 0 else value.conjugate()
 
 
 def polylog_unit(s: int, alpha: float, sign: int = 1) -> complex:
     """``Li_s(e^{i sign alpha})`` for integer ``s >= 1``."""
-    if s < 1:
-        raise ValueError("polylog order must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    alpha = reduce_alpha(alpha)
-    with mpmath.workdps(_DPS):
-        val = mpmath.polylog(s, _unit_z(alpha, sign))
-        return complex(val)
+    return _pick(lambda n: polylog_orders(alpha, n), s, sign)
 
 
 def lerch_unit(s: int, alpha: float, sign: int, offset: float) -> complex:
     """Lerch transcendent ``Phi(e^{i sign alpha}, s, offset)`` for integer
     ``s >= 1`` and ``0 < offset <= 1``."""
-    if s < 1:
-        raise ValueError("Lerch order must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    if not 0.0 < offset <= 1.0:
-        raise ValueError("offset must lie in (0, 1]")
-    alpha = reduce_alpha(alpha)
-    with mpmath.workdps(_DPS):
-        val = mpmath.lerchphi(_unit_z(alpha, sign), s, mpmath.mpf(offset))
-        return complex(val)
+    return _pick(lambda n: lerch_orders(alpha, offset, n), s, sign)
 
 
 class LatticeSumCache:
-    """Memoised polylog/Lerch values for one Bloch phase (and geometry).
+    """Polylog/Lerch order vectors for one Bloch phase (and geometry).
 
-    Keys are ``(s, sign, offset)`` with ``offset=None`` for the plain
-    polylogarithm.
+    One vector per offset (``None`` for the polylogarithm) holds the
+    ``(s, +)`` values of the orders ``1..s`` for the largest ``s`` asked so
+    far; the ``(s, -)`` values are their conjugates.
     """
 
     def __init__(self, alpha: float, geom: DimerGeometry | None = None):
         self.alpha = reduce_alpha(alpha)
         self.geom = geom
-        self._store: dict = {}
+        self._vectors: dict = {}
+
+    def orders(self, s_max: int, offset: float | None = None) -> np.ndarray:
+        """``Li_s(e^{i alpha})``, or with an offset ``Phi(e^{i alpha}, s,
+        offset)``, for ``s = 1..s_max`` (read-only)."""
+        vec = self._vectors.get(offset)
+        if vec is None or len(vec) < s_max:
+            if offset is None:
+                vec = polylog_orders(self.alpha, s_max)
+            else:
+                vec = lerch_orders(self.alpha, offset, s_max)
+            vec.flags.writeable = False
+            self._vectors[offset] = vec
+        return vec[:s_max]
 
     def polylog(self, s: int, sign: int) -> complex:
-        key = (s, sign, None)
-        if key not in self._store:
-            self._store[key] = polylog_unit(s, self.alpha, sign)
-        return self._store[key]
+        return _pick(self.orders, s, sign)
 
     def lerch(self, s: int, sign: int, offset: float) -> complex:
-        key = (s, sign, round(offset, 15))
-        if key not in self._store:
-            self._store[key] = lerch_unit(s, self.alpha, sign, offset)
-        return self._store[key]
-
-    def warm(self, s_max: int) -> None:
-        """Precompute every order up to ``s_max`` (both phase signs, and
-        both dimer offsets when a geometry is attached)."""
-        for s in range(1, s_max + 1):
-            for sign in (1, -1):
-                self.polylog(s, sign)
-                if self.geom is not None:
-                    self.lerch(s, sign, 2 * self.geom.d)
-                    self.lerch(s, sign, 1 - 2 * self.geom.d)
+        return _pick(lambda n: self.orders(n, offset), s, sign)
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._vectors)
 
 
 def slot(s: int, sign: int) -> int:
@@ -161,12 +315,11 @@ def slot(s: int, sign: int) -> int:
     return 2 * (s - 1) + (sign > 0)
 
 
-def _values(s_max, need, pair):
-    vals = np.zeros(2 * s_max, dtype=complex)
-    for s in range(1, s_max + 1):
-        lo, hi = slot(s, -1), slot(s, 1)
-        if need is None or need[lo] or need[hi]:
-            vals[lo], vals[hi] = pair(s)
+def _values(minus: np.ndarray, plus: np.ndarray, need) -> np.ndarray:
+    vals = np.empty(2 * len(plus), dtype=complex)
+    vals[0::2], vals[1::2] = minus, plus
+    if need is not None:
+        vals[np.repeat(~(need[0::2] | need[1::2]), 2)] = 0.0
     return vals
 
 
@@ -174,11 +327,10 @@ def line_values(cache: LatticeSumCache, s_max: int, need=None) -> np.ndarray:
     """``Li_s(e^{-+i alpha})`` at the phase of ``cache`` for ``s = 1..s_max``.
 
     ``need`` is an optional boolean mask over the slots: orders with no
-    needed slot are not evaluated and stay zero.
+    needed slot are zero.
     """
-    return _values(
-        s_max, need, lambda s: (cache.polylog(s, -1), cache.polylog(s, 1))
-    )
+    plus = cache.orders(s_max)
+    return _values(plus.conj(), plus, need)
 
 
 def dimer_values(
@@ -195,17 +347,13 @@ def dimer_values(
     geom, alpha = cache.geom, cache.alpha
     if geom is None:
         raise ValueError("dimer values need a cache with a DimerGeometry")
-    near, far = 2 * geom.d, 1 - 2 * geom.d
-    if block == "21":
-        phase = complex(math.cos(alpha), math.sin(alpha))
-
-        def pair(s):
-            return cache.lerch(s, -1, near), phase * cache.lerch(s, 1, far)
-    elif block == "12":
-        phase = complex(math.cos(alpha), -math.sin(alpha))
-
-        def pair(s):
-            return phase * cache.lerch(s, -1, far), cache.lerch(s, 1, near)
-    else:
+    if block not in ("21", "12"):
         raise ValueError("block must be '21' or '12'")
-    return _values(s_max, need, pair)
+    near = cache.orders(s_max, 2 * geom.d)
+    far = _times(
+        cache.orders(s_max, 1 - 2 * geom.d),
+        complex(math.cos(alpha), math.sin(alpha)),
+    )
+    if block == "21":
+        return _values(near.conj(), far, need)
+    return _values(far.conj(), near, need)

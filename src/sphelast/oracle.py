@@ -6,7 +6,10 @@ fundamental solution, truncated lattice sums and finite differences.
 Nothing in this module touches the re-expansion series or the closed-form
 lattice sums; the only analytic inputs are the harmonics themselves, the
 coupling-free Kelvin tensor and (for ``brute_lattice_entry``) the per-copy
-inner products, which are themselves validated here by quadrature.
+inner products, which are themselves validated here by quadrature.  The
+30-digit mpmath polylogarithm and Lerch values (``polylog_ref``,
+``lerch_ref``) are the reference for the float64 lattice-sum values; mpmath
+is imported only when one is asked for.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ __all__ = [
     "brute_potential",
     "brute_lattice_entry",
     "finite_diff_gradient",
+    "polylog_ref",
+    "lerch_ref",
 ]
+
+_REF_DPS = 30
 
 
 @dataclass(frozen=True)
@@ -181,3 +188,21 @@ def finite_diff_gradient(f, x, h: float = 1e-5) -> np.ndarray:
     if np.allclose(out.imag, 0.0):
         return out.real
     return out
+
+
+def polylog_ref(s: int, alpha: float, sign: int) -> complex:
+    """``Li_s(e^{i sign alpha})`` from mpmath at 30 significant digits."""
+    import mpmath
+
+    with mpmath.workdps(_REF_DPS):
+        return complex(mpmath.polylog(s, mpmath.expj(sign * mpmath.mpf(alpha))))
+
+
+def lerch_ref(s: int, alpha: float, sign: int, offset: float) -> complex:
+    """``Phi(e^{i sign alpha}, s, offset)`` from mpmath at 30 significant
+    digits."""
+    import mpmath
+
+    with mpmath.workdps(_REF_DPS):
+        z = mpmath.expj(sign * mpmath.mpf(alpha))
+        return complex(mpmath.lerchphi(z, s, mpmath.mpf(offset)))

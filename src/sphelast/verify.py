@@ -239,6 +239,22 @@ def suite_latsum(rng):
     z = complex(math.cos(1.3), math.sin(1.3))
     worst = abs(latsum.lerch_unit(3, 1.3, 1, 1.0) * z - latsum.polylog_unit(3, 1.3, 1))
     checks.append(("offset-1 reduction", worst, 1e-12))
+    # seeded samples against the 30-digit oracle (mpmath's Lerch quadrature
+    # costs about 0.1 s a value, so three of each kind)
+    worst = 0.0
+    for kind in ("polylog", "lerch") * 3:
+        s = int(rng.integers(1, 17))
+        al = float(rng.uniform(0.05, 2 * math.pi - 0.05))
+        sign = int(rng.choice((-1, 1)))
+        if kind == "polylog":
+            value = latsum.polylog_unit(s, al, sign)
+            ref = oracle.polylog_ref(s, al, sign)
+        else:
+            off = float(rng.uniform(0.02, 1.0))
+            value = latsum.lerch_unit(s, al, sign, off)
+            ref = oracle.lerch_ref(s, al, sign, off)
+        worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
+    checks.append(("float64 vs mpmath", worst, 1e-14))
     alpha = 1.1
     ns = np.arange(1, 20001, dtype=float)
     ns = np.concatenate([-ns[::-1], ns])

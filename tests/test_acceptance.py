@@ -328,8 +328,6 @@ def test_criterion_08_entry_oracle_equivalence():
     rng = np.random.default_rng(SEED + 5)
     alphas = (0.7, math.pi / 2, 2.9)
     caches = {al: LatticeSumCache(al) for al in alphas}
-    for c in caches.values():
-        c.warm(10)
     worst_err, worst_order, n_checked = 0.0, float("inf"), 0
     for (pf, qf), pred in _PREDICTED_ORDER.items():
         rows_min = 0 if pf == Family.V else 1
@@ -397,7 +395,6 @@ def test_criterion_11_dimer_blocks():
     geom = DimerGeometry(0.2, RHO)
     alpha = 1.3
     cache = LatticeSumCache(alpha, geom)
-    cache.warm(10)
     mat = assemble_dimer(alpha, geom, PARAMS, 1)
     n = mat.basis.n_eff
     exact_self = np.array_equal(mat.matrix[:n, :n], mat.matrix[n:, n:])

@@ -356,6 +356,21 @@ class TestBadInputs:
             "--lambda", "1", "--mu", "1", "--lmax", "1", "--out", str(out),
         ], capsys)
 
+    def test_lattice_sums_beyond_float64(self, tmp_path, capsys):
+        # (2d)^-s overflows at order 11 (lmax 4) while the radius
+        # coefficients underflow: both commands stop before writing
+        tiny = ["--alpha", "1.3", "--rho", "1e-30", "--dimer-d", "2e-30",
+                "--lambda", "1", "--mu", "1", "--lmax", "4"]
+        for argv in (
+            ["dimer-assemble", *tiny],
+            ["solve", *tiny, "--phi", "builtin:uniform-x"],
+        ):
+            out = tmp_path / "out.json"
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "outside float64" in err and "lmax" in err
+            assert not out.exists()
+
 
 class TestOptionsPerCommand:
     """Each command takes only the options it reads; the rest exit 2, as a
@@ -498,14 +513,31 @@ def test_verify_failure_exit_code(monkeypatch):
     assert main(["verify"]) == 4
 
 
-def test_module_entry_point():
-    # ``python -m sphelast`` runs the CLI without the console script
+def _run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(sphelast.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    done = subprocess.run(
-        [sys.executable, "-m", "sphelast", "--version"],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120,
     )
+
+
+def test_module_entry_point():
+    # ``python -m sphelast`` runs the CLI without the console script
+    done = _run_python("-m", "sphelast", "--version")
     assert done.returncode == 0
     assert done.stdout.strip() == sphelast.__version__
+
+
+def test_cli_import_leaves_out_mpmath_and_scipy_special():
+    # mpmath is only the oracle's reference; neither belongs on the import
+    # path of every command
+    done = _run_python(
+        "-c",
+        "import sys, sphelast.cli; "
+        "print(sorted(m for m in ('mpmath', 'scipy.special') if m in sys.modules))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

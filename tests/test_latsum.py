@@ -8,14 +8,18 @@ from sphelast.latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
     LatticeSumCache,
+    LatticeSumOverflow,
     QuasiMomentumSingular,
     dimer_values,
+    lerch_orders,
     lerch_unit,
     line_values,
+    polylog_orders,
     polylog_unit,
     reduce_alpha,
     slot,
 )
+from sphelast.oracle import lerch_ref, polylog_ref
 from sphelast.translation import cross_coeff, decay_coeff
 from sphelast.vsh import rhat_dot_a_expand
 
@@ -140,7 +144,8 @@ class TestCache:
     def test_determinism(self):
         alpha = 1.7
         cache = LatticeSumCache(alpha, GEOM)
-        cache.warm(6)
+        line_values(cache, 6)
+        dimer_values(cache, 6, "21")
         for s in range(1, 7):
             for sign in (1, -1):
                 assert cache.polylog(s, sign) == polylog_unit(s, alpha, sign)
@@ -149,10 +154,15 @@ class TestCache:
                         s, alpha, sign, off
                     )
 
-    def test_warm_count(self):
-        cache = LatticeSumCache(0.9)
-        cache.warm(4)
-        assert len(cache) == 8
+    def test_one_vector_per_offset(self):
+        cache = LatticeSumCache(0.9, GEOM)
+        line_values(cache, 4)
+        assert len(cache) == 1
+        for block in ("21", "12"):
+            dimer_values(cache, 4, block)
+        line_values(cache, 7)               # a longer vector replaces the old one
+        assert len(cache) == 3
+        assert len(cache.orders(7)) == 7
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -161,6 +171,82 @@ class TestCache:
             DimerGeometry(0.45, 0.1)           # overlapping across cells
         with pytest.raises(ValueError):
             DimerGeometry(0.2, 0.6)
+
+
+# Accuracy gate of the float64 values against the 30-digit mpmath oracle:
+# orders 1..16 (a basis of degree <= 6 uses up to 2L + 3 = 15) and three far
+# beyond, at phases next to the resonance, inside the zone and at its edge.
+GATE_ORDERS = (*range(1, 17), 23, 40, 131)
+GATE_ALPHAS = (1e-6, 0.3, 1.3, math.pi, 5.0, 2 * math.pi - 0.3)
+GATE_OFFSETS = (0.02, 0.14, 0.5, 0.96, 1.0)
+GATE = 1e-14
+
+
+def _gate_error(value, ref):
+    return abs(value - ref) / max(1.0, abs(ref))
+
+
+class TestFloat64Values:
+    def test_polylog_against_oracle(self):
+        worst = 0.0
+        for alpha in GATE_ALPHAS:
+            plus = polylog_orders(alpha, GATE_ORDERS[-1])
+            for s in GATE_ORDERS:
+                worst = max(
+                    worst,
+                    _gate_error(plus[s - 1], polylog_ref(s, alpha, 1)),
+                    _gate_error(polylog_unit(s, alpha, -1), polylog_ref(s, alpha, -1)),
+                )
+        assert worst <= GATE
+
+    def test_lerch_against_oracle(self):
+        # Phi(conj z, s, a) = conj Phi(z, s, a) for real s and a, so one
+        # reference per phase serves both signs
+        worst = 0.0
+        for alpha in GATE_ALPHAS:
+            for offset in GATE_OFFSETS:
+                plus = lerch_orders(alpha, offset, GATE_ORDERS[-1])
+                for s in GATE_ORDERS:
+                    ref = lerch_ref(s, alpha, 1, offset)
+                    worst = max(
+                        worst,
+                        _gate_error(plus[s - 1], ref),
+                        _gate_error(
+                            lerch_unit(s, alpha, -1, offset), ref.conjugate()
+                        ),
+                    )
+        assert worst <= GATE
+
+    def test_longer_vectors_repeat_shorter_ones(self):
+        # what lets the cache, the scalar wrappers and the per-entry paths
+        # agree bit for bit
+        for alpha in (0.3, 5.0):
+            for offset in (None, 0.14, 1.0):
+                if offset is None:
+                    vecs = [polylog_orders(alpha, n) for n in range(1, 41)]
+                else:
+                    vecs = [lerch_orders(alpha, offset, n) for n in range(1, 41)]
+                for n, vec in enumerate(vecs, 1):
+                    assert np.array_equal(vec, vecs[-1][:n])
+
+    def test_conjugate_phase_is_bitwise_conjugate(self):
+        # dyadic phases, so that 2 pi - alpha is exact in float64
+        for alpha in (0.25, 1.25, 2.75, 4.5):
+            here = LatticeSumCache(alpha)
+            there = LatticeSumCache(2 * math.pi - alpha)
+            vals = line_values(here, 16)
+            assert np.array_equal(line_values(there, 16), vals.conj())
+            for s in range(1, 17):
+                assert here.polylog(s, -1) == here.polylog(s, 1).conjugate()
+
+    def test_values_beyond_float64_rejected(self):
+        # (4e-30)^-10 is 1e293, (4e-30)^-11 past the float64 range
+        assert np.isfinite(lerch_orders(1.3, 4e-30, 10)).all()
+        with pytest.raises(LatticeSumOverflow):
+            lerch_orders(1.3, 4e-30, 11)
+        cache = LatticeSumCache(1.3, DimerGeometry(2e-30, 1e-30))
+        with pytest.raises(ValueError):
+            dimer_values(cache, 11, "21")
 
 
 def _brute_line(coeff_fn, alpha, n_max):
