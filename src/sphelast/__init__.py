@@ -18,8 +18,13 @@ from .assembly import (
     assemble_dimer,
     assemble_single,
 )
-from .system import SolveResult, project_rhs, solve_dimer, solve_single
-from .oracle import build_quadrature
+from .system import (
+    SolveResult,
+    build_quadrature,
+    project_rhs,
+    solve_dimer,
+    solve_single,
+)
 
 __all__ = [
     "__version__",

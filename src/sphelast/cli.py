@@ -33,8 +33,7 @@ from .latsum import (
     QuasiMomentumSingular,
     reduce_alpha,
 )
-from .oracle import build_quadrature, sample_field
-from .system import project_rhs, solve_dimer, solve_single
+from .system import build_quadrature, project_rhs, solve_dimer, solve_single
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
@@ -192,13 +191,7 @@ def _phi_samples(spec: str, quad, basis, rho, params):
                 ) from None
             if np.linalg.norm(src) <= rho:
                 raise ConfigError("point-force source must lie outside the ball")
-            return (
-                sample_field(
-                    lambda d: kelvin_tensor(rho * d.vec - src, params)[:, 0],
-                    quad,
-                ),
-                None,
-            )
+            return kelvin_tensor(rho * quad.nodes - src, params)[:, :, 0], None
         raise ConfigError(f"unknown builtin field {name!r}")
     raise ConfigError(
         f"bad --phi spec {spec!r} (use builtin:name, coeffs:path or grid:path)"

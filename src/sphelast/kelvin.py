@@ -56,14 +56,18 @@ class LameParams:
 
 
 def kelvin_tensor(x, p: LameParams) -> np.ndarray:
-    """3x3 fundamental solution at ``x`` (homogeneous of degree -1)."""
+    """3x3 fundamental solution at ``x`` (homogeneous of degree -1).
+
+    Points stacked along leading axes (``x`` of shape ``(..., 3)``) give
+    the tensors stacked the same way, shape ``(..., 3, 3)``.
+    """
     x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+    r = np.linalg.norm(x, axis=-1)[..., None, None]
+    if np.any(r == 0.0):
         raise DomainError("fundamental solution is singular at the origin")
     c1 = (p.lam + 3 * p.mu) / (p.lam + 2 * p.mu)
     c2 = (p.lam + p.mu) / (p.lam + 2 * p.mu)
-    g = c1 * np.eye(3) + c2 * np.outer(x, x) / (r * r)
+    g = c1 * np.eye(3) + c2 * (x[..., :, None] * x[..., None, :]) / (r * r)
     return p.sign * g / (8.0 * math.pi * r)
 
 

@@ -139,6 +139,14 @@ def reduce_alpha(alpha: float) -> float:
     return a
 
 
+def _signed_phase(alpha: float) -> float:
+    """The phase in ``[-pi, pi]``, validated by ``reduce_alpha`` but reduced
+    from the raw input: mapping a negative phase into ``[0, 2 pi)`` first
+    rounds ``2 pi - |alpha|``, which moves a small phase by up to 4.4e-16."""
+    reduce_alpha(alpha)
+    return math.remainder(float(alpha), _TWO_PI)
+
+
 def _hurwitz(n: int, a: float) -> float:
     """Hurwitz ``zeta(n, a)`` for integer ``n >= 2`` and ``0 < a <= 1``:
     ``_SHIFT`` direct terms and the Euler-Maclaurin remainder (``inf`` past
@@ -224,7 +232,7 @@ def _times(vec: np.ndarray, w: complex) -> np.ndarray:
 
 def polylog_orders(alpha: float, s_max: int) -> np.ndarray:
     """``Li_s(e^{i alpha})`` for ``s = 1..s_max``."""
-    theta = math.remainder(reduce_alpha(alpha), _TWO_PI)
+    theta = _signed_phase(alpha)
     vec = _bracket(abs(theta), 1.0, s_max)
     return vec.conj() if theta < 0 else vec
 
@@ -235,7 +243,7 @@ def lerch_orders(alpha: float, offset: float, s_max: int) -> np.ndarray:
     beyond float64."""
     if not 0.0 < offset <= 1.0:
         raise ValueError("offset must lie in (0, 1]")
-    theta = math.remainder(reduce_alpha(alpha), _TWO_PI)
+    theta = _signed_phase(alpha)
     phase = abs(theta)
     with np.errstate(over="ignore", invalid="ignore"):
         vec = _times(
@@ -284,6 +292,7 @@ class LatticeSumCache:
     def __init__(self, alpha: float, geom: DimerGeometry | None = None):
         self.alpha = reduce_alpha(alpha)
         self.geom = geom
+        self._phase = float(alpha)  # the values come from the raw phase
         self._vectors: dict = {}
 
     def orders(self, s_max: int, offset: float | None = None) -> np.ndarray:
@@ -292,9 +301,9 @@ class LatticeSumCache:
         vec = self._vectors.get(offset)
         if vec is None or len(vec) < s_max:
             if offset is None:
-                vec = polylog_orders(self.alpha, s_max)
+                vec = polylog_orders(self._phase, s_max)
             else:
-                vec = lerch_orders(self.alpha, offset, s_max)
+                vec = lerch_orders(self._phase, offset, s_max)
             vec.flags.writeable = False
             self._vectors[offset] = vec
         return vec[:s_max]

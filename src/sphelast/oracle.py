@@ -1,7 +1,9 @@
-"""Independent verification machinery.
+"""Independent verification machinery: the brute-force reference.
 
 Everything here checks the analytic machinery from the outside: product
-Gauss-Legendre quadrature on the sphere, direct surface integration of the
+Gauss-Legendre quadrature on the sphere (``system.build_quadrature``, which
+the production projection shares) with the harmonics sampled one label and
+node at a time by the scalar ``vsh_real``, direct surface integration of the
 fundamental solution, truncated lattice sums and finite differences.
 Nothing in this module touches the re-expansion series or the closed-form
 lattice sums; the only analytic inputs are the harmonics themselves, the
@@ -14,15 +16,12 @@ is imported only when one is asked for.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import kelvin_apply
 from .assembly import BasisMap, per_copy_entries
 from .kelvin import LameParams
-from .sphharm import Direction
+from .system import SphQuadrature, build_quadrature
 from .vsh import vsh_real
 
 __all__ = [
@@ -38,47 +37,6 @@ __all__ = [
 ]
 
 _REF_DPS = 30
-
-
-@dataclass(frozen=True)
-class SphQuadrature:
-    """Product quadrature on the unit sphere with known polynomial degree."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-    nodes: np.ndarray       # (N, 3) unit vectors
-    weights: np.ndarray     # (N,), summing to 4 pi
-    degree: int
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    def directions(self):
-        return [
-            Direction.from_angles(t, p)
-            for t, p in zip(self.theta, self.phi)
-        ]
-
-
-def build_quadrature(degree: int) -> SphQuadrature:
-    """Gauss-Legendre x uniform-azimuth rule exact to the given degree."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    n_theta = (degree + 2) // 2
-    n_phi = degree + 1
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta_1d = np.arccos(x)
-    phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * math.pi / n_phi
-    theta = np.repeat(theta_1d, n_phi)
-    phi = np.tile(phi_1d, n_theta)
-    weights = np.repeat(w, n_phi) * w_phi
-    st = np.sin(theta)
-    nodes = np.stack(
-        [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1
-    )
-    return SphQuadrature(theta, phi, nodes, weights, degree)
 
 
 def sample_field(f, quad: SphQuadrature) -> np.ndarray:
@@ -200,9 +158,22 @@ def polylog_ref(s: int, alpha: float, sign: int) -> complex:
 
 def lerch_ref(s: int, alpha: float, sign: int, offset: float) -> complex:
     """``Phi(e^{i sign alpha}, s, offset)`` from mpmath at 30 significant
-    digits."""
+    digits.
+
+    Offsets 1 and 1/2 go through mpmath's polylogarithm, with
+    ``Phi(z, s, 1) = Li_s(z) / z`` and
+    ``Phi(z, s, 1/2) = 2^(s-1) [Li_s(sqrt z) - Li_s(-sqrt z)] / sqrt z``;
+    ``lerchphi``'s quadrature costs about 15 times as much at offset 1/2.
+    """
     import mpmath
 
     with mpmath.workdps(_REF_DPS):
-        z = mpmath.expj(sign * mpmath.mpf(alpha))
+        phase = sign * mpmath.mpf(alpha)
+        z = mpmath.expj(phase)
+        if offset == 1.0:
+            return complex(mpmath.polylog(s, z) / z)
+        if offset == 0.5:
+            w = mpmath.expj(phase / 2)
+            odd = mpmath.polylog(s, w) - mpmath.polylog(s, -w)
+            return complex(2 ** (s - 1) * odd / w)
         return complex(mpmath.lerchphi(z, s, mpmath.mpf(offset)))

@@ -30,6 +30,7 @@ __all__ = [
     "Direction",
     "assoc_legendre",
     "legendre_row",
+    "legendre_table",
     "pi_tau_row",
     "ylm_complex",
     "ylm_real",
@@ -114,11 +115,43 @@ def _double_factorial(n: int) -> float:
     return out
 
 
-def legendre_row(lmax: int, m: int, u: float) -> np.ndarray:
+def _recur_up(rows, m: int, u, seed) -> None:
+    """Fill ``rows[l]`` for ``l >= m`` in place: ``rows[m] = seed``, then the
+    upward three-term recurrence in ``l`` at fixed ``m`` (DLMF 14.10.3).
+
+    ``rows`` has one leading entry per degree; ``u = cos theta`` and
+    ``seed`` are floats or arrays matching the trailing node axes of
+    ``rows``.
+    """
+    lmax = len(rows) - 1
+    rows[m] = seed
+    if m + 1 <= lmax:
+        rows[m + 1] = u * (2 * m + 1) * seed
+    for l in range(m + 1, lmax):
+        rows[l + 1] = ((2 * l + 1) * u * rows[l] - (l + m) * rows[l - 1]) / (
+            l - m + 1
+        )
+
+
+def _tau_from_pi(pi_rows, m: int, u):
+    """``tau_l = l u pi_l - (l + m) pi_{l-1}`` for ``m >= 1``, where ``pi_l``
+    vanishes below ``l = m``."""
+    tau = np.zeros(pi_rows.shape)
+    for l in range(m, len(pi_rows)):
+        tau[l] = l * u * pi_rows[l] - (l + m) * pi_rows[l - 1]
+    return tau
+
+
+def legendre_row(
+    lmax: int, m: int, u: float, s: float | None = None
+) -> np.ndarray:
     """Unsigned associated Legendre values ``P_l^m(u)`` for ``l = 0..lmax``.
 
     Upward three-term recurrence in ``l`` at fixed ``m``, seeded on the
     diagonal by the double-factorial product.  No Condon-Shortley phase.
+    ``s = sin theta`` should be passed by callers that hold the angle:
+    ``sqrt(1 - u^2)`` loses the relative accuracy of ``sin theta`` next to
+    the poles (and is 0 within about 1e-8 of them).
     """
     if m < 0:
         raise DomainError("m must be >= 0 for legendre_row")
@@ -128,23 +161,18 @@ def legendre_row(lmax: int, m: int, u: float) -> np.ndarray:
     out = np.zeros(lmax + 1)
     if m > lmax:
         return out
-    s = math.sqrt(max(0.0, 1.0 - u * u))
-    pmm = _double_factorial(2 * m - 1) * s**m
-    out[m] = pmm
-    if m + 1 <= lmax:
-        out[m + 1] = u * (2 * m + 1) * pmm
-    for l in range(m + 1, lmax):
-        out[l + 1] = ((2 * l + 1) * u * out[l] - (l + m) * out[l - 1]) / (
-            l - m + 1
-        )
+    if s is None:
+        s = math.sqrt(max(0.0, 1.0 - u * u))
+    _recur_up(out, m, u, _double_factorial(2 * m - 1) * s**m)
     return out
 
 
-def assoc_legendre(l: int, m: int, u: float) -> float:
-    """Unsigned ``P_l^m(u)``; raises for ``m > l``, ``m < 0`` or ``|u| > 1``."""
+def assoc_legendre(l: int, m: int, u: float, s: float | None = None) -> float:
+    """Unsigned ``P_l^m(u)``; raises for ``m > l``, ``m < 0`` or ``|u| > 1``.
+    ``s`` is ``sin theta``, as in ``legendre_row``."""
     if not 0 <= m <= l:
         raise DomainError(f"need 0 <= m <= l, got l={l} m={m}")
-    return float(legendre_row(l, m, u)[l])
+    return float(legendre_row(l, m, u, s)[l])
 
 
 def pi_tau_row(lmax: int, m: int, theta: float):
@@ -156,24 +184,36 @@ def pi_tau_row(lmax: int, m: int, theta: float):
     For ``m = 0``, ``pi_l = 0`` and ``tau_l = -P_l^1``.
     """
     u, s = math.cos(theta), math.sin(theta)
-    if m == 0:
-        pi_row = np.zeros(lmax + 1)
-        tau_row = -legendre_row(lmax, 1, u)
-        return pi_row, tau_row
     pi_row = np.zeros(lmax + 1)
+    if m == 0:
+        return pi_row, -legendre_row(lmax, 1, u, s)
     if m <= lmax:
-        pi_row[m] = _double_factorial(2 * m - 1) * s ** (m - 1)
-        if m + 1 <= lmax:
-            pi_row[m + 1] = u * (2 * m + 1) * pi_row[m]
-        for l in range(m + 1, lmax):
-            pi_row[l + 1] = (
-                (2 * l + 1) * u * pi_row[l] - (l + m) * pi_row[l - 1]
-            ) / (l - m + 1)
-    tau_row = np.zeros(lmax + 1)
-    for l in range(m, lmax + 1):
-        prev = pi_row[l - 1] if l - 1 >= m else 0.0
-        tau_row[l] = l * u * pi_row[l] - (l + m) * prev
-    return pi_row, tau_row
+        _recur_up(pi_row, m, u, _double_factorial(2 * m - 1) * s ** (m - 1))
+    return pi_row, _tau_from_pi(pi_row, m, u)
+
+
+def legendre_table(lmax: int, theta):
+    """``P_l^m`` and the ``pi``/``tau`` of ``pi_tau_row`` at every node.
+
+    ``theta`` is an array of polar angles.  Returns ``(p, pi, tau)``, each
+    of shape ``(lmax + 1, lmax + 1) + theta.shape`` and indexed
+    ``[l, m, ...]`` for ``0 <= m <= l <= lmax`` (zero for ``m > l``): the
+    recurrences of ``legendre_row``/``pi_tau_row``, vectorised over the
+    nodes, with ``sin theta`` taken from the angle.
+    """
+    theta = np.asarray(theta, dtype=float)
+    u, s = np.cos(theta), np.sin(theta)
+    p = np.zeros((lmax + 1, lmax + 1) + theta.shape)
+    pi, tau = np.zeros_like(p), np.zeros_like(p)
+    for m in range(lmax + 1):
+        diagonal = _double_factorial(2 * m - 1)
+        _recur_up(p[:, m], m, u, diagonal * s**m)
+        if m:
+            _recur_up(pi[:, m], m, u, diagonal * s ** (m - 1))
+            tau[:, m] = _tau_from_pi(pi[:, m], m, u)
+    if lmax >= 1:
+        tau[:, 0] = -p[:, 1]
+    return p, pi, tau
 
 
 def sph_norm(l: int, m: int) -> float:
@@ -191,7 +231,7 @@ def ylm_complex(l: int, m: int, d) -> complex:
         raise DomainError(f"|m|={abs(m)} > l={l}")
     d = _as_direction(d)
     ma = abs(m)
-    p = assoc_legendre(l, ma, d.cos_theta)
+    p = assoc_legendre(l, ma, d.cos_theta, d.sin_theta)
     val = (-1) ** ma * sph_norm(l, ma) * p * complex(
         math.cos(ma * d.phi), math.sin(ma * d.phi)
     )
@@ -206,7 +246,7 @@ def ylm_real(l: int, m: int, d) -> float:
         raise DomainError(f"|m|={abs(m)} > l={l}")
     d = _as_direction(d)
     ma = abs(m)
-    p = assoc_legendre(l, ma, d.cos_theta) * sph_norm(l, ma)
+    p = assoc_legendre(l, ma, d.cos_theta, d.sin_theta) * sph_norm(l, ma)
     if m == 0:
         return p
     if m > 0:

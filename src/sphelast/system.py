@@ -1,4 +1,8 @@
-"""Right-hand-side projection and the linear solve.
+"""Sphere quadrature, right-hand-side projection and the linear solve.
+
+The projection onto the basis harmonics runs on the product rule of
+``build_quadrature`` through one table of the real vector harmonics at its
+nodes (``vsh.vsh_real_table``).
 
 The operator equation pairs the matrix with the *conjugated* coefficient
 vector (the Bloch phase is pulled out of the inner product's second slot
@@ -9,6 +13,7 @@ density itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +21,64 @@ import scipy.linalg as sla
 
 from .assembly import AssembledMatrix, BasisMap
 from .kelvin import norm_factor
-from .oracle import SphQuadrature, basis_samples, inner_product_S2
+from .sphharm import Direction
+from .vsh import vsh_real_table
 
-__all__ = ["SolveResult", "project_rhs", "solve_single", "solve_dimer"]
+__all__ = [
+    "SphQuadrature",
+    "build_quadrature",
+    "SolveResult",
+    "project_rhs",
+    "solve_single",
+    "solve_dimer",
+]
 
 _COND_WARN = 1e12
+
+
+@dataclass(frozen=True)
+class SphQuadrature:
+    """Product quadrature on the unit sphere with known polynomial degree."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    nodes: np.ndarray       # (N, 3) unit vectors
+    weights: np.ndarray     # (N,), summing to 4 pi
+    degree: int
+
+    @property
+    def n_nodes(self) -> int:
+        return self.nodes.shape[0]
+
+    def directions(self):
+        return [
+            Direction.from_angles(t, p)
+            for t, p in zip(self.theta, self.phi)
+        ]
+
+
+def build_quadrature(degree: int) -> SphQuadrature:
+    """Gauss-Legendre x uniform-azimuth rule exact to the given degree.
+
+    Nodes run over the azimuth fastest; ``grid:`` sample files rely on this
+    order and on the weights.
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    n_theta = (degree + 2) // 2
+    n_phi = degree + 1
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    theta_1d = np.arccos(x)
+    phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    w_phi = 2.0 * math.pi / n_phi
+    theta = np.repeat(theta_1d, n_phi)
+    phi = np.tile(phi_1d, n_theta)
+    weights = np.repeat(w, n_phi) * w_phi
+    st = np.sin(theta)
+    nodes = np.stack(
+        [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1
+    )
+    return SphQuadrature(theta, phi, nodes, weights, degree)
 
 
 @dataclass
@@ -52,11 +110,13 @@ def project_rhs(
             f"quadrature degree {quad.degree} < 2*L_max+2 = "
             f"{2 * basis.l_max + 2}"
         )
-    fields = basis_samples(basis, quad)
-    out = np.zeros(basis.n_eff, dtype=complex)
-    for i in range(basis.n_eff):
-        out[i] = inner_product_S2(fields[i], phi, quad)
-    return out
+    if callable(phi):
+        phi = [phi(d) for d in quad.directions()]
+    samples = np.asarray(phi, dtype=complex)
+    if samples.shape != (quad.n_nodes, 3):
+        raise ValueError(f"expected samples of shape ({quad.n_nodes}, 3)")
+    fields = vsh_real_table(basis, quad.theta, quad.phi)
+    return np.einsum("ink,nk,n->i", fields, samples.conjugate(), quad.weights)
 
 
 def _lu_solve(mat: np.ndarray, rhs: np.ndarray):

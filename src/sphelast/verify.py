@@ -18,10 +18,17 @@ from .kelvin import (
     LameParams,
     exterior_response,
     kelvin_tensor,
+    norm_factor,
     surface_response,
 )
-from .sphharm import ylm_complex, ylm_equator
-from .vsh import Family, rhat_dot_a_expand, vsh_complex, vsh_real
+from .sphharm import Direction, ylm_complex, ylm_equator
+from .vsh import (
+    Family,
+    rhat_dot_a_expand,
+    vsh_complex,
+    vsh_real,
+    vsh_real_table,
+)
 
 __all__ = ["SUITES", "run_suites"]
 
@@ -93,27 +100,12 @@ def suite_vsh(rng):
                     abs(np.dot(v, w) - l * ylm_complex(l, m, v)),
                 )
     checks.append(("pointwise identities", worst, 1e-13))
-    quad = oracle.build_quadrature(14)
-    dirs = quad.directions()
-    worst = 0.0
-    from .kelvin import norm_factor
-
-    fields = {}
-    for fam in Family:
-        for l in range(0 if fam == Family.V else 1, 5):
-            for m in range(-l, l + 1):
-                fields[(fam, l, m)] = np.array(
-                    [vsh_real(fam, l, m, d) for d in dirs]
-                )
-    for (fam, l, m), f in fields.items():
-        for (fam2, l2, m2), g in fields.items():
-            ip = np.einsum("nk,nk,n->", f, g, quad.weights)
-            expect = (
-                norm_factor(fam, l)
-                if (fam, l, m) == (fam2, l2, m2)
-                else 0.0
-            )
-            worst = max(worst, abs(ip - expect))
+    quad = system.build_quadrature(14)
+    basis = assembly.BasisMap(4)
+    fields = vsh_real_table(basis, quad.theta, quad.phi)
+    gram = np.einsum("ink,jnk,n->ij", fields, fields, quad.weights)
+    expect = np.diag([norm_factor(fam, l) for l, _m, fam in basis])
+    worst = np.abs(gram - expect).max()
     checks.append(("orthogonality and norms l<=4", worst, 1e-11))
     worst = 0.0
     for v in _rand_dirs(rng, 20):
@@ -124,6 +116,20 @@ def suite_vsh(rng):
         )
         worst = max(worst, abs(np.dot(v, a) - expand))
     checks.append(("axis-projection expansion", worst, 1e-13))
+    # the production table (what solve projects onto) against vsh_real,
+    # on seeded directions and both poles
+    dirs = [Direction.from_vector(v) for v in _rand_dirs(rng, 12)]
+    dirs += [Direction.from_angles(0.0, 0.0), Direction.from_angles(math.pi, 0.0)]
+    labels = list(assembly.BasisMap(8))
+    table = vsh_real_table(
+        labels, [d.theta for d in dirs], [d.phi for d in dirs]
+    )
+    worst = max(
+        np.abs(table[i, k] - vsh_real(fam, l, m, d)).max()
+        for i, (l, m, fam) in enumerate(labels)
+        for k, d in enumerate(dirs)
+    )
+    checks.append(("table vs scalar l<=8", worst, 1e-13))
     return checks
 
 

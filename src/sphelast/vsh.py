@@ -32,6 +32,7 @@ from .sphharm import (
     Direction,
     DomainError,
     assoc_legendre,
+    legendre_table,
     pi_tau_row,
     sph_norm,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "chi",
     "vsh_complex",
     "vsh_real",
+    "vsh_real_table",
     "vsh_complex_or_zero",
     "vector_Y",
     "cross_spherical",
@@ -93,21 +95,38 @@ def _as_direction(d) -> Direction:
     return Direction.from_vector(np.asarray(d, dtype=float))
 
 
-def _amplitudes(family: Family, l: int, m_abs: int, d: Direction):
-    """Cartesian (real, imag) amplitude vectors of the ``m >= 0`` harmonic,
-    without the azimuthal factor ``exp(i m phi)`` and without the
-    Condon-Shortley phase."""
-    r_hat, t_hat, p_hat = d.frame()
-    norm = sph_norm(l, m_abs)
-    pi_row, tau_row = pi_tau_row(l, m_abs, d.theta)
-    a_tau = norm * tau_row[l]
-    a_pi = norm * m_abs * pi_row[l]
-    a_y = norm * assoc_legendre(l, m_abs, d.cos_theta)
+def _family_amplitudes(family: Family, l: int, a_tau, a_pi, a_y, frame):
+    """(real, imag) amplitude vectors of one family from the scaled
+    Legendre helpers and the local frame (r_hat, theta_hat, phi_hat); scalar
+    amplitudes with 3-vectors, or node columns with node rows of vectors."""
+    r_hat, t_hat, p_hat = frame
     if family == Family.V:
         return a_tau * t_hat - (l + 1) * a_y * r_hat, a_pi * p_hat
     if family == Family.W:
         return a_tau * t_hat + l * a_y * r_hat, a_pi * p_hat
     return a_tau * p_hat, -a_pi * t_hat
+
+
+def _real_combination(m: int, re, im, c, s):
+    """Real harmonic of order ``m`` from the ``|m|`` amplitudes and
+    ``c, s = cos(|m| phi), sin(|m| phi)``."""
+    if m == 0:
+        return re
+    if m > 0:
+        return _SQRT2 * (re * c - im * s)
+    return _SQRT2 * (re * s + im * c)
+
+
+def _amplitudes(family: Family, l: int, m_abs: int, d: Direction):
+    """Cartesian (real, imag) amplitude vectors of the ``m >= 0`` harmonic,
+    without the azimuthal factor ``exp(i m phi)`` and without the
+    Condon-Shortley phase."""
+    norm = sph_norm(l, m_abs)
+    pi_row, tau_row = pi_tau_row(l, m_abs, d.theta)
+    return _family_amplitudes(
+        family, l, norm * tau_row[l], norm * m_abs * pi_row[l],
+        norm * assoc_legendre(l, m_abs, d.cos_theta, d.sin_theta), d.frame(),
+    )
 
 
 def vsh_complex(family, l: int, m: int, d) -> np.ndarray:
@@ -131,12 +150,44 @@ def vsh_real(family, l: int, m: int, d) -> np.ndarray:
     d = _as_direction(d)
     ma = abs(m)
     re, im = _amplitudes(family, l, ma, d)
-    if m == 0:
-        return re
-    c, s = math.cos(ma * d.phi), math.sin(ma * d.phi)
-    if m > 0:
-        return _SQRT2 * (re * c - im * s)
-    return _SQRT2 * (re * s + im * c)
+    return _real_combination(
+        m, re, im, math.cos(ma * d.phi), math.sin(ma * d.phi)
+    )
+
+
+def vsh_real_table(labels, theta, phi) -> np.ndarray:
+    """Real vector harmonics of every label ``(l, m, family)`` at every
+    node ``(theta[k], phi[k])``, shaped ``(len(labels), n_nodes, 3)``.
+
+    The values of ``vsh_real``, from one ``legendre_table`` over the nodes
+    instead of one Legendre row per label and node.
+    """
+    labels = [(l, m, Family(fam)) for l, m, fam in labels]
+    for l, m, fam in labels:
+        _check_indices(fam, l, m)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    phi = np.asarray(phi, dtype=float).reshape(-1)
+    out = np.empty((len(labels), theta.size, 3))
+    p, pi, tau = legendre_table(max(l for l, _m, _f in labels), theta)
+    ct, st = np.cos(theta), np.sin(theta)
+    phi = np.where(st < 1e-15, 0.0, phi)  # the poles' azimuth, as in Direction
+    cp, sp = np.cos(phi), np.sin(phi)
+    frame = (
+        np.stack([st * cp, st * sp, ct], axis=-1),
+        np.stack([ct * cp, ct * sp, -st], axis=-1),
+        np.stack([-sp, cp, np.zeros_like(phi)], axis=-1),
+    )
+    for i, (l, m, fam) in enumerate(labels):
+        ma = abs(m)
+        norm = sph_norm(l, ma)
+        re, im = _family_amplitudes(
+            fam, l, norm * tau[l, ma, :, None], norm * ma * pi[l, ma, :, None],
+            norm * p[l, ma, :, None], frame,
+        )
+        out[i] = _real_combination(
+            m, re, im, np.cos(ma * phi)[:, None], np.sin(ma * phi)[:, None]
+        )
+    return out
 
 
 def vsh_complex_or_zero(family, l: int, m: int, d) -> np.ndarray:

@@ -201,6 +201,14 @@ class TestCli:
     def test_verify_subcommand(self):
         assert main(["verify", "--suite", "system", "--seed", "3"]) == 0
 
+    def test_verify_vsh_checks_the_table(self):
+        from sphelast.verify import run_suites
+
+        rows = run_suites(["vsh"], seed=3)
+        assert "table vs scalar l<=8" in [row[1] for row in rows]
+        assert all(row[4] for row in rows)
+        assert main(["verify", "--suite", "vsh", "--seed", "3"]) == 0
+
     def test_verify_unknown_suite(self):
         assert main(["verify", "--suite", "nonsense"]) == 2
 
@@ -541,3 +549,34 @@ def test_cli_import_leaves_out_mpmath_and_scipy_special():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_system_import_leaves_out_the_oracle():
+    # the production projection and its quadrature do not go through the
+    # brute-force reference
+    done = _run_python(
+        "-c",
+        "import sys, sphelast.system; print('sphelast.oracle' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_point_force_samples_match_per_node_sampling():
+    # one stacked Kelvin-tensor call against the oracle's node-by-node loop
+    from sphelast.assembly import BasisMap
+    from sphelast.cli import _phi_samples
+    from sphelast.kelvin import kelvin_tensor
+    from sphelast.oracle import build_quadrature, sample_field
+
+    params, rho = LameParams(1.4, 0.8), 0.2
+    src = np.array([0.3, 0.1, -0.2])
+    quad = build_quadrature(12)
+    samples, coeffs = _phi_samples(
+        "builtin:point-force:0.3,0.1,-0.2", quad, BasisMap(5), rho, params
+    )
+    assert coeffs is None
+    per_node = sample_field(
+        lambda d: kelvin_tensor(rho * d.vec - src, params)[:, 0], quad
+    )
+    assert np.abs(samples - per_node).max() <= 1e-15 * np.abs(per_node).max()

@@ -50,6 +50,18 @@ class TestFundamentalSolution:
         with pytest.raises(DomainError):
             kelvin_tensor((0, 0, 0), params)
 
+    def test_stacked_points(self, params, rng):
+        # one call over many points gives the one-point tensors, stacked
+        x = rng.normal(size=(4, 5, 3))
+        g = kelvin_tensor(x, params)
+        assert g.shape == (4, 5, 3, 3)
+        for idx in np.ndindex(4, 5):
+            one = kelvin_tensor(x[idx], params)
+            assert np.abs(g[idx] - one).max() <= 1e-15 * np.abs(one).max()
+            assert np.abs(g[idx] - g[idx].T).max() == 0.0
+        with pytest.raises(DomainError):
+            kelvin_tensor([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], params)
+
     def test_sign_flip(self, rng):
         x = rng.normal(size=3)
         plain = kelvin_tensor(x, LameParams(1.3, 0.7))

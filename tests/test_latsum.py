@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -180,6 +181,14 @@ GATE_ORDERS = (*range(1, 17), 23, 40, 131)
 GATE_ALPHAS = (1e-6, 0.3, 1.3, math.pi, 5.0, 2 * math.pi - 0.3)
 GATE_OFFSETS = (0.02, 0.14, 0.5, 0.96, 1.0)
 GATE = 1e-14
+NEGATIVE_ALPHAS = (-1e-6, -1e-3, -0.3)
+
+
+@functools.lru_cache(maxsize=None)
+def _lerch_reference(s, alpha, offset):
+    """``lerch_ref`` at sign +1, computed once per point: the negative-phase
+    test reuses the positive phases of the gate by conjugation."""
+    return lerch_ref(s, alpha, 1, offset)
 
 
 def _gate_error(value, ref):
@@ -199,6 +208,22 @@ class TestFloat64Values:
                 )
         assert worst <= GATE
 
+    def test_polylog_at_negative_phases(self):
+        # a negative phase is reduced from the raw input, not via 2 pi - |alpha|
+        worst = 0.0
+        for alpha in NEGATIVE_ALPHAS:
+            plus = polylog_orders(alpha, GATE_ORDERS[-1])
+            cache = LatticeSumCache(alpha)
+            for s in GATE_ORDERS:
+                ref = polylog_ref(s, alpha, 1)
+                worst = max(
+                    worst,
+                    _gate_error(plus[s - 1], ref),
+                    _gate_error(cache.polylog(s, 1), ref),
+                    _gate_error(polylog_unit(s, alpha, -1), polylog_ref(s, alpha, -1)),
+                )
+        assert worst <= GATE
+
     def test_lerch_against_oracle(self):
         # Phi(conj z, s, a) = conj Phi(z, s, a) for real s and a, so one
         # reference per phase serves both signs
@@ -207,10 +232,28 @@ class TestFloat64Values:
             for offset in GATE_OFFSETS:
                 plus = lerch_orders(alpha, offset, GATE_ORDERS[-1])
                 for s in GATE_ORDERS:
-                    ref = lerch_ref(s, alpha, 1, offset)
+                    ref = _lerch_reference(s, alpha, offset)
                     worst = max(
                         worst,
                         _gate_error(plus[s - 1], ref),
+                        _gate_error(
+                            lerch_unit(s, alpha, -1, offset), ref.conjugate()
+                        ),
+                    )
+        assert worst <= GATE
+
+    def test_lerch_at_negative_phases(self):
+        worst = 0.0
+        for alpha in NEGATIVE_ALPHAS:
+            cache = LatticeSumCache(alpha, GEOM)
+            for offset in GATE_OFFSETS:
+                plus = lerch_orders(alpha, offset, GATE_ORDERS[-1])
+                for s in GATE_ORDERS:
+                    ref = _lerch_reference(s, -alpha, offset).conjugate()
+                    worst = max(
+                        worst,
+                        _gate_error(plus[s - 1], ref),
+                        _gate_error(cache.lerch(s, 1, offset), ref),
                         _gate_error(
                             lerch_unit(s, alpha, -1, offset), ref.conjugate()
                         ),

@@ -7,6 +7,9 @@ from sphelast.sphharm import (
     Direction,
     DomainError,
     assoc_legendre,
+    legendre_row,
+    legendre_table,
+    pi_tau_row,
     solid_irregular,
     solid_regular,
     ylm_complex,
@@ -42,6 +45,41 @@ class TestAssocLegendre:
             assert assoc_legendre(3, 1, u) == pytest.approx(
                 1.5 * (5 * u * u - 1) * s, abs=1e-13
             )
+
+
+    def test_sine_from_the_angle_near_poles(self):
+        # P_l^l = (2l-1)!! sin^l theta to full relative accuracy, where
+        # sqrt(1 - cos^2 theta) loses it (1.4e-9 at 1e-4, 0 at 1e-8)
+        for t0 in (1e-4, 1e-6, 1e-8):
+            for theta in (t0, math.pi - t0):
+                d = Direction.from_angles(theta, 0.0)
+                s = math.sin(theta)
+                for l in range(1, 5):
+                    closed = math.prod(range(1, 2 * l, 2)) * s**l
+                    got = assoc_legendre(l, l, d.cos_theta, d.sin_theta)
+                    assert abs(got - closed) <= 1e-14 * closed
+                expect = math.sqrt(3 / (4 * math.pi)) * d.vec[0]
+                assert abs(ylm_real(1, 1, d) - expect) <= 1e-14 * abs(expect)
+                assert abs(ylm_complex(1, 1, d) + expect / math.sqrt(2)) <= (
+                    1e-14 * abs(expect)
+                )
+
+
+class TestLegendreTable:
+    def test_matches_scalar_rows(self, rng):
+        lmax = 12
+        theta = np.concatenate([rng.uniform(0, math.pi, 15), [0.0, math.pi]])
+        p, pi, tau = legendre_table(lmax, theta)
+        assert p.shape == pi.shape == tau.shape == (lmax + 1, lmax + 1, 17)
+        for k, t in enumerate(theta):
+            for m in range(lmax + 1):
+                row = legendre_row(lmax, m, math.cos(t), math.sin(t))
+                pi_row, tau_row = pi_tau_row(lmax, m, t)
+                scale = max(1.0, np.abs(row).max())
+                assert np.abs(p[:, m, k] - row).max() <= 1e-14 * scale
+                scale = max(1.0, np.abs(tau_row).max())
+                assert np.abs(pi[:, m, k] - pi_row).max() <= 1e-14 * scale
+                assert np.abs(tau[:, m, k] - tau_row).max() <= 1e-14 * scale
 
 
 class TestComplexHarmonics:

@@ -6,7 +6,7 @@ import pytest
 from sphelast.assembly import AssembledMatrix, BasisMap, assemble_dimer, assemble_single
 from sphelast.kelvin import LameParams
 from sphelast.latsum import DimerGeometry
-from sphelast.oracle import basis_samples, build_quadrature
+from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
 from sphelast.system import project_rhs, solve_dimer, solve_single
 from sphelast.vsh import Family
 
@@ -55,6 +55,32 @@ class TestProjectRhs:
         phi = np.tensordot(c, fields, axes=(0, 0))
         b_quad = project_rhs(phi, quad16, basis)
         assert np.abs(b_closed - b_quad).max() <= 1e-12
+
+    @pytest.mark.parametrize("l_max", [2, 5, 8])
+    def test_matches_scalar_projection(self, l_max):
+        # the harmonic table against the oracle's one-label-one-node route
+        basis = BasisMap(l_max)
+        quad = build_quadrature(2 * l_max + 2)
+        rng = np.random.default_rng(l_max)
+        phi = rng.normal(size=(quad.n_nodes, 3)) + 1j * rng.normal(
+            size=(quad.n_nodes, 3)
+        )
+        fields = basis_samples(basis, quad)
+        scalar = np.array([inner_product_S2(f, phi, quad) for f in fields])
+        assert np.abs(project_rhs(phi, quad, basis) - scalar).max() <= 1e-13
+
+    def test_sampler_and_samples_agree(self, quad16):
+        basis = BasisMap(2)
+
+        def field(d):
+            return np.array([d.vec[1] * d.vec[2], 1.0 + 0.5j, d.vec[0] ** 3])
+
+        samples = np.array([field(d) for d in quad16.directions()])
+        assert np.array_equal(
+            project_rhs(field, quad16, basis), project_rhs(samples, quad16, basis)
+        )
+        with pytest.raises(ValueError):
+            project_rhs(samples[:-1], quad16, basis)
 
     def test_degree_guard(self):
         basis = BasisMap(4)

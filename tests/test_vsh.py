@@ -6,7 +6,10 @@ import pytest
 from sphelast.coupling import cg
 from sphelast.kelvin import norm_factor
 from sphelast.oracle import finite_diff_gradient
+from sphelast.assembly import BasisMap
+from sphelast.oracle import build_quadrature
 from sphelast.sphharm import (
+    Direction,
     DomainError,
     solid_irregular,
     solid_regular,
@@ -21,6 +24,7 @@ from sphelast.vsh import (
     vector_Y,
     vsh_complex,
     vsh_real,
+    vsh_real_table,
 )
 
 from conftest import random_units
@@ -301,3 +305,66 @@ def test_product_recoupling_consistency(rng):
                                     * vector_Y(j, k, q + mu, v)
                                 )
                 assert np.abs(direct - expand).max() <= 1e-12
+
+
+NEAR_POLE = (1e-4, 1e-6, 1e-8)
+
+
+def _near_pole_angles():
+    """(theta, phi) within 1e-4..1e-8 of either pole, three azimuths each."""
+    return [
+        (theta, phi)
+        for t0 in NEAR_POLE
+        for theta in (t0, math.pi - t0)
+        for phi in (0.0, 0.7, 2.5)
+    ]
+
+
+class TestHarmonicTable:
+    def test_matches_scalar_route_to_degree_16(self, rng):
+        # Gauss-Legendre nodes, random nodes and nodes exactly on both poles
+        # (at several azimuths: the pole value does not depend on it)
+        quad = build_quadrature(6)
+        theta = np.concatenate([
+            quad.theta, rng.uniform(0, math.pi, 10), [0.0, math.pi] * 3,
+        ])
+        phi = np.concatenate([
+            quad.phi, rng.uniform(0, 2 * math.pi, 10),
+            [0.0, 0.0, 1.3, 1.3, 4.0, 4.0],
+        ])
+        basis = BasisMap(16)
+        table = vsh_real_table(basis, theta, phi)
+        assert table.shape == (basis.n_eff, len(theta), 3)
+        dirs = [Direction.from_angles(t, p) for t, p in zip(theta, phi)]
+        worst = 0.0
+        for i, (l, m, fam) in enumerate(basis):
+            scalar = np.array([vsh_real(fam, l, m, d) for d in dirs])
+            worst = max(worst, np.abs(table[i] - scalar).max())
+        assert worst <= 1e-13
+
+    def test_near_poles_against_polynomials(self):
+        poly = _poly_table()
+        theta, phi = np.array(_near_pole_angles()).T
+        labels = [(l, m, fam) for fam, l, m in poly]
+        table = vsh_real_table(labels, theta, phi)
+        for k, (t, p) in enumerate(zip(theta, phi)):
+            d = Direction.from_angles(t, p)
+            for i, (l, m, fam) in enumerate(labels):
+                assert np.abs(table[i, k] - poly[(fam, l, m)](*d.vec)).max() <= 1e-13
+
+    def test_forbidden_labels_raise(self):
+        for fam in (Family.W, Family.X):
+            with pytest.raises(ForbiddenIndexError):
+                vsh_real_table([(0, 0, fam)], [0.3], [0.1])
+        with pytest.raises(DomainError):
+            vsh_real_table([(1, 2, Family.V)], [0.3], [0.1])
+
+
+def test_scalar_route_near_poles_against_polynomials():
+    # sin theta from the angle, not from sqrt(1 - cos^2 theta), which is
+    # 0 at 1e-8 from a pole
+    poly = _poly_table()
+    for theta, phi in _near_pole_angles():
+        d = Direction.from_angles(theta, phi)
+        for (fam, l, m), closed in poly.items():
+            assert np.abs(vsh_real(fam, l, m, d) - closed(*d.vec)).max() <= 1e-13
