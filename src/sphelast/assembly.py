@@ -1,39 +1,61 @@
 """Matrix representation of the quasi-periodic single layer operator.
 
 Every inner product of a row harmonic against the potential of a shifted
-copy of a column harmonic reduces to one closed-form combination of four
-primitive coefficient families (plain, axis-weighted, squared-moment and
-cross-product).  The same combination is evaluated against two kernels:
+copy of a column harmonic is one closed-form combination of four kernels
+of the complex orders ``mu`` (row) and ``mt`` (column): plain,
+axis-weighted, squared-moment and cross-product.  Each kernel is a
+decaying-translation prefactor times a Racah-normalised equator harmonic
+of degree ``L = l + lam`` and order ``mt - mu``, and it depends on the
+shift ``x`` only through ``|x|^-s`` for one order ``s``: ``L + 1`` (plain),
+``L`` (axis, cross) or ``L - 1`` (moment).  Summed over the copies with
+the Bloch phase, ``|x|^-s`` becomes a polylogarithm (or, for the dimer
+coupling blocks, a Lerch) value, so every entry is a short vector of
+phase-independent coefficients dotted with ``v(alpha)`` of
+``latsum.line_values``/``dimer_values``, and ``M(alpha) = D + T v(alpha)``.
 
-* ``_SingleShiftKernel`` -- the coefficients of one copy at a given shift
-  (vectorised over many shifts), giving ``per_copy_entry``;
-* ``_TraceKernel``       -- the lattice sum over all copies as a vector of
-  phase-independent coefficients over the slots of
-  ``latsum.line_values``/``dimer_values``.
+Degree-pair blocks: ``_DegreeBlocks`` builds, for one family pair and one
+degree pair ``(lp, l)``, the kernel block ``K[mu, mt]`` of every complex
+order pair with numpy, from one equator table and the prefactor, recoupling
+and Clebsch-Gordan weights, and then turns it into the block of every real
+order pair ``(mp, m)`` with the per-degree complex-to-real unitaries on both
+sides (the weights of ``translation.combine_source``/``combine_row``; Blanco,
+Florez & Bermejo, J. Mol. Struct. THEOCHEM 419:19 (1997)).  The Python loop
+runs over degree pairs, not entries.  ``Trace``, ``entry_single``,
+``entry_dimer`` and ``per_copy_entries`` all read the same blocks.
 
-Since the lattice part of every entry is such a vector dotted with the
-polylogarithm (or, for the dimer coupling blocks, Lerch) values,
-``M(alpha) = D + T v(alpha)``.  ``Trace`` holds the on-ball diagonal ``D``
-and the vectors ``T`` of the entries that do not vanish identically; one
-trace serves every Bloch phase and all three blocks of the dimer matrix.
+Two orders per entry: the lattice part of an entry of degrees ``(lp, l)``
+lives on the orders ``l + lp + b`` and ``l + lp + b + 2``, with ``b`` fixed
+by the family pair (row, column):
+
+    (V,W), (W,V)   b = 1        (W,X), (X,W)   b = 0
+    (W,W)          b = -1       (X,X)          b = 1 (the higher order is 0)
+
+so each entry is stored as its lowest order and four coefficients
+``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]``, contracted by a gather.  Slot
+``(s, -)`` weighs ``Li_s(e^{-i alpha})``, the sum over the copies at
+positive shifts; one copy at shift ``x`` contributes
+``sum_s c(s,-) x^-s`` for ``x > 0`` and ``sum_s c(s,+) |x|^-s`` for
+``x < 0`` (``per_copy_entries``).  The reflection ``x -> -x`` gives
+``c(s,-) = (-1)^(s+1) c(s,+)``.  A term on any other order stops the
+builder.
 
 Structural zeros: a V-family density produces a pure W-family potential
 off its own ball, so the (V,V) off-diagonal, (X,V) and (V,X) entries
-vanish.  Beyond those, a chain on the x-axis (and the dimer at
-``(+-d, 0, 0)``) is symmetric under ``z -> -z`` and ``y -> -y``, so ``M``
-splits into four parity sectors (``sector``): entries whose row and column
-labels lie in different sectors are zero.  ``per_copy_entry`` and
-``_lattice_coef`` still evaluate the printed combinations there so their
-numerical vanishing can be tested, while the assembled matrices store
-exact zeros.
+vanish; ``per_copy_entries`` still evaluates the printed (V,X) combination
+(orders ``l + lp + 2``) so its numerical vanishing can be tested.  Beyond
+those, a chain on the x-axis (and the dimer at ``(+-d, 0, 0)``) is
+symmetric under ``z -> -z`` and ``y -> -y``, so ``M`` splits into four
+parity sectors (``sector``): entries whose row and column labels lie in
+different sectors are zero, and the assembled matrices store exact zeros.
 
 Mirrored triangle: ``M`` is Hermitian for every phase, and
 ``conj Li_s(e^{-+i alpha}) = Li_s(e^{+-i alpha})``; since the ``Li_s`` are
-linearly independent, the trace vector of entry ``(j, i)`` is the conjugate
-of that of ``(i, j)`` with each ``(s, -)``/``(s, +)`` slot pair swapped
-(``_mirror``).  The Lerch values of the dimer blocks "21" and "12" are
-related the same way, so one triangle serves all three blocks.  Only the
-entries on or above the diagonal are evaluated; the rest are mirrored.
+linearly independent, the coefficients of entry ``(j, i)`` are the
+conjugates of those of ``(i, j)`` with each ``(s, -)``/``(s, +)`` pair
+swapped (``_mirror``).  The Lerch values of the dimer blocks "21" and "12"
+are related the same way, so one triangle serves all three blocks.  Only
+the blocks with ``lp <= l`` are built, and only their entries on or above
+the diagonal are kept; the rest are mirrored.
 
 Basis ordering: degree ascending, order ``-l..l`` ascending, family V,W,X
 innermost, with the two identically-zero degree-0 labels removed, giving
@@ -44,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,14 +82,8 @@ from .latsum import (
     reduce_alpha,
     slot,
 )
-from .sphharm import ylm_equator
-from .translation import (
-    combine_row,
-    combine_source,
-    cross_prefactor,
-    decay_prefactor,
-    recoupling_weight,
-)
+from .sphharm import equator_table
+from .translation import recoupling_weight
 from .vsh import Family, ForbiddenIndexError
 
 __all__ = [
@@ -144,326 +161,288 @@ class AssembledMatrix:
 
 
 # ---------------------------------------------------------------------------
-# coefficient kernels
+# degree-pair blocks
+
+V, W, X = Family.V, Family.W, Family.X
+_SQRT2 = math.sqrt(2.0)
+
+# b of each family pair (row, column) with a lattice part: an entry of
+# degrees (lp, l) lives on the orders l + lp + b and l + lp + b + 2
+_ORDER_OFFSET = {(W, V): 1, (V, W): 1, (W, W): -1, (W, X): 0, (X, W): 0,
+                 (X, X): 1, (V, X): 2}
+# the pairs the matrices hold: (V, X) vanishes (see the module docstring)
+_STORED = [pair for pair in _ORDER_OFFSET if pair != (V, X)]
 
 
-class _SingleShiftKernel:
-    """Coefficient values of single shifted copies at signed shift lengths
-    ``N`` (the shift vector is ``(N, 0, 0)``); vectorised over ``N``."""
-
-    def __init__(self, shifts):
-        self.n = np.atleast_1d(np.asarray(shifts, dtype=float))
-        if np.any(self.n == 0.0):
-            raise ValueError("shift lengths must be nonzero")
-        self._pos = self.n > 0
-        self._ieq_cache = {}
-
-    def zero(self):
-        return np.zeros_like(self.n, dtype=complex)
-
-    def _ieq(self, big_l: int, t: int):
-        key = (big_l, t)
-        if key not in self._ieq_cache:
-            if abs(t) > big_l:
-                self._ieq_cache[key] = np.zeros_like(self.n)
-            else:
-                y = np.where(
-                    self._pos,
-                    ylm_equator(big_l, t, at_pi=True),
-                    ylm_equator(big_l, t, at_pi=False),
-                )
-                self._ieq_cache[key] = (
-                    math.sqrt(4.0 * math.pi / (2 * big_l + 1))
-                    * y
-                    * np.abs(self.n) ** (-big_l - 1)
-                )
-        return self._ieq_cache[key]
-
-    def plain(self, l, lam, mt, mu):
-        pref = decay_prefactor(l, lam, mt, mu)
-        if pref == 0.0:
-            return self.zero()
-        return pref * self._ieq(l + lam, mt - mu).astype(complex)
-
-    def axis(self, l, lam, mt, mu, q):
-        eps = AXIS_COMPONENT[q]
-        if eps == 0.0:
-            return self.zero()
-        return eps * self.n * self.plain(l, lam, mt, mu)
-
-    def moment(self, l, lam, mt, mu):
-        return self.n * self.n * self.plain(l, lam, mt, mu)
-
-    def cross(self, l, j, lam, mt, mu, q, m1):
-        eps = AXIS_COMPONENT[q]
-        pref = cross_prefactor(l, j, lam, mt, mu, q, m1)
-        if eps == 0.0 or pref == 0.0:
-            return self.zero()
-        return pref * eps * self.n * self._ieq(l + lam, mt - mu)
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
-class _TraceKernel:
-    """Phase-independent coefficients of the full-lattice sums: each method
-    returns a vector over the value slots ``slot(s, sign)``, ``s = 1..s_max``,
-    or the scalar ``0`` where the sum vanishes identically.
+# Row weights over mu = -lp..lp.  The axis and cross kernels enter their
+# (+) slot with the factor -AXIS_COMPONENT[qq] (the shift is odd there);
+# qq = 0 has no axis component, so only qq = +-1 occurs.
 
-    With ``L = l + lam``, the plain sum lands on order ``L + 1``, the
-    squared-moment sum on ``L - 1``, and the axis and cross sums on ``L``;
-    the last two are odd in the shift, so their ``+`` value enters with a
-    minus sign.
-    """
-
-    def __init__(self, s_max: int):
-        self.size = 2 * s_max
-        self._memo = {}
-
-    @staticmethod
-    def zero():
-        return 0.0 + 0.0j
-
-    def _pair(self, s, c_minus, c_plus):
-        vec = np.zeros(self.size, dtype=complex)
-        vec[slot(s, -1)], vec[slot(s, 1)] = c_minus, c_plus
-        return vec
-
-    def _line(self, pref, big_l, t, order_shift, plus_sign):
-        """``pref`` times the equator pair of degree ``big_l``, order ``t``,
-        on the order ``big_l + order_shift`` slots."""
-        if pref == 0.0 or abs(t) > big_l:
-            return self.zero()
-        y_pi = ylm_equator(big_l, t, at_pi=True)
-        y_0 = ylm_equator(big_l, t, at_pi=False)
-        if y_pi == 0.0 and y_0 == 0.0:
-            return self.zero()
-        pref *= math.sqrt(4.0 * math.pi / (2 * big_l + 1))
-        return self._pair(big_l + order_shift, pref * y_pi, plus_sign * pref * y_0)
-
-    def _cached(self, key, make):
-        val = self._memo.get(key)
-        if val is None:
-            val = self._memo[key] = make()
-        return val
-
-    def plain(self, l, lam, mt, mu):
-        return self._cached(("plain", l, lam, mt, mu), lambda: self._line(
-            decay_prefactor(l, lam, mt, mu), l + lam, mt - mu, 1, 1.0))
-
-    def axis(self, l, lam, mt, mu, q):
-        return self._cached(("axis", l, lam, mt, mu, q), lambda: self._line(
-            AXIS_COMPONENT[q] * decay_prefactor(l, lam, mt, mu),
-            l + lam, mt - mu, 0, -1.0))
-
-    def moment(self, l, lam, mt, mu):
-        return self._cached(("moment", l, lam, mt, mu), lambda: self._line(
-            decay_prefactor(l, lam, mt, mu), l + lam, mt - mu, -1, 1.0))
-
-    def cross(self, l, j, lam, mt, mu, q, m1):
-        return self._cached(("cross", l, j, lam, mt, mu, q, m1), lambda: self._line(
-            AXIS_COMPONENT[q] * cross_prefactor(l, j, lam, mt, mu, q, m1),
-            l + lam, mt - mu, 0, -1.0))
+@lru_cache(maxsize=None)
+def _axis_rows(k: int, lp: int, lam: int, qq: int) -> np.ndarray:
+    """The axis kernel at ``(lam, mu - qq)`` recoupled to orbital degree
+    ``k`` and total degree ``lp`` (summed over ``m1``)."""
+    return _frozen([
+        -AXIS_COMPONENT[qq] * sum(
+            recoupling_weight(k, lp, lam, m1, mu - qq, qq) for m1 in (-1, 0, 1))
+        for mu in range(-lp, lp + 1)
+    ])
 
 
-# ---------------------------------------------------------------------------
-# the shared combination
+@lru_cache(maxsize=None)
+def _cg_rows(k: int, lp: int, qq: int) -> np.ndarray:
+    """The axis kernel at ``(k, mu - qq)`` coupled with the axis component
+    to degree ``lp``."""
+    return _frozen([
+        -AXIS_COMPONENT[qq] * (-1.0) ** qq * cg(k, mu - qq, 1, qq, lp, mu)
+        for mu in range(-lp, lp + 1)
+    ])
 
 
-def _combined_value(p, lp, mp, q, l, m, rho, params, ker):
-    """Evaluate one (row family p, column family q) inner-product
-    combination against a kernel backend.  The radial factors are all
-    instantiated on the ball surface (r = rho)."""
-    p, q = Family(p), Family(q)
+@lru_cache(maxsize=None)
+def _cross_weight(j: int, lam: int, qq: int, m1: int, mu: int) -> float:
+    """The cross kernel's (+)-slot weight over the plain kernel:
+    ``cross_prefactor(l, j, lam, m, mu, qq, m1)`` is
+    ``1j * w * decay_prefactor(l, lam, m, mu)`` (the binomials are shared),
+    and this returns ``-AXIS_COMPONENT[qq] * w``."""
+    if lam < 1:
+        return 0.0
+    return (
+        -AXIS_COMPONENT[qq] * (-1.0) ** qq * ((qq > m1) - (qq < m1))
+        * math.sqrt(lam * (2 * lam + 1))
+        * cg(lam - 1, mu - m1, 1, m1, lam, mu)
+        * cg(lam - 1, mu - m1, 1, qq + m1, j, mu + qq)
+    )
+
+
+@lru_cache(maxsize=None)
+def _cross_rows(lp: int, lam: int, qq: int) -> np.ndarray:
+    """The cross kernel at ``(lam, mu - qq)`` with total degree ``lp``
+    (summed over ``m1``), without its factor ``1j``."""
+    return _frozen([
+        sum(_cross_weight(lp, lam, qq, m1, mu - qq) for m1 in (-1, 0, 1))
+        for mu in range(-lp, lp + 1)
+    ])
+
+
+def _terms(p, q, lp, l, rho, params):
+    """The combination of one family pair: ``(phase, terms)`` with terms
+    ``(order, lam, qq, weights)``, each adding ``weights[mu]`` times the
+    plain kernel of degree ``l + lam`` at ``(mu - qq, mt)`` to the block of
+    ``order``; the block is ``phase`` times their sum.  The radial factors
+    are instantiated on the ball surface (``r = rho``)."""
     r = rho
     a11, a12, a22, a33 = response_coeffs(l, params)
-
-    def hc(lam, mu):
-        return combine_source(m, lambda mt: ker.plain(l, lam, mt, mu))
-
-    def ac(lam, mu, qq):
-        return combine_source(m, lambda mt: ker.axis(l, lam, mt, mu, qq))
-
-    def dc(lam, mu):
-        return combine_source(m, lambda mt: ker.moment(l, lam, mt, mu))
-
-    def lc(j, lam, mu, qq, m1):
-        return combine_source(
-            m, lambda mt: ker.cross(l, j, lam, mt, mu, qq, m1)
-        )
-
-    if q == Family.V:
-        if p != Family.W:
-            return ker.zero()
-
-        def row(mu):
-            return (
-                rho ** (l + 3)
-                * a11
-                * r ** (lp - 1)
-                * norm_factor(Family.W, lp)
-                * hc(lp, mu)
-            )
-
-        return combine_row(mp, row)
-
-    if q == Family.X:
-        if p == Family.V:
-            pref = (
-                rho ** (l + 2)
-                * a33
-                * r ** (lp + 1)
-                * math.sqrt(norm_factor(Family.V, lp))
-            )
-
-            def row(mu):
-                acc = ker.zero()
-                for qq in (-1, 0, 1):
-                    for m1 in (-1, 0, 1):
-                        acc = acc + lc(lp, lp + 2, mu - qq, qq, m1)
-                return pref * acc
-
-            return combine_row(mp, row)
-
-        if p == Family.W:
-            pref = (
-                rho ** (l + 2)
-                * a33
-                * r ** (lp - 1)
-                * math.sqrt(norm_factor(Family.W, lp))
-            )
-
-            def row(mu):
-                acc = ker.zero()
-                for qq in (-1, 0, 1):
-                    for m1 in (-1, 0, 1):
-                        acc = acc + lc(lp, lp, mu - qq, qq, m1)
-                return pref * acc
-
-            return combine_row(mp, row)
-
-        pref = rho ** (l + 2) * a33 * r**lp
-        n3 = norm_factor(Family.X, lp)
-
-        def row(mu):
-            acc = ker.zero()
-            for qq in (-1, 0, 1):
-                for m1 in (-1, 0, 1):
-                    acc = acc + lc(lp, lp + 1, mu - qq, qq, m1)
-            return pref * (n3 * hc(lp, mu) - 1j * math.sqrt(n3) * acc)
-
-        return combine_row(mp, row)
-
-    # q == Family.W
-    if p == Family.V:
-        n1 = norm_factor(Family.V, lp)
-
-        def row(mu):
-            t1 = ker.zero()
-            for lam in (lp + 1, lp + 3):
-                for qq in (-1, 0, 1):
-                    for m1 in (-1, 0, 1):
-                        w = recoupling_weight(lp + 1, lp, lam, m1, mu - qq, qq)
-                        if w == 0.0:
-                            continue
-                        t1 = t1 + r**lam * w * ac(lam, mu - qq, qq)
-            t1 = 2.0 * rho ** (l + 1) * (a22 - a12) * math.sqrt(n1) * t1
-            t2 = (
-                -rho ** (l + 1)
-                * a22
-                * r ** (lp + 1)
-                * (2 * l + 1)
-                * (lp + 1)
-                * hc(lp, mu)
-            )
-            t3 = ker.zero()
-            for qq in (-1, 0, 1):
-                w = cg(lp + 1, mu - qq, 1, qq, lp, mu)
-                if w == 0.0:
-                    continue
-                t3 = t3 + (-1.0) ** qq * w * ac(lp + 1, mu - qq, qq)
-            t3 = (
-                rho ** (l + 1)
-                * a22
-                * r ** (lp + 1)
-                * (2 * l + 1)
-                * math.sqrt(n1)
-                * t3
-            )
-            return t1 + t2 + t3
-
-        return combine_row(mp, row)
-
-    if p == Family.X:
-        n3 = norm_factor(Family.X, lp)
-
-        def row(mu):
-            t1 = ker.zero()
-            for lam in (lp, lp + 2):
-                for qq in (-1, 0, 1):
-                    for m1 in (-1, 0, 1):
-                        w = recoupling_weight(lp, lp, lam, m1, mu - qq, qq)
-                        if w == 0.0:
-                            continue
-                        t1 = t1 + r**lam * w * ac(lam, mu - qq, qq)
-            t1 = -2j * rho ** (l + 1) * (a22 - a12) * math.sqrt(n3) * t1
-            t3 = ker.zero()
-            for qq in (-1, 0, 1):
-                w = cg(lp, mu - qq, 1, qq, lp, mu)
-                if w == 0.0:
-                    continue
-                t3 = t3 + (-1.0) ** qq * w * ac(lp, mu - qq, qq)
-            t3 = (
-                -1j
-                * rho ** (l + 1)
-                * a22
-                * r**lp
-                * (2 * l + 1)
-                * math.sqrt(n3)
-                * t3
-            )
-            return t1 + t3
-
-        return combine_row(mp, row)
-
-    # (W, W)
-    n2 = norm_factor(Family.W, lp)
-
-    def row(mu):
+    one = np.ones(2 * lp + 1)
+    if (p, q) == (W, V):
+        return 1.0, [(l + lp + 1, lp, 0, one * (
+            rho ** (l + 3) * a11 * r ** (lp - 1) * norm_factor(W, lp)))]
+    if (p, q) in ((W, X), (X, X), (V, X)):
+        if p == X:
+            pref = rho ** (l + 2) * a33 * r**lp
+            n3 = norm_factor(X, lp)
+            # -1j times the cross kernels' 1j: the block is real
+            terms = [(l + lp + 1, lp, 0, pref * n3 * one)]
+            pref, lam, phase = pref * math.sqrt(n3), lp + 1, 1.0
+        elif p == W:
+            pref = rho ** (l + 2) * a33 * r ** (lp - 1) * math.sqrt(norm_factor(W, lp))
+            terms, lam, phase = [], lp, 1j
+        else:
+            pref = rho ** (l + 2) * a33 * r ** (lp + 1) * math.sqrt(norm_factor(V, lp))
+            terms, lam, phase = [], lp + 2, 1j
+        return phase, terms + [
+            (l + lam, lam, qq, pref * _cross_rows(lp, lam, qq)) for qq in (-1, 1)]
+    # q == W: the axis kernels recoupled to the row's vector harmonic
+    side = rho ** (l + 1) * (a22 - a12)
+    if p == V:
+        root = math.sqrt(norm_factor(V, lp))
+        k, lams, phase = lp + 1, (lp + 1, lp + 3), 1.0
+        terms = [(l + lp + 1, lp, 0, one * (
+            -rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) * (lp + 1)))]
+        coupled = rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) * root
+    elif p == X:
+        root = math.sqrt(norm_factor(X, lp))
+        k, lams, phase = lp, (lp, lp + 2), -1j
+        terms = []
+        coupled = rho ** (l + 1) * a22 * r**lp * (2 * l + 1) * root
+    else:
+        n2 = norm_factor(W, lp)
+        root = math.sqrt(n2)
+        k, lams, phase = lp - 1, (lp - 1, lp + 1), 1.0
         bracket = (
             rho ** (l + 3) * a12 * r ** (lp - 1)
-            + rho ** (l + 1) * (a22 - a12) * r ** (lp + 1)
+            + side * r ** (lp + 1)
             + rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) / (2 * lp + 1)
         )
-        t0 = n2 * (
-            bracket * hc(lp, mu)
-            + rho ** (l + 1) * (a22 - a12) * r ** (lp - 1) * dc(lp, mu)
-        )
-        t1 = ker.zero()
-        for lam in (lp - 1, lp + 1):
-            if lam < 1:
-                continue
-            for qq in (-1, 0, 1):
-                for m1 in (-1, 0, 1):
-                    w = recoupling_weight(lp - 1, lp, lam, m1, mu - qq, qq)
-                    if w == 0.0:
-                        continue
-                    t1 = t1 + r**lam * w * ac(lam, mu - qq, qq)
-        t1 = 2.0 * rho ** (l + 1) * (a22 - a12) * math.sqrt(n2) * t1
-        t3 = ker.zero()
-        for qq in (-1, 0, 1):
-            w = cg(lp - 1, mu - qq, 1, qq, lp, mu)
-            if w == 0.0:
-                continue
-            t3 = t3 + (-1.0) ** qq * w * ac(lp - 1, mu - qq, qq)
-        t3 = (
-            rho ** (l + 1)
-            * a22
-            * (2 * l + 1)
-            * math.sqrt(n2)
-            * r ** (lp - 1)
-            * t3
-        )
-        return t0 + t1 + t3
+        terms = [
+            (l + lp + 1, lp, 0, n2 * bracket * one),
+            (l + lp - 1, lp, 0, n2 * side * r ** (lp - 1) * one),
+        ]
+        coupled = rho ** (l + 1) * a22 * (2 * l + 1) * root * r ** (lp - 1)
+    for lam in lams:
+        if lam >= 1:
+            terms += [(l + lam, lam, qq, 2.0 * side * root * r**lam
+                       * _axis_rows(k, lp, lam, qq)) for qq in (-1, 1)]
+    terms += [(l + k, k, qq, coupled * _cg_rows(k, lp, qq)) for qq in (-1, 1)]
+    return phase, terms
 
-    return combine_row(mp, row)
+
+def _real_orders(block: np.ndarray, row: bool = False) -> np.ndarray:
+    """The complex-to-real change of order on the last axis of ``block``:
+    the weights of ``combine_source``, or with ``row`` of ``combine_row``,
+    except their common factor ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``)."""
+    l = block.shape[-1] // 2
+    out = np.empty(block.shape, dtype=complex)
+    out[..., l] = block[..., l]
+    if l:
+        sign = 1.0 - 2.0 * (np.arange(1, l + 1) % 2)   # (-1)^m, m = 1..l
+        up, down = block[..., l + 1:], block[..., l - 1::-1]   # orders m, -m
+        out[..., l + 1:] = down + sign * up
+        out[..., l - 1::-1] = 1j * (sign * up - down if row else down - sign * up)
+    return out
+
+
+def _unitary_scale(lp: int, l: int) -> np.ndarray:
+    """The factors ``1/sqrt(2)`` left out by ``_real_orders`` on both
+    sides of a block, as divisors: 2 (exact) where ``mp`` and ``m`` are
+    both nonzero."""
+    nonzero = (np.arange(-lp, lp + 1) != 0)[:, None].astype(int) + (
+        np.arange(-l, l + 1) != 0)
+    return np.array([1.0, _SQRT2, 2.0])[nonzero]
+
+
+def _mirror(coef):
+    """Coefficients (the last axis) of the transposed entries: each
+    ``(s, -)``/``(s, +)`` pair swapped, then conjugated."""
+    pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)
+    return pairs[..., ::-1].reshape(coef.shape).conj()
+
+
+class _DegreeBlocks:
+    """Lattice coefficients of one radius and material, one family pair
+    and degree pair at a time, for degrees up to ``l_max``."""
+
+    def __init__(self, rho, params: LameParams, l_max: int):
+        self.rho, self.params = rho, params
+        self._top = 2 * l_max + 3   # the highest kernel degree l + lam
+        self._equator = equator_table(self._top)
+        self._racah = np.sqrt(4.0 * math.pi / (2 * np.arange(self._top + 1) + 1))
+        n = 4 * l_max + 8           # the largest binomial argument
+        self._binom = np.zeros((n + 1, n + 1))
+        for i in range(n + 1):
+            self._binom[i, :i + 1] = [float(math.comb(i, j)) for j in range(i + 1)]
+        self._plain = {}
+
+    def _choose(self, n, k):
+        ok = (k >= 0) & (k <= n)
+        return np.where(ok, self._binom[np.maximum(n, 0), np.maximum(k, 0)], 0.0)
+
+    def _padded(self, l: int, lam: int) -> np.ndarray:
+        """The plain kernel ``decay_prefactor(l, lam, mt, mu)`` times the
+        Racah-normalised ``Y_{l+lam}^{mt-mu}(pi/2, 0)``, indexed
+        ``[mu + lam + 2, mt + l]``: two zero rows on each side."""
+        table = self._plain.get((l, lam))
+        if table is None:
+            mu = np.arange(-lam - 2, lam + 3)[:, None]
+            mt = np.arange(-l, l + 1)
+            bb = self._choose(l + lam + mu - mt, lam + mu) * self._choose(
+                l + lam + mt - mu, lam - mu)
+            decay = np.where((lam + mu) % 2, -1.0, 1.0) * np.sqrt(
+                (2 * l + 1) / (2 * lam + 1) * bb)
+            t = np.clip(mt - mu, -self._top, self._top) + self._top
+            table = decay * self._racah[l + lam] * self._equator[l + lam, t]
+            self._plain[l, lam] = table
+        return table
+
+    def plain(self, l: int, lam: int) -> np.ndarray:
+        """The plain kernel, indexed ``[mu + lam, mt + l]``: its ``(+)``
+        coefficient on order ``l + lam + 1``."""
+        return self._padded(l, lam)[2:-2]
+
+    def block(self, p, q, lp: int, l: int):
+        """``(s, coef)`` for rows of family ``p``, degree ``lp`` and columns
+        of family ``q``, degree ``l``: ``coef[mp + lp, m + l]`` holds the
+        coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` of entry
+        ``(mp, m)``."""
+        s = l + lp + _ORDER_OFFSET[p, q]
+        phase, terms = _terms(p, q, lp, l, self.rho, self.params)
+        kernel = np.zeros((2, 2 * lp + 1, 2 * l + 1))
+        for order, lam, qq, weights in terms:
+            if order - s not in (0, 2):
+                raise RuntimeError(
+                    f"({p.name},{q.name}) term of degrees ({lp}, {l}) on order "
+                    f"{order}, outside the two orders {s} and {s + 2}")
+            start = lam + 2 - lp - qq   # rows mu - qq for mu = -lp..lp
+            rows = self._padded(l, lam)[start:start + 2 * lp + 1]
+            kernel[(order - s) // 2] += weights[:, None] * rows
+        real = _real_orders(_real_orders(kernel).swapaxes(1, 2), row=True)
+        plus = phase * (real.swapaxes(1, 2) / _unitary_scale(lp, l))
+        minus = (-1.0) ** (s + 1) * plus
+        return s, np.stack([minus[0], plus[0], minus[1], plus[1]], axis=-1)
+
+
+def _label_indices(basis: BasisMap) -> dict:
+    """Basis positions of each (degree, family), over ``m = -l..l``."""
+    ids = {}
+    for i, (l, m, fam) in enumerate(basis.labels):
+        ids.setdefault((l, fam), []).append(i)
+    return {key: np.array(val) for key, val in ids.items()}
+
+
+def _unrestricted(l_max: int, rho, params: LameParams):
+    """``(order, coef)`` of every label pair of ``BasisMap(l_max)``, read
+    from the full degree-pair blocks with no sector rule and no mirror:
+    shapes ``(n, n)`` and ``(n, n, 4)``, zero where the family pair has no
+    lattice part."""
+    basis = BasisMap(l_max)
+    n = basis.n_eff
+    ids = _label_indices(basis)
+    blocks = _DegreeBlocks(rho, params, l_max)
+    order = np.zeros((n, n), dtype=int)
+    coef = np.zeros((n, n, 4), dtype=complex)
+    for (lp, p), rows in ids.items():
+        for (l, q), cols in ids.items():
+            if (p, q) in _STORED:
+                s, block = blocks.block(p, q, lp, l)
+                order[np.ix_(rows, cols)] = s
+                coef[np.ix_(rows, cols)] = block
+    return order, coef
+
+
+def _single_order(s: int, plus) -> np.ndarray:
+    """The four coefficients of a kernel with ``(+)`` coefficient ``plus``
+    on order ``s`` alone; ``c(s,-) = (-1)^(s+1) c(s,+)``."""
+    return np.array([(-1) ** (s + 1) * plus, plus, 0.0, 0.0], dtype=complex)
+
+
+def _product(a, b):
+    """``a * b`` elementwise in real arithmetic: a vectorised complex
+    product may fuse its multiply-adds differently in its tail, which would
+    make an entry's value depend on its position in the array."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _contract(order, coef, values):
+    """Each entry's coefficients dotted with the slots of its two orders,
+    gathered from ``values``, one ``(s, -)``/``(s, +)`` pair at a time: an
+    entry comes out bit-identical whichever entries are contracted with it,
+    and a mirrored entry contracted with mirrored values exactly the
+    conjugate."""
+    pairs = [
+        _product(coef[:, k], values[slot(s, -1)])
+        + _product(coef[:, k + 1], values[slot(s, 1)])
+        for k, s in ((0, order), (2, order + 2))
+    ]
+    return pairs[0] + pairs[1]
 
 
 def _check_labels(p, lp, mp, q, l, m):
@@ -481,11 +460,22 @@ def per_copy_entries(p, lp, mp, q, l, m, shifts, rho, params: LameParams):
     """Inner products against one shifted copy, vectorised over the signed
     shift lengths; values are real up to roundoff but returned complex."""
     _check_labels(p, lp, mp, q, l, m)
-    ker = _SingleShiftKernel(shifts)
-    val = _combined_value(p, lp, mp, q, l, m, rho, params, ker)
-    if np.isscalar(val) or np.ndim(val) == 0:
-        return np.full_like(ker.n, complex(val), dtype=complex)
-    return np.asarray(val, dtype=complex)
+    x = np.atleast_1d(np.asarray(shifts, dtype=float))
+    if np.any(x == 0.0):
+        raise ValueError("shift lengths must be nonzero")
+    pair = Family(p), Family(q)
+    if pair not in _ORDER_OFFSET:
+        return np.zeros(x.shape, dtype=complex)
+    s, coef = _DegreeBlocks(rho, params, max(l, lp)).block(*pair, lp, l)
+    return _per_copy_values(s, coef[mp + lp, m + l], x)
+
+
+def _per_copy_values(s, coef, x):
+    """One entry at the signed shift lengths ``x`` from its coefficients:
+    the ``(-)`` slots at ``x > 0``, the ``(+)`` slots at ``x < 0``."""
+    side = (x < 0).astype(int)
+    dist = np.abs(x)
+    return coef[side] * dist ** -s + coef[side + 2] * dist ** (-s - 2)
 
 
 def per_copy_entry(p, lp, mp, q, l, m, n, rho, params: LameParams) -> float:
@@ -510,18 +500,6 @@ def _diagonal_term(p, q, l, lp, m, mp, rho, params):
     return rho * tau * norm_factor(p, l)
 
 
-def _lattice_coef(p, lp, mp, q, l, m, rho, params, ker):
-    """Trace vector of one entry's lattice part, or ``None`` where that part
-    vanishes identically (the V-V and V-X blocks, and exact cancellations)."""
-    p, q = Family(p), Family(q)
-    if p == q == Family.V or {p, q} == {Family.V, Family.X}:
-        return None
-    coef = _combined_value(p, lp, mp, q, l, m, rho, params, ker)
-    if np.ndim(coef) == 0 or not coef.any():
-        return None
-    return coef
-
-
 def sector(l: int, m: int, family) -> int:
     """Parity sector ``0..3`` of a basis label under the reflections
     ``z -> -z`` and ``y -> -y`` of a chain on the x-axis.  For V and W the
@@ -531,53 +509,24 @@ def sector(l: int, m: int, family) -> int:
     return 2 * ((l + m) % 2 ^ flip) + ((m < 0) ^ flip)
 
 
-def _mirror(coef):
-    """Trace vectors (the last axis) of the transposed entries: each
-    ``(s, -)``/``(s, +)`` slot pair swapped, then conjugated."""
-    pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)
-    return pairs[..., ::-1].reshape(coef.shape).conj()
-
-
-def _sector_coef(p, lp, mp, q, l, m, rho, params, ker):
-    """The trace vector ``Trace`` holds for one entry, or ``None``: zero
-    across sectors, the mirror of the transposed entry when the row label
-    comes after the column label in basis order, else ``_lattice_coef``."""
-    row, col = (lp, mp, Family(p)), (l, m, Family(q))
-    if sector(*row) != sector(*col):
-        return None
-    if row > col:
-        coef = _lattice_coef(q, l, m, p, lp, mp, rho, params, ker)
-        return None if coef is None else _mirror(coef)
-    return _lattice_coef(p, lp, mp, q, l, m, rho, params, ker)
-
-
-def _contract(coef, values):
-    """Each row of ``coef`` dotted with ``values``, summed one slot pair
-    ``(s, -)``, ``(s, +)`` at a time: an entry comes out bit-identical
-    whichever rows are contracted with it, and a mirrored entry contracted
-    with mirrored values exactly the conjugate."""
-    out = np.zeros(coef.shape[0], dtype=complex)
-    for k in range(0, coef.shape[1], 2):
-        out += coef[:, k] * values[k] + coef[:, k + 1] * values[k + 1]
-    return out
-
-
-def _contract_one(coef, values) -> complex:
-    """``_contract`` for one trace vector, or the scalar structural zero."""
-    if np.ndim(coef) == 0:
-        return complex(coef)
-    return complex(_contract(coef[None, :], values)[0])
-
-
 def _entry_lattice(p, lp, mp, q, l, m, rho, params, values) -> complex:
-    """Lattice part of one entry; ``values(s_max, need)`` returns the value
-    vector with (at least) the slots of the mask ``need`` filled in."""
+    """Lattice part of one entry, from the block ``Trace`` reads it from:
+    zero across sectors and without a lattice part, the mirror of the
+    transposed entry when the row label comes after the column label in
+    basis order; ``values(s_max)`` returns the value vector."""
     _check_labels(p, lp, mp, q, l, m)
-    s_max = l + lp + 3
-    coef = _sector_coef(p, lp, mp, q, l, m, rho, params, _TraceKernel(s_max))
-    if coef is None:
+    row, col = (lp, mp, Family(p)), (l, m, Family(q))
+    if sector(*row) != sector(*col) or (row[2], col[2]) not in _STORED:
         return 0.0 + 0.0j
-    return _contract_one(coef, values(s_max, coef != 0))
+    mirrored = row > col
+    if mirrored:
+        row, col = col, row
+    (lp, mp, p), (l, m, q) = row, col
+    s, block = _DegreeBlocks(rho, params, l).block(p, q, lp, l)
+    coef = block[mp + lp, m + l]
+    if mirrored:
+        coef = _mirror(coef)
+    return complex(_contract(np.array([s]), coef[None], values(l + lp + 3))[0])
 
 
 def entry_single(
@@ -589,7 +538,7 @@ def entry_single(
         cache = LatticeSumCache(alpha)
     lattice = _entry_lattice(
         p, lp, mp, q, l, m, rho, params,
-        lambda s_max, need: line_values(cache, s_max, need),
+        lambda s_max: line_values(cache, s_max),
     )
     return complex(lattice + _diagonal_term(p, q, l, lp, m, mp, rho, params))
 
@@ -607,7 +556,7 @@ def entry_dimer(
         raise ValueError("cache belongs to a different dimer geometry")
     return complex(_entry_lattice(
         p, lp, mp, q, l, m, geom.rho, params,
-        lambda s_max, need: dimer_values(cache, s_max, block, need),
+        lambda s_max: dimer_values(cache, s_max, block),
     ))
 
 
@@ -617,9 +566,10 @@ class Trace:
 
     ``diag`` is the on-ball diagonal ``D``; ``index`` holds the row-major
     flat positions of the in-sector entries whose lattice part does not
-    vanish identically, and ``coef`` their vectors over the value slots of
-    orders ``1..s_max``.  Only the entries on or above the diagonal are
-    evaluated; those below are their mirrors (``_sector_coef``).
+    vanish identically, ``order`` the lowest order of each and ``coef`` its
+    four coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (module
+    docstring).  The blocks are built for ``lp <= l`` and only their
+    entries on or above the diagonal are kept; those below are mirrored.
     """
 
     def __init__(self, rho, params: LameParams, l_max: int):
@@ -628,35 +578,39 @@ class Trace:
         self.rho, self.params, self.l_max = rho, params, l_max
         self.basis = BasisMap(l_max)
         self.s_max = 2 * l_max + 3
-        labels = self.basis.labels
-        n = len(labels)
-        sectors = [sector(*label) for label in labels]
-        pairs, rows = [], []
-        for col, (l, m, q) in enumerate(labels):
-            # one kernel per column: its memo is reused down the column and
-            # does not outgrow it
-            ker = _TraceKernel(self.s_max)
-            for row in range(col + 1):
-                if sectors[row] != sectors[col]:
-                    continue
-                lp, mp, p = labels[row]
-                coef = _lattice_coef(p, lp, mp, q, l, m, rho, params, ker)
-                if coef is not None:
-                    pairs.append((row, col))
-                    rows.append(coef)
-        upper = np.array(rows, dtype=complex).reshape(-1, 2 * self.s_max)
-        row, col = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        n = self.basis.n_eff
+        ids = _label_indices(self.basis)
+        secs = np.array([sector(*label) for label in self.basis.labels])
+        blocks = _DegreeBlocks(rho, params, l_max)
+        index = [np.zeros(0, dtype=np.intp)]
+        order = [np.zeros(0, dtype=np.intp)]
+        coef = [np.zeros((0, 4), dtype=complex)]
+        for l in range(l_max + 1):
+            for lp in range(l + 1):
+                for p, q in _STORED:
+                    rows, cols = ids.get((lp, p)), ids.get((l, q))
+                    if rows is None or cols is None:
+                        continue
+                    keep = (rows[:, None] <= cols) & (secs[rows][:, None] == secs[cols])
+                    s, block = blocks.block(p, q, lp, l)
+                    r, c = np.nonzero(keep & block.any(axis=-1))
+                    index.append(rows[r] * n + cols[c])
+                    order.append(np.full(len(r), s, dtype=np.intp))
+                    coef.append(block[r, c])
+        index, order, coef = map(np.concatenate, (index, order, coef))
+        row, col = np.divmod(index, n)
         below = row != col
-        self.index = np.concatenate([row * n + col, col[below] * n + row[below]])
-        self.coef = np.concatenate([upper, _mirror(upper[below])])
+        self.index = np.concatenate([index, col[below] * n + row[below]])
+        self.order = np.concatenate([order, order[below]])
+        self.coef = np.concatenate([coef, _mirror(coef[below])])
         self.diag = np.array([
-            _diagonal_term(p, p, l, l, m, m, rho, params) for l, m, p in labels
+            _diagonal_term(p, p, l, l, m, m, rho, params) for l, m, p in self.basis
         ])
 
     def _block(self, values, with_diag: bool) -> np.ndarray:
         n = self.basis.n_eff
         out = np.zeros(n * n, dtype=complex)
-        out[self.index] = _contract(self.coef, values)
+        out[self.index] = _contract(self.order, self.coef, values)
         out = out.reshape(n, n)
         if with_diag:
             out[np.diag_indices(n)] += self.diag

@@ -324,30 +324,21 @@ def slot(s: int, sign: int) -> int:
     return 2 * (s - 1) + (sign > 0)
 
 
-def _values(minus: np.ndarray, plus: np.ndarray, need) -> np.ndarray:
+def _values(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     vals = np.empty(2 * len(plus), dtype=complex)
     vals[0::2], vals[1::2] = minus, plus
-    if need is not None:
-        vals[np.repeat(~(need[0::2] | need[1::2]), 2)] = 0.0
     return vals
 
 
-def line_values(cache: LatticeSumCache, s_max: int, need=None) -> np.ndarray:
-    """``Li_s(e^{-+i alpha})`` at the phase of ``cache`` for ``s = 1..s_max``.
-
-    ``need`` is an optional boolean mask over the slots: orders with no
-    needed slot are zero.
-    """
+def line_values(cache: LatticeSumCache, s_max: int) -> np.ndarray:
+    """``Li_s(e^{-+i alpha})`` at the phase of ``cache`` for ``s = 1..s_max``."""
     plus = cache.orders(s_max)
-    return _values(plus.conj(), plus, need)
+    return _values(plus.conj(), plus)
 
 
-def dimer_values(
-    cache: LatticeSumCache, s_max: int, block: str, need=None
-) -> np.ndarray:
+def dimer_values(cache: LatticeSumCache, s_max: int, block: str) -> np.ndarray:
     """Lerch values for the half-offset lattice of coupling block ``block``,
-    laid out (and masked by ``need``) like ``line_values``, at the phase and
-    geometry of ``cache``.
+    laid out like ``line_values``, at the phase and geometry of ``cache``.
 
     Block "21" sums shifts ``n + 2d``: positive side offsets ``2d``,
     negative side ``1 - 2d`` with one extra phase.  Block "12" mirrors the
@@ -364,5 +355,5 @@ def dimer_values(
         complex(math.cos(alpha), math.sin(alpha)),
     )
     if block == "21":
-        return _values(near.conj(), far, need)
-    return _values(far.conj(), near, need)
+        return _values(near.conj(), far)
+    return _values(far.conj(), near)

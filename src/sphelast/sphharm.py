@@ -35,6 +35,7 @@ __all__ = [
     "ylm_complex",
     "ylm_real",
     "ylm_equator",
+    "equator_table",
     "solid_regular",
     "solid_irregular",
     "sph_norm",
@@ -254,18 +255,44 @@ def ylm_real(l: int, m: int, d) -> float:
     return math.sqrt(2.0) * p * math.sin(ma * d.phi)
 
 
+def _equator(l, m):
+    """``Y_l^m(pi/2, 0)`` for integer arrays ``l``, ``m`` (broadcast).
+
+    ``P_l^m(0)`` is ``(-1)^a (l+m-1)!!/(l-m)!!`` with ``l - |m| = 2a`` and
+    ``l + |m| = 2b``, so ``|Y| = sqrt((2l+1)/(4 pi) c_a c_b)`` with
+    ``c_k = C(2k, k)/4^k = prod_{j<=k} (2j-1)/(2j)``: one rounding per
+    factor, and nothing overflows or underflows at any degree.  The sign is
+    ``(-1)^(a + m)`` for ``m >= 0`` and ``(-1)^a`` for ``m < 0``; the value
+    vanishes for odd ``l + m`` and for ``|m| > l``.
+    """
+    l, m = np.broadcast_arrays(np.asarray(l), np.asarray(m))
+    ma = np.abs(m)
+    valid = (ma <= l) & ((l + m) % 2 == 0)
+    a = np.where(valid, (l - ma) // 2, 0)
+    b = np.where(valid, (l + ma) // 2, 0)
+    k = np.arange(1, int(b.max(initial=0)) + 1)
+    c = np.cumprod(np.r_[1.0, (2 * k - 1) / (2 * k)])
+    size = (2 * l + 1) / (4.0 * math.pi) * c[a] * c[b]
+    sign = np.where((a + np.maximum(m, 0)) % 2, -1.0, 1.0)
+    return np.where(valid, sign * np.sqrt(size), 0.0)
+
+
 @lru_cache(maxsize=None)
 def ylm_equator(l: int, m: int, at_pi: bool = False) -> float:
     """``Y_l^m`` on the equator at azimuth 0 (or pi); real, zero for odd ``l+m``."""
     if abs(m) > l:
         raise DomainError(f"|m|={abs(m)} > l={l}")
-    ma = abs(m)
-    val = (-1) ** ma * sph_norm(l, ma) * assoc_legendre(l, ma, 0.0)
-    if m < 0:
-        val = (-1) ** ma * val
-    if at_pi:
-        val = (-1) ** ma * val
+    val = float(_equator(l, m))
+    if at_pi and m % 2:
+        val = -val
     return val
+
+
+def equator_table(lmax: int) -> np.ndarray:
+    """``Y_l^m(pi/2, 0)`` for ``0 <= l <= lmax`` and ``|m| <= lmax``,
+    indexed ``[l, m + lmax]`` (zero for ``|m| > l``); the values of
+    ``ylm_equator``, bit for bit.  At azimuth pi, multiply by ``(-1)^m``."""
+    return _equator(np.arange(lmax + 1)[:, None], np.arange(-lmax, lmax + 1))
 
 
 def solid_regular(l: int, m: int, r) -> complex:

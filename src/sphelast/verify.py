@@ -265,12 +265,15 @@ def suite_latsum(rng):
     ns = np.arange(1, 20001, dtype=float)
     ns = np.concatenate([-ns[::-1], ns])
     worst = 0.0
-    trace_ker = assembly._TraceKernel(4)
-    values = latsum.line_values(latsum.LatticeSumCache(alpha), 4)
+    blocks = assembly._DegreeBlocks(0.1, _PARAMS, 2)
+    values = latsum.line_values(latsum.LatticeSumCache(alpha), 6)
     for l, lam, m, mu in [(1, 1, 0, 0), (2, 1, 1, 0), (1, 2, -1, 1)]:
-        ker = assembly._SingleShiftKernel(ns)
-        brute = np.sum(ker.plain(l, lam, m, mu) * np.exp(-1j * alpha * ns))
-        closed = assembly._contract_one(trace_ker.plain(l, lam, m, mu), values)
+        # the plain kernel: (+) coefficient on order l + lam + 1
+        s = l + lam + 1
+        coef = assembly._single_order(s, blocks.plain(l, lam)[mu + lam, m + l])
+        per_copy = assembly._per_copy_values(s, coef, ns)
+        brute = np.sum(per_copy * np.exp(-1j * alpha * ns))
+        closed = assembly._contract(np.array([s]), coef[None], values)[0]
         worst = max(worst, abs(closed - brute))
     checks.append(("phased coefficient sums vs truncation", worst, 1e-8))
     return checks
@@ -333,35 +336,17 @@ def suite_assembly(rng):
         )
         worst = max(worst, abs(closed - brute))
     checks.append(("dimer blocks vs shifted sums", worst, 1e-5))
-    # the premises of the trace's sector/mirror shortcut, sampled through
-    # the unrestricted coefficients and relative to the largest diagonal one
+    # the premises of the trace's sector/mirror shortcut on every label pair
+    # of the full degree-pair blocks, relative to the largest diagonal entry
     labels = assembly.BasisMap(3).labels
-    ker = assembly._TraceKernel(2 * 3 + 3)
-
-    def coef(i, j):
-        (lp, mp, pf), (l, m, qf) = labels[i], labels[j]
-        c = assembly._lattice_coef(pf, lp, mp, qf, l, m, rho, _PARAMS, ker)
-        return np.zeros(ker.size, dtype=complex) if c is None else c
-
-    scale = max(np.abs(coef(i, i)).max() for i in range(len(labels)))
-    secs = [assembly.sector(*label) for label in labels]
-    across, below = [], []
-    for i, si in enumerate(secs):
-        for j, sj in enumerate(secs):
-            if si != sj:
-                across.append((i, j))
-            elif i > j:
-                below.append((i, j))
-
-    def sample(pairs):
-        return [pairs[k] for k in rng.choice(len(pairs), 32, replace=False)]
-
-    worst = max(np.abs(coef(i, j)).max() for i, j in sample(across))
-    checks.append(("sector rule", worst / scale, 1e-15))
-    worst = max(
-        np.abs(coef(i, j) - assembly._mirror(coef(j, i))).max()
-        for i, j in sample(below)
-    )
+    _order, coef = assembly._unrestricted(3, rho, _PARAMS)
+    scale = np.abs(coef[np.diag_indices(len(labels))]).max()
+    secs = np.array([assembly.sector(*label) for label in labels])
+    same = secs[:, None] == secs[None, :]
+    checks.append(("sector rule", np.abs(coef[~same]).max() / scale, 1e-15))
+    below = same & np.tri(len(labels), k=-1, dtype=bool)
+    mirrored = assembly._mirror(coef.transpose(1, 0, 2))
+    worst = np.abs(coef - mirrored)[below].max()
     checks.append(("Hermitian mirror", worst / scale, 1e-15))
     return checks
 

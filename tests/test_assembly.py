@@ -6,10 +6,13 @@ import pytest
 from sphelast.assembly import (
     BasisMap,
     Trace,
-    _SingleShiftKernel,
-    _TraceKernel,
-    _lattice_coef,
+    _DegreeBlocks,
+    _contract,
     _mirror,
+    _per_copy_values,
+    _real_orders,
+    _unitary_scale,
+    _unrestricted,
     assemble_dimer,
     assemble_single,
     entry_dimer,
@@ -30,8 +33,15 @@ from sphelast.oracle import (
     build_quadrature,
     inner_product_S2,
 )
-from sphelast.translation import cross_coeff, decay_coeff
+from sphelast.translation import (
+    combine_row,
+    combine_source,
+    cross_coeff,
+    decay_coeff,
+)
 from sphelast.vsh import Family, ForbiddenIndexError, vsh_real
+
+from conftest import kernel_coef
 
 RHO = 0.1
 GEOM = DimerGeometry(0.2, RHO)
@@ -74,22 +84,42 @@ class TestBasisMap:
 
 class TestShiftKernel:
     def test_matches_scalar_coefficients(self):
-        # the vectorised per-shift kernel is the same closed forms as the
-        # scalar translation coefficients
+        # the block builder's kernels, evaluated at single shifts, are the
+        # same closed forms as the scalar translation coefficients
         ns = np.array([1.0, -2.0, 3.5, -0.4])
-        ker = _SingleShiftKernel(ns)
+        blocks = _DegreeBlocks(RHO, LameParams(1.0, 1.0), 2)
+        plain = _per_copy_values(*kernel_coef(blocks, "plain", 2, 1, 1, 0), ns)
+        cross = _per_copy_values(
+            *kernel_coef(blocks, "cross", 1, 1, 1, 0, 0, 1, 0), ns)
+        # 1e-15 relative above unit size: at n = -0.4 the plain value is
+        # -61.76, where an ulp is 7.1e-15 (decay_coeff is 2.6e-14 from the
+        # 30-digit value there, the builder 1.2e-14)
         for i, n in enumerate(ns):
             shift = np.array([-n, 0.0, 0.0])
-            assert ker.plain(2, 1, 1, 0)[i] == pytest.approx(
-                complex(decay_coeff(2, 1, 1, 0, shift)), abs=1e-15
-            )
-            assert ker.cross(1, 1, 1, 0, 0, 1, 0)[i] == pytest.approx(
-                complex(cross_coeff(1, 1, 1, 0, 0, 1, 0, shift)), abs=1e-15
-            )
+            for value, ref in (
+                (plain[i], complex(decay_coeff(2, 1, 1, 0, shift))),
+                (cross[i], complex(cross_coeff(1, 1, 1, 0, 0, 1, 0, shift))),
+            ):
+                assert value == pytest.approx(ref, abs=1e-15 * max(1.0, abs(ref)))
 
-    def test_rejects_zero_shift(self):
+    def test_rejects_zero_shift(self, params):
         with pytest.raises(ValueError):
-            _SingleShiftKernel([1.0, 0.0])
+            per_copy_entries(
+                Family.W, 1, 0, Family.W, 1, 0, [1.0, 0.0], RHO, params)
+
+
+def test_block_unitaries_match_scalar_combinations(rng):
+    # the complex-to-real change of order on both sides of a block is the
+    # per-entry combine_source (columns) then combine_row (rows)
+    lp, l = 2, 3
+    kernel = rng.normal(size=(2 * lp + 1, 2 * l + 1))
+    cols = _real_orders(kernel)
+    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l)
+    for mp in range(-lp, lp + 1):
+        for m in range(-l, l + 1):
+            expect = combine_row(mp, lambda mu: combine_source(
+                m, lambda mt: kernel[mu + lp, mt + l]))
+            assert block[mp + lp, m + l] == pytest.approx(expect, abs=1e-15)
 
 
 class TestPerCopy:
@@ -159,7 +189,6 @@ class TestEntrySingle:
     def test_diagonal_consistency(self, params):
         # the diagonal entry minus its lattice part is exactly the on-ball
         # surface response times the basis norm
-        from sphelast.assembly import _TraceKernel, _combined_value, _contract_one
         from sphelast.latsum import line_values
 
         alpha = 1.9
@@ -168,13 +197,11 @@ class TestEntrySingle:
             if fam == Family.V:
                 lattice = 0.0
             else:
-                s_max = 2 * l + 3
-                lattice = _contract_one(
-                    _combined_value(
-                        fam, l, 0, fam, l, 0, RHO, params, _TraceKernel(s_max)
-                    ),
-                    line_values(LatticeSumCache(alpha), s_max),
-                )
+                order, block = _DegreeBlocks(RHO, params, l).block(fam, fam, l, l)
+                lattice = _contract(
+                    np.array([order]), block[l, l][None],
+                    line_values(LatticeSumCache(alpha), 2 * l + 3),
+                )[0]
             tau = surface_response(l, params)[slot]
             assert full - lattice == pytest.approx(
                 RHO * tau * norm_factor(fam, l), abs=1e-16
@@ -316,7 +343,8 @@ class TestOperatorStructure:
     def test_trace_skips_vanishing_entries(self, params):
         trace = Trace(RHO, params, 2)
         n = trace.basis.n_eff
-        assert trace.coef.shape == (len(trace.index), 2 * (2 * 2 + 3))
+        assert trace.coef.shape == (len(trace.index), 4)
+        assert trace.order.shape == trace.index.shape
         assert np.all(np.any(trace.coef != 0, axis=1))
         for flat in trace.index:
             lp, mp, pf = trace.basis.labels[flat // n]
@@ -330,44 +358,49 @@ class TestOperatorStructure:
 
 @pytest.fixture(scope="module")
 def unrestricted_coefs():
-    """Every label pair's trace vector at L = 3 through the unrestricted
-    ``_lattice_coef`` (``None`` where it vanishes identically)."""
+    """Every label pair's lowest order and four coefficients at L = 3, read
+    from the full degree-pair blocks (zero where the family pair has no
+    lattice part)."""
     params = LameParams(1.0, 1.0)
     labels = BasisMap(3).labels
-    ker = _TraceKernel(2 * 3 + 3)
-    coefs = {
-        (i, j): _lattice_coef(p, lp, mp, q, l, m, RHO, params, ker)
-        for i, (lp, mp, p) in enumerate(labels)
-        for j, (l, m, q) in enumerate(labels)
-    }
-    scale = max(np.abs(c).max() for c in coefs.values() if c is not None)
-    return labels, coefs, scale
+    order, coef = _unrestricted(3, RHO, params)
+    secs = np.array([sector(*label) for label in labels])
+    return secs, order, coef, np.abs(coef).max()
 
 
 class TestParitySectors:
     """The premises of the sector/mirror shortcut, checked on the
-    unrestricted path, and the structure it gives the assembled matrices."""
+    unrestricted blocks, and the structure it gives the assembled
+    matrices."""
 
     def test_sector_sizes(self):
         sizes = np.bincount([sector(*label) for label in BasisMap(4).labels])
         assert sizes.tolist() == [21, 18, 18, 16]
 
     def test_pairs_across_sectors_vanish(self, unrestricted_coefs):
-        labels, coefs, scale = unrestricted_coefs
-        for (i, j), coef in coefs.items():
-            if sector(*labels[i]) != sector(*labels[j]) and coef is not None:
-                assert np.abs(coef).max() <= 1e-15 * scale
+        secs, _order, coef, scale = unrestricted_coefs
+        across = secs[:, None] != secs[None, :]
+        assert np.abs(coef[across]).max() <= 1e-15 * scale
 
     def test_lower_triangle_mirrors_upper(self, unrestricted_coefs):
-        labels, coefs, scale = unrestricted_coefs
-        zero = np.zeros(2 * (2 * 3 + 3), dtype=complex)
-        for (i, j), coef in coefs.items():
-            if i <= j or sector(*labels[i]) != sector(*labels[j]):
-                continue
-            upper = coefs[j, i]
-            lower = zero if coef is None else coef
-            mirrored = zero if upper is None else _mirror(upper)
-            assert np.abs(lower - mirrored).max() <= 1e-15 * scale
+        secs, order, coef, scale = unrestricted_coefs
+        n = len(secs)
+        for i in range(n):
+            for j in range(i):
+                if secs[i] != secs[j]:
+                    continue
+                assert order[i, j] == order[j, i]
+                mirrored = _mirror(coef[j, i])
+                assert np.abs(coef[i, j] - mirrored).max() <= 1e-15 * scale
+
+    def test_two_order_rule_is_enforced(self, params, monkeypatch):
+        # a term off the two orders of its family pair stops the builder
+        from sphelast import assembly
+
+        monkeypatch.setitem(
+            assembly._ORDER_OFFSET, (Family.W, Family.W), 0)
+        with pytest.raises(RuntimeError, match="outside the two orders"):
+            _DegreeBlocks(RHO, params, 1).block(Family.W, Family.W, 1, 1)
 
     @staticmethod
     def _matrices(params):
@@ -395,7 +428,8 @@ class TestParitySectors:
     def test_trace_stores_sector_entries_once(self, params, l_max):
         trace = Trace(RHO, params, l_max)
         n = trace.basis.n_eff
-        assert trace.coef.shape == (len(trace.index), 2 * (2 * l_max + 3))
+        assert trace.coef.shape == (len(trace.index), 4)
+        assert np.all(np.any(trace.coef != 0, axis=1))
         assert len(np.unique(trace.index)) == len(trace.index)
         for flat in trace.index:
             assert sector(*trace.basis.labels[flat // n]) == sector(

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sphelast.assembly import _TraceKernel, _contract_one
+from sphelast.assembly import _DegreeBlocks, _contract, _per_copy_values
+from sphelast.kelvin import LameParams
 from sphelast.latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
@@ -24,22 +25,25 @@ from sphelast.oracle import lerch_ref, polylog_ref
 from sphelast.translation import cross_coeff, decay_coeff
 from sphelast.vsh import rhat_dot_a_expand
 
+from conftest import kernel_coef
+
 GEOM = DimerGeometry(0.2, 0.1)
 S_MAX = 8
+# the kernels do not depend on the radius or the material
+BLOCKS = _DegreeBlocks(0.1, LameParams(1.0, 1.0), S_MAX)
 
 
 def _closed(method, *args, alpha, block=None):
-    """Closed-form phased sum of one coefficient family: its trace vector
-    contracted with the polylog (or, for a dimer block, Lerch) values."""
+    """Closed-form phased sum of one coefficient family: its trace
+    coefficients contracted with the polylog (or, for a dimer block, Lerch)
+    values."""
     cache = LatticeSumCache(alpha, None if block is None else GEOM)
-    coef = getattr(_TraceKernel(S_MAX), method)(*args)
-    if np.ndim(coef) == 0:
-        return coef
+    order, coef = kernel_coef(BLOCKS, method, *args)
     if block is None:
-        vals = line_values(cache, S_MAX, coef != 0)
+        vals = line_values(cache, S_MAX)
     else:
-        vals = dimer_values(cache, S_MAX, block, coef != 0)
-    return _contract_one(coef, vals)
+        vals = dimer_values(cache, S_MAX, block)
+    return complex(_contract(np.array([order]), coef[None], vals)[0])
 
 
 def _chunked_polylog_sum(s, alpha, sign, terms):
@@ -112,21 +116,13 @@ class TestValueVectors:
             for sign in (1, -1):
                 assert vals[slot(s, sign)] == polylog_unit(s, 1.7, sign)
 
-    def test_only_needed_orders(self):
-        need = np.zeros(8, dtype=bool)
-        need[slot(2, 1)] = True
-        vals = line_values(LatticeSumCache(1.7), 4, need)
-        assert np.count_nonzero(vals) == 2
-        assert vals[slot(2, -1)] != 0 and vals[slot(2, 1)] != 0
-
     def test_dimer_phase_factors(self):
         alpha = 1.7
         cache = LatticeSumCache(alpha, GEOM)
         near, far = 2 * GEOM.d, 1 - 2 * GEOM.d
         z = complex(math.cos(alpha), math.sin(alpha))
-        need = np.array([False, False, True, True])
-        v21 = dimer_values(cache, 2, "21", need)
-        v12 = dimer_values(cache, 2, "12", need)
+        v21 = dimer_values(cache, 2, "21")
+        v12 = dimer_values(cache, 2, "12")
         assert v21[slot(2, -1)] == lerch_unit(2, alpha, -1, near)
         assert v21[slot(2, 1)] == pytest.approx(z * lerch_unit(2, alpha, 1, far))
         assert v12[slot(2, -1)] == pytest.approx(
@@ -312,13 +308,12 @@ def _shell_sums(kernel_values, ns, alpha, n_max):
     return np.cumsum(pos + neg)
 
 
-def _kernel_series(value_fn, alpha, n_max, shift=0.0):
-    from sphelast.assembly import _SingleShiftKernel
-
+def _kernel_series(method, args, alpha, n_max, shift=0.0):
     ns = np.arange(1, n_max + 1, dtype=float)
     allns = np.concatenate([-ns[::-1], ns])
-    ker = _SingleShiftKernel(shift + allns)
-    return _shell_sums(value_fn(ker), allns, alpha, n_max)
+    order, coef = kernel_coef(BLOCKS, method, *args)
+    return _shell_sums(
+        _per_copy_values(order, coef, shift + allns), allns, alpha, n_max)
 
 
 def _windowed_limit(series, window=400):
@@ -349,7 +344,7 @@ class TestBlochSums:
         alpha = math.pi / 2
         for l, lam, m, mu in [(1, 1, 0, 0), (2, 1, 1, 0), (1, 2, -1, 1)]:
             series = _kernel_series(
-                lambda k: k.plain(l, lam, m, mu), alpha, 20000
+                "plain", (l, lam, m, mu), alpha, 20000
             )
             closed = _closed("plain", l, lam, m, mu, alpha=alpha)
             assert abs(closed - series[-1]) <= 1e-8
@@ -370,7 +365,7 @@ class TestBlochSums:
         for q in (-1, 1):
             for l, lam, m, mu in [(1, 1, 0, 0), (2, 2, 1, -1)]:
                 series = _kernel_series(
-                    lambda k: k.axis(l, lam, m, mu, q), alpha, 20000
+                    "axis", (l, lam, m, mu, q), alpha, 20000
                 )
                 closed = _closed("axis", l, lam, m, mu, q, alpha=alpha)
                 assert abs(closed - _windowed_limit(series)) <= 1e-9
@@ -380,7 +375,7 @@ class TestBlochSums:
         alpha = 2.3
         for l, lam, m, mu in [(1, 1, 0, 0), (1, 2, 0, 0), (2, 2, 1, 1)]:
             series = _kernel_series(
-                lambda k: k.moment(l, lam, m, mu), alpha, 40000
+                "moment", (l, lam, m, mu), alpha, 40000
             )
             closed = _closed("moment", l, lam, m, mu, alpha=alpha)
             assert abs(closed - _windowed_limit(series)) <= 1e-7
@@ -403,7 +398,7 @@ class TestBlochSums:
             (1, 2, 2, 0, 1, 1, -1),
         ]:
             series = _kernel_series(
-                lambda k: k.cross(l, j, lam, m, mu, q, m1), alpha, 20000
+                "cross", (l, j, lam, m, mu, q, m1), alpha, 20000
             )
             closed = _closed("cross", l, j, lam, m, mu, q, m1, alpha=alpha)
             assert abs(closed - _windowed_limit(series)) <= 1e-9
@@ -423,7 +418,7 @@ class TestBlochSums:
             ((2, 2, 1, 1), "moment", _closed("moment", 2, 2, 1, 1, alpha=alpha), 3),
         ]:
             series = _kernel_series(
-                lambda k: getattr(k, fn)(l, lam, m, mu), alpha, 10000
+                fn, (l, lam, m, mu), alpha, 10000
             )
             err = np.abs(closed - series)
             env3 = err[1000 - window:1000].max()
@@ -451,7 +446,7 @@ class TestDimerSums:
         for block, off in (("21", 2 * GEOM.d), ("12", -2 * GEOM.d)):
             for l, lam, m, mu in [(1, 1, 0, 0), (2, 1, 1, 0)]:
                 series = _kernel_series(
-                    lambda k: k.plain(l, lam, m, mu), alpha, 20000, shift=off
+                    "plain", (l, lam, m, mu), alpha, 20000, shift=off
                 )
                 brute = (
                     decay_coeff(l, lam, m, mu, _shift_vec(off)) + series[-1]
@@ -466,7 +461,7 @@ class TestDimerSums:
         l, lam, m, mu = 1, 1, 0, 0
         for block, off in (("21", 2 * GEOM.d), ("12", -2 * GEOM.d)):
             series = _kernel_series(
-                lambda k: k.axis(l, lam, m, mu, -1), alpha, 20000, shift=off
+                "axis", (l, lam, m, mu, -1), alpha, 20000, shift=off
             )
             center = rhat_dot_a_expand(_shift_vec(off))[-1] * decay_coeff(
                 l, lam, m, mu, _shift_vec(off)
@@ -474,7 +469,7 @@ class TestDimerSums:
             closed = _closed("axis", l, lam, m, mu, -1, alpha=alpha, block=block)
             assert abs(closed - (center + _windowed_limit(series))) <= 1e-8
             series = _kernel_series(
-                lambda k: k.moment(l, lam, m, mu), alpha, 40000, shift=off
+                "moment", (l, lam, m, mu), alpha, 40000, shift=off
             )
             center = off * off * decay_coeff(l, lam, m, mu, _shift_vec(off))
             closed = _closed("moment", l, lam, m, mu, alpha=alpha, block=block)
@@ -486,7 +481,7 @@ class TestDimerSums:
         l, j, lam, m, mu, q, m1 = 1, 1, 1, 0, 0, 1, 0
         for block, off in (("21", 2 * GEOM.d), ("12", -2 * GEOM.d)):
             series = _kernel_series(
-                lambda k: k.cross(l, j, lam, m, mu, q, m1),
+                "cross", (l, j, lam, m, mu, q, m1),
                 alpha, 20000, shift=off,
             )
             center = cross_coeff(l, j, lam, m, mu, q, m1, _shift_vec(off))
@@ -506,7 +501,7 @@ class TestDimerSums:
         brute = 0.0 + 0.0j
         for off in (2 * GEOM.d, -2 * GEOM.d):
             series = _kernel_series(
-                lambda k: k.plain(l, lam, m, mu), alpha, 20000, shift=off
+                "plain", (l, lam, m, mu), alpha, 20000, shift=off
             )
             brute += decay_coeff(l, lam, m, mu, _shift_vec(off)) + series[-1]
         assert abs(both - brute) <= 1e-7

@@ -7,6 +7,7 @@ from sphelast.sphharm import (
     Direction,
     DomainError,
     assoc_legendre,
+    equator_table,
     legendre_row,
     legendre_table,
     pi_tau_row,
@@ -236,6 +237,29 @@ class TestEquatorValues:
                 )
                 if (l + m) % 2 == 1:
                     assert ylm_equator(l, m) == 0.0
+
+    def test_against_mpmath_to_high_degree(self):
+        # the trace reads equator values up to degree 2 lmax + 3, and the
+        # command line accepts lmax up to 64
+        import mpmath
+
+        table = equator_table(131)
+        worst = 0.0
+        with mpmath.workdps(25):
+            for l in range(132):
+                for m in range(-l, l + 1, 2):
+                    ref = float(mpmath.spherharm(l, m, mpmath.pi / 2, 0).real)
+                    worst = max(worst, abs(ylm_equator(l, m) - ref) / abs(ref))
+                    assert table[l, m + 131] == ylm_equator(l, m)
+        assert worst <= 1e-13
+
+    def test_table_layout(self):
+        table = equator_table(5)
+        assert table.shape == (6, 11)
+        for l in range(6):
+            for m in range(-5, 6):
+                expect = ylm_equator(l, m) if abs(m) <= l else 0.0
+                assert table[l, m + 5] == expect
 
 
 def test_orthonormality_by_quadrature(quad20):
