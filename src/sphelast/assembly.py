@@ -15,11 +15,13 @@ phase-independent coefficients dotted with ``v(alpha)`` of
 
 Degree-pair blocks: ``_DegreeBlocks`` builds, for one family pair and one
 degree pair ``(lp, l)``, the kernel block ``K[mu, mt]`` of every complex
-order pair with numpy, from one equator table and the prefactor, recoupling
-and Clebsch-Gordan weights, and then turns it into the block of every real
-order pair ``(mp, m)`` with the per-degree complex-to-real unitaries on both
-sides (the weights of ``translation.combine_source``/``combine_row``; Blanco,
-Florez & Bermejo, J. Mol. Struct. THEOCHEM 419:19 (1997)).  The Python loop
+order pair with numpy, from one equator table, the prefactor table
+``translation.decay_prefactors`` and the recoupling, cross
+(``translation.cross_weight``) and Clebsch-Gordan weights, and then turns it
+into the block of every real order pair ``(mp, m)`` with the per-degree
+complex-to-real unitaries on both sides (the weights of
+``translation.combine_source``/``combine_row``; Blanco, Florez & Bermejo,
+J. Mol. Struct. THEOCHEM 419:19 (1997)).  The Python loop
 runs over degree pairs, not entries.  ``Trace``, ``entry_single``,
 ``entry_dimer`` and ``per_copy_entries`` all read the same blocks.
 
@@ -83,7 +85,7 @@ from .latsum import (
     slot,
 )
 from .sphharm import equator_table
-from .translation import recoupling_weight
+from .translation import cross_weight, decay_prefactors, recoupling_weight
 from .vsh import Family, ForbiddenIndexError
 
 __all__ = [
@@ -206,27 +208,12 @@ def _cg_rows(k: int, lp: int, qq: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cross_weight(j: int, lam: int, qq: int, m1: int, mu: int) -> float:
-    """The cross kernel's (+)-slot weight over the plain kernel:
-    ``cross_prefactor(l, j, lam, m, mu, qq, m1)`` is
-    ``1j * w * decay_prefactor(l, lam, m, mu)`` (the binomials are shared),
-    and this returns ``-AXIS_COMPONENT[qq] * w``."""
-    if lam < 1:
-        return 0.0
-    return (
-        -AXIS_COMPONENT[qq] * (-1.0) ** qq * ((qq > m1) - (qq < m1))
-        * math.sqrt(lam * (2 * lam + 1))
-        * cg(lam - 1, mu - m1, 1, m1, lam, mu)
-        * cg(lam - 1, mu - m1, 1, qq + m1, j, mu + qq)
-    )
-
-
-@lru_cache(maxsize=None)
 def _cross_rows(lp: int, lam: int, qq: int) -> np.ndarray:
     """The cross kernel at ``(lam, mu - qq)`` with total degree ``lp``
-    (summed over ``m1``), without its factor ``1j``."""
+    (summed over ``m1``), over ``1j`` times the plain kernel."""
     return _frozen([
-        sum(_cross_weight(lp, lam, qq, m1, mu - qq) for m1 in (-1, 0, 1))
+        -AXIS_COMPONENT[qq] * sum(
+            cross_weight(lp, lam, qq, m1, mu - qq) for m1 in (-1, 0, 1))
         for mu in range(-lp, lp + 1)
     ])
 
@@ -333,30 +320,20 @@ class _DegreeBlocks:
         self._top = 2 * l_max + 3   # the highest kernel degree l + lam
         self._equator = equator_table(self._top)
         self._racah = np.sqrt(4.0 * math.pi / (2 * np.arange(self._top + 1) + 1))
-        n = 4 * l_max + 8           # the largest binomial argument
-        self._binom = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            self._binom[i, :i + 1] = [float(math.comb(i, j)) for j in range(i + 1)]
         self._plain = {}
-
-    def _choose(self, n, k):
-        ok = (k >= 0) & (k <= n)
-        return np.where(ok, self._binom[np.maximum(n, 0), np.maximum(k, 0)], 0.0)
 
     def _padded(self, l: int, lam: int) -> np.ndarray:
         """The plain kernel ``decay_prefactor(l, lam, mt, mu)`` times the
         Racah-normalised ``Y_{l+lam}^{mt-mu}(pi/2, 0)``, indexed
-        ``[mu + lam + 2, mt + l]``: two zero rows on each side."""
+        ``[mu + lam + 2, mt + l]``: two zero rows on each side.  The
+        factors are multiplied in ``translation.decay_coeff``'s order, so one
+        kernel at one shift rounds exactly as that coefficient."""
         table = self._plain.get((l, lam))
         if table is None:
-            mu = np.arange(-lam - 2, lam + 3)[:, None]
-            mt = np.arange(-l, l + 1)
-            bb = self._choose(l + lam + mu - mt, lam + mu) * self._choose(
-                l + lam + mt - mu, lam - mu)
-            decay = np.where((lam + mu) % 2, -1.0, 1.0) * np.sqrt(
-                (2 * l + 1) / (2 * lam + 1) * bb)
-            t = np.clip(mt - mu, -self._top, self._top) + self._top
-            table = decay * self._racah[l + lam] * self._equator[l + lam, t]
+            t = np.arange(-l, l + 1) - np.arange(-lam, lam + 1)[:, None]
+            table = np.pad(
+                decay_prefactors(l, lam) * self._racah[l + lam]
+                * self._equator[l + lam, t + self._top], ((2, 2), (0, 0)))
             self._plain[l, lam] = table
         return table
 
@@ -472,7 +449,8 @@ def per_copy_entries(p, lp, mp, q, l, m, shifts, rho, params: LameParams):
 
 def _per_copy_values(s, coef, x):
     """One entry at the signed shift lengths ``x`` from its coefficients:
-    the ``(-)`` slots at ``x > 0``, the ``(+)`` slots at ``x < 0``."""
+    the ``(-)`` slots at ``x > 0``, the ``(+)`` slots at ``x < 0``, times
+    numpy's power of ``|x|`` (as in ``sphharm.solid_irregular``)."""
     side = (x < 0).astype(int)
     dist = np.abs(x)
     return coef[side] * dist ** -s + coef[side + 2] * dist ** (-s - 2)

@@ -232,10 +232,14 @@ def ylm_complex(l: int, m: int, d) -> complex:
         raise DomainError(f"|m|={abs(m)} > l={l}")
     d = _as_direction(d)
     ma = abs(m)
-    p = assoc_legendre(l, ma, d.cos_theta, d.sin_theta)
-    val = (-1) ** ma * sph_norm(l, ma) * p * complex(
-        math.cos(ma * d.phi), math.sin(ma * d.phi)
-    )
+    phase = complex(math.cos(ma * d.phi), math.sin(ma * d.phi))
+    if d.vec[2] == 0.0:
+        # on the equator (every shift of the chain and the dimer), the
+        # closed form that the lattice sums use
+        val = ylm_equator(l, ma) * phase
+    else:
+        p = assoc_legendre(l, ma, d.cos_theta, d.sin_theta)
+        val = (-1) ** ma * sph_norm(l, ma) * p * phase
     if m < 0:
         val = (-1) ** ma * val.conjugate()
     return val
@@ -307,15 +311,21 @@ def solid_regular(l: int, m: int, r) -> complex:
     return math.sqrt(4.0 * math.pi / (2 * l + 1)) * n**l * ylm_complex(l, m, d)
 
 
-def solid_irregular(l: int, m: int, r) -> complex:
-    """Racah-normalised decaying solid harmonic, ``|r|^{-l-1}``-homogeneous."""
+def solid_irregular(l: int, m: int, r, scale: float = 1.0) -> complex:
+    """Racah-normalised decaying solid harmonic, ``|r|^{-l-1}``-homogeneous,
+    times ``scale``.
+
+    The scale multiplies the angular part before the radial power, and the
+    power is numpy's: a prefactor times this value rounds exactly as the
+    same prefactor times a lattice kernel evaluated at one shift.
+    """
     r = np.asarray(r, dtype=float)
     n = float(np.linalg.norm(r))
     if n == 0.0:
         raise DomainError("decaying solid harmonic is singular at the origin")
     d = Direction.from_vector(r)
     return (
-        math.sqrt(4.0 * math.pi / (2 * l + 1))
+        scale * math.sqrt(4.0 * math.pi / (2 * l + 1))
         * ylm_complex(l, m, d)
-        / n ** (l + 1)
+        * float(np.power(n, -(l + 1)))
     )

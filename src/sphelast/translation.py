@@ -45,9 +45,11 @@ __all__ = [
     "regular_coeff",
     "decay_coeff",
     "decay_prefactor",
+    "decay_prefactors",
     "recoupling_weight",
     "cross_coeff",
     "cross_prefactor",
+    "cross_weight",
     "combine_source",
     "combine_row",
     "translate_solid_regular",
@@ -86,15 +88,34 @@ def _sgn(x: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _binomials(size: int) -> np.ndarray:
+    """``binom_safe(n, k)`` for ``0 <= n, k < size``, indexed ``[n, k]``."""
+    return np.array([[binom_safe(n, k) for k in range(size)] for n in range(size)])
+
+
+@lru_cache(maxsize=None)
+def decay_prefactors(l: int, lam: int) -> np.ndarray:
+    """``decay_prefactor(l, lam, m, mu)`` for every ``m = -l..l`` and
+    ``mu = -lam..lam``, indexed ``[mu + lam, m + l]`` (read-only)."""
+    mu = np.arange(-lam, lam + 1)[:, None]
+    m = np.arange(-l, l + 1)
+    # every binomial argument is at most 2 (l + lam); one table per power of 2
+    choose = _binomials(1 << (2 * (l + lam)).bit_length())
+    bb = choose[l + lam + mu - m, lam + mu] * choose[l + lam + m - mu, lam - mu]
+    sign = np.where((lam + mu) % 2, -1.0, 1.0)
+    out = np.where(bb > 0.0, sign * np.sqrt((2 * l + 1) / (2 * lam + 1) * bb), 0.0)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def decay_prefactor(l: int, lam: int, m: int, mu: int) -> float:
     """Translation-independent part of ``decay_coeff`` (selection rules
-    included: 0 whenever a binomial leaves its range)."""
-    bb = binom_safe(l + lam + mu - m, lam + mu) * binom_safe(
-        l + lam + m - mu, lam - mu
-    )
-    if bb == 0.0:
+    included: 0 whenever a binomial leaves its range, which is whenever
+    ``|m| > l`` or ``|mu| > lam``)."""
+    if abs(m) > l or abs(mu) > lam:
         return 0.0
-    return (-1.0) ** (lam + mu) * math.sqrt((2 * l + 1) / (2 * lam + 1) * bb)
+    return float(decay_prefactors(l, lam)[mu + lam, m + l])
 
 
 def regular_coeff(l: int, lam: int, m: int, mu: int, a) -> complex:
@@ -118,7 +139,7 @@ def decay_coeff(l: int, lam: int, m: int, mu: int, a) -> complex:
     a = np.asarray(a, dtype=float)
     if np.linalg.norm(a) == 0.0:
         raise SingularityError("decay_coeff requires a nonzero shift")
-    return pref * solid_irregular(l + lam, m - mu, a)
+    return solid_irregular(l + lam, m - mu, a, scale=pref)
 
 
 @lru_cache(maxsize=None)
@@ -140,29 +161,27 @@ def recoupling_weight(k: int, j: int, lam: int, m1: int, mu: int, q: int) -> flo
 
 
 @lru_cache(maxsize=None)
+def cross_weight(j: int, lam: int, q: int, m1: int, mu: int) -> float:
+    """``cross_prefactor(l, j, lam, m, mu, q, m1)`` over
+    ``1j * decay_prefactor(l, lam, m, mu)``: the two share their binomials,
+    so the ratio depends on neither ``l`` nor ``m``."""
+    if lam < 1:
+        return 0.0
+    return (
+        (-1.0) ** q
+        * _sgn(q - m1)
+        * math.sqrt(lam * (2 * lam + 1))
+        * cg(lam - 1, mu - m1, 1, m1, lam, mu)
+        * cg(lam - 1, mu - m1, 1, q + m1, j, mu + q)
+    )
+
+
+@lru_cache(maxsize=None)
 def cross_prefactor(
     l: int, j: int, lam: int, m: int, mu: int, q: int, m1: int
 ) -> complex:
     """Translation-independent part of ``cross_coeff``."""
-    if lam < 1:
-        return 0.0 + 0.0j
-    bb = binom_safe(l + lam + mu - m, lam + mu) * binom_safe(
-        l + lam + m - mu, lam - mu
-    )
-    if bb == 0.0:
-        return 0.0 + 0.0j
-    couplings = cg(lam - 1, mu - m1, 1, m1, lam, mu) * cg(
-        lam - 1, mu - m1, 1, q + m1, j, mu + q
-    )
-    if couplings == 0.0:
-        return 0.0 + 0.0j
-    return (
-        1j
-        * (-1.0) ** (lam + mu + q)
-        * _sgn(q - m1)
-        * math.sqrt(lam * (2 * l + 1) * bb)
-        * couplings
-    )
+    return 1j * cross_weight(j, lam, q, m1, mu) * decay_prefactor(l, lam, m, mu)
 
 
 def cross_coeff(

@@ -38,12 +38,13 @@ def kernel_coef(blocks, kind, *args):
     ``axis`` takes ``(l, lam, mt, mu, q)`` and ``cross``
     ``(l, j, lam, mt, mu, q, m1)``, both on order ``l + lam`` with the
     factor ``-AXIS_COMPONENT[q]`` of their odd ``(+)`` slot."""
-    from sphelast.assembly import _cross_weight, _single_order
+    from sphelast.assembly import _single_order
     from sphelast.latsum import AXIS_COMPONENT
+    from sphelast.translation import cross_weight
 
     if kind == "cross":
         l, j, lam, mt, mu, q, m1 = args
-        weight = 1j * _cross_weight(j, lam, q, m1, mu)
+        weight = 1j * -AXIS_COMPONENT[q] * cross_weight(j, lam, q, m1, mu)
     else:
         l, lam, mt, mu = args[:4]
         weight = -AXIS_COMPONENT[args[4]] if kind == "axis" else 1.0

@@ -91,16 +91,14 @@ class TestShiftKernel:
         plain = _per_copy_values(*kernel_coef(blocks, "plain", 2, 1, 1, 0), ns)
         cross = _per_copy_values(
             *kernel_coef(blocks, "cross", 1, 1, 1, 0, 0, 1, 0), ns)
-        # 1e-15 relative above unit size: at n = -0.4 the plain value is
-        # -61.76, where an ulp is 7.1e-15 (decay_coeff is 2.6e-14 from the
-        # 30-digit value there, the builder 1.2e-14)
         for i, n in enumerate(ns):
             shift = np.array([-n, 0.0, 0.0])
-            for value, ref in (
-                (plain[i], complex(decay_coeff(2, 1, 1, 0, shift))),
-                (cross[i], complex(cross_coeff(1, 1, 1, 0, 0, 1, 0, shift))),
-            ):
-                assert value == pytest.approx(ref, abs=1e-15 * max(1.0, abs(ref)))
+            assert plain[i] == pytest.approx(
+                complex(decay_coeff(2, 1, 1, 0, shift)), abs=1e-15
+            )
+            assert cross[i] == pytest.approx(
+                complex(cross_coeff(1, 1, 1, 0, 0, 1, 0, shift)), abs=1e-15
+            )
 
     def test_rejects_zero_shift(self, params):
         with pytest.raises(ValueError):

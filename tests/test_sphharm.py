@@ -253,6 +253,30 @@ class TestEquatorValues:
                     assert table[l, m + 131] == ylm_equator(l, m)
         assert worst <= 1e-13
 
+    def test_complex_harmonic_on_the_equator(self):
+        # an exact equator direction takes the closed form, at every
+        # azimuth and sign of the order, and stays continuous with the
+        # Legendre route just off the equator
+        import mpmath
+
+        for phi in (0.0, 0.7, math.pi):
+            d = Direction.from_vector((math.cos(phi), math.sin(phi), 0.0))
+            near = Direction.from_angles(math.pi / 2, phi)
+            for l in range(9):
+                for m in range(-l, l + 1):
+                    value = ylm_complex(l, m, d)
+                    assert value == pytest.approx(
+                        ylm_complex(l, m, near), abs=1e-14)
+                    if (l + m) % 2 == 0:
+                        assert value.real == pytest.approx(
+                            ylm_equator(l, m) * math.cos(m * phi), abs=1e-15)
+        with mpmath.workdps(25):
+            for l, m in ((88, 88), (100, -40), (131, 1)):
+                ref = complex(mpmath.spherharm(l, m, mpmath.pi / 2, 0.7))
+                value = ylm_complex(l, m, Direction.from_vector(
+                    (math.cos(0.7), math.sin(0.7), 0.0)))
+                assert abs(value - ref) <= 1e-13 * abs(ref)
+
     def test_table_layout(self):
         table = equator_table(5)
         assert table.shape == (6, 11)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphelast.coupling import cg
 from sphelast.sphharm import solid_irregular, solid_regular
 from sphelast.translation import (
     ConvergenceError,
@@ -10,7 +11,10 @@ from sphelast.translation import (
     TruncationPolicy,
     combine_source,
     cross_coeff,
+    cross_prefactor,
     decay_coeff,
+    decay_prefactor,
+    decay_prefactors,
     recoupling_weight,
     regular_coeff,
     translate_V_decay,
@@ -46,6 +50,39 @@ class TestCoefficients:
         assert decay_coeff(1, 1, 0, 0, (2.0, 0, 0)) == pytest.approx(
             -2.0 * solid_irregular(2, 0, (2.0, 0, 0))
         )
+
+    def test_prefactors_against_closed_forms(self):
+        # the table, the scalar lookup and the cross prefactor built on it
+        # are the printed closed forms
+        for l in range(4):
+            for lam in range(4):
+                table = decay_prefactors(l, lam)
+                assert table.shape == (2 * lam + 1, 2 * l + 1)
+                for m in range(-l - 1, l + 2):
+                    for mu in range(-lam - 1, lam + 2):
+                        bb = 0.0
+                        if abs(m) <= l and abs(mu) <= lam:
+                            bb = math.comb(l + lam + mu - m, lam + mu) * math.comb(
+                                l + lam + m - mu, lam - mu)
+                        expect = (-1.0) ** (lam + mu) * math.sqrt(
+                            (2 * l + 1) / (2 * lam + 1) * bb)
+                        assert decay_prefactor(l, lam, m, mu) == pytest.approx(
+                            expect, rel=1e-15, abs=0.0)
+                        if abs(m) <= l and abs(mu) <= lam:
+                            assert table[mu + lam, m + l] == decay_prefactor(
+                                l, lam, m, mu)
+                        for j in range(max(0, lam - 2), lam + 1):
+                            for q in (-1, 0, 1):
+                                for m1 in (-1, 0, 1):
+                                    couplings = cg(
+                                        lam - 1, mu - m1, 1, m1, lam, mu
+                                    ) * cg(lam - 1, mu - m1, 1, q + m1, j, mu + q)
+                                    sgn = (q > m1) - (q < m1)
+                                    printed = 1j * (-1.0) ** (lam + mu + q) * sgn * (
+                                        math.sqrt(lam * (2 * l + 1) * bb) * couplings)
+                                    assert cross_prefactor(
+                                        l, j, lam, m, mu, q, m1
+                                    ) == pytest.approx(printed, rel=1e-14, abs=1e-300)
 
     def test_decay_singularity(self):
         with pytest.raises(SingularityError):
