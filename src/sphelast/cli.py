@@ -17,6 +17,7 @@ phase, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -308,7 +309,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing reads it and never
+    changes it."""
     top = _Parser(
         prog="sphelast",
         allow_abbrev=False,
@@ -327,15 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# Built at import, so that no operation pays for the parsers (or for the
+# locale module that argparse's first message lookup imports).
+build_parser()
+_CONFIG_PARSER = _Parser(add_help=False, allow_abbrev=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # A --config file's options go right after the command, so the
         # explicit flags come later and win; an explicit --suite replaces the
         # file's list instead of extending it.
-        pre = _Parser(add_help=False, allow_abbrev=False)
-        pre.add_argument("--config")
-        path = pre.parse_known_args(argv)[0].config
+        path = _CONFIG_PARSER.parse_known_args(argv)[0].config
         tokens = _config_tokens(path) if path else []
         args = build_parser().parse_args([*argv[:1], *tokens, *argv[1:]])
         n_file = sum(t.startswith("--suite=") for t in tokens)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from numpy.polynomial.legendre import leggauss
 
 from .assembly import AssembledMatrix, BasisMap
 from .kelvin import norm_factor
@@ -67,7 +67,7 @@ def build_quadrature(degree: int) -> SphQuadrature:
         raise ValueError("degree must be >= 1")
     n_theta = (degree + 2) // 2
     n_phi = degree + 1
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    x, w = leggauss(n_theta)
     theta_1d = np.arccos(x)
     phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi
@@ -120,13 +120,16 @@ def project_rhs(
 
 
 def _lu_solve(mat: np.ndarray, rhs: np.ndarray):
-    lu, piv = sla.lu_factor(mat)
-    raw = sla.lu_solve((lu, piv), rhs)
-    # LAPACK one-norm reciprocal condition estimate from the same factors.
-    gecon = sla.get_lapack_funcs("gecon", (mat,))
-    rcond, _info = gecon(lu, np.linalg.norm(mat, 1), norm="1")
-    cond = np.inf if rcond == 0 else 1.0 / float(rcond)
-    return raw, cond
+    """One LAPACK ``gesv`` (LU with partial pivoting) on ``[rhs | I]``: column
+    0 is the solution, the rest the inverse, which gives the exact one-norm
+    condition number ``||M||_1 ||M^-1||_1``."""
+    n = mat.shape[0]
+    try:
+        both = np.linalg.solve(mat, np.column_stack([rhs, np.eye(n)]))
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        return np.full(n, np.nan, dtype=complex), np.inf
+    cond = float(np.linalg.norm(mat, 1) * np.linalg.norm(both[:, 1:], 1))
+    return both[:, 0], cond
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray) -> SolveResult:

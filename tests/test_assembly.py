@@ -326,9 +326,12 @@ class TestOperatorStructure:
     def test_definite_with_sign_convention(self):
         for sign_flip, sign in ((False, 1.0), (True, -1.0)):
             params = LameParams(1.0, 1.0, sign_flip)
-            mat = assemble_single(1.3, RHO, params, 3).matrix
-            eig = sign * np.linalg.eigvalsh(self._hermitian_part(mat))
-            assert eig.min() > 0.0
+            for mat in (
+                assemble_single(1.3, RHO, params, 3).matrix,
+                assemble_dimer(1.3, GEOM, params, 2).matrix,
+            ):
+                eig = sign * np.linalg.eigvalsh(self._hermitian_part(mat))
+                assert eig.min() > 0.0
 
     def test_one_trace_serves_every_phase(self, params):
         trace = Trace(RHO, params, 3)

@@ -521,6 +521,23 @@ def test_verify_failure_exit_code(monkeypatch):
     assert main(["verify"]) == 4
 
 
+def test_parser_is_built_once_and_suites_do_not_leak(monkeypatch):
+    import sphelast.cli as cli_mod
+
+    seen = []
+
+    def fake_run_suites(names=None, seed=0):
+        seen.append(names)
+        return []
+
+    monkeypatch.setattr(cli_mod, "run_suites", fake_run_suites)
+    assert build_parser() is build_parser()
+    assert main(["verify", "--suite", "vsh", "--suite", "system"]) == 0
+    assert main(["verify", "--suite", "kelvin"]) == 0
+    assert main(["verify"]) == 0
+    assert seen == [["vsh", "system"], ["kelvin"], None]
+
+
 def _run_python(*args):
     """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(sphelast.__file__).resolve().parents[1])
@@ -539,16 +556,38 @@ def test_module_entry_point():
     assert done.stdout.strip() == sphelast.__version__
 
 
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_cli_import_leaves_out_mpmath_and_scipy_special():
     # mpmath is only the oracle's reference; neither belongs on the import
-    # path of every command
+    # path of every command, and the package does not use scipy at all
     done = _run_python(
         "-c",
         "import sys, sphelast.cli; "
-        "print(sorted(m for m in ('mpmath', 'scipy.special') if m in sys.modules))",
+        "print(sorted(m for m in ('mpmath', 'scipy.special') if m in sys.modules)); "
+        f"print({_LOADED_SCIPY})",
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"]
+
+
+def test_single_and_dimer_solves_load_no_scipy(tmp_path):
+    # the solve itself, not just the import, runs without scipy
+    base = (
+        "'--alpha', '1.3', '--rho', '0.1', '--lambda', '1', '--mu', '1', "
+        "'--lmax', '2', '--phi', 'builtin:point-force:0.3,0.4,0.2'"
+    )
+    done = _run_python(
+        "-c",
+        "import sys; from sphelast.cli import main; "
+        f"rcs = [main(['solve', {base}, '--out', {str(tmp_path / 'a.json')!r}]), "
+        f"main(['solve', {base}, '--dimer-d', '0.2', "
+        f"'--out', {str(tmp_path / 'b.json')!r}])]; "
+        f"print(rcs, {_LOADED_SCIPY})",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_system_import_leaves_out_the_oracle():

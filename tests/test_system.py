@@ -7,7 +7,7 @@ from sphelast.assembly import AssembledMatrix, BasisMap, assemble_dimer, assembl
 from sphelast.kelvin import LameParams
 from sphelast.latsum import DimerGeometry
 from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
-from sphelast.system import project_rhs, solve_dimer, solve_single
+from sphelast.system import _solve, project_rhs, solve_dimer, solve_single
 from sphelast.vsh import Family
 
 RHO = 0.1
@@ -130,6 +130,13 @@ class TestSolveSingle:
         res = solve_single(bad, rhs)
         assert res.warning is not None
         assert np.all(np.isfinite(res.coeffs))
+
+    def test_exactly_singular_matrix_raises(self, matrix):
+        singular = matrix.matrix.copy()
+        singular[3] = 0.0
+        rhs = np.ones(matrix.basis.n_eff, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError, match="singular operator matrix"):
+            _solve(singular, rhs)
 
     def test_rejects_dimer_matrix(self, rng):
         geom = DimerGeometry(0.2, RHO)
