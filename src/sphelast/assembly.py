@@ -25,6 +25,17 @@ J. Mol. Struct. THEOCHEM 419:19 (1997)).  The Python loop
 runs over degree pairs, not entries.  ``Trace``, ``entry_single``,
 ``entry_dimer`` and ``per_copy_entries`` all read the same blocks.
 
+Geometry and scale: the radius and the material enter a coefficient on
+order ``s`` only as ``rho^(s+1)`` times the ``response_coeffs`` of the
+column degree, ``a11`` (V columns), ``a33`` (X) or ``a12`` and ``a22``
+(W).  So the blocks are built on the unit ball, once per response
+coefficient (``_terms`` with a factor axis): this geometry depends on
+``l_max`` alone and is cached, read-only, for the most recent ``l_max``
+(``_geometry``).  Each radius and material only scales it (``_scale``,
+``_scaled``); values beyond the float64 range raise ``ScaleOverflow``.
+Every entry of a block is real or imaginary, so the geometry is real with
+one flag per entry.
+
 Two orders per entry: the lattice part of an entry of degrees ``(lp, l)``
 lives on the orders ``l + lp + b`` and ``l + lp + b + 2``, with ``b`` fixed
 by the family pair (row, column):
@@ -99,6 +110,7 @@ __all__ = [
     "entry_dimer",
     "assemble_dimer",
     "Trace",
+    "ScaleOverflow",
     "sector",
 ]
 
@@ -177,7 +189,7 @@ _STORED = [pair for pair in _ORDER_OFFSET if pair != (V, X)]
 
 
 def _frozen(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
+    out = np.asarray(values)
     out.flags.writeable = False
     return out
 
@@ -218,81 +230,145 @@ def _cross_rows(lp: int, lam: int, qq: int) -> np.ndarray:
     ])
 
 
-def _terms(p, q, lp, l, rho, params):
-    """The combination of one family pair: ``(phase, terms)`` with terms
-    ``(order, lam, qq, weights)``, each adding ``weights[mu]`` times the
-    plain kernel of degree ``l + lam`` at ``(mu - qq, mt)`` to the block of
-    ``order``; the block is ``phase`` times their sum.  The radial factors
-    are instantiated on the ball surface (``r = rho``)."""
-    r = rho
-    a11, a12, a22, a33 = response_coeffs(l, params)
+def _terms(p, q, lp, l, coeffs):
+    """The combination of one family pair on the unit ball: ``(phase,
+    terms)`` with terms ``(order, lam, qq, weights)``, each adding
+    ``weights[..., mu]`` times the plain kernel of degree ``l + lam`` at
+    ``(mu - qq, mt)`` to the block of ``order``; the block is ``phase``
+    times their sum.  ``coeffs`` are the column degree's ``(a11, a12, a22,
+    a33)`` of ``response_coeffs``, as scalars or as arrays over a factor
+    axis (shape ``(F, 1)``).  On a ball of radius ``rho`` every term of
+    order ``o`` takes the factor ``rho^(o + 1)``."""
+    a11, a12, a22, a33 = coeffs
     one = np.ones(2 * lp + 1)
     if (p, q) == (W, V):
-        return 1.0, [(l + lp + 1, lp, 0, one * (
-            rho ** (l + 3) * a11 * r ** (lp - 1) * norm_factor(W, lp)))]
+        return 1.0, [(l + lp + 1, lp, 0, a11 * (norm_factor(W, lp) * one))]
     if (p, q) in ((W, X), (X, X), (V, X)):
         if p == X:
-            pref = rho ** (l + 2) * a33 * r**lp
             n3 = norm_factor(X, lp)
             # -1j times the cross kernels' 1j: the block is real
-            terms = [(l + lp + 1, lp, 0, pref * n3 * one)]
-            pref, lam, phase = pref * math.sqrt(n3), lp + 1, 1.0
+            terms = [(l + lp + 1, lp, 0, a33 * (n3 * one))]
+            root, lam, phase = math.sqrt(n3), lp + 1, 1.0
         elif p == W:
-            pref = rho ** (l + 2) * a33 * r ** (lp - 1) * math.sqrt(norm_factor(W, lp))
-            terms, lam, phase = [], lp, 1j
+            root, lam, phase = math.sqrt(norm_factor(W, lp)), lp, 1j
+            terms = []
         else:
-            pref = rho ** (l + 2) * a33 * r ** (lp + 1) * math.sqrt(norm_factor(V, lp))
-            terms, lam, phase = [], lp + 2, 1j
+            root, lam, phase = math.sqrt(norm_factor(V, lp)), lp + 2, 1j
+            terms = []
         return phase, terms + [
-            (l + lam, lam, qq, pref * _cross_rows(lp, lam, qq)) for qq in (-1, 1)]
+            (l + lam, lam, qq, a33 * (root * _cross_rows(lp, lam, qq))) for qq in (-1, 1)]
     # q == W: the axis kernels recoupled to the row's vector harmonic
-    side = rho ** (l + 1) * (a22 - a12)
+    side = a22 - a12
     if p == V:
         root = math.sqrt(norm_factor(V, lp))
         k, lams, phase = lp + 1, (lp + 1, lp + 3), 1.0
-        terms = [(l + lp + 1, lp, 0, one * (
-            -rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) * (lp + 1)))]
-        coupled = rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) * root
+        terms = [(l + lp + 1, lp, 0, a22 * (-(2 * l + 1) * (lp + 1) * one))]
     elif p == X:
         root = math.sqrt(norm_factor(X, lp))
         k, lams, phase = lp, (lp, lp + 2), -1j
         terms = []
-        coupled = rho ** (l + 1) * a22 * r**lp * (2 * l + 1) * root
     else:
         n2 = norm_factor(W, lp)
         root = math.sqrt(n2)
         k, lams, phase = lp - 1, (lp - 1, lp + 1), 1.0
-        bracket = (
-            rho ** (l + 3) * a12 * r ** (lp - 1)
-            + side * r ** (lp + 1)
-            + rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) / (2 * lp + 1)
-        )
+        bracket = a12 + side + a22 * (2 * l + 1) / (2 * lp + 1)
         terms = [
-            (l + lp + 1, lp, 0, n2 * bracket * one),
-            (l + lp - 1, lp, 0, n2 * side * r ** (lp - 1) * one),
+            (l + lp + 1, lp, 0, bracket * (n2 * one)),
+            (l + lp - 1, lp, 0, side * (n2 * one)),
         ]
-        coupled = rho ** (l + 1) * a22 * (2 * l + 1) * root * r ** (lp - 1)
     for lam in lams:
         if lam >= 1:
-            terms += [(l + lam, lam, qq, 2.0 * side * root * r**lam
-                       * _axis_rows(k, lp, lam, qq)) for qq in (-1, 1)]
-    terms += [(l + k, k, qq, coupled * _cg_rows(k, lp, qq)) for qq in (-1, 1)]
+            terms += [(l + lam, lam, qq, side * (2.0 * root * _axis_rows(k, lp, lam, qq)))
+                      for qq in (-1, 1)]
+    terms += [(l + k, k, qq, a22 * ((2 * l + 1) * root * _cg_rows(k, lp, qq)))
+              for qq in (-1, 1)]
     return phase, terms
 
 
+# The response coefficients a column family brings, as positions in
+# response_coeffs' (a11, a12, a22, a33); the first is also the family's
+# on-ball diagonal.  An entry stores two factors: V and X columns repeat
+# their one, with zero weights.
+_FACTORS = {V: (0,), W: (2, 1), X: (3,)}
+# the factors as unit response coefficients, the arguments of _terms
+_UNIT = {fam: tuple(np.eye(4)[:, f, None]) for fam, f in _FACTORS.items()}
+
+
+def _label_columns(l: int, family):
+    """``(factors, norm)`` of the column label ``(l, family)``: the flat
+    positions of its two factors in the ``(l_max + 1, 4)`` response table
+    and its squared basis norm."""
+    return 4 * l + np.array((_FACTORS[family] * 2)[:2]), float(norm_factor(family, l))
+
+
+class ScaleOverflow(ValueError):
+    """Response coefficients or an on-ball diagonal beyond the float64
+    range (extreme material constants or radius)."""
+
+
+def _scale(rho, params: LameParams, l_max: int, factors, norm):
+    """The factors of one radius and material: each column's two response
+    coefficients ``table[factors]`` (``_label_columns``), its on-ball
+    diagonal ``rho a norm`` (``a`` the first factor) and the powers
+    ``rho^k`` for ``k = 0..2 l_max + 5``."""
+    table = np.array([response_coeffs(l, params) for l in range(l_max + 1)])
+    if not np.isfinite(table).all():
+        raise ScaleOverflow("the response coefficients of this material are not finite")
+    fac = table.ravel()[factors]
+    diag = rho * fac[..., 0] * norm
+    if not np.all(np.isfinite(diag) & (np.abs(diag) >= np.finfo(float).tiny)):
+        raise ScaleOverflow(
+            "the on-ball diagonal of this radius and material is not a finite normal float")
+    return fac, diag, np.array([rho**k for k in range(2 * l_max + 6)])
+
+
+def _scaled(order, weights, imag, fac, powers, out=None):
+    """The coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (last axis)
+    of entries of lowest order ``order``, geometric weights ``weights[...,
+    f, k]`` (``_DegreeBlocks.block``), ``imag`` flags and factors ``fac[...,
+    f]``: ``c(s + 2k, +) = rho^(s + 2k + 1) sum_f fac[f] weights[f, k]``,
+    times ``1j`` where flagged, and ``c(s,-) = (-1)^(s+1) c(s,+)``; written
+    into ``out`` when given.  One element at a time, and the last product
+    (by 1 or 1j) is exact whether fused or not, so an entry's coefficients
+    do not depend on what it is computed with."""
+    order = np.asarray(order)
+    value = powers[order[..., None] + (1, 3)] * (
+        fac[..., :1] * weights[..., 0, :] + fac[..., 1:] * weights[..., 1, :])
+    sign = np.where(order % 2 == 0, -1.0, 1.0)[..., None]
+    slots = np.stack([sign * value, value], axis=-1).reshape(value.shape[:-1] + (4,))
+    return np.multiply(slots, np.where(imag, 1j, 1.0)[..., None], out=out)
+
+
 def _real_orders(block: np.ndarray, row: bool = False) -> np.ndarray:
-    """The complex-to-real change of order on the last axis of ``block``:
-    the weights of ``combine_source``, or with ``row`` of ``combine_row``,
-    except their common factor ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``)."""
+    """The complex-to-real change of order on the last axis of a real
+    ``block``: the weights of ``combine_source``, or with ``row`` of
+    ``combine_row``, except their common factor ``1/sqrt(2)`` at ``m != 0``
+    (``_unitary_scale``) and their factor ``1j`` at ``m < 0``
+    (``_quarter_turns``)."""
     l = block.shape[-1] // 2
-    out = np.empty(block.shape, dtype=complex)
+    out = np.empty(block.shape)
     out[..., l] = block[..., l]
     if l:
         sign = 1.0 - 2.0 * (np.arange(1, l + 1) % 2)   # (-1)^m, m = 1..l
         up, down = block[..., l + 1:], block[..., l - 1::-1]   # orders m, -m
         out[..., l + 1:] = down + sign * up
-        out[..., l - 1::-1] = 1j * (sign * up - down if row else down - sign * up)
+        out[..., l - 1::-1] = sign * up - down if row else down - sign * up
     return out
+
+
+# a block's phase as a power of 1j
+_PHASE_TURNS = {1.0: 0, 1j: 1, -1j: 3}
+# the sign of the nonzero part of 1j^k, k = 0..3
+_TURN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def _quarter_turns(lp: int, l: int, phase) -> np.ndarray:
+    """The power of ``1j`` that entry ``(mp, m)`` of a block of degrees
+    ``(lp, l)`` carries, indexed ``[mp + lp, m + l]``: one for each negative
+    order (``_real_orders``) and those of the block's ``phase``."""
+    def negative(deg):
+        return (np.arange(-deg, deg + 1) < 0).astype(int)
+    return negative(lp)[:, None] + negative(l) + _PHASE_TURNS[phase]
 
 
 def _unitary_scale(lp: int, l: int) -> np.ndarray:
@@ -304,52 +380,60 @@ def _unitary_scale(lp: int, l: int) -> np.ndarray:
     return np.array([1.0, _SQRT2, 2.0])[nonzero]
 
 
-def _mirror(coef):
+def _mirror(coef, out=None):
     """Coefficients (the last axis) of the transposed entries: each
-    ``(s, -)``/``(s, +)`` pair swapped, then conjugated."""
-    pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)
-    return pairs[..., ::-1].reshape(coef.shape).conj()
+    ``(s, -)``/``(s, +)`` pair swapped, then conjugated; written into
+    ``out`` when given."""
+    pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)[..., ::-1]
+    if out is None:
+        out = np.empty(coef.shape, dtype=complex)
+    np.conjugate(pairs, out=out.reshape(pairs.shape))
+    return out
 
 
 class _DegreeBlocks:
-    """Lattice coefficients of one radius and material, one family pair
-    and degree pair at a time, for degrees up to ``l_max``."""
+    """Geometric lattice coefficients, one family pair and degree pair at a
+    time, for degrees up to ``l_max``: those of the unit ball per unit
+    response coefficient, which no radius or material enters (``_scaled``
+    applies them)."""
 
-    def __init__(self, rho, params: LameParams, l_max: int):
-        self.rho, self.params = rho, params
+    def __init__(self, l_max: int):
         self._top = 2 * l_max + 3   # the highest kernel degree l + lam
         self._equator = equator_table(self._top)
         self._racah = np.sqrt(4.0 * math.pi / (2 * np.arange(self._top + 1) + 1))
         self._plain = {}
 
-    def _padded(self, l: int, lam: int) -> np.ndarray:
+    def plain(self, l: int, lam: int) -> np.ndarray:
         """The plain kernel ``decay_prefactor(l, lam, mt, mu)`` times the
-        Racah-normalised ``Y_{l+lam}^{mt-mu}(pi/2, 0)``, indexed
-        ``[mu + lam + 2, mt + l]``: two zero rows on each side.  The
-        factors are multiplied in ``translation.decay_coeff``'s order, so one
-        kernel at one shift rounds exactly as that coefficient."""
+        Racah-normalised ``Y_{l+lam}^{mt-mu}(pi/2, 0)``, indexed ``[mu +
+        lam, mt + l]``: its ``(+)`` coefficient on order ``l + lam + 1``.
+        The factors are multiplied in ``translation.decay_coeff``'s order,
+        so one kernel at one shift rounds exactly as that coefficient."""
+        t = np.arange(-l, l + 1) - np.arange(-lam, lam + 1)[:, None]
+        return (decay_prefactors(l, lam) * self._racah[l + lam]
+                * self._equator[l + lam, t + self._top])
+
+    def _padded(self, l: int, lam: int) -> np.ndarray:
+        """``plain`` with the real change of the column order
+        (``_real_orders``), indexed ``[mu + lam + 2, m + l]``: two zero rows
+        on each side."""
         table = self._plain.get((l, lam))
         if table is None:
-            t = np.arange(-l, l + 1) - np.arange(-lam, lam + 1)[:, None]
-            table = np.pad(
-                decay_prefactors(l, lam) * self._racah[l + lam]
-                * self._equator[l + lam, t + self._top], ((2, 2), (0, 0)))
+            table = np.pad(_real_orders(self.plain(l, lam)), ((2, 2), (0, 0)))
             self._plain[l, lam] = table
         return table
 
-    def plain(self, l: int, lam: int) -> np.ndarray:
-        """The plain kernel, indexed ``[mu + lam, mt + l]``: its ``(+)``
-        coefficient on order ``l + lam + 1``."""
-        return self._padded(l, lam)[2:-2]
-
     def block(self, p, q, lp: int, l: int):
-        """``(s, coef)`` for rows of family ``p``, degree ``lp`` and columns
-        of family ``q``, degree ``l``: ``coef[mp + lp, m + l]`` holds the
-        coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` of entry
-        ``(mp, m)``."""
+        """``(s, weights, imag)`` for rows of family ``p``, degree ``lp`` and
+        columns of family ``q``, degree ``l``: ``weights[mp + lp, m + l, f,
+        k]`` is the ``(+)`` coefficient of entry ``(mp, m)`` on order ``s +
+        2k`` per unit of its ``f``-th response coefficient (``_FACTORS``),
+        times ``1j`` where ``imag[mp + lp, m + l]``: the complex-to-real
+        unitaries and the phase make each entry real or imaginary."""
         s = l + lp + _ORDER_OFFSET[p, q]
-        phase, terms = _terms(p, q, lp, l, self.rho, self.params)
-        kernel = np.zeros((2, 2 * lp + 1, 2 * l + 1))
+        factors = len(_FACTORS[q])
+        phase, terms = _terms(p, q, lp, l, _UNIT[q])
+        kernel = np.zeros((2, factors, 2 * lp + 1, 2 * l + 1))
         for order, lam, qq, weights in terms:
             if order - s not in (0, 2):
                 raise RuntimeError(
@@ -357,11 +441,13 @@ class _DegreeBlocks:
                     f"{order}, outside the two orders {s} and {s + 2}")
             start = lam + 2 - lp - qq   # rows mu - qq for mu = -lp..lp
             rows = self._padded(l, lam)[start:start + 2 * lp + 1]
-            kernel[(order - s) // 2] += weights[:, None] * rows
-        real = _real_orders(_real_orders(kernel).swapaxes(1, 2), row=True)
-        plus = phase * (real.swapaxes(1, 2) / _unitary_scale(lp, l))
-        minus = (-1.0) ** (s + 1) * plus
-        return s, np.stack([minus[0], plus[0], minus[1], plus[1]], axis=-1)
+            kernel[(order - s) // 2] += weights[..., None] * rows
+        real = _real_orders(kernel.swapaxes(-1, -2), row=True).swapaxes(-1, -2)
+        turns = _quarter_turns(lp, l, phase) % 4
+        weights = np.zeros((2 * lp + 1, 2 * l + 1, 2, 2))
+        weights[:, :, :factors] = (
+            real * (_TURN_SIGN[turns] / _unitary_scale(lp, l))).transpose(2, 3, 1, 0)
+        return s, weights, turns % 2 == 1
 
 
 def _label_indices(basis: BasisMap) -> dict:
@@ -380,15 +466,16 @@ def _unrestricted(l_max: int, rho, params: LameParams):
     basis = BasisMap(l_max)
     n = basis.n_eff
     ids = _label_indices(basis)
-    blocks = _DegreeBlocks(rho, params, l_max)
+    blocks = _DegreeBlocks(l_max)
     order = np.zeros((n, n), dtype=int)
     coef = np.zeros((n, n, 4), dtype=complex)
     for (lp, p), rows in ids.items():
         for (l, q), cols in ids.items():
             if (p, q) in _STORED:
-                s, block = blocks.block(p, q, lp, l)
+                s, weights, imag = blocks.block(p, q, lp, l)
+                fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
                 order[np.ix_(rows, cols)] = s
-                coef[np.ix_(rows, cols)] = block
+                coef[np.ix_(rows, cols)] = _scaled(s, weights, imag, fac, powers)
     return order, coef
 
 
@@ -440,11 +527,20 @@ def per_copy_entries(p, lp, mp, q, l, m, shifts, rho, params: LameParams):
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     if np.any(x == 0.0):
         raise ValueError("shift lengths must be nonzero")
-    pair = Family(p), Family(q)
-    if pair not in _ORDER_OFFSET:
+    p, q = Family(p), Family(q)
+    if (p, q) not in _ORDER_OFFSET:
         return np.zeros(x.shape, dtype=complex)
-    s, coef = _DegreeBlocks(rho, params, max(l, lp)).block(*pair, lp, l)
-    return _per_copy_values(s, coef[mp + lp, m + l], x)
+    return _per_copy_values(*_entry_coef(p, lp, mp, q, l, m, rho, params), x)
+
+
+def _entry_coef(p, lp, mp, q, l, m, rho, params):
+    """``(s, coef)`` of one entry, from its degree-pair block and the
+    factors of its column: the same values as the entry in ``Trace``."""
+    l_max = max(l, lp)
+    s, weights, imag = _DegreeBlocks(l_max).block(p, q, lp, l)
+    fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
+    at = mp + lp, m + l
+    return s, _scaled(s, weights[at], imag[at], fac, powers)
 
 
 def _per_copy_values(s, coef, x):
@@ -473,9 +569,7 @@ def per_copy_entry(p, lp, mp, q, l, m, n, rho, params: LameParams) -> float:
 def _diagonal_term(p, q, l, lp, m, mp, rho, params):
     if p != q or l != lp or m != mp:
         return 0.0
-    a11, a12, a22, a33 = response_coeffs(l, params)
-    tau = {Family.V: a11, Family.W: a22, Family.X: a33}[Family(p)]
-    return rho * tau * norm_factor(p, l)
+    return float(_scale(rho, params, l, *_label_columns(l, Family(p)))[1])
 
 
 def sector(l: int, m: int, family) -> int:
@@ -500,8 +594,7 @@ def _entry_lattice(p, lp, mp, q, l, m, rho, params, values) -> complex:
     if mirrored:
         row, col = col, row
     (lp, mp, p), (l, m, q) = row, col
-    s, block = _DegreeBlocks(rho, params, l).block(p, q, lp, l)
-    coef = block[mp + lp, m + l]
+    s, coef = _entry_coef(p, lp, mp, q, l, m, rho, params)
     if mirrored:
         coef = _mirror(coef)
     return complex(_contract(np.array([s]), coef[None], values(l + lp + 3))[0])
@@ -538,6 +631,67 @@ def entry_dimer(
     ))
 
 
+@dataclass(frozen=True, eq=False)
+class _Geometry:
+    """The part of ``Trace`` that depends on ``l_max`` alone, read-only:
+    ``basis``, ``index`` and ``order`` as in ``Trace``; ``weights`` and
+    ``imag`` (``_DegreeBlocks.block``) of the built triangle, which the
+    first ``len(weights)`` entries of ``index`` hold; ``below``, the built
+    entries mirrored into the rest, in order; and for each basis label its
+    ``factors`` and ``norm`` (``_label_columns``)."""
+
+    basis: BasisMap
+    index: np.ndarray
+    order: np.ndarray
+    weights: np.ndarray
+    imag: np.ndarray
+    below: np.ndarray
+    factors: np.ndarray
+    norm: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _geometry(l_max: int) -> _Geometry:
+    """The geometry of ``l_max``; only the most recent ``l_max`` is kept."""
+    basis = BasisMap(l_max)
+    n = basis.n_eff
+    ids = _label_indices(basis)
+    secs = np.array([sector(*label) for label in basis.labels])
+    pairs = []   # the label pairs of each block on or above the diagonal, in-sector
+    for l in range(l_max + 1):
+        for lp in range(l + 1):
+            for p, q in _STORED:
+                rows, cols = ids.get((lp, p)), ids.get((l, q))
+                if rows is not None and cols is not None:
+                    keep = (rows[:, None] <= cols) & (secs[rows][:, None] == secs[cols])
+                    pairs.append((p, q, lp, l, rows, cols, keep))
+    # filled in place: at most every pair, and the mirror of each
+    bound = sum(int(keep.sum()) for *_, keep in pairs)
+    index, order = np.empty(2 * bound, dtype=np.intp), np.empty(2 * bound, dtype=np.intp)
+    weights, imag = np.empty((bound, 2, 2)), np.empty(bound, dtype=bool)
+    built = 0
+    blocks = _DegreeBlocks(l_max)
+    for p, q, lp, l, rows, cols, keep in pairs:
+        s, block, block_imag = blocks.block(p, q, lp, l)
+        r, c = np.nonzero(keep & block.any(axis=(-2, -1)))
+        end = built + len(r)
+        index[built:end] = rows[r] * n + cols[c]
+        order[built:end] = s
+        weights[built:end], imag[built:end] = block[r, c], block_imag[r, c]
+        built = end
+    row, col = np.divmod(index[:built], n)
+    below = row != col
+    total = built + np.count_nonzero(below)
+    index[built:total] = (col * n + row)[below]
+    order[built:total] = order[:built][below]
+    factors, norm = zip(*(_label_columns(l, fam) for l, _m, fam in basis))
+    return _Geometry(
+        basis=basis, index=_frozen(index[:total]), order=_frozen(order[:total]),
+        weights=_frozen(weights[:built]), imag=_frozen(imag[:built]),
+        below=_frozen(below), factors=_frozen(factors), norm=_frozen(norm),
+    )
+
+
 class Trace:
     """Phase-independent part of ``M(alpha) = D + T v(alpha)`` for one ball
     radius, material and truncation degree.
@@ -548,42 +702,34 @@ class Trace:
     four coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (module
     docstring).  The blocks are built for ``lp <= l`` and only their
     entries on or above the diagonal are kept; those below are mirrored.
+
+    ``basis``, ``index`` and ``order`` are the read-only geometry of
+    ``l_max``, shared by every trace of that ``l_max`` (unless the material
+    cancels some entries); ``coef`` and ``diag`` are its per-radius,
+    per-material scale (``_scale``, ``_scaled``), which raises
+    ``ScaleOverflow`` where they leave the float64 range.
     """
 
     def __init__(self, rho, params: LameParams, l_max: int):
         if not 0.0 < rho < 0.5:
             raise ValueError("need 0 < rho < 1/2")
+        geo = _geometry(l_max)
         self.rho, self.params, self.l_max = rho, params, l_max
-        self.basis = BasisMap(l_max)
+        self.basis, self.index, self.order = geo.basis, geo.index, geo.order
         self.s_max = 2 * l_max + 3
-        n = self.basis.n_eff
-        ids = _label_indices(self.basis)
-        secs = np.array([sector(*label) for label in self.basis.labels])
-        blocks = _DegreeBlocks(rho, params, l_max)
-        index = [np.zeros(0, dtype=np.intp)]
-        order = [np.zeros(0, dtype=np.intp)]
-        coef = [np.zeros((0, 4), dtype=complex)]
-        for l in range(l_max + 1):
-            for lp in range(l + 1):
-                for p, q in _STORED:
-                    rows, cols = ids.get((lp, p)), ids.get((l, q))
-                    if rows is None or cols is None:
-                        continue
-                    keep = (rows[:, None] <= cols) & (secs[rows][:, None] == secs[cols])
-                    s, block = blocks.block(p, q, lp, l)
-                    r, c = np.nonzero(keep & block.any(axis=-1))
-                    index.append(rows[r] * n + cols[c])
-                    order.append(np.full(len(r), s, dtype=np.intp))
-                    coef.append(block[r, c])
-        index, order, coef = map(np.concatenate, (index, order, coef))
-        row, col = np.divmod(index, n)
-        below = row != col
-        self.index = np.concatenate([index, col[below] * n + row[below]])
-        self.order = np.concatenate([order, order[below]])
-        self.coef = np.concatenate([coef, _mirror(coef[below])])
-        self.diag = np.array([
-            _diagonal_term(p, p, l, l, m, m, rho, params) for l, m, p in self.basis
-        ])
+        fac, self.diag, powers = _scale(rho, params, l_max, geo.factors, geo.norm)
+        built = len(geo.weights)
+        self.coef = np.empty((len(self.index), 4), dtype=complex)
+        _scaled(self.order[:built], geo.weights, geo.imag,
+                fac[self.index[:built] % self.basis.n_eff], powers, self.coef[:built])
+        _mirror(self.coef[:built][geo.below], self.coef[built:])
+        kept = self.coef[:built, 1::2].any(axis=1)   # c(s,-) = +-c(s,+)
+        if not kept.all():
+            # a12 = a22 at some degree (l = 3 when lam = mu) cancels the
+            # entries that only the difference a22 - a12 reaches
+            stored = np.concatenate([kept, kept[geo.below]])
+            self.index, self.order = self.index[stored], self.order[stored]
+            self.coef = self.coef[stored]
 
     def _block(self, values, with_diag: bool) -> np.ndarray:
         n = self.basis.n_eff

@@ -10,8 +10,9 @@ so explicit flags win.  The Bloch phase accepts plain radians or
 ``pi*<rational>`` literals (``pi*1/2``).
 
 Exit codes: 0 success, 2 configuration error (any input the parser
-rejects, or a file that cannot be read or written), 3 singular Bloch
-phase, 4 verification failure.
+rejects, inputs whose matrix leaves the float64 range, or a file that
+cannot be read or written), 3 singular Bloch phase, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, io
-from .assembly import BasisMap, Trace, assemble_dimer, assemble_single
+from .assembly import (
+    BasisMap,
+    ScaleOverflow,
+    Trace,
+    assemble_dimer,
+    assemble_single,
+)
 from .kelvin import LameParams, kelvin_tensor
 from .latsum import (
     DimerGeometry,
@@ -142,12 +149,9 @@ def _params_geometry(args):
 
 
 def _matrix(args, params, geom):
-    try:
-        if geom is None:
-            return assemble_single(args.alpha, args.rho, params, args.lmax)
-        return assemble_dimer(args.alpha, geom, params, args.lmax)
-    except LatticeSumOverflow as exc:
-        raise ConfigError(str(exc)) from exc
+    if geom is None:
+        return assemble_single(args.alpha, args.rho, params, args.lmax)
+    return assemble_dimer(args.alpha, geom, params, args.lmax)
 
 
 def _load_vector(path):
@@ -184,11 +188,11 @@ def _phi_samples(spec: str, quad, basis, rho, params):
         if name == "point-force":
             try:
                 src = np.array([float(t) for t in arg.split(",")])
-                if src.shape != (3,):
+                if src.shape != (3,) or not np.isfinite(src).all():
                     raise ValueError
             except ValueError:
                 raise ConfigError(
-                    "builtin:point-force needs x,y,z source coordinates"
+                    "builtin:point-force needs finite x,y,z source coordinates"
                 ) from None
             if np.linalg.norm(src) <= rho:
                 raise ConfigError("point-force source must lie outside the ball")
@@ -351,7 +355,8 @@ def main(argv=None) -> int:
         if n_file and len(args.suite) > n_file:
             args.suite = args.suite[n_file:]
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, LatticeSumOverflow, ScaleOverflow) as exc:
+        # all three are raised before any output is written
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -192,10 +192,15 @@ def cross_coeff(
     if pref == 0.0:
         return 0.0 + 0.0j
     a = np.asarray(a, dtype=float)
-    if np.linalg.norm(a) == 0.0:
+    dist = float(np.linalg.norm(a))
+    if dist == 0.0:
         raise SingularityError("cross_coeff requires a nonzero shift")
-    a_sph = rhat_dot_a_expand(a)
-    return pref * a_sph[q] * solid_irregular(l + lam, m - mu, a)
+    # the unit shift's component times |a|^-(l+lam), as the block builder
+    # has them: a's own component times |a|^-(l+lam+1) rounds differently
+    unit = a / dist
+    return solid_irregular(
+        l + lam, m - mu, unit, scale=pref * rhat_dot_a_expand(unit)[q]
+    ) * float(np.power(dist, -(l + lam)))
 
 
 def combine_source(m: int, f) -> complex:

@@ -265,7 +265,7 @@ def suite_latsum(rng):
     ns = np.arange(1, 20001, dtype=float)
     ns = np.concatenate([-ns[::-1], ns])
     worst = 0.0
-    blocks = assembly._DegreeBlocks(0.1, _PARAMS, 2)
+    blocks = assembly._DegreeBlocks(2)
     values = latsum.line_values(latsum.LatticeSumCache(alpha), 6)
     for l, lam, m, mu in [(1, 1, 0, 0), (2, 1, 1, 0), (1, 2, -1, 1)]:
         # the plain kernel: (+) coefficient on order l + lam + 1

@@ -7,7 +7,7 @@ from sphelast.assembly import (
     BasisMap,
     Trace,
     _DegreeBlocks,
-    _contract,
+    _entry_lattice,
     _mirror,
     _per_copy_values,
     _real_orders,
@@ -85,9 +85,12 @@ class TestBasisMap:
 class TestShiftKernel:
     def test_matches_scalar_coefficients(self):
         # the block builder's kernels, evaluated at single shifts, are the
-        # same closed forms as the scalar translation coefficients
-        ns = np.array([1.0, -2.0, 3.5, -0.4])
-        blocks = _DegreeBlocks(RHO, LameParams(1.0, 1.0), 2)
+        # same closed forms as the scalar translation coefficients; below
+        # 0.7, decay_coeff's harmonic at azimuth pi (positive shifts) has an
+        # imaginary roundoff above 1e-15
+        ns = np.concatenate([[1.0, -2.0, 3.5, -0.4], np.linspace(-6.0, -0.3, 115),
+                             np.linspace(0.7, 6.0, 107)])
+        blocks = _DegreeBlocks(2)
         plain = _per_copy_values(*kernel_coef(blocks, "plain", 2, 1, 1, 0), ns)
         cross = _per_copy_values(
             *kernel_coef(blocks, "cross", 1, 1, 1, 0, 0, 1, 0), ns)
@@ -108,11 +111,13 @@ class TestShiftKernel:
 
 def test_block_unitaries_match_scalar_combinations(rng):
     # the complex-to-real change of order on both sides of a block is the
-    # per-entry combine_source (columns) then combine_row (rows)
+    # per-entry combine_source (columns) then combine_row (rows), with the
+    # factor 1j of each negative order put back
     lp, l = 2, 3
     kernel = rng.normal(size=(2 * lp + 1, 2 * l + 1))
     cols = _real_orders(kernel)
-    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l)
+    turns = (np.arange(-lp, lp + 1) < 0)[:, None] * 1 + (np.arange(-l, l + 1) < 0)
+    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l) * 1j**turns
     for mp in range(-lp, lp + 1):
         for m in range(-l, l + 1):
             expect = combine_row(mp, lambda mu: combine_source(
@@ -192,14 +197,10 @@ class TestEntrySingle:
         alpha = 1.9
         for fam, l, slot in [(Family.W, 1, 1), (Family.X, 2, 2), (Family.V, 1, 0)]:
             full = entry_single(fam, l, 0, fam, l, 0, alpha, RHO, params)
-            if fam == Family.V:
-                lattice = 0.0
-            else:
-                order, block = _DegreeBlocks(RHO, params, l).block(fam, fam, l, l)
-                lattice = _contract(
-                    np.array([order]), block[l, l][None],
-                    line_values(LatticeSumCache(alpha), 2 * l + 3),
-                )[0]
+            lattice = _entry_lattice(
+                fam, l, 0, fam, l, 0, RHO, params,
+                lambda s_max: line_values(LatticeSumCache(alpha), s_max),
+            )
             tau = surface_response(l, params)[slot]
             assert full - lattice == pytest.approx(
                 RHO * tau * norm_factor(fam, l), abs=1e-16
@@ -352,6 +353,22 @@ class TestOperatorStructure:
             l, m, qf = trace.basis.labels[flat % n]
             assert Family.V not in (pf, qf) or Family.W in (pf, qf)
 
+    def test_traces_share_one_geometry(self):
+        # one read-only geometry per lmax serves every radius, material and
+        # sign; only the coefficients and the diagonal are per trace
+        from sphelast.assembly import _geometry
+
+        one = Trace(RHO, LameParams(1.5, 0.8), 3)
+        two = Trace(0.37, LameParams(0.3, 2.1, sign_flip=True), 3)
+        geo = _geometry(3)
+        for name in ("basis", "index", "order"):
+            assert getattr(one, name) is getattr(two, name) is getattr(geo, name)
+        for array in (geo.index, geo.order, geo.weights, geo.imag, geo.below,
+                      geo.factors, geo.norm):
+            assert not array.flags.writeable
+        assert not np.array_equal(one.coef, two.coef)
+        assert not np.array_equal(one.diag, two.diag)
+
     def test_dimer_radius_must_match_trace(self, params):
         with pytest.raises(ValueError):
             Trace(0.12, params, 1).dimer(1.3, GEOM)
@@ -401,7 +418,7 @@ class TestParitySectors:
         monkeypatch.setitem(
             assembly._ORDER_OFFSET, (Family.W, Family.W), 0)
         with pytest.raises(RuntimeError, match="outside the two orders"):
-            _DegreeBlocks(RHO, params, 1).block(Family.W, Family.W, 1, 1)
+            _DegreeBlocks(1).block(Family.W, Family.W, 1, 1)
 
     @staticmethod
     def _matrices(params):

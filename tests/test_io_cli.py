@@ -379,6 +379,35 @@ class TestBadInputs:
             assert "outside float64" in err and "lmax" in err
             assert not out.exists()
 
+    def test_non_finite_point_force_source(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        for bad in ("nan", "inf"):
+            self._assert_config_error([
+                "solve", *self.BASE, "--phi", f"builtin:point-force:{bad},0,0",
+                "--out", str(out),
+            ], capsys)
+            assert not out.exists()
+
+    def test_scale_beyond_float64(self, tmp_path, capsys):
+        # response coefficients that are not finite (huge constants, a
+        # subnormal shear modulus) or an on-ball diagonal that underflows (a
+        # subnormal radius): every command stops before writing
+        huge = self._argv(self.BASE, **{"lambda": "1e308", "mu": "1e308"})
+        out = tmp_path / "out.json"
+        for argv in (
+            ["assemble", *huge],
+            ["dimer-assemble", *huge, "--dimer-d", "0.2"],
+            ["solve", *huge, "--phi", "builtin:uniform-x"],
+            ["solve", *self._argv(self.BASE, rho="1e-310"),
+             "--phi", "builtin:point-force:2,0,0"],
+            ["sweep", "--alpha-grid", "0.5:2.5:3", "--rho", "0.1",
+             "--lambda", "1", "--mu", "1e-320", "--lmax", "1"],
+        ):
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "configuration error" in err and "finite" in err
+            assert not out.exists()
+
 
 class TestOptionsPerCommand:
     """Each command takes only the options it reads; the rest exit 2, as a

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sphelast.assembly import _DegreeBlocks, _contract, _per_copy_values
-from sphelast.kelvin import LameParams
 from sphelast.latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
@@ -29,8 +28,7 @@ from conftest import kernel_coef
 
 GEOM = DimerGeometry(0.2, 0.1)
 S_MAX = 8
-# the kernels do not depend on the radius or the material
-BLOCKS = _DegreeBlocks(0.1, LameParams(1.0, 1.0), S_MAX)
+BLOCKS = _DegreeBlocks(S_MAX)
 
 
 def _closed(method, *args, alpha, block=None):

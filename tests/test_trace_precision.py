@@ -151,12 +151,12 @@ def _block(p, q, lp, l, rho, params):
     """``(s, plus)``: the ``(+)`` coefficients of the orders ``s`` and
     ``s + 2`` of every real order pair, shape ``(2, 2 lp + 1, 2 l + 1)``."""
     s = l + lp + _ORDER_OFFSET[p, q]
-    phase, terms = assembly._terms(p, q, lp, l, rho, params)
+    phase, terms = assembly._terms(p, q, lp, l, _response(l, params))
     kernel = np.zeros((2, 2 * lp + 1, 2 * l + 1), dtype=object)
     for order, lam, qq, weights in terms:
         start = lam + 2 - lp - qq
         rows = _padded(l, lam)[start:start + 2 * lp + 1]
-        kernel[(order - s) // 2] += weights[:, None] * rows
+        kernel[(order - s) // 2] += rho ** (order + 1) * weights[:, None] * rows
     real = _real_orders(_real_orders(kernel).swapaxes(1, 2), row=True)
     return s, mpc(phase) * real.swapaxes(1, 2)
 
@@ -165,7 +165,6 @@ def reference_matrix(l_max, alpha, rho, params, monkeypatch):
     """``M(alpha)`` at ``DPS`` digits, as an object array of ``mpc``."""
     for name, value in (("_axis_rows", _axis_rows), ("_cg_rows", _cg_rows),
                         ("_cross_rows", _cross_rows),
-                        ("response_coeffs", _response),
                         ("math", types.SimpleNamespace(sqrt=mp.sqrt))):
         monkeypatch.setattr(assembly, name, value)
     basis = BasisMap(l_max)
@@ -193,15 +192,19 @@ def reference_matrix(l_max, alpha, rho, params, monkeypatch):
     return out
 
 
-@pytest.mark.parametrize("l_max, alpha", [(2, 0.7), (7, 2.9)])
-def test_matrix_against_high_precision(l_max, alpha, monkeypatch):
+@pytest.mark.parametrize("l_max, alpha, rho, params", [
     # rho = 0.45 (the largest couplings) and a sign-flipped material; the
-    # float64 route was 6.3e-16 of the largest entry off at L = 7, and the
-    # per-entry route it replaced 1.6e-15
-    params = LameParams(1.5, 0.8, sign_flip=True)
-    matrix = assemble_single(alpha, 0.45, params, l_max).matrix
+    # float64 route is 4.9e-16 of the largest entry off at L = 7, and the
+    # per-entry route it replaced was 1.6e-15
+    pytest.param(2, 0.7, 0.45, LameParams(1.5, 0.8, sign_flip=True), id="2-0.7"),
+    pytest.param(7, 2.9, 0.45, LameParams(1.5, 0.8, sign_flip=True), id="7-2.9"),
+    # a second radius and material for the per-call scale of one geometry
+    pytest.param(4, 1.3, 0.17, LameParams(0.3, 2.1), id="4-1.3-rho0.17"),
+])
+def test_matrix_against_high_precision(l_max, alpha, rho, params, monkeypatch):
+    matrix = assemble_single(alpha, rho, params, l_max).matrix
     with mp.workdps(DPS):
-        ref = reference_matrix(l_max, alpha, 0.45, params, monkeypatch)
+        ref = reference_matrix(l_max, alpha, rho, params, monkeypatch)
         err = max(abs(mpc(x) - r) for x, r in zip(matrix.ravel(), ref.ravel()))
         scale = max(abs(r) for r in ref.ravel())
         assert float(err / scale) <= 1e-15
