@@ -33,8 +33,6 @@ coefficient (``_terms`` with a factor axis): this geometry depends on
 ``l_max`` alone and is cached, read-only, for the most recent ``l_max``
 (``_geometry``).  Each radius and material only scales it (``_scale``,
 ``_scaled``); values beyond the float64 range raise ``ScaleOverflow``.
-Every entry of a block is real or imaginary, so the geometry is real with
-one flag per entry.
 
 Two orders per entry: the lattice part of an entry of degrees ``(lp, l)``
 lives on the orders ``l + lp + b`` and ``l + lp + b + 2``, with ``b`` fixed
@@ -311,9 +309,13 @@ def _scale(rho, params: LameParams, l_max: int, factors, norm):
     coefficients ``table[factors]`` (``_label_columns``), its on-ball
     diagonal ``rho a norm`` (``a`` the first factor) and the powers
     ``rho^k`` for ``k = 0..2 l_max + 5``."""
-    table = np.array([response_coeffs(l, params) for l in range(l_max + 1)])
+    message = "the response coefficients of this material are not finite"
+    try:
+        table = np.array([response_coeffs(l, params) for l in range(l_max + 1)])
+    except (ZeroDivisionError, OverflowError) as exc:   # a product underflowed to 0
+        raise ScaleOverflow(message) from exc
     if not np.isfinite(table).all():
-        raise ScaleOverflow("the response coefficients of this material are not finite")
+        raise ScaleOverflow(message)
     fac = table.ravel()[factors]
     diag = rho * fac[..., 0] * norm
     if not np.all(np.isfinite(diag) & (np.abs(diag) >= np.finfo(float).tiny)):
@@ -322,53 +324,38 @@ def _scale(rho, params: LameParams, l_max: int, factors, norm):
     return fac, diag, np.array([rho**k for k in range(2 * l_max + 6)])
 
 
-def _scaled(order, weights, imag, fac, powers, out=None):
+def _scaled(order, weights, fac, powers, out=None):
     """The coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (last axis)
     of entries of lowest order ``order``, geometric weights ``weights[...,
-    f, k]`` (``_DegreeBlocks.block``), ``imag`` flags and factors ``fac[...,
-    f]``: ``c(s + 2k, +) = rho^(s + 2k + 1) sum_f fac[f] weights[f, k]``,
-    times ``1j`` where flagged, and ``c(s,-) = (-1)^(s+1) c(s,+)``; written
-    into ``out`` when given.  One element at a time, and the last product
-    (by 1 or 1j) is exact whether fused or not, so an entry's coefficients
-    do not depend on what it is computed with."""
+    f, k]`` (``_DegreeBlocks.block``) and real factors ``fac[..., f]``:
+    ``c(s + 2k, +) = rho^(s + 2k + 1) sum_f fac[f] weights[f, k]`` and
+    ``c(s,-) = (-1)^(s+1) c(s,+)``; written into ``out`` when given.  The
+    factors are real, so each complex product is exact whether fused or
+    not, and an entry's coefficients do not depend on what it is computed
+    with."""
     order = np.asarray(order)
     value = powers[order[..., None] + (1, 3)] * (
         fac[..., :1] * weights[..., 0, :] + fac[..., 1:] * weights[..., 1, :])
-    sign = np.where(order % 2 == 0, -1.0, 1.0)[..., None]
-    slots = np.stack([sign * value, value], axis=-1).reshape(value.shape[:-1] + (4,))
-    return np.multiply(slots, np.where(imag, 1j, 1.0)[..., None], out=out)
+    if out is None:
+        out = np.empty(value.shape[:-1] + (4,), dtype=complex)
+    np.multiply(np.where(order % 2 == 0, -1.0, 1.0)[..., None], value, out=out[..., 0::2])
+    out[..., 1::2] = value
+    return out
 
 
 def _real_orders(block: np.ndarray, row: bool = False) -> np.ndarray:
-    """The complex-to-real change of order on the last axis of a real
-    ``block``: the weights of ``combine_source``, or with ``row`` of
-    ``combine_row``, except their common factor ``1/sqrt(2)`` at ``m != 0``
-    (``_unitary_scale``) and their factor ``1j`` at ``m < 0``
-    (``_quarter_turns``)."""
+    """The complex-to-real change of order on the last axis of ``block``:
+    the weights of ``combine_source``, or with ``row`` of ``combine_row``,
+    except their common factor ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``)."""
     l = block.shape[-1] // 2
-    out = np.empty(block.shape)
+    out = np.empty(block.shape, dtype=complex)
     out[..., l] = block[..., l]
     if l:
         sign = 1.0 - 2.0 * (np.arange(1, l + 1) % 2)   # (-1)^m, m = 1..l
         up, down = block[..., l + 1:], block[..., l - 1::-1]   # orders m, -m
         out[..., l + 1:] = down + sign * up
-        out[..., l - 1::-1] = sign * up - down if row else down - sign * up
+        out[..., l - 1::-1] = 1j * (sign * up - down if row else down - sign * up)
     return out
-
-
-# a block's phase as a power of 1j
-_PHASE_TURNS = {1.0: 0, 1j: 1, -1j: 3}
-# the sign of the nonzero part of 1j^k, k = 0..3
-_TURN_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
-
-
-def _quarter_turns(lp: int, l: int, phase) -> np.ndarray:
-    """The power of ``1j`` that entry ``(mp, m)`` of a block of degrees
-    ``(lp, l)`` carries, indexed ``[mp + lp, m + l]``: one for each negative
-    order (``_real_orders``) and those of the block's ``phase``."""
-    def negative(deg):
-        return (np.arange(-deg, deg + 1) < 0).astype(int)
-    return negative(lp)[:, None] + negative(l) + _PHASE_TURNS[phase]
 
 
 def _unitary_scale(lp: int, l: int) -> np.ndarray:
@@ -424,16 +411,14 @@ class _DegreeBlocks:
         return table
 
     def block(self, p, q, lp: int, l: int):
-        """``(s, weights, imag)`` for rows of family ``p``, degree ``lp`` and
+        """``(s, weights)`` for rows of family ``p``, degree ``lp`` and
         columns of family ``q``, degree ``l``: ``weights[mp + lp, m + l, f,
         k]`` is the ``(+)`` coefficient of entry ``(mp, m)`` on order ``s +
-        2k`` per unit of its ``f``-th response coefficient (``_FACTORS``),
-        times ``1j`` where ``imag[mp + lp, m + l]``: the complex-to-real
-        unitaries and the phase make each entry real or imaginary."""
+        2k`` per unit of its ``f``-th response coefficient (``_FACTORS``)."""
         s = l + lp + _ORDER_OFFSET[p, q]
         factors = len(_FACTORS[q])
         phase, terms = _terms(p, q, lp, l, _UNIT[q])
-        kernel = np.zeros((2, factors, 2 * lp + 1, 2 * l + 1))
+        kernel = np.zeros((2, factors, 2 * lp + 1, 2 * l + 1), dtype=complex)
         for order, lam, qq, weights in terms:
             if order - s not in (0, 2):
                 raise RuntimeError(
@@ -443,11 +428,10 @@ class _DegreeBlocks:
             rows = self._padded(l, lam)[start:start + 2 * lp + 1]
             kernel[(order - s) // 2] += weights[..., None] * rows
         real = _real_orders(kernel.swapaxes(-1, -2), row=True).swapaxes(-1, -2)
-        turns = _quarter_turns(lp, l, phase) % 4
-        weights = np.zeros((2 * lp + 1, 2 * l + 1, 2, 2))
+        weights = np.zeros((2 * lp + 1, 2 * l + 1, 2, 2), dtype=complex)
         weights[:, :, :factors] = (
-            real * (_TURN_SIGN[turns] / _unitary_scale(lp, l))).transpose(2, 3, 1, 0)
-        return s, weights, turns % 2 == 1
+            phase * (real / _unitary_scale(lp, l))).transpose(2, 3, 1, 0)
+        return s, weights
 
 
 def _label_indices(basis: BasisMap) -> dict:
@@ -472,10 +456,10 @@ def _unrestricted(l_max: int, rho, params: LameParams):
     for (lp, p), rows in ids.items():
         for (l, q), cols in ids.items():
             if (p, q) in _STORED:
-                s, weights, imag = blocks.block(p, q, lp, l)
+                s, weights = blocks.block(p, q, lp, l)
                 fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
                 order[np.ix_(rows, cols)] = s
-                coef[np.ix_(rows, cols)] = _scaled(s, weights, imag, fac, powers)
+                coef[np.ix_(rows, cols)] = _scaled(s, weights, fac, powers)
     return order, coef
 
 
@@ -537,10 +521,9 @@ def _entry_coef(p, lp, mp, q, l, m, rho, params):
     """``(s, coef)`` of one entry, from its degree-pair block and the
     factors of its column: the same values as the entry in ``Trace``."""
     l_max = max(l, lp)
-    s, weights, imag = _DegreeBlocks(l_max).block(p, q, lp, l)
+    s, weights = _DegreeBlocks(l_max).block(p, q, lp, l)
     fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
-    at = mp + lp, m + l
-    return s, _scaled(s, weights[at], imag[at], fac, powers)
+    return s, _scaled(s, weights[mp + lp, m + l], fac, powers)
 
 
 def _per_copy_values(s, coef, x):
@@ -634,8 +617,8 @@ def entry_dimer(
 @dataclass(frozen=True, eq=False)
 class _Geometry:
     """The part of ``Trace`` that depends on ``l_max`` alone, read-only:
-    ``basis``, ``index`` and ``order`` as in ``Trace``; ``weights`` and
-    ``imag`` (``_DegreeBlocks.block``) of the built triangle, which the
+    ``basis``, ``index`` and ``order`` as in ``Trace``; ``weights``
+    (``_DegreeBlocks.block``) of the built triangle, which the
     first ``len(weights)`` entries of ``index`` hold; ``below``, the built
     entries mirrored into the rest, in order; and for each basis label its
     ``factors`` and ``norm`` (``_label_columns``)."""
@@ -644,7 +627,6 @@ class _Geometry:
     index: np.ndarray
     order: np.ndarray
     weights: np.ndarray
-    imag: np.ndarray
     below: np.ndarray
     factors: np.ndarray
     norm: np.ndarray
@@ -668,16 +650,16 @@ def _geometry(l_max: int) -> _Geometry:
     # filled in place: at most every pair, and the mirror of each
     bound = sum(int(keep.sum()) for *_, keep in pairs)
     index, order = np.empty(2 * bound, dtype=np.intp), np.empty(2 * bound, dtype=np.intp)
-    weights, imag = np.empty((bound, 2, 2)), np.empty(bound, dtype=bool)
+    weights = np.empty((bound, 2, 2), dtype=complex)
     built = 0
     blocks = _DegreeBlocks(l_max)
     for p, q, lp, l, rows, cols, keep in pairs:
-        s, block, block_imag = blocks.block(p, q, lp, l)
+        s, block = blocks.block(p, q, lp, l)
         r, c = np.nonzero(keep & block.any(axis=(-2, -1)))
         end = built + len(r)
         index[built:end] = rows[r] * n + cols[c]
         order[built:end] = s
-        weights[built:end], imag[built:end] = block[r, c], block_imag[r, c]
+        weights[built:end] = block[r, c]
         built = end
     row, col = np.divmod(index[:built], n)
     below = row != col
@@ -687,7 +669,7 @@ def _geometry(l_max: int) -> _Geometry:
     factors, norm = zip(*(_label_columns(l, fam) for l, _m, fam in basis))
     return _Geometry(
         basis=basis, index=_frozen(index[:total]), order=_frozen(order[:total]),
-        weights=_frozen(weights[:built]), imag=_frozen(imag[:built]),
+        weights=_frozen(weights[:built]),
         below=_frozen(below), factors=_frozen(factors), norm=_frozen(norm),
     )
 
@@ -720,7 +702,7 @@ class Trace:
         fac, self.diag, powers = _scale(rho, params, l_max, geo.factors, geo.norm)
         built = len(geo.weights)
         self.coef = np.empty((len(self.index), 4), dtype=complex)
-        _scaled(self.order[:built], geo.weights, geo.imag,
+        _scaled(self.order[:built], geo.weights,
                 fac[self.index[:built] % self.basis.n_eff], powers, self.coef[:built])
         _mirror(self.coef[:built][geo.below], self.coef[built:])
         kept = self.coef[:built, 1::2].any(axis=1)   # c(s,-) = +-c(s,+)

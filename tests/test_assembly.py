@@ -7,7 +7,8 @@ from sphelast.assembly import (
     BasisMap,
     Trace,
     _DegreeBlocks,
-    _entry_lattice,
+    _contract,
+    _entry_coef,
     _mirror,
     _per_copy_values,
     _real_orders,
@@ -111,13 +112,11 @@ class TestShiftKernel:
 
 def test_block_unitaries_match_scalar_combinations(rng):
     # the complex-to-real change of order on both sides of a block is the
-    # per-entry combine_source (columns) then combine_row (rows), with the
-    # factor 1j of each negative order put back
+    # per-entry combine_source (columns) then combine_row (rows)
     lp, l = 2, 3
     kernel = rng.normal(size=(2 * lp + 1, 2 * l + 1))
     cols = _real_orders(kernel)
-    turns = (np.arange(-lp, lp + 1) < 0)[:, None] * 1 + (np.arange(-l, l + 1) < 0)
-    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l) * 1j**turns
+    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l)
     for mp in range(-lp, lp + 1):
         for m in range(-l, l + 1):
             expect = combine_row(mp, lambda mu: combine_source(
@@ -197,10 +196,14 @@ class TestEntrySingle:
         alpha = 1.9
         for fam, l, slot in [(Family.W, 1, 1), (Family.X, 2, 2), (Family.V, 1, 0)]:
             full = entry_single(fam, l, 0, fam, l, 0, alpha, RHO, params)
-            lattice = _entry_lattice(
-                fam, l, 0, fam, l, 0, RHO, params,
-                lambda s_max: line_values(LatticeSumCache(alpha), s_max),
-            )
+            if fam == Family.V:
+                lattice = 0.0
+            else:
+                order, coef = _entry_coef(fam, l, 0, fam, l, 0, RHO, params)
+                lattice = _contract(
+                    np.array([order]), coef[None],
+                    line_values(LatticeSumCache(alpha), 2 * l + 3),
+                )[0]
             tau = surface_response(l, params)[slot]
             assert full - lattice == pytest.approx(
                 RHO * tau * norm_factor(fam, l), abs=1e-16
@@ -363,7 +366,7 @@ class TestOperatorStructure:
         geo = _geometry(3)
         for name in ("basis", "index", "order"):
             assert getattr(one, name) is getattr(two, name) is getattr(geo, name)
-        for array in (geo.index, geo.order, geo.weights, geo.imag, geo.below,
+        for array in (geo.index, geo.order, geo.weights, geo.below,
                       geo.factors, geo.norm):
             assert not array.flags.writeable
         assert not np.array_equal(one.coef, two.coef)

@@ -390,12 +390,18 @@ class TestBadInputs:
 
     def test_scale_beyond_float64(self, tmp_path, capsys):
         # response coefficients that are not finite (huge constants, a
-        # subnormal shear modulus) or an on-ball diagonal that underflows (a
+        # subnormal shear modulus, tiny constants whose product underflows
+        # to a zero divisor) or an on-ball diagonal that underflows (a
         # subnormal radius): every command stops before writing
         huge = self._argv(self.BASE, **{"lambda": "1e308", "mu": "1e308"})
+        tiny = self._argv(self.BASE, **{"lambda": "1e-200", "mu": "1e-200"})
         out = tmp_path / "out.json"
         for argv in (
             ["assemble", *huge],
+            ["assemble", *tiny],
+            ["solve", *tiny, "--phi", "builtin:uniform-x"],
+            ["sweep", "--alpha-grid", "0.5:2.5:3", "--rho", "0.1",
+             "--lambda", "1e-200", "--mu", "1e-200", "--lmax", "1"],
             ["dimer-assemble", *huge, "--dimer-d", "0.2"],
             ["solve", *huge, "--phi", "builtin:uniform-x"],
             ["solve", *self._argv(self.BASE, rho="1e-310"),

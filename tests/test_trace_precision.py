@@ -1,16 +1,17 @@
 """The assembled matrix against a 40-digit evaluation of the same closed
 forms.
 
-The reference runs the builder's combination (``assembly._terms``) in
-mpmath, with exact binomials, exact Clebsch-Gordan coefficients (Racah's
-sum in fractions), exact equator values and exact complex-to-real
-unitaries, and contracts it with the float64 lattice values ``v(alpha)``
-that the matrix itself uses.  So the difference is the rounding of the
-float64 trace and its contraction alone.
+The reference evaluates the combination of each family pair (``_terms``)
+with its radial factors written out on the ball surface, in mpmath, with
+exact binomials, exact Clebsch-Gordan coefficients (Racah's sum in
+fractions), exact equator values and exact complex-to-real unitaries, and
+contracts it with the float64 lattice values ``v(alpha)`` that the matrix
+itself uses.  So the difference is the rounding of the float64 trace and
+its contraction alone, and the builder's split into a unit-ball geometry
+and a per-radius scale is checked too.
 """
 
 import math
-import types
 from fractions import Fraction
 from functools import lru_cache
 
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 from mpmath import mp, mpc, mpf
 
-from sphelast import assembly
 from sphelast.assembly import _ORDER_OFFSET, _STORED, BasisMap, assemble_single
 from sphelast.kelvin import LameParams, norm_factor
 from sphelast.latsum import LatticeSumCache, line_values, slot
@@ -147,26 +147,77 @@ def _real_orders(block, row=False):
     return out
 
 
+def _terms(p, q, lp, l, rho, params):
+    """The combination of one family pair as ``assembly._terms``, with the
+    radial factors instantiated on the ball surface (``r = rho``)."""
+    r = rho
+    a11, a12, a22, a33 = _response(l, params)
+    one = np.ones(2 * lp + 1)
+    W, V, X = Family.W, Family.V, Family.X
+    if (p, q) == (W, V):
+        return 1.0, [(l + lp + 1, lp, 0, one * (
+            rho ** (l + 3) * a11 * r ** (lp - 1) * norm_factor(W, lp)))]
+    if (p, q) in ((W, X), (X, X)):
+        if p == X:
+            pref = rho ** (l + 2) * a33 * r**lp
+            n3 = norm_factor(X, lp)
+            terms = [(l + lp + 1, lp, 0, pref * n3 * one)]
+            pref, lam, phase = pref * mp.sqrt(n3), lp + 1, 1.0
+        else:
+            pref = rho ** (l + 2) * a33 * r ** (lp - 1) * mp.sqrt(norm_factor(W, lp))
+            terms, lam, phase = [], lp, 1j
+        return phase, terms + [
+            (l + lam, lam, qq, pref * _cross_rows(lp, lam, qq)) for qq in (-1, 1)]
+    side = rho ** (l + 1) * (a22 - a12)
+    if p == V:
+        root = mp.sqrt(norm_factor(V, lp))
+        k, lams, phase = lp + 1, (lp + 1, lp + 3), 1.0
+        terms = [(l + lp + 1, lp, 0, one * (
+            -rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) * (lp + 1)))]
+        coupled = rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) * root
+    elif p == X:
+        root = mp.sqrt(norm_factor(X, lp))
+        k, lams, phase = lp, (lp, lp + 2), -1j
+        terms = []
+        coupled = rho ** (l + 1) * a22 * r**lp * (2 * l + 1) * root
+    else:
+        n2 = norm_factor(W, lp)
+        root = mp.sqrt(n2)
+        k, lams, phase = lp - 1, (lp - 1, lp + 1), 1.0
+        bracket = (
+            rho ** (l + 3) * a12 * r ** (lp - 1)
+            + side * r ** (lp + 1)
+            + rho ** (l + 1) * a22 * r ** (lp + 1) * (2 * l + 1) / (2 * lp + 1)
+        )
+        terms = [
+            (l + lp + 1, lp, 0, n2 * bracket * one),
+            (l + lp - 1, lp, 0, n2 * side * r ** (lp - 1) * one),
+        ]
+        coupled = rho ** (l + 1) * a22 * (2 * l + 1) * root * r ** (lp - 1)
+    for lam in lams:
+        if lam >= 1:
+            terms += [(l + lam, lam, qq, 2 * side * root * r**lam
+                       * _axis_rows(k, lp, lam, qq)) for qq in (-1, 1)]
+    terms += [(l + k, k, qq, coupled * _cg_rows(k, lp, qq)) for qq in (-1, 1)]
+    return phase, terms
+
+
 def _block(p, q, lp, l, rho, params):
     """``(s, plus)``: the ``(+)`` coefficients of the orders ``s`` and
     ``s + 2`` of every real order pair, shape ``(2, 2 lp + 1, 2 l + 1)``."""
     s = l + lp + _ORDER_OFFSET[p, q]
-    phase, terms = assembly._terms(p, q, lp, l, _response(l, params))
+    phase, terms = _terms(p, q, lp, l, rho, params)
     kernel = np.zeros((2, 2 * lp + 1, 2 * l + 1), dtype=object)
     for order, lam, qq, weights in terms:
         start = lam + 2 - lp - qq
         rows = _padded(l, lam)[start:start + 2 * lp + 1]
-        kernel[(order - s) // 2] += rho ** (order + 1) * weights[:, None] * rows
+        kernel[(order - s) // 2] += weights[:, None] * rows
     real = _real_orders(_real_orders(kernel).swapaxes(1, 2), row=True)
     return s, mpc(phase) * real.swapaxes(1, 2)
 
 
-def reference_matrix(l_max, alpha, rho, params, monkeypatch):
+def reference_matrix(l_max, alpha, rho, params):
     """``M(alpha)`` at ``DPS`` digits, as an object array of ``mpc``."""
-    for name, value in (("_axis_rows", _axis_rows), ("_cg_rows", _cg_rows),
-                        ("_cross_rows", _cross_rows),
-                        ("math", types.SimpleNamespace(sqrt=mp.sqrt))):
-        monkeypatch.setattr(assembly, name, value)
     basis = BasisMap(l_max)
     ids = {}
     for i, (l, _m, fam) in enumerate(basis.labels):
@@ -201,10 +252,10 @@ def reference_matrix(l_max, alpha, rho, params, monkeypatch):
     # a second radius and material for the per-call scale of one geometry
     pytest.param(4, 1.3, 0.17, LameParams(0.3, 2.1), id="4-1.3-rho0.17"),
 ])
-def test_matrix_against_high_precision(l_max, alpha, rho, params, monkeypatch):
+def test_matrix_against_high_precision(l_max, alpha, rho, params):
     matrix = assemble_single(alpha, rho, params, l_max).matrix
     with mp.workdps(DPS):
-        ref = reference_matrix(l_max, alpha, rho, params, monkeypatch)
+        ref = reference_matrix(l_max, alpha, rho, params)
         err = max(abs(mpc(x) - r) for x, r in zip(matrix.ravel(), ref.ravel()))
         scale = max(abs(r) for r in ref.ravel())
         assert float(err / scale) <= 1e-15
