@@ -41,13 +41,15 @@ from .latsum import (
     QuasiMomentumSingular,
     reduce_alpha,
 )
-from .system import build_quadrature, project_rhs, solve_dimer, solve_single
-from .verify import SUITES, run_suites
+from .system import build_quadrature, condition, project_rhs, solve_dimer, solve_single
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
+
+# the names of ``verify.SUITES``, so that only ``verify`` imports the module
+SUITES = ("sphharm", "vsh", "translation", "kelvin", "latsum", "assembly", "system")
 
 
 class ConfigError(argparse.ArgumentTypeError, ValueError):
@@ -156,9 +158,12 @@ def _matrix(args, params, geom):
 
 def _load_vector(path):
     try:
-        return io.load_vector(path)
+        vec, hdr = io.load_vector(path)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read vector file {path!r}: {exc}") from exc
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"vector file {path!r} holds non-finite entries")
+    return vec, hdr
 
 
 def _phi_samples(spec: str, quad, basis, rho, params):
@@ -179,6 +184,10 @@ def _phi_samples(spec: str, quad, basis, rho, params):
             raise ConfigError(
                 f"grid file degree {hdr.get('grid_degree')} != projection "
                 f"degree {quad.degree}"
+            )
+        if vec.shape != (3 * quad.n_nodes,):
+            raise ConfigError(
+                f"grid file length {vec.shape[0]} != 3 x {quad.n_nodes} nodes"
             )
         return vec.reshape(quad.n_nodes, 3), None
     if kind == "builtin":
@@ -256,9 +265,8 @@ def cmd_sweep(args) -> int:
     lines = ["alpha,max_entry,cond_1norm"]
     for alpha in args.alpha_grid:
         mat = trace.single(float(alpha))
-        cond = abs(np.linalg.cond(mat.matrix, 1))
         lines.append(
-            f"{float(alpha)!r},{float(np.abs(mat.matrix).max())!r},{float(cond)!r}"
+            f"{float(alpha)!r},{float(np.abs(mat.matrix).max())!r},{condition(mat)!r}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -268,6 +276,13 @@ def cmd_sweep(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def run_suites(names=None, seed: int = 0):
+    """``verify.run_suites``, imported on the first call."""
+    from .verify import run_suites as run
+
+    return run(names, seed=seed)
 
 
 def cmd_verify(args) -> int:

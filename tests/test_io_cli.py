@@ -343,6 +343,38 @@ class TestBadInputs:
             "--out", str(tmp_path / "f.json"),
         ], capsys)
 
+    def test_grid_file_of_wrong_length(self, tmp_path, capsys):
+        # the right grid_degree (2*lmax+2 = 4) but one node too few or
+        # too many
+        from sphelast.system import build_quadrature
+
+        size = 3 * build_quadrature(4).n_nodes
+        grid, out = tmp_path / "phi_grid.json", tmp_path / "f.json"
+        for size in (size - 3, size + 3):
+            io.save_vector(grid, np.ones(size), header_extra={"grid_degree": 4})
+            self._assert_config_error([
+                "solve", *self.BASE, "--phi", f"grid:{grid}", "--out", str(out),
+            ], capsys)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_file(self, tmp_path, capsys, bad):
+        # lmax 1: 10 coefficients, or 3 samples a node on the degree-4 grid
+        from sphelast.system import build_quadrature
+
+        out = tmp_path / "f.json"
+        nodes = build_quadrature(4).n_nodes
+        for kind, size, extra in (("coeffs", 10, None),
+                                  ("grid", 3 * nodes, {"grid_degree": 4})):
+            vec = np.ones(size, dtype=complex)
+            vec[size // 2] = complex(0.0, bad)
+            path = tmp_path / f"{kind}.json"
+            io.save_vector(path, vec, header_extra=extra)
+            self._assert_config_error([
+                "solve", *self.BASE, "--phi", f"{kind}:{path}", "--out", str(out),
+            ], capsys)
+            assert not out.exists()
+
     def test_non_numeric_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         for key, value in (("rho", "abc"), ("lmax", [1]), ("lambda", "abc")):
@@ -596,15 +628,25 @@ _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 def test_cli_import_leaves_out_mpmath_and_scipy_special():
     # mpmath is only the oracle's reference; neither belongs on the import
-    # path of every command, and the package does not use scipy at all
+    # path of every command, and the package does not use scipy at all.
+    # The self-checks and the oracle behind them load when verify runs.
+    reference = "('mpmath', 'scipy.special', 'sphelast.verify', " \
+        "'sphelast.oracle', 'sphelast._kernels')"
     done = _run_python(
         "-c",
         "import sys, sphelast.cli; "
-        "print(sorted(m for m in ('mpmath', 'scipy.special') if m in sys.modules)); "
+        f"print(sorted(m for m in {reference} if m in sys.modules)); "
         f"print({_LOADED_SCIPY})",
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]", "[]"]
+
+
+def test_suite_choices_name_the_verify_suites():
+    from sphelast.cli import SUITES
+    from sphelast.verify import SUITES as suites
+
+    assert SUITES == tuple(suites)
 
 
 def test_single_and_dimer_solves_load_no_scipy(tmp_path):

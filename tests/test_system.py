@@ -3,12 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from sphelast.assembly import AssembledMatrix, BasisMap, assemble_dimer, assemble_single
+from sphelast.assembly import (
+    AssembledMatrix,
+    BasisMap,
+    assemble_dimer,
+    assemble_single,
+    sector,
+)
 from sphelast.kelvin import LameParams
 from sphelast.latsum import DimerGeometry
 from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
-from sphelast.system import _solve, project_rhs, solve_dimer, solve_single
-from sphelast.vsh import Family
+from sphelast.system import (
+    _projection,
+    _sectors,
+    _solve,
+    condition,
+    project_rhs,
+    solve_dimer,
+    solve_single,
+)
+from sphelast.vsh import Family, vsh_real_table
 
 RHO = 0.1
 
@@ -87,6 +101,107 @@ class TestProjectRhs:
         quad = build_quadrature(6)
         with pytest.raises(ValueError):
             project_rhs(np.zeros((quad.n_nodes, 3)), quad, basis)
+
+
+class TestSolvePlan:
+    """The cached projection table and the per-sector solve."""
+
+    @staticmethod
+    def _seeded(seed, sign_flip, dimer):
+        rng = np.random.default_rng(seed)
+        alpha, rho = rng.uniform(0.3, 2 * math.pi - 0.3), rng.uniform(0.05, 0.2)
+        params = LameParams(rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0), sign_flip)
+        if dimer:
+            geom = DimerGeometry(rng.uniform(rho + 0.02, 0.5 - rho - 0.02), rho)
+            mat = assemble_dimer(alpha, geom, params, 2)
+        else:
+            mat = assemble_single(alpha, rho, params, 5)
+        n = mat.matrix.shape[0]
+        return mat, rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    @pytest.mark.parametrize("dimer", [False, True])
+    @pytest.mark.parametrize("sign_flip", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sectors_match_one_group(self, seed, sign_flip, dimer):
+        mat, rhs = self._seeded(seed, sign_flip, dimer)
+        whole = _solve(mat.matrix, rhs)
+        if dimer:
+            parts = solve_dimer(mat, np.split(rhs, 2))
+            coeffs = np.concatenate([r.coeffs for r in parts])
+            res = parts[0]
+        else:
+            res = solve_single(mat, rhs)
+            coeffs = res.coeffs
+        assert np.abs(coeffs - whole.coeffs).max() <= 1e-15 * np.abs(whole.coeffs).max()
+        assert f"{res.cond:.3e}" == f"{whole.cond:.3e}"
+        assert condition(mat) == res.cond
+        assert condition(mat) == pytest.approx(np.linalg.cond(mat.matrix, 1), rel=1e-14)
+
+    def test_sectors_partition_the_basis(self):
+        (rows, valid), (dimer_rows, dimer_valid) = _sectors(3)
+        n = BasisMap(3).n_eff
+        assert len(rows) == len(dimer_rows) == 4
+        assert np.array_equal(np.sort(rows[valid]), np.arange(n))
+        assert np.array_equal(np.sort(dimer_rows[dimer_valid]), np.arange(2 * n))
+        # each sector is one block of the matrix, on both balls of the dimer
+        secs = np.array([sector(*label) for label in BasisMap(3)])
+        for b in range(4):
+            assert set(secs[rows[b][valid[b]]]) == {b}
+            assert np.array_equal(
+                dimer_rows[b][dimer_valid[b]],
+                np.r_[rows[b][valid[b]], rows[b][valid[b]] + n],
+            )
+        assert np.array_equal(_sectors(0)[0][0], [[0]])
+
+    def test_entry_across_sectors_raises(self, matrix):
+        single, _ = _sectors(matrix.l_max)
+        i, j = single[0][0, 0], single[0][-1, 0]
+        coupled = matrix.matrix.copy()
+        coupled[i, j] = 1e-30
+        rhs = np.ones(matrix.basis.n_eff, dtype=complex)
+        with pytest.raises(ValueError, match="parity sectors"):
+            _solve(coupled, rhs, single)
+        bad = AssembledMatrix(
+            matrix=coupled, basis=matrix.basis, alpha=matrix.alpha,
+            rho=matrix.rho, params=matrix.params, l_max=matrix.l_max,
+        )
+        with pytest.raises(ValueError, match="parity sectors"):
+            solve_single(bad, rhs)
+        with pytest.raises(ValueError, match="parity sectors"):
+            condition(bad)
+
+    def test_projection_is_cached_read_only(self):
+        basis = BasisMap(3)
+        quad = build_quadrature(8)
+        first = _projection(3, 8)
+        assert _projection(3, 8) is first
+        rule, table = first
+        assert rule.degree == 8 and np.array_equal(rule.weights, quad.weights)
+        assert table.shape == (basis.n_eff, 3 * quad.n_nodes)
+        for arr in (table, rule.theta, rule.phi, rule.nodes, rule.weights):
+            assert not arr.flags.writeable
+        phi = np.ones((quad.n_nodes, 3))
+        project_rhs(phi, quad, basis)
+        assert _projection(3, 8) is first
+
+    def test_projection_refuses_another_rule(self):
+        quad = build_quadrature(8)
+        moved = type(quad)(quad.theta, quad.phi + 0.1, quad.nodes, quad.weights, 8)
+        with pytest.raises(ValueError, match="build_quadrature"):
+            project_rhs(np.ones((quad.n_nodes, 3)), moved, BasisMap(3))
+
+    @pytest.mark.parametrize("l_max", [5, 16])
+    def test_matches_weighted_einsum(self, l_max):
+        basis = BasisMap(l_max)
+        quad = build_quadrature(2 * l_max + 2)
+        rng = np.random.default_rng(l_max)
+        phi = rng.normal(size=(quad.n_nodes, 3)) + 1j * rng.normal(
+            size=(quad.n_nodes, 3)
+        )
+        fields = vsh_real_table(basis, quad.theta, quad.phi)
+        einsum = np.einsum("ink,nk,n->i", fields, phi.conjugate(), quad.weights)
+        got = project_rhs(phi, quad, basis)
+        assert np.abs(got - einsum).max() <= 4e-15 * np.abs(einsum).max()
 
 
 class TestSolveSingle:
