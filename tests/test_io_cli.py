@@ -348,9 +348,9 @@ class TestBadInputs:
         # too many
         from sphelast.system import build_quadrature
 
-        size = 3 * build_quadrature(4).n_nodes
+        right = 3 * build_quadrature(4).n_nodes
         grid, out = tmp_path / "phi_grid.json", tmp_path / "f.json"
-        for size in (size - 3, size + 3):
+        for size in (right - 3, right + 3):
             io.save_vector(grid, np.ones(size), header_extra={"grid_degree": 4})
             self._assert_config_error([
                 "solve", *self.BASE, "--phi", f"grid:{grid}", "--out", str(out),
