@@ -4,8 +4,10 @@ The general coefficient is evaluated with Racah's single-sum formula on a
 precomputed log-factorial table.  Two binomial closed forms cover the
 stretched couplings that appear in the solid-harmonic re-expansions:
 ``cg_regular_closed`` for the finite (growing) expansion and
-``cg_irregular_closed`` for the infinite (decaying) one.  Selection-rule
-violations return 0 rather than raising.
+``cg_irregular_closed`` for the infinite (decaying) one.  ``cg_spin1``
+gives the coefficients with one spin-1 argument in closed form, for a whole
+array of projections at once.  Selection-rule violations return 0 rather
+than raising.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "cg",
     "cg_regular_closed",
     "cg_irregular_closed",
+    "cg_spin1",
     "binom_safe",
 ]
 
@@ -121,3 +126,40 @@ def cg_irregular_closed(l: int, lam: int, m: int, mu: int) -> float:
     if num == 0.0 or den == 0.0:
         return 0.0
     return (-1.0) ** (lam + mu) * math.sqrt(num / den)
+
+
+def cg_spin1(j1: int, m1, q: int, j: int) -> np.ndarray:
+    """``cg(j1, m1, 1, q, j, m1 + q)`` for an integer array ``m1``.
+
+    The closed forms of Varshalovich, Moskalev & Khersonskii (1988),
+    Table 8.2, with ``m = m1 + q``; 0 wherever a projection leaves its
+    range, and everywhere when ``j`` fails the triangle rule.  For the
+    spin-1 argument first, ``cg(1, q, j1, m1, j, m)`` is
+    ``(-1)^(j1 + 1 - j)`` times this value.
+    """
+    m1 = np.asarray(m1)
+    m = (m1 + q).astype(float)
+    if abs(q) > 1 or j1 < 0 or not abs(j1 - 1) <= j <= j1 + 1:
+        return np.zeros(m.shape)
+    if j == j1 + 1:
+        num = {
+            1: (j1 + m) * (j1 + m + 1),
+            0: 2.0 * (j1 - m + 1) * (j1 + m + 1),
+            -1: (j1 - m) * (j1 - m + 1),
+        }[q]
+        sign, den = 1.0, (2 * j1 + 1) * (2 * j1 + 2)
+    elif j == j1:
+        if q == 0:
+            value = m / math.sqrt(j1 * (j1 + 1))
+            return np.where(np.abs(m1) <= j1, value, 0.0)
+        num = (j1 + q * m) * (j1 - q * m + 1)
+        sign, den = -float(q), 2 * j1 * (j1 + 1)
+    else:
+        num = {
+            1: (j1 - m) * (j1 - m + 1),
+            0: 2.0 * (j1 - m) * (j1 + m),
+            -1: (j1 + m + 1) * (j1 + m),
+        }[q]
+        sign, den = (-1.0 if q == 0 else 1.0), 2 * j1 * (2 * j1 + 1)
+    ok = (np.abs(m1) <= j1) & (np.abs(m) <= j)
+    return np.where(ok, sign * np.sqrt(np.where(ok, num, 0.0) / den), 0.0)

@@ -37,8 +37,10 @@ __all__ = [
     "ylm_equator",
     "equator_table",
     "solid_regular",
+    "solid_regular_table",
     "solid_irregular",
     "sph_norm",
+    "sph_norm_table",
 ]
 
 class DomainError(ValueError):
@@ -77,8 +79,11 @@ class Direction:
         if n == 0.0:
             raise DomainError("zero vector has no direction")
         u = v / n
-        theta = math.acos(min(1.0, max(-1.0, u[2])))
-        if math.hypot(u[0], u[1]) < 1e-15:
+        axial = math.hypot(u[0], u[1])
+        # atan2 keeps full relative accuracy next to the poles, where
+        # acos(u_z) loses the digits of sin theta
+        theta = math.atan2(axial, u[2])
+        if axial < 1e-15:
             phi = 0.0
         else:
             phi = math.atan2(u[1], u[0]) % (2.0 * math.pi)
@@ -226,6 +231,18 @@ def sph_norm(l: int, m: int) -> float:
     )
 
 
+@lru_cache(maxsize=None)
+def sph_norm_table(lmax: int) -> np.ndarray:
+    """``sph_norm(l, m)`` for ``0 <= m <= l <= lmax``, indexed ``[l, m]``
+    (zero for ``m > l``; read-only)."""
+    out = np.zeros((lmax + 1, lmax + 1))
+    for l in range(lmax + 1):
+        for m in range(l + 1):
+            out[l, m] = sph_norm(l, m)
+    out.flags.writeable = False
+    return out
+
+
 def ylm_complex(l: int, m: int, d) -> complex:
     """Orthonormal complex spherical harmonic with Condon-Shortley phase."""
     if abs(m) > l:
@@ -309,6 +326,40 @@ def solid_regular(l: int, m: int, r) -> complex:
         return 0.0 + 0.0j
     d = Direction.from_vector(r)
     return math.sqrt(4.0 * math.pi / (2 * l + 1)) * n**l * ylm_complex(l, m, d)
+
+
+def solid_regular_table(lmax: int, r) -> np.ndarray:
+    """``solid_regular(l, m, r)`` for ``0 <= l <= lmax`` and ``|m| <= lmax``,
+    indexed ``[l, m + lmax]`` (zero for ``|m| > l``).
+
+    Built from the Cartesian components alone, with no angle: the sectoral
+    step ``R(m+1, m+1) = -sqrt((2m+1)/(2m+2)) (x + i y) R(m, m)`` and the
+    upward step in ``l``,
+    ``sqrt((l+m+1)(l-m+1)) R(l+1, m)
+    = (2l+1) z R(l, m) - sqrt((l+m)(l-m)) |r|^2 R(l-1, m)``; the negative
+    orders follow from ``R(l, -m) = (-1)^m conj R(l, m)``.  Each value is
+    then good to a few ulps of ``|r|^l``, where the angles' roundings (the
+    azimuth's, times ``m``) would cost several more.
+    """
+    x, y, z = np.asarray(r, dtype=float)
+    rr = x * x + y * y + z * z
+    out = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+    sectoral = 1.0 + 0.0j
+    for m in range(lmax + 1):
+        if m:
+            sectoral *= -math.sqrt((2 * m - 1) / (2 * m)) * complex(x, y)
+        col = out[:, lmax + m]
+        col[m] = sectoral
+        if m < lmax:
+            col[m + 1] = math.sqrt(2 * m + 1) * z * sectoral
+        for l in range(m + 1, lmax):
+            col[l + 1] = (
+                (2 * l + 1) * z * col[l]
+                - math.sqrt((l + m) * (l - m)) * rr * col[l - 1]
+            ) / math.sqrt((l + m + 1) * (l - m + 1))
+    m = np.arange(1, lmax + 1)
+    out[:, lmax - m] = np.where(m % 2, -1.0, 1.0) * out[:, lmax + m].conj()
+    return out
 
 
 def solid_irregular(l: int, m: int, r, scale: float = 1.0) -> complex:

@@ -16,6 +16,18 @@ vector harmonics; the assembly code never calls them (its entries are closed
 form), they exist so the series themselves can be verified against direct
 evaluation of the translated field.
 
+Each call first builds its tables: the solid harmonics of ``r`` and of the
+shift (``sphharm.solid_regular_table``, from the Cartesian components; the
+decaying ones from the table of the unit shift, or from
+``sphharm.equator_table`` on the equator) and, for the vector series, the
+complex vector harmonics and ``vector_Y`` at the direction of ``r``
+(``vsh.vsh_complex_table``, ``vsh.vector_Y_table``).  Each ``lam`` block is
+then a sum of arrays over ``mu``, weighted by ``decay_prefactors`` and by
+``recoupling_weights``/``cross_weights``: the arrays over ``mu`` of the
+scalar weights, from the closed spin-1 Clebsch-Gordan forms
+(``coupling.cg_spin1``).  A compensated sum adds the blocks.  The scalar
+weights (Racah's formula) remain the ones the assembly uses.
+
 ``combine_source`` / ``combine_row`` encode the three-case real/complex
 recombination for the source and projection order respectively and are the
 single place where those sign conventions live.
@@ -29,13 +41,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import binom_safe, cg
-from .sphharm import Direction, solid_irregular, solid_regular
+from .coupling import binom_safe, cg, cg_spin1
+from .sphharm import (
+    Direction,
+    DomainError,
+    equator_table,
+    solid_irregular,
+    solid_regular,
+    solid_regular_table,
+)
 from .vsh import (
     Family,
     rhat_dot_a_expand,
-    vector_Y,
-    vsh_complex_or_zero,
+    vector_Y_table,
+    vsh_complex_table,
 )
 
 __all__ = [
@@ -50,6 +69,8 @@ __all__ = [
     "cross_coeff",
     "cross_prefactor",
     "cross_weight",
+    "recoupling_weights",
+    "cross_weights",
     "combine_source",
     "combine_row",
     "translate_solid_regular",
@@ -227,20 +248,59 @@ def combine_row(m: int, g) -> complex:
     return 1j * ((-1.0) ** m * g(-m) - g(m)) / _SQRT2
 
 
+def _decaying_table(lmax: int, a) -> np.ndarray:
+    """``solid_irregular(l, m, a)`` for ``0 <= l <= lmax`` and
+    ``|m| <= lmax``, indexed ``[l, m + lmax]`` (zero for ``|m| > l``): the
+    growing table of the unit shift over ``|a|^(l+1)``."""
+    a = np.asarray(a, dtype=float)
+    n = float(np.linalg.norm(a))
+    deg = np.arange(lmax + 1)[:, None]
+    if a[2] == 0.0:
+        # on the equator (every shift of the chain), the closed form that
+        # solid_irregular takes there
+        m = np.arange(-lmax, lmax + 1)
+        unit = (
+            np.sqrt(4.0 * math.pi / (2 * deg + 1)) * equator_table(lmax)
+            * np.exp(1j * m * Direction.from_vector(a).phi)
+        )
+    else:
+        unit = solid_regular_table(lmax, a / n)
+    return unit * np.power(n, -(deg + 1.0))
+
+
+def _growing_binomials(l: int, m: int, lam: int) -> np.ndarray:
+    """``binom(l + m, lam + mu) * binom(l - m, lam - mu)`` over ``mu``."""
+    mu = np.arange(-lam, lam + 1)
+    choose = _binomials(1 << (2 * l).bit_length())
+    return choose[l + m, lam + mu] * choose[l - m, lam - mu]
+
+
+def _growing_shift(l: int, a) -> np.ndarray:
+    """The growing solid table of ``a`` to degree ``l``, padded with zeros
+    to every order ``|m - mu| <= 2 l`` of a finite re-expansion, indexed
+    ``[deg, t + 2 l]``."""
+    return np.pad(solid_regular_table(l, a), ((0, 0), (l, l)))
+
+
+def _check_order(l: int, m: int):
+    if abs(m) > l:
+        raise DomainError(f"|m|={abs(m)} > l={l}")
+
+
 def translate_solid_regular(l: int, m: int, r, a) -> complex:
     """Growing solid harmonic of ``r + a`` as its finite re-expansion."""
+    _check_order(l, m)
+    reg_r = solid_regular_table(l, r)
+    reg_a = _growing_shift(l, a)
     total = 0.0 + 0.0j
     for lam in range(l + 1):
-        for mu in range(-lam, lam + 1):
-            bb = binom_safe(l + m, lam + mu) * binom_safe(l - m, lam - mu)
-            if bb == 0.0:
-                continue
-            total += (
-                math.sqrt(bb)
-                * solid_regular(lam, mu, r)
-                * solid_regular(l - lam, m - mu, a)
-            )
-    return total
+        mu = np.arange(-lam, lam + 1)
+        total += np.sum(
+            np.sqrt(_growing_binomials(l, m, lam))
+            * reg_r[lam, mu + l]
+            * reg_a[l - lam, m - mu + 2 * l]
+        )
+    return complex(total)
 
 
 def translate_solid_irregular(
@@ -252,125 +312,31 @@ def translate_solid_irregular(
     Requires ``|r| < |a|``; the tail is estimated from the geometric ratio
     of the last computed block.
     """
+    _check_order(l, m)
     r = np.asarray(r, dtype=float)
     a = np.asarray(a, dtype=float)
     rn, an = np.linalg.norm(r), np.linalg.norm(a)
-    if an == 0.0:
-        raise SingularityError("translation must be nonzero")
-    if rn >= an:
-        raise ConvergenceError(f"series requires |r| < |a| ({rn} >= {an})")
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    last_block = 0.0
-    for lam in range(policy.lam_max + 1):
-        block = 0.0 + 0.0j
-        for mu in range(-lam, lam + 1):
-            bb = binom_safe(l + lam + mu - m, lam + mu) * binom_safe(
-                l + lam + m - mu, lam - mu
-            )
-            if bb == 0.0:
-                continue
-            block += (
-                (-1.0) ** (lam + mu)
-                * math.sqrt(bb)
-                * solid_regular(lam, mu, r)
-                * solid_irregular(l + lam, m - mu, a)
-            )
-        # Kahan step keeps the cancellation between mu-blocks local.
-        y = block - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        last_block = abs(block)
-    ratio = rn / an
-    tail = last_block * ratio / (1.0 - ratio)
-    if with_tail:
-        return total, tail
-    return total
-
-
-class _ShiftCache:
-    """Per-call cache of solid-harmonic values of one fixed shift, plus the
-    coefficient helpers built on them (same closed forms as the public
-    ``*_coeff`` functions)."""
-
-    def __init__(self, a):
-        self.a = np.asarray(a, dtype=float)
-        self.a_sph = rhat_dot_a_expand(self.a)
-        self._irr = {}
-        self._reg = {}
-
-    def irregular(self, big_l, t):
-        key = (big_l, t)
-        if key not in self._irr:
-            self._irr[key] = (
-                solid_irregular(big_l, t, self.a) if abs(t) <= big_l else 0.0j
-            )
-        return self._irr[key]
-
-    def regular(self, deg, t):
-        key = (deg, t)
-        if key not in self._reg:
-            self._reg[key] = (
-                solid_regular(deg, t, self.a)
-                if 0 <= deg and abs(t) <= deg
-                else 0.0j
-            )
-        return self._reg[key]
-
-    def decay(self, l, lam, mt, mu):
-        pref = decay_prefactor(l, lam, mt, mu)
-        if pref == 0.0:
-            return 0.0j
-        return pref * self.irregular(l + lam, mt - mu)
-
-    def growing(self, l, lam, mt, mu):
-        bb = binom_safe(l + mt, lam + mu) * binom_safe(l - mt, lam - mu)
-        if bb == 0.0 or lam > l:
-            return 0.0j
-        return math.sqrt((2 * l + 1) / (2 * lam + 1) * bb) * self.regular(
-            l - lam, mt - mu
+    _check_region(rn, an)
+    lam_max = policy.lam_max
+    reg_r = solid_regular_table(lam_max, r)
+    irr_a = _decaying_table(l + lam_max, a)
+    acc = _Kahan(0.0j)
+    for lam in range(lam_max + 1):
+        mu = np.arange(-lam, lam + 1)
+        # decay_prefactors holds sqrt((2l+1)/(2lam+1)) on top of the
+        # signed binomial root of this series
+        weights = decay_prefactors(l, lam)[:, m + l] * math.sqrt(
+            (2 * lam + 1) / (2 * l + 1)
         )
-
-    def cross(self, l, j, lam, mt, mu, q, m1):
-        pref = cross_prefactor(l, j, lam, mt, mu, q, m1)
-        if pref == 0.0:
-            return 0.0j
-        return pref * self.a_sph[q] * self.irregular(l + lam, mt - mu)
-
-
-class _DirCache:
-    """Per-call cache of harmonic values at one fixed direction."""
-
-    def __init__(self, d: Direction):
-        self.d = d
-        self._vsh = {}
-        self._vecY = {}
-
-    def field(self, family, lam, mu):
-        key = (int(family), lam, mu)
-        if key not in self._vsh:
-            self._vsh[key] = vsh_complex_or_zero(family, lam, mu, self.d)
-        return self._vsh[key]
-
-    def vecY(self, j, k, m):
-        key = (j, k, m)
-        if key not in self._vecY:
-            if abs(m) > j:
-                self._vecY[key] = np.zeros(3, dtype=complex)
-            else:
-                self._vecY[key] = vector_Y(j, k, m, self.d)
-        return self._vecY[key]
-
-
-def _setup(r_vec, a):
-    r_vec = np.asarray(r_vec, dtype=float)
-    a = np.asarray(a, dtype=float)
-    rn, an = np.linalg.norm(r_vec), np.linalg.norm(a)
-    if rn == 0.0:
-        raise SingularityError("evaluation point must be nonzero")
-    cache = _DirCache(Direction.from_vector(r_vec))
-    return r_vec, a, rn, an, cache, _ShiftCache(a)
+        block = np.sum(
+            weights * reg_r[lam, mu + lam_max] * irr_a[l + lam, m - mu + l + lam_max]
+        )
+        acc.add(block)
+    ratio = rn / an
+    tail = abs(block) * ratio / (1.0 - ratio)
+    if with_tail:
+        return complex(acc.total), tail
+    return complex(acc.total)
 
 
 def _check_region(rn: float, an: float):
@@ -380,10 +346,13 @@ def _check_region(rn: float, an: float):
         raise ConvergenceError(f"series requires |r| < |a| ({rn} >= {an})")
 
 
-class _KahanVec:
-    def __init__(self):
-        self.total = np.zeros(3, dtype=complex)
-        self._comp = np.zeros(3, dtype=complex)
+class _Kahan:
+    """Compensated sum across the ``lam`` blocks of a series: keeps the
+    cancellation between blocks local."""
+
+    def __init__(self, zero):
+        self.total = zero
+        self._comp = zero
 
     def add(self, v):
         y = v - self._comp
@@ -392,19 +361,162 @@ class _KahanVec:
         self.total = t
 
 
+def recoupling_weights(k: int, j: int, lam: int, m1: int, q: int) -> np.ndarray:
+    """``recoupling_weight(k, j, lam, m1, mu, q)`` for every
+    ``mu = -lam..lam``, from the closed spin-1 Clebsch-Gordan forms."""
+    mu = np.arange(-lam, lam + 1)
+    if lam < 1:
+        return np.zeros(mu.shape)
+    root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * k + 1)
+    # the two couplings with the spin 1 first, cg(1, ., lam - 1, ., k, .),
+    # each carry the sign (-1)^(lam - k) against cg_spin1; the signs cancel
+    return (
+        math.sqrt(root)
+        * (-1.0) ** q
+        * cg_spin1(lam - 1, mu - m1, m1, lam)
+        * cg_spin1(lam - 1, mu - m1, q, k)
+        * cg_spin1(lam - 1, 0, 0, k)
+        * cg_spin1(k, q + mu - m1, m1, j)
+    )
+
+
+def cross_weights(j: int, lam: int, q: int, m1: int) -> np.ndarray:
+    """``cross_weight(j, lam, q, m1, mu)`` for every ``mu = -lam..lam``,
+    from the closed spin-1 Clebsch-Gordan forms."""
+    mu = np.arange(-lam, lam + 1)
+    if lam < 1:
+        return np.zeros(mu.shape)
+    return (
+        (-1.0) ** q
+        * _sgn(q - m1)
+        * math.sqrt(lam * (2 * lam + 1))
+        * cg_spin1(lam - 1, mu - m1, m1, lam)
+        * cg_spin1(lam - 1, mu - m1, q + m1, j)
+    )
+
+
+def _frozen_table(rows) -> np.ndarray:
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+# Weight tables of one lam for the vector series, summed over m1 and
+# indexed [q + 1, i, mu + lam] over the degrees i of the vector_Y harmonics
+# that they multiply; read-only and shared by every call.
+
+@lru_cache(maxsize=None)
+def _recoupling_table(lam: int):
+    """``(k, j, weights)`` of the axis-projection terms of ``|r'|^{-l} V``:
+    orbital degrees ``k`` in ``{lam - 2, lam}`` and every total ``j``."""
+    pairs = [
+        (k, j)
+        for k in range(abs(lam - 2), lam + 1)
+        if k != lam - 1
+        for j in range(abs(k - 1), k + 2)
+    ]
+    ks, js = (np.array(col)[None, :, None] for col in zip(*pairs))
+    weights = _frozen_table([
+        [sum(recoupling_weights(k, j, lam, m1, q) for m1 in (-1, 0, 1))
+         for k, j in pairs]
+        for q in (-1, 0, 1)
+    ])
+    return ks, js, weights
+
+
+@lru_cache(maxsize=None)
+def _radial_table(lam: int):
+    """``(j, weights)`` of the radial-part terms of ``|r'|^{-l} W``: the
+    coupling of ``Y(lam, mu) chi(q)`` to total degree ``j``."""
+    js = list(range(abs(lam - 1), lam + 2))
+    mu = np.arange(-lam, lam + 1)
+    weights = _frozen_table([
+        [(-1.0) ** q * cg_spin1(lam, mu, q, j) for j in js] for q in (-1, 0, 1)
+    ])
+    return np.array(js)[None, :, None], weights
+
+
+@lru_cache(maxsize=None)
+def _cross_table(lam: int):
+    """``(j, weights)`` of the axis cross-product terms of the toroidal
+    series, total degrees ``j`` from ``|lam - 2|`` to ``lam``."""
+    js = list(range(abs(lam - 2), lam + 1))
+    weights = _frozen_table([
+        [sum(cross_weights(j, lam, q, m1) for m1 in (-1, 0, 1)) for j in js]
+        for q in (-1, 0, 1)
+    ])
+    return np.array(js)[None, :, None], weights
+
+
+class _Series:
+    """The tables of one vector-series call: the complex vector harmonics
+    and ``vector_Y`` at the direction of ``r``, the solid harmonics of the
+    shift and its spherical components."""
+
+    def __init__(self, l, m, r_vec, a, lam_max, decaying=True):
+        _check_order(l, m)
+        r_vec = np.asarray(r_vec, dtype=float)
+        a = np.asarray(a, dtype=float)
+        self.rn, self.an = np.linalg.norm(r_vec), np.linalg.norm(a)
+        if self.rn == 0.0:
+            raise SingularityError("evaluation point must be nonzero")
+        if decaying:
+            _check_region(self.rn, self.an)
+        self.l, self.m, self.lam_max = l, m, lam_max
+        self.fields = vsh_complex_table(lam_max + 1, Direction.from_vector(r_vec))
+        self.vec_y = vector_Y_table(self.fields)
+        self.shift = (
+            _decaying_table(l + lam_max, a) if decaying else _growing_shift(l, a)
+        )
+        comp = rhat_dot_a_expand(a)
+        self.a_sph = np.array([comp[q] for q in (-1, 0, 1)])
+
+    def field(self, family, lam):
+        """One family's harmonics of degree ``lam`` over ``mu``."""
+        k = self.lam_max + 1
+        return self.fields[family - 1, lam, k - lam : k + lam + 1]
+
+    def decay(self, lam):
+        """``combine_source(m, mt -> decay_coeff(l, lam, mt, mu, a))`` over
+        ``mu``."""
+        l, m = self.l, self.m
+        pref = decay_prefactors(l, lam)
+        orders = l + self.lam_max - np.arange(-lam, lam + 1)
+        irr = self.shift[l + lam]
+        return combine_source(m, lambda mt: pref[:, mt + l] * irr[mt + orders])
+
+    def growing(self, lam):
+        """``combine_source(m, mt -> regular_coeff(l, lam, mt, mu, a))``
+        over ``mu``."""
+        l = self.l
+        mu = np.arange(-lam, lam + 1)
+        reg = self.shift[l - lam]
+        scale = (2 * l + 1) / (2 * lam + 1)
+        return combine_source(
+            self.m,
+            lambda mt: np.sqrt(scale * _growing_binomials(l, mt, lam))
+            * reg[mt - mu + 2 * l],
+        )
+
+    def coupled(self, lam, k, js, weights, c):
+        """``sum_{q, j, mu} a_sph[q] weights[q, j, mu] c[mu]
+        vector_Y(j, k, q + mu)`` for orbital degree(s) ``k``."""
+        orders = (
+            np.array([-1, 0, 1])[:, None, None]
+            + np.arange(-lam, lam + 1)
+            + self.lam_max + 1
+        )
+        harmonics = self.vec_y[js - k + 1, k, orders]
+        return np.einsum("q,qju,u,qjux->x", self.a_sph, weights, c, harmonics)
+
+
 def translate_W(l: int, m: int, r_vec, a) -> np.ndarray:
     """Finite re-expansion of the growing-trace field
     ``|r'|^{l-1} W(l, m)`` about the shifted centre, evaluated at ``r``."""
-    r_vec, a, rn, an, cache, shift = _setup(r_vec, a)
-    acc = _KahanVec()
+    s = _Series(l, m, r_vec, a, max(l, 1), decaying=False)
+    acc = _Kahan(np.zeros(3, dtype=complex))
     for lam in range(1, l + 1):
-        block = np.zeros(3, dtype=complex)
-        for mu in range(-lam, lam + 1):
-            c = combine_source(m, lambda mt: shift.growing(l, lam, mt, mu))
-            if c == 0.0:
-                continue
-            block += rn ** (lam - 1) * c * cache.field(Family.W, lam, mu)
-        acc.add(block)
+        acc.add(s.rn ** (lam - 1) * (s.growing(lam) @ s.field(Family.W, lam)))
     return acc.total
 
 
@@ -412,54 +524,24 @@ def translate_V_decay(
     l: int, m: int, r_vec, a, policy: TruncationPolicy = TruncationPolicy()
 ) -> np.ndarray:
     """Series for the decaying field ``|r'|^{-l-2} V(l, m)``."""
-    r_vec, a, rn, an, cache, shift = _setup(r_vec, a)
-    _check_region(rn, an)
-    acc = _KahanVec()
+    s = _Series(l, m, r_vec, a, policy.lam_max)
+    acc = _Kahan(np.zeros(3, dtype=complex))
     for lam in range(1, policy.lam_max + 1):
-        block = np.zeros(3, dtype=complex)
-        for mu in range(-lam, lam + 1):
-            c = combine_source(m, lambda mt: shift.decay(l, lam, mt, mu))
-            if c == 0.0:
-                continue
-            block += rn ** (lam - 1) * c * cache.field(Family.W, lam, mu)
-        acc.add(block)
+        acc.add(s.rn ** (lam - 1) * (s.decay(lam) @ s.field(Family.W, lam)))
     return acc.total
 
 
-def _neg_l_common(l, m, rn, an, shift, cache, policy):
+def _neg_l_common(s: _Series):
     """Terms shared by the ``|r'|^{-l} V`` and ``|r'|^{-l} W`` series."""
-    a_sph = shift.a_sph
-    acc = _KahanVec()
-    for lam in range(1, policy.lam_max + 1):
-        block = np.zeros(3, dtype=complex)
-        for mu in range(-lam, lam + 1):
-            c = combine_source(m, lambda mt: shift.decay(l, lam, mt, mu))
-            if c == 0.0:
-                continue
-            block += (
-                c
-                * (rn ** (lam + 1) + an * an * rn ** (lam - 1))
-                * cache.field(Family.W, lam, mu)
-            )
-            for q in (-1, 0, 1):
-                if a_sph[q] == 0.0:
-                    continue
-                for m1 in (-1, 0, 1):
-                    for k in range(abs(lam - 2), lam + 1):
-                        if k == lam - 1:
-                            continue
-                        for j in range(abs(k - 1), k + 2):
-                            w = recoupling_weight(k, j, lam, m1, mu, q)
-                            if w == 0.0:
-                                continue
-                            block += (
-                                c
-                                * 2.0
-                                * rn**lam
-                                * w
-                                * a_sph[q]
-                                * cache.vecY(j, k, q + mu)
-                            )
+    rn, an = s.rn, s.an
+    acc = _Kahan(np.zeros(3, dtype=complex))
+    for lam in range(1, s.lam_max + 1):
+        c = s.decay(lam)
+        block = (rn ** (lam + 1) + an * an * rn ** (lam - 1)) * (
+            c @ s.field(Family.W, lam)
+        )
+        ks, js, weights = _recoupling_table(lam)
+        block = block + 2.0 * rn**lam * s.coupled(lam, ks, js, weights, c)
         acc.add(block)
     return acc
 
@@ -468,9 +550,7 @@ def translate_V_neg_l(
     l: int, m: int, r_vec, a, policy: TruncationPolicy = TruncationPolicy()
 ) -> np.ndarray:
     """Series for ``|r'|^{-l} V(l, m)`` (decaying field times ``|r'|^2``)."""
-    r_vec, a, rn, an, cache, shift = _setup(r_vec, a)
-    _check_region(rn, an)
-    return _neg_l_common(l, m, rn, an, shift, cache, policy).total
+    return _neg_l_common(_Series(l, m, r_vec, a, policy.lam_max)).total
 
 
 def translate_W_neg_l(
@@ -479,43 +559,17 @@ def translate_W_neg_l(
     """Series for ``|r'|^{-l} W(l, m)``; adds the radial-part re-expansion
     to the ``V`` series through the pointwise identity
     ``W - V = (2l+1) Y r_hat``."""
-    r_vec, a, rn, an, cache, shift = _setup(r_vec, a)
-    _check_region(rn, an)
-    acc = _neg_l_common(l, m, rn, an, shift, cache, policy)
-    a_sph = shift.a_sph
+    s = _Series(l, m, r_vec, a, policy.lam_max)
+    acc = _neg_l_common(s)
+    rn = s.rn
     for lam in range(policy.lam_max + 1):
-        block = np.zeros(3, dtype=complex)
-        for mu in range(-lam, lam + 1):
-            c = combine_source(m, lambda mt: shift.decay(l, lam, mt, mu))
-            if c == 0.0:
-                continue
-            block += (
-                (2 * l + 1)
-                * rn ** (lam + 1)
-                / (2 * lam + 1)
-                * c
-                * (
-                    cache.field(Family.W, lam, mu)
-                    - cache.field(Family.V, lam, mu)
-                )
-            )
-            for q in (-1, 0, 1):
-                if a_sph[q] == 0.0:
-                    continue
-                for j in range(abs(lam - 1), lam + 2):
-                    w = cg(lam, mu, 1, q, j, mu + q)
-                    if w == 0.0:
-                        continue
-                    block += (
-                        (2 * l + 1)
-                        * (-1.0) ** q
-                        * a_sph[q]
-                        * rn**lam
-                        * c
-                        * w
-                        * cache.vecY(j, lam, q + mu)
-                    )
-        acc.add(block)
+        c = s.decay(lam)
+        block = rn ** (lam + 1) / (2 * lam + 1) * (
+            c @ (s.field(Family.W, lam) - s.field(Family.V, lam))
+        )
+        js, weights = _radial_table(lam)
+        block = block + rn**lam * s.coupled(lam, lam, js, weights, c)
+        acc.add((2 * l + 1) * block)
     return acc.total
 
 
@@ -524,28 +578,13 @@ def translate_X(
 ) -> np.ndarray:
     """Series for the toroidal field ``|r'|^{-l-1} X(l, m)``: a toroidal
     branch plus the axis cross-product branch."""
-    r_vec, a, rn, an, cache, shift = _setup(r_vec, a)
-    _check_region(rn, an)
-    acc = _KahanVec()
+    s = _Series(l, m, r_vec, a, policy.lam_max)
+    acc = _Kahan(np.zeros(3, dtype=complex))
     for lam in range(1, policy.lam_max + 1):
-        block = np.zeros(3, dtype=complex)
-        for mu in range(-lam, lam + 1):
-            c = combine_source(m, lambda mt: shift.decay(l, lam, mt, mu))
-            if c != 0.0:
-                block += rn**lam * c * cache.field(Family.X, lam, mu)
-            for q in (-1, 0, 1):
-                for m1 in (-1, 0, 1):
-                    for j in range(abs(lam - 2), lam + 1):
-                        cl = combine_source(
-                            m,
-                            lambda mt: shift.cross(l, j, lam, mt, mu, q, m1),
-                        )
-                        if cl == 0.0:
-                            continue
-                        block += (
-                            rn ** (lam - 1)
-                            * cl
-                            * cache.vecY(j, lam - 1, q + mu)
-                        )
-        acc.add(block)
+        c = s.decay(lam)
+        js, weights = _cross_table(lam)
+        acc.add(
+            s.rn**lam * (c @ s.field(Family.X, lam))
+            + 1j * s.rn ** (lam - 1) * s.coupled(lam, lam - 1, js, weights, c)
+        )
     return acc.total

@@ -35,6 +35,7 @@ from .sphharm import (
     legendre_table,
     pi_tau_row,
     sph_norm,
+    sph_norm_table,
 )
 
 __all__ = [
@@ -46,7 +47,9 @@ __all__ = [
     "vsh_real",
     "vsh_real_table",
     "vsh_complex_or_zero",
+    "vsh_complex_table",
     "vector_Y",
+    "vector_Y_table",
     "cross_spherical",
     "rhat_dot_a_expand",
 ]
@@ -197,6 +200,45 @@ def vsh_complex_or_zero(family, l: int, m: int, d) -> np.ndarray:
     if l < 0 or abs(m) > l or (l == 0 and family in (Family.W, Family.X)):
         return np.zeros(3, dtype=complex)
     return vsh_complex(family, l, m, d)
+
+
+def vsh_complex_table(lmax: int, d) -> np.ndarray:
+    """``vsh_complex_or_zero(family, l, m, d)`` for every family,
+    ``0 <= l <= lmax`` and ``|m| <= lmax`` at one direction, indexed
+    ``[family - 1, l, m + lmax]`` (Cartesian 3-vectors), from one
+    ``legendre_table``."""
+    d = _as_direction(d)
+    p, pi, tau = legendre_table(lmax, d.theta)
+    m = np.arange(-lmax, lmax + 1)
+    ma = np.abs(m)
+    # the Condon-Shortley sign of m > 0; the conjugation rule of m < 0 is
+    # the sign of m in the pi amplitude
+    phase = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * d.phi)
+    norm = sph_norm_table(lmax)
+    a_tau = (norm * tau)[:, ma, None]
+    a_pi = 1j * (norm * pi)[:, ma, None] * m[:, None]
+    a_y = (norm * p)[:, ma, None]
+    deg = np.arange(lmax + 1)[:, None, None]
+    r_hat, t_hat, p_hat = d.frame()
+    return np.stack([
+        a_tau * t_hat - (deg + 1) * a_y * r_hat + a_pi * p_hat,
+        a_tau * t_hat + deg * a_y * r_hat + a_pi * p_hat,
+        a_tau * p_hat - a_pi * t_hat,
+    ]) * phase[:, None]
+
+
+def vector_Y_table(fields: np.ndarray) -> np.ndarray:
+    """``vector_Y(j, l, m, d)`` from a ``vsh_complex_table`` of degree
+    ``lmax`` at ``d``, for ``0 <= l < lmax``, indexed
+    ``[j - l + 1, l, m + lmax]`` (zero for ``|m| > j`` and ``j < 0``)."""
+    v, w, x = fields
+    out = np.zeros((3,) + w[:-1].shape, dtype=complex)
+    deg = np.arange(1, len(w) - 1)[:, None, None]
+    out[0, 1:] = v[:-2] / np.sqrt(deg * (2 * deg - 1))
+    out[1, 1:] = -1j * x[1:-1] / np.sqrt(deg * (deg + 1))
+    deg = np.arange(len(w) - 1)[:, None, None]
+    out[2] = w[1:] / np.sqrt((deg + 1) * (2 * deg + 3))
+    return out
 
 
 def vector_Y(j: int, l: int, m: int, d) -> np.ndarray:

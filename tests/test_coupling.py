@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sphelast.coupling import (
@@ -7,6 +8,7 @@ from sphelast.coupling import (
     cg,
     cg_irregular_closed,
     cg_regular_closed,
+    cg_spin1,
 )
 
 
@@ -105,3 +107,15 @@ def test_factorial_overflow_guard():
 
     with pytest.raises(FactorialOverflow):
         cg(200, 0, 200, 0, 400, 0)
+
+
+def test_spin_one_closed_forms_match_general_formula():
+    # every projection, in range or not, and degrees past the triangle
+    for j1 in range(12):
+        m1 = np.arange(-j1 - 2, j1 + 3)
+        for q in (-2, -1, 0, 1, 2):
+            for j in range(max(0, j1 - 2), j1 + 3):
+                got = cg_spin1(j1, m1, q, j)
+                want = [cg(j1, int(x), 1, q, j, int(x) + q) for x in m1]
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+                assert np.array_equal(got == 0.0, np.abs(want) < 1e-15)

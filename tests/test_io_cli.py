@@ -623,6 +623,30 @@ def test_module_entry_point():
     assert done.stdout.strip() == sphelast.__version__
 
 
+@pytest.mark.parametrize("seed", [0, 845589051, 1271484261])
+def test_verify_replays_byte_for_byte_cold_and_warm(seed):
+    # one fresh interpreter runs verify twice: every cache cold, then warm;
+    # the two reports must be the same bytes, with every check passed
+    done = _run_python(
+        "-c",
+        "import contextlib, io, json, sys; from sphelast.cli import main\n"
+        "runs = []\n"
+        "for _ in range(2):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['verify', '--seed', sys.argv[1]])\n"
+        "    runs.append([code, out.getvalue()])\n"
+        "print(json.dumps(runs))",
+        str(seed),
+    )
+    assert done.returncode == 0, done.stderr
+    (cold_code, cold), (warm_code, warm) = json.loads(done.stdout)
+    assert cold_code == warm_code == 0
+    assert cold == warm
+    total = len(cold.splitlines()) - 1
+    assert cold.splitlines()[-1] == f"{total}/{total} checks passed"
+
+
 _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 

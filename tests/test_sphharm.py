@@ -13,6 +13,7 @@ from sphelast.sphharm import (
     pi_tau_row,
     solid_irregular,
     solid_regular,
+    solid_regular_table,
     ylm_complex,
     ylm_equator,
     ylm_real,
@@ -323,3 +324,46 @@ def test_high_degree_recurrence_stability():
             )
             norm = np.sum(np.abs(vals) ** 2 * quad.weights)
             assert norm == pytest.approx(1.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("pole", [1.0, -1.0])
+@pytest.mark.parametrize("offset", [1e-2, 1e-4, 1e-6])
+def test_direction_near_the_poles(pole, offset):
+    # theta from atan2 keeps the axial component's relative accuracy: the
+    # frame's radial vector is the input to a few ulps, and the polar angle
+    # is offset (north) or pi - offset (south)
+    for phi in (0.0, 0.9, 2.2, 4.0):
+        u = np.array([offset * math.cos(phi), offset * math.sin(phi), pole])
+        u /= np.linalg.norm(u)
+        d = Direction.from_vector(u)
+        assert np.abs(d.frame()[0] - u).max() <= 4 * np.finfo(float).eps
+        axial = math.hypot(u[0], u[1])
+        expect = math.asin(axial) if pole > 0 else math.pi - math.asin(axial)
+        assert d.theta == pytest.approx(expect, rel=1e-15)
+
+
+def test_solid_regular_table_matches_scalar_route(rng):
+    # random vectors of several lengths, the axis, the equator, the origin
+    scales = (0.3, 1.0, 2.5, 7.0, 1.0)
+    vecs = [v * scale for v, scale in zip(random_units(rng, 5), scales)]
+    vecs += [np.array([0.0, 0.0, -1.7]), np.array([1.2, -0.4, 0.0]), np.zeros(3)]
+    lmax = 10
+    for v in vecs:
+        table = solid_regular_table(lmax, v)
+        scale = max(1.0, float(np.linalg.norm(v))) ** np.arange(lmax + 1)
+        for l in range(lmax + 1):
+            for m in range(-lmax, lmax + 1):
+                want = solid_regular(l, m, v) if abs(m) <= l else 0.0
+                assert abs(table[l, m + lmax] - want) <= 1e-14 * scale[l]
+
+
+def test_solid_regular_table_low_degrees_are_polynomials(rng):
+    # the Racah-normalised polynomials, up to rounding of the coordinates
+    for x, y, z in rng.normal(size=(5, 3)):
+        t = solid_regular_table(2, (x, y, z))
+        assert t[1, 3] == pytest.approx(-(x + 1j * y) / math.sqrt(2), rel=1e-15)
+        assert t[1, 2] == pytest.approx(z, rel=1e-15)
+        assert t[1, 1] == pytest.approx((x - 1j * y) / math.sqrt(2), rel=1e-15)
+        rr = x * x + y * y + z * z
+        assert t[2, 2] == pytest.approx((3 * z * z - rr) / 2, rel=1e-13)
+        assert t[2, 4] == pytest.approx(math.sqrt(3 / 8) * (x + 1j * y) ** 2, rel=1e-15)
