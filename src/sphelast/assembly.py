@@ -16,8 +16,9 @@ phase-independent coefficients dotted with ``v(alpha)`` of
 Degree-pair blocks: ``_DegreeBlocks`` builds, for one family pair and one
 degree pair ``(lp, l)``, the kernel block ``K[mu, mt]`` of every complex
 order pair with numpy, from one equator table, the prefactor table
-``translation.decay_prefactors`` and the recoupling, cross
-(``translation.cross_weight``) and Clebsch-Gordan weights, and then turns it
+``translation.decay_prefactors`` and rows of the recoupling, radial
+(Clebsch-Gordan) and cross weight tables of ``translation`` (``_rows``), the
+closed spin-1 forms that the re-expansion series use too, and then turns it
 into the block of every real order pair ``(mp, m)`` with the per-degree
 complex-to-real unitaries on both sides (the weights of
 ``translation.combine_source``/``combine_row``; Blanco, Florez & Bermejo,
@@ -83,7 +84,6 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .kelvin import LameParams, norm_factor, response_coeffs
-from .coupling import cg
 from .latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
@@ -94,7 +94,13 @@ from .latsum import (
     slot,
 )
 from .sphharm import equator_table
-from .translation import cross_weight, decay_prefactors, recoupling_weight
+from .translation import (
+    _PAD,
+    _cross_table,
+    _radial_table,
+    _recoupling_table,
+    decay_prefactors,
+)
 from .vsh import Family, ForbiddenIndexError
 
 __all__ = [
@@ -192,40 +198,15 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-# Row weights over mu = -lp..lp.  The axis and cross kernels enter their
-# (+) slot with the factor -AXIS_COMPONENT[qq] (the shift is odd there);
-# qq = 0 has no axis component, so only qq = +-1 occurs.
-
-@lru_cache(maxsize=None)
-def _axis_rows(k: int, lp: int, lam: int, qq: int) -> np.ndarray:
-    """The axis kernel at ``(lam, mu - qq)`` recoupled to orbital degree
-    ``k`` and total degree ``lp`` (summed over ``m1``)."""
-    return _frozen([
-        -AXIS_COMPONENT[qq] * sum(
-            recoupling_weight(k, lp, lam, m1, mu - qq, qq) for m1 in (-1, 0, 1))
-        for mu in range(-lp, lp + 1)
-    ])
-
-
-@lru_cache(maxsize=None)
-def _cg_rows(k: int, lp: int, qq: int) -> np.ndarray:
-    """The axis kernel at ``(k, mu - qq)`` coupled with the axis component
-    to degree ``lp``."""
-    return _frozen([
-        -AXIS_COMPONENT[qq] * (-1.0) ** qq * cg(k, mu - qq, 1, qq, lp, mu)
-        for mu in range(-lp, lp + 1)
-    ])
-
-
-@lru_cache(maxsize=None)
-def _cross_rows(lp: int, lam: int, qq: int) -> np.ndarray:
-    """The cross kernel at ``(lam, mu - qq)`` with total degree ``lp``
-    (summed over ``m1``), over ``1j`` times the plain kernel."""
-    return _frozen([
-        -AXIS_COMPONENT[qq] * sum(
-            cross_weight(lp, lam, qq, m1, mu - qq) for m1 in (-1, 0, 1))
-        for mu in range(-lp, lp + 1)
-    ])
+def _rows(table, lp: int, lam: int, qq: int) -> np.ndarray:
+    """Row weights over ``mu = -lp..lp`` of a term at ``(lam, mu - qq)``:
+    ``table[qq + 1, mu - qq + lam + _PAD]``, from a translation weight table
+    (zero where ``|mu - qq| > lam``), times ``-AXIS_COMPONENT[qq]``, the
+    factor with which the axis and cross kernels enter their ``(+)`` slot
+    (the shift is odd there; ``qq = 0`` has no axis component, so only
+    ``qq = +-1`` occurs)."""
+    start = lam + _PAD - lp - qq
+    return -AXIS_COMPONENT[qq] * table[qq + 1, start:start + 2 * lp + 1]
 
 
 def _terms(p, q, lp, l, coeffs):
@@ -253,8 +234,9 @@ def _terms(p, q, lp, l, coeffs):
         else:
             root, lam, phase = math.sqrt(norm_factor(V, lp)), lp + 2, 1j
             terms = []
+        cross = _cross_table(lam)[:, lp - lam + 2]   # total degree lp
         return phase, terms + [
-            (l + lam, lam, qq, a33 * (root * _cross_rows(lp, lam, qq))) for qq in (-1, 1)]
+            (l + lam, lam, qq, a33 * (root * _rows(cross, lp, lam, qq))) for qq in (-1, 1)]
     # q == W: the axis kernels recoupled to the row's vector harmonic
     side = a22 - a12
     if p == V:
@@ -274,11 +256,15 @@ def _terms(p, q, lp, l, coeffs):
             (l + lp + 1, lp, 0, bracket * (n2 * one)),
             (l + lp - 1, lp, 0, side * (n2 * one)),
         ]
+    # the axis kernels recoupled to orbital degree k and total degree lp,
+    # and the axis kernel at (k, mu - qq) coupled with the axis component
     for lam in lams:
         if lam >= 1:
-            terms += [(l + lam, lam, qq, side * (2.0 * root * _axis_rows(k, lp, lam, qq)))
+            axis = _recoupling_table(lam)[1][:, (lam - k) // 2, lp - k + 1]
+            terms += [(l + lam, lam, qq, side * (2.0 * root * _rows(axis, lp, lam, qq)))
                       for qq in (-1, 1)]
-    terms += [(l + k, k, qq, a22 * ((2 * l + 1) * root * _cg_rows(k, lp, qq)))
+    radial = _radial_table(k)[:, lp - k + 1]
+    terms += [(l + k, k, qq, a22 * ((2 * l + 1) * root * _rows(radial, lp, k, qq)))
               for qq in (-1, 1)]
     return phase, terms
 
@@ -406,7 +392,8 @@ class _DegreeBlocks:
         on each side."""
         table = self._plain.get((l, lam))
         if table is None:
-            table = np.pad(_real_orders(self.plain(l, lam)), ((2, 2), (0, 0)))
+            table = np.zeros((2 * lam + 5, 2 * l + 1), dtype=complex)
+            table[2:-2] = _real_orders(self.plain(l, lam))   # np.pad: 30 us of overhead a call
             self._plain[l, lam] = table
         return table
 

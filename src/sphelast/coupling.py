@@ -1,13 +1,11 @@
 """Clebsch-Gordan coefficients for integer angular momenta.
 
-The general coefficient is evaluated with Racah's single-sum formula on a
-precomputed log-factorial table.  Two binomial closed forms cover the
-stretched couplings that appear in the solid-harmonic re-expansions:
-``cg_regular_closed`` for the finite (growing) expansion and
-``cg_irregular_closed`` for the infinite (decaying) one.  ``cg_spin1``
-gives the coefficients with one spin-1 argument in closed form, for a whole
-array of projections at once.  Selection-rule violations return 0 rather
-than raising.
+``cg_spin1`` gives the coefficients with one spin-1 argument in closed
+form, broadcast over arrays of all four remaining arguments: every weight of
+the trace and of the re-expansion series is a product of them.  ``cg``, the
+general coefficient from Racah's single-sum formula on a precomputed
+log-factorial table, is the reference the closed forms are tested against.
+Selection-rule violations return 0 rather than raising.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ import numpy as np
 
 __all__ = [
     "cg",
-    "cg_regular_closed",
-    "cg_irregular_closed",
     "cg_spin1",
     "binom_safe",
 ]
@@ -98,68 +94,39 @@ def cg(j1: int, m1: int, j2: int, m2: int, j: int, m: int) -> float:
     return total
 
 
-def cg_regular_closed(l: int, lam: int, m: int, mu: int) -> float:
-    """Binomial form of ``<lam mu; l-lam m-mu | l m>``.
-
-    Valid for ``0 <= lam <= l``; any out-of-range combination gives 0.
-    """
-    if lam < 0 or lam > l:
-        return 0.0
-    num = binom_safe(l + m, lam + mu) * binom_safe(l - m, lam - mu)
-    den = binom_safe(2 * l, 2 * lam)
-    if num == 0.0 or den == 0.0:
-        return 0.0
-    return math.sqrt(num / den)
-
-
-def cg_irregular_closed(l: int, lam: int, m: int, mu: int) -> float:
-    """Binomial form of ``<lam mu; l+lam m-mu | l m>``.
-
-    Valid for ``lam >= 0``; out-of-range combinations give 0.
-    """
-    if lam < 0:
-        return 0.0
-    num = binom_safe(l + lam + mu - m, lam + mu) * binom_safe(
-        l + lam + m - mu, lam - mu
-    )
-    den = binom_safe(2 * l + 2 * lam + 1, 2 * lam)
-    if num == 0.0 or den == 0.0:
-        return 0.0
-    return (-1.0) ** (lam + mu) * math.sqrt(num / den)
+# The closed forms of the coefficients with one spin-1 argument
+# (Varshalovich, Moskalev & Khersonskii 1988, Table 8.2): with m = m1 + q
+# and d = j - j1 + 1, cg(j1, m1, 1, q, j, m) is the root of P Q / D, signed
+# by _SPIN1_SIGN[d, q + 1] and by the sign of P (negative in range only for
+# d = 1, q = 0, where P = m).  P and Q are linear in (1, j1, m), with
+# coefficients _SPIN1_PQ[d, q + 1, :, 0] and [..., 1]; D = _SPIN1_DEN[d]
+# over (1, j1, j1^2).
+_SPIN1_SIGN = np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+_SPIN1_PQ = np.array([
+    [[(1, 1, 1), (0, 1, 1)], [(0, 2, -2), (0, 1, 1)], [(0, 1, -1), (1, 1, -1)]],
+    [[(0, 1, -1), (1, 1, 1)], [(0, 0, 1), (0, 0, 2)], [(0, 1, 1), (1, 1, -1)]],
+    [[(0, 1, -1), (1, 1, -1)], [(2, 2, -2), (1, 1, 1)], [(0, 1, 1), (1, 1, 1)]],
+], dtype=float).swapaxes(-1, -2)
+_SPIN1_DEN = np.array([(0, 2, 4), (0, 2, 2), (2, 6, 4)], dtype=float)
 
 
-def cg_spin1(j1: int, m1, q: int, j: int) -> np.ndarray:
-    """``cg(j1, m1, 1, q, j, m1 + q)`` for an integer array ``m1``.
-
-    The closed forms of Varshalovich, Moskalev & Khersonskii (1988),
-    Table 8.2, with ``m = m1 + q``; 0 wherever a projection leaves its
-    range, and everywhere when ``j`` fails the triangle rule.  For the
-    spin-1 argument first, ``cg(1, q, j1, m1, j, m)`` is
-    ``(-1)^(j1 + 1 - j)`` times this value.
-    """
-    m1 = np.asarray(m1)
-    m = (m1 + q).astype(float)
-    if abs(q) > 1 or j1 < 0 or not abs(j1 - 1) <= j <= j1 + 1:
-        return np.zeros(m.shape)
-    if j == j1 + 1:
-        num = {
-            1: (j1 + m) * (j1 + m + 1),
-            0: 2.0 * (j1 - m + 1) * (j1 + m + 1),
-            -1: (j1 - m) * (j1 - m + 1),
-        }[q]
-        sign, den = 1.0, (2 * j1 + 1) * (2 * j1 + 2)
-    elif j == j1:
-        if q == 0:
-            value = m / math.sqrt(j1 * (j1 + 1))
-            return np.where(np.abs(m1) <= j1, value, 0.0)
-        num = (j1 + q * m) * (j1 - q * m + 1)
-        sign, den = -float(q), 2 * j1 * (j1 + 1)
-    else:
-        num = {
-            1: (j1 - m) * (j1 - m + 1),
-            0: 2.0 * (j1 - m) * (j1 + m),
-            -1: (j1 + m + 1) * (j1 + m),
-        }[q]
-        sign, den = (-1.0 if q == 0 else 1.0), 2 * j1 * (2 * j1 + 1)
-    ok = (np.abs(m1) <= j1) & (np.abs(m) <= j)
-    return np.where(ok, sign * np.sqrt(np.where(ok, num, 0.0) / den), 0.0)
+def cg_spin1(j1, m1, q, j) -> np.ndarray:
+    """``cg(j1, m1, 1, q, j, m1 + q)`` in closed form, broadcast over the
+    four integer arguments (scalars or arrays); 0 wherever a projection
+    leaves its range or ``j`` fails the triangle rule.  For the spin-1
+    argument first, ``cg(1, q, j1, m1, j, m)`` is ``(-1)^(j1 + 1 - j)``
+    times this value."""
+    j1, m1, q, j = (np.asarray(x) for x in (j1, m1, q, j))
+    m = m1 + q
+    d = j - j1 + 1
+    # the closed form of each (d, q), on the (small) shape of j1, q and j;
+    # wrapped to some form where the triangle rule leaves none
+    form = (np.abs(q) <= 1) & (np.abs(d - 1) <= 1) & (j + j1 >= 1)
+    d, q = d % 3, (q + 1) % 3
+    pq, den = _SPIN1_PQ[d, q], _SPIN1_DEN[d]
+    factors = pq[..., 0, :] + pq[..., 1, :] * j1[..., None] + pq[..., 2, :] * m[..., None]
+    p = factors[..., 0]
+    ok = form & (np.abs(m1) <= j1) & (np.abs(m) <= j)
+    num = np.where(ok, p * factors[..., 1], 0.0)
+    den = np.where(form, den[..., 0] + (den[..., 1] + den[..., 2] * j1) * j1, 1.0)
+    return np.copysign(np.sqrt(num / den), _SPIN1_SIGN[d, q] * p)

@@ -223,12 +223,10 @@ def legendre_table(lmax: int, theta):
 
 
 def sph_norm(l: int, m: int) -> float:
-    """Orthonormalisation constant ``sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)``."""
-    return math.sqrt(
-        (2 * l + 1)
-        / (4.0 * math.pi)
-        * math.exp(math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
-    )
+    """Orthonormalisation constant ``sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!)``;
+    the factorial ratio is the exact integer ``(l+m)!/(l-m)!``, rounded once
+    in the division."""
+    return math.sqrt((2 * l + 1) / math.perm(l + m, 2 * m) / (4.0 * math.pi))
 
 
 @lru_cache(maxsize=None)

@@ -5,11 +5,18 @@ growing (regular) harmonics give finite sums, the decaying ones give
 geometric-type series valid for ``|r| < |a|``.  Four coefficient families
 drive everything:
 
-* ``regular_coeff``    -- weight of the finite growing re-expansion,
-* ``decay_coeff``      -- weight of the decaying re-expansion,
-* ``recoupling_weight``-- pure angular-momentum weight that recouples an
+* ``regular_coeff``      -- weight of the finite growing re-expansion,
+* ``decay_coeff``        -- weight of the decaying re-expansion,
+* ``recoupling_weights`` -- pure angular-momentum weight that recouples an
   axis-projection product back into vector harmonics,
-* ``cross_coeff``      -- weight of the axis cross-product recoupling.
+* ``cross_coeff``        -- weight of the axis cross-product recoupling
+  (``cross_weights`` times the decay prefactor).
+
+The two angular weights are products of the closed spin-1 Clebsch-Gordan
+forms (``coupling.cg_spin1``), broadcast over their arguments.  Summed over
+the spin projection, they make three weight tables per ``lam``
+(``_recoupling_table``, ``_radial_table``, ``_cross_table``), which both the
+vector series below and the trace (``assembly._terms``) read.
 
 The ``translate_*`` evaluators sum the re-expansion series for the real
 vector harmonics; the assembly code never calls them (its entries are closed
@@ -23,10 +30,7 @@ decaying ones from the table of the unit shift, or from
 complex vector harmonics and ``vector_Y`` at the direction of ``r``
 (``vsh.vsh_complex_table``, ``vsh.vector_Y_table``).  Each ``lam`` block is
 then a sum of arrays over ``mu``, weighted by ``decay_prefactors`` and by
-``recoupling_weights``/``cross_weights``: the arrays over ``mu`` of the
-scalar weights, from the closed spin-1 Clebsch-Gordan forms
-(``coupling.cg_spin1``).  A compensated sum adds the blocks.  The scalar
-weights (Racah's formula) remain the ones the assembly uses.
+the weight tables.  A compensated sum adds the blocks.
 
 ``combine_source`` / ``combine_row`` encode the three-case real/complex
 recombination for the source and projection order respectively and are the
@@ -41,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import binom_safe, cg, cg_spin1
+from .coupling import binom_safe, cg_spin1
 from .sphharm import (
     Direction,
     DomainError,
@@ -65,10 +69,7 @@ __all__ = [
     "decay_coeff",
     "decay_prefactor",
     "decay_prefactors",
-    "recoupling_weight",
     "cross_coeff",
-    "cross_prefactor",
-    "cross_weight",
     "recoupling_weights",
     "cross_weights",
     "combine_source",
@@ -102,10 +103,6 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.lam_max < 1:
             raise ValueError("lam_max must be >= 1")
-
-
-def _sgn(x: int) -> int:
-    return (x > 0) - (x < 0)
 
 
 @lru_cache(maxsize=None)
@@ -163,53 +160,11 @@ def decay_coeff(l: int, lam: int, m: int, mu: int, a) -> complex:
     return solid_irregular(l + lam, m - mu, a, scale=pref)
 
 
-@lru_cache(maxsize=None)
-def recoupling_weight(k: int, j: int, lam: int, m1: int, mu: int, q: int) -> float:
-    """Angular weight converting an axis-projection product into a vector
-    harmonic of orbital degree ``k`` and total degree ``j``; vanishes
-    outside the coupling selection rules."""
-    if lam < 1:
-        return 0.0
-    root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * k + 1)
-    return (
-        math.sqrt(root)
-        * (-1.0) ** q
-        * cg(lam - 1, mu - m1, 1, m1, lam, mu)
-        * cg(1, q, lam - 1, mu - m1, k, q + mu - m1)
-        * cg(1, 0, lam - 1, 0, k, 0)
-        * cg(k, q + mu - m1, 1, m1, j, q + mu)
-    )
-
-
-@lru_cache(maxsize=None)
-def cross_weight(j: int, lam: int, q: int, m1: int, mu: int) -> float:
-    """``cross_prefactor(l, j, lam, m, mu, q, m1)`` over
-    ``1j * decay_prefactor(l, lam, m, mu)``: the two share their binomials,
-    so the ratio depends on neither ``l`` nor ``m``."""
-    if lam < 1:
-        return 0.0
-    return (
-        (-1.0) ** q
-        * _sgn(q - m1)
-        * math.sqrt(lam * (2 * lam + 1))
-        * cg(lam - 1, mu - m1, 1, m1, lam, mu)
-        * cg(lam - 1, mu - m1, 1, q + m1, j, mu + q)
-    )
-
-
-@lru_cache(maxsize=None)
-def cross_prefactor(
-    l: int, j: int, lam: int, m: int, mu: int, q: int, m1: int
-) -> complex:
-    """Translation-independent part of ``cross_coeff``."""
-    return 1j * cross_weight(j, lam, q, m1, mu) * decay_prefactor(l, lam, m, mu)
-
-
 def cross_coeff(
     l: int, j: int, lam: int, m: int, mu: int, q: int, m1: int, a
 ) -> complex:
     """Axis cross-product re-expansion weight; singular at ``a = 0``."""
-    pref = cross_prefactor(l, j, lam, m, mu, q, m1)
+    pref = 1j * float(cross_weights(j, lam, q, m1, mu)) * decay_prefactor(l, lam, m, mu)
     if pref == 0.0:
         return 0.0 + 0.0j
     a = np.asarray(a, dtype=float)
@@ -361,18 +316,17 @@ class _Kahan:
         self.total = t
 
 
-def recoupling_weights(k: int, j: int, lam: int, m1: int, q: int) -> np.ndarray:
-    """``recoupling_weight(k, j, lam, m1, mu, q)`` for every
-    ``mu = -lam..lam``, from the closed spin-1 Clebsch-Gordan forms."""
-    mu = np.arange(-lam, lam + 1)
-    if lam < 1:
-        return np.zeros(mu.shape)
-    root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * k + 1)
+def recoupling_weights(k, j, lam: int, m1, mu, q) -> np.ndarray:
+    """Angular weight converting an axis-projection product into a vector
+    harmonic of orbital degree ``k`` and total degree ``j``, from the
+    closed spin-1 Clebsch-Gordan forms, broadcast over every argument but
+    ``lam``; 0 outside the coupling selection rules."""
+    root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * np.asarray(k) + 1)
     # the two couplings with the spin 1 first, cg(1, ., lam - 1, ., k, .),
     # each carry the sign (-1)^(lam - k) against cg_spin1; the signs cancel
     return (
-        math.sqrt(root)
-        * (-1.0) ** q
+        np.sqrt(root)
+        * (-1.0) ** np.asarray(q)
         * cg_spin1(lam - 1, mu - m1, m1, lam)
         * cg_spin1(lam - 1, mu - m1, q, k)
         * cg_spin1(lam - 1, 0, 0, k)
@@ -380,72 +334,68 @@ def recoupling_weights(k: int, j: int, lam: int, m1: int, q: int) -> np.ndarray:
     )
 
 
-def cross_weights(j: int, lam: int, q: int, m1: int) -> np.ndarray:
-    """``cross_weight(j, lam, q, m1, mu)`` for every ``mu = -lam..lam``,
-    from the closed spin-1 Clebsch-Gordan forms."""
-    mu = np.arange(-lam, lam + 1)
-    if lam < 1:
-        return np.zeros(mu.shape)
+def cross_weights(j, lam: int, q, m1, mu) -> np.ndarray:
+    """``cross_coeff``'s prefactor over ``1j * decay_prefactor(l, lam, m,
+    mu)``: the two share their binomials, so the ratio depends on neither
+    ``l`` nor ``m``.  From the closed spin-1 Clebsch-Gordan forms,
+    broadcast over every argument but ``lam``."""
     return (
-        (-1.0) ** q
-        * _sgn(q - m1)
+        (-1.0) ** np.asarray(q)
+        * np.sign(np.asarray(q) - m1)
         * math.sqrt(lam * (2 * lam + 1))
         * cg_spin1(lam - 1, mu - m1, m1, lam)
         * cg_spin1(lam - 1, mu - m1, q + m1, j)
     )
 
 
-def _frozen_table(rows) -> np.ndarray:
-    out = np.array(rows)
-    out.flags.writeable = False
-    return out
+# Weight tables of one lam, summed over m1 and indexed [q + 1, ..., j - k +
+# 1, mu + lam + _PAD] over the total degrees j of the vector_Y(j, k, .)
+# harmonics that they multiply: the projections mu run _PAD past -lam..lam
+# (with zero weights there), so that a shifted row is a slice.  Read-only,
+# shared by the series and by the trace (assembly._terms).
+_PAD = 2
+_Q = np.arange(-1, 2)
 
 
-# Weight tables of one lam for the vector series, summed over m1 and
-# indexed [q + 1, i, mu + lam] over the degrees i of the vector_Y harmonics
-# that they multiply; read-only and shared by every call.
+def _frozen_table(values) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _mus(lam: int) -> np.ndarray:
+    return np.arange(-lam - _PAD, lam + _PAD + 1)
+
 
 @lru_cache(maxsize=None)
 def _recoupling_table(lam: int):
-    """``(k, j, weights)`` of the axis-projection terms of ``|r'|^{-l} V``:
-    orbital degrees ``k`` in ``{lam - 2, lam}`` and every total ``j``."""
-    pairs = [
-        (k, j)
-        for k in range(abs(lam - 2), lam + 1)
-        if k != lam - 1
-        for j in range(abs(k - 1), k + 2)
-    ]
-    ks, js = (np.array(col)[None, :, None] for col in zip(*pairs))
-    weights = _frozen_table([
-        [sum(recoupling_weights(k, j, lam, m1, q) for m1 in (-1, 0, 1))
-         for k, j in pairs]
-        for q in (-1, 0, 1)
-    ])
-    return ks, js, weights
+    """``(ks, weights)`` of the axis-projection terms of ``|r'|^{-l} V``:
+    orbital degrees ``ks = lam, lam - 2`` (those >= 0, shape ``(K, 1,
+    1)``), weights indexed ``[q + 1, (lam - k) // 2, j - k + 1, mu + lam +
+    _PAD]``."""
+    ks = np.arange(lam, -1, -2)[:2, None, None]
+    q, m1 = _Q[:, None, None, None, None], _Q[:, None, None, None]
+    weights = recoupling_weights(ks, ks + _Q[:, None], lam, m1, _mus(lam), q)
+    return ks, _frozen_table(weights.sum(axis=1))
 
 
 @lru_cache(maxsize=None)
-def _radial_table(lam: int):
-    """``(j, weights)`` of the radial-part terms of ``|r'|^{-l} W``: the
-    coupling of ``Y(lam, mu) chi(q)`` to total degree ``j``."""
-    js = list(range(abs(lam - 1), lam + 2))
-    mu = np.arange(-lam, lam + 1)
-    weights = _frozen_table([
-        [(-1.0) ** q * cg_spin1(lam, mu, q, j) for j in js] for q in (-1, 0, 1)
-    ])
-    return np.array(js)[None, :, None], weights
+def _radial_table(lam: int) -> np.ndarray:
+    """The radial-part terms of ``|r'|^{-l} W``: the coupling of ``Y(lam,
+    mu) chi(q)`` to total degree ``j``, indexed ``[q + 1, j - lam + 1, mu +
+    lam + _PAD]``."""
+    q = _Q[:, None, None]
+    return _frozen_table(
+        (-1.0) ** q * cg_spin1(lam, _mus(lam), q, lam + _Q[:, None]))
 
 
 @lru_cache(maxsize=None)
-def _cross_table(lam: int):
-    """``(j, weights)`` of the axis cross-product terms of the toroidal
-    series, total degrees ``j`` from ``|lam - 2|`` to ``lam``."""
-    js = list(range(abs(lam - 2), lam + 1))
-    weights = _frozen_table([
-        [sum(cross_weights(j, lam, q, m1) for m1 in (-1, 0, 1)) for j in js]
-        for q in (-1, 0, 1)
-    ])
-    return np.array(js)[None, :, None], weights
+def _cross_table(lam: int) -> np.ndarray:
+    """The axis cross-product terms of the toroidal series, total degrees
+    ``j = lam - 2..lam`` of orbital degree ``lam - 1``, indexed ``[q + 1, j
+    - lam + 2, mu + lam + _PAD]``."""
+    q, m1 = _Q[:, None, None, None], _Q[:, None, None]
+    weights = cross_weights(lam - 1 + _Q[:, None], lam, q, m1, _mus(lam))
+    return _frozen_table(weights.sum(axis=1))
 
 
 class _Series:
@@ -498,16 +448,18 @@ class _Series:
             * reg[mt - mu + 2 * l],
         )
 
-    def coupled(self, lam, k, js, weights, c):
-        """``sum_{q, j, mu} a_sph[q] weights[q, j, mu] c[mu]
-        vector_Y(j, k, q + mu)`` for orbital degree(s) ``k``."""
-        orders = (
-            np.array([-1, 0, 1])[:, None, None]
-            + np.arange(-lam, lam + 1)
-            + self.lam_max + 1
-        )
-        harmonics = self.vec_y[js - k + 1, k, orders]
-        return np.einsum("q,qju,u,qjux->x", self.a_sph, weights, c, harmonics)
+    def coupled(self, lam, k, weights, c):
+        """``sum_{q, k, j, mu} a_sph[q] weights[q, ..., j - k + 1, mu + lam +
+        _PAD] c[mu] vector_Y(j, k, q + mu)`` for the orbital degree(s) ``k``
+        of a weight table, ``...`` its axis over ``k``."""
+        size = 2 * lam + 1
+        orders = _Q.reshape((3,) + (1,) * (weights.ndim - 1)) + np.arange(
+            -lam, lam + 1) + self.lam_max + 1
+        harmonics = self.vec_y[np.arange(3)[:, None], k, orders]   # [q, ..., j - k + 1, mu]
+        return np.einsum(
+            "q,qju,u,qjux->x", self.a_sph,
+            weights[..., _PAD:-_PAD].reshape(3, -1, size), c,
+            harmonics.reshape(3, -1, size, 3))
 
 
 def translate_W(l: int, m: int, r_vec, a) -> np.ndarray:
@@ -540,8 +492,8 @@ def _neg_l_common(s: _Series):
         block = (rn ** (lam + 1) + an * an * rn ** (lam - 1)) * (
             c @ s.field(Family.W, lam)
         )
-        ks, js, weights = _recoupling_table(lam)
-        block = block + 2.0 * rn**lam * s.coupled(lam, ks, js, weights, c)
+        ks, weights = _recoupling_table(lam)
+        block = block + 2.0 * rn**lam * s.coupled(lam, ks, weights, c)
         acc.add(block)
     return acc
 
@@ -567,8 +519,7 @@ def translate_W_neg_l(
         block = rn ** (lam + 1) / (2 * lam + 1) * (
             c @ (s.field(Family.W, lam) - s.field(Family.V, lam))
         )
-        js, weights = _radial_table(lam)
-        block = block + rn**lam * s.coupled(lam, lam, js, weights, c)
+        block = block + rn**lam * s.coupled(lam, lam, _radial_table(lam), c)
         acc.add((2 * l + 1) * block)
     return acc.total
 
@@ -582,9 +533,8 @@ def translate_X(
     acc = _Kahan(np.zeros(3, dtype=complex))
     for lam in range(1, policy.lam_max + 1):
         c = s.decay(lam)
-        js, weights = _cross_table(lam)
         acc.add(
             s.rn**lam * (c @ s.field(Family.X, lam))
-            + 1j * s.rn ** (lam - 1) * s.coupled(lam, lam - 1, js, weights, c)
+            + 1j * s.rn ** (lam - 1) * s.coupled(lam, lam - 1, _cross_table(lam), c)
         )
     return acc.total

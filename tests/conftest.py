@@ -40,11 +40,11 @@ def kernel_coef(blocks, kind, *args):
     factor ``-AXIS_COMPONENT[q]`` of their odd ``(+)`` slot."""
     from sphelast.assembly import _single_order
     from sphelast.latsum import AXIS_COMPONENT
-    from sphelast.translation import cross_weight
+    from sphelast.translation import cross_weights
 
     if kind == "cross":
         l, j, lam, mt, mu, q, m1 = args
-        weight = 1j * -AXIS_COMPONENT[q] * cross_weight(j, lam, q, m1, mu)
+        weight = 1j * -AXIS_COMPONENT[q] * float(cross_weights(j, lam, q, m1, mu))
     else:
         l, lam, mt, mu = args[:4]
         weight = -AXIS_COMPONENT[args[4]] if kind == "axis" else 1.0

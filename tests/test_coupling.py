@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphelast.coupling import (
-    binom_safe,
-    cg,
-    cg_irregular_closed,
-    cg_regular_closed,
-    cg_spin1,
-)
+from sphelast.coupling import binom_safe, cg, cg_spin1
+from sphelast.translation import _growing_binomials, decay_prefactors
 
 
 def test_trivial_coupling():
@@ -59,40 +54,22 @@ def test_orthogonality_sum():
                         assert total == pytest.approx(expect, abs=1e-13)
 
 
-def test_regular_closed_form_examples():
-    assert cg_regular_closed(1, 0, 0, 0) == pytest.approx(1.0)
-    assert cg_regular_closed(2, 1, 1, 1) == pytest.approx(1 / math.sqrt(2))
-
-
-def test_irregular_closed_form_example():
-    # equals the general coupling <1,0; 2,0 | 1,0> = -sqrt(2/5)
-    val = cg_irregular_closed(1, 1, 0, 0)
-    assert val == pytest.approx(-math.sqrt(2 / 5))
-    assert val == pytest.approx(cg(1, 0, 2, 0, 1, 0))
-
-
 @pytest.mark.parametrize("l", range(11))
 def test_closed_forms_match_general_formula(l):
+    # the binomial forms of the stretched couplings, as the re-expansion
+    # weights hold them: <lam mu; l-lam m-mu | l m> from the growing
+    # binomials, <lam mu; l+lam m-mu | l m> from the decay prefactors
     for lam in range(l + 1):
         for m in range(-l, l + 1):
-            for mu in range(-lam, lam + 1):
-                assert cg_regular_closed(l, lam, m, mu) == pytest.approx(
-                    cg(lam, mu, l - lam, m - mu, l, m), abs=1e-13
-                )
+            got = np.sqrt(_growing_binomials(l, m, lam) / math.comb(2 * l, 2 * lam))
+            want = [cg(lam, mu, l - lam, m - mu, l, m) for mu in range(-lam, lam + 1)]
+            assert got == pytest.approx(want, abs=1e-13)
     for lam in range(5):
+        scale = math.sqrt((2 * lam + 1) / (2 * l + 1) / math.comb(2 * l + 2 * lam + 1, 2 * lam))
         for m in range(-l, l + 1):
-            for mu in range(-lam, lam + 1):
-                assert cg_irregular_closed(l, lam, m, mu) == pytest.approx(
-                    cg(lam, mu, l + lam, m - mu, l, m), abs=1e-13
-                )
-
-
-def test_out_of_range_closed_forms_are_zero():
-    assert cg_regular_closed(2, 3, 0, 0) == 0.0
-    assert cg_irregular_closed(2, -1, 0, 0) == 0.0
-    assert cg_regular_closed(2, 1, 2, -1) == pytest.approx(
-        cg(1, -1, 1, 3, 2, 2)
-    )  # both zero
+            got = decay_prefactors(l, lam)[:, m + l] * scale
+            want = [cg(lam, mu, l + lam, m - mu, l, m) for mu in range(-lam, lam + 1)]
+            assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_binom_safe_ranges():
@@ -110,12 +87,16 @@ def test_factorial_overflow_guard():
 
 
 def test_spin_one_closed_forms_match_general_formula():
-    # every projection, in range or not, and degrees past the triangle
-    for j1 in range(12):
-        m1 = np.arange(-j1 - 2, j1 + 3)
-        for q in (-2, -1, 0, 1, 2):
-            for j in range(max(0, j1 - 2), j1 + 3):
-                got = cg_spin1(j1, m1, q, j)
-                want = [cg(j1, int(x), 1, q, j, int(x) + q) for x in m1]
-                assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
-                assert np.array_equal(got == 0.0, np.abs(want) < 1e-15)
+    # every projection, in range or not, and degrees past the triangle, in
+    # one call broadcast over all four arguments
+    j1 = np.arange(21)[:, None, None, None]
+    args = np.broadcast_arrays(
+        j1, np.arange(-22, 23)[:, None, None], np.arange(-2, 3)[:, None],
+        j1 + np.arange(-2, 3))
+    got = cg_spin1(*args)
+    want = np.zeros(got.shape)
+    for index in np.ndindex(got.shape):
+        a, b, c, d = (int(x[index]) for x in args)
+        want[index] = cg(a, b, 1, c, d, b + c)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+    assert np.array_equal(got == 0.0, np.abs(want) < 1e-15)

@@ -12,6 +12,7 @@ from sphelast.sphharm import (
     legendre_table,
     pi_tau_row,
     solid_irregular,
+    sph_norm,
     solid_regular,
     solid_regular_table,
     ylm_complex,
@@ -367,3 +368,17 @@ def test_solid_regular_table_low_degrees_are_polynomials(rng):
         rr = x * x + y * y + z * z
         assert t[2, 2] == pytest.approx((3 * z * z - rr) / 2, rel=1e-13)
         assert t[2, 4] == pytest.approx(math.sqrt(3 / 8) * (x + 1j * y) ** 2, rel=1e-15)
+
+
+def test_normalization_against_mpmath():
+    # sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) for every order up to degree 64, to
+    # 4e-16 relative: the factorial ratio is an exact integer rounded once
+    from mpmath import factorial, mp, pi, sqrt
+
+    worst = 0.0
+    with mp.workdps(40):
+        for l in range(65):
+            for m in range(l + 1):
+                want = sqrt((2 * l + 1) / (4 * pi) * factorial(l - m) / factorial(l + m))
+                worst = max(worst, float(abs(sph_norm(l, m) - want) / want))
+    assert worst <= 4e-16

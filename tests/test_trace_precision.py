@@ -243,19 +243,21 @@ def reference_matrix(l_max, alpha, rho, params):
     return out
 
 
-@pytest.mark.parametrize("l_max, alpha, rho, params", [
-    # rho = 0.45 (the largest couplings) and a sign-flipped material; the
-    # float64 route is 4.9e-16 of the largest entry off at L = 7, and the
-    # per-entry route it replaced was 1.6e-15
-    pytest.param(2, 0.7, 0.45, LameParams(1.5, 0.8, sign_flip=True), id="2-0.7"),
-    pytest.param(7, 2.9, 0.45, LameParams(1.5, 0.8, sign_flip=True), id="7-2.9"),
+@pytest.mark.parametrize("l_max, alpha, rho, params, tol", [
+    # rho = 0.45 (the largest couplings) and a sign-flipped material; with
+    # the closed spin-1 weights the float64 route is 2.7e-16 and 2.8e-16 of
+    # the largest entry off at L = 7 and L = 9 (with Racah's weights 4.9e-16
+    # at both, and the per-entry route before them 1.6e-15 at L = 7)
+    pytest.param(2, 0.7, 0.45, LameParams(1.5, 0.8, sign_flip=True), 1e-15, id="2-0.7"),
+    pytest.param(7, 2.9, 0.45, LameParams(1.5, 0.8, sign_flip=True), 4e-16, id="7-2.9"),
+    pytest.param(9, 1.9, 0.45, LameParams(1.5, 0.8, sign_flip=True), 4e-16, id="9-1.9"),
     # a second radius and material for the per-call scale of one geometry
-    pytest.param(4, 1.3, 0.17, LameParams(0.3, 2.1), id="4-1.3-rho0.17"),
+    pytest.param(4, 1.3, 0.17, LameParams(0.3, 2.1), 1e-15, id="4-1.3-rho0.17"),
 ])
-def test_matrix_against_high_precision(l_max, alpha, rho, params):
+def test_matrix_against_high_precision(l_max, alpha, rho, params, tol):
     matrix = assemble_single(alpha, rho, params, l_max).matrix
     with mp.workdps(DPS):
         ref = reference_matrix(l_max, alpha, rho, params)
         err = max(abs(mpc(x) - r) for x, r in zip(matrix.ravel(), ref.ravel()))
         scale = max(abs(r) for r in ref.ravel())
-        assert float(err / scale) <= 1e-15
+        assert float(err / scale) <= tol

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from sphelast.coupling import cg
 from sphelast.sphharm import solid_irregular, solid_regular
@@ -12,13 +14,10 @@ from sphelast.translation import (
     TruncationPolicy,
     combine_source,
     cross_coeff,
-    cross_prefactor,
-    cross_weight,
     cross_weights,
     decay_coeff,
     decay_prefactor,
     decay_prefactors,
-    recoupling_weight,
     recoupling_weights,
     regular_coeff,
     translate_V_decay,
@@ -58,7 +57,8 @@ class TestCoefficients:
 
     def test_prefactors_against_closed_forms(self):
         # the table, the scalar lookup and the cross prefactor built on it
-        # are the printed closed forms
+        # (the cross weight times 1j times the decay prefactor, as in
+        # cross_coeff) are the printed closed forms
         for l in range(4):
             for lam in range(4):
                 table = decay_prefactors(l, lam)
@@ -85,9 +85,11 @@ class TestCoefficients:
                                     sgn = (q > m1) - (q < m1)
                                     printed = 1j * (-1.0) ** (lam + mu + q) * sgn * (
                                         math.sqrt(lam * (2 * l + 1) * bb) * couplings)
-                                    assert cross_prefactor(
-                                        l, j, lam, m, mu, q, m1
-                                    ) == pytest.approx(printed, rel=1e-14, abs=1e-300)
+                                    pref = 1j * cross_weights(
+                                        j, lam, q, m1, mu
+                                    ) * decay_prefactor(l, lam, m, mu)
+                                    assert pref == pytest.approx(
+                                        printed, rel=1e-14, abs=1e-300)
 
     def test_decay_singularity(self):
         with pytest.raises(SingularityError):
@@ -95,8 +97,8 @@ class TestCoefficients:
 
     def test_recoupling_selection_rules(self):
         # coupled degrees violating the triangle rule give exactly zero
-        assert recoupling_weight(5, 1, 2, 0, 0, 0) == 0.0
-        assert recoupling_weight(2, 2, 0, 0, 0, 1) == 0.0
+        assert recoupling_weights(5, 1, 2, 0, 0, 0) == 0.0
+        assert recoupling_weights(2, 2, 0, 0, 0, 1) == 0.0
 
     def test_cross_coeff_zero_cases(self, rng):
         a = rng.normal(size=3)
@@ -288,42 +290,17 @@ def test_source_combination_cases():
     )
 
 
-def _weight_keys(lam_max):
-    """Every ``(lam, q, m1)`` with the recoupling ``(k, j)`` and cross ``j``
-    degrees of the coupling rules, up to ``lam_max``."""
-    for lam in range(lam_max + 1):
-        for q in (-1, 0, 1):
-            for m1 in (-1, 0, 1):
-                pairs = [
-                    (k, j)
-                    for k in range(max(0, lam - 2), lam + 1)
-                    for j in range(abs(k - 1), k + 2)
-                ]
-                yield lam, q, m1, pairs, range(max(0, lam - 2), lam + 1)
-
-
-def test_array_weights_match_scalar_weights():
-    # the arrays over mu (closed spin-1 forms) against the scalar weights
-    # of the production trace (Racah's formula): the same zeros, and the
-    # values to the scalar route's own accuracy, 4.2e-13 relative at
-    # lam = 30 (the arrays agree with exact values to 5e-16, see below)
-    worst = 0.0
-    for lam, q, m1, pairs, cross_js in _weight_keys(30):
-        mus = range(-lam, lam + 1)
-        got = [recoupling_weights(k, j, lam, m1, q) for k, j in pairs]
-        want = [[recoupling_weight(k, j, lam, m1, mu, q) for mu in mus]
-                for k, j in pairs]
-        got += [cross_weights(j, lam, q, m1) for j in cross_js]
-        want += [[cross_weight(j, lam, q, m1, mu) for mu in mus]
-                 for j in cross_js]
-        for row, scalar in zip(got, want):
-            scalar = np.array(scalar)
-            assert row.shape == scalar.shape
-            assert np.array_equal(row == 0.0, scalar == 0.0)
-            nonzero = scalar != 0.0
-            rel = np.abs(row - scalar)[nonzero] / np.abs(scalar[nonzero])
-            worst = max(worst, rel.max(initial=0.0))
-    assert worst <= 1e-12
+def _weight_keys(lam):
+    """Every ``(q, m1)`` of one ``lam`` with the recoupling ``(k, j)`` and
+    cross ``j`` degrees of the coupling rules."""
+    for q in (-1, 0, 1):
+        for m1 in (-1, 0, 1):
+            pairs = [
+                (k, j)
+                for k in range(max(0, lam - 2), lam + 1)
+                for j in range(abs(k - 1), k + 2)
+            ]
+            yield q, m1, pairs, range(max(0, lam - 2), lam + 1)
 
 
 def _exact_cg_squared(j1, m1, j2, m2, j, m):
@@ -361,11 +338,9 @@ def test_array_weights_match_exact_values(lam):
         return sign * math.sqrt(square)
 
     worst = 0.0
-    for _lam, q, m1, pairs, cross_js in _weight_keys(lam):
-        if _lam != lam:
-            continue
+    for q, m1, pairs, cross_js in _weight_keys(lam):
         for k, j in pairs:
-            row = recoupling_weights(k, j, lam, m1, q)
+            row = recoupling_weights(k, j, lam, m1, np.arange(-lam, lam + 1), q)
             for i, mu in enumerate(range(-lam, lam + 1)):
                 want = (-1) ** q * exact(
                     [(lam - 1, mu - m1, 1, m1, lam, mu),
@@ -376,7 +351,7 @@ def test_array_weights_match_exact_values(lam):
                 )
                 worst = max(worst, abs(row[i] - want) / max(abs(want), 1e-300))
         for j in cross_js:
-            row = cross_weights(j, lam, q, m1)
+            row = cross_weights(j, lam, q, m1, np.arange(-lam, lam + 1))
             sgn = (q > m1) - (q < m1)
             for i, mu in enumerate(range(-lam, lam + 1)):
                 want = (-1) ** q * sgn * exact(
@@ -386,6 +361,82 @@ def test_array_weights_match_exact_values(lam):
                 )
                 worst = max(worst, abs(row[i] - want) / max(abs(want), 1e-300))
     assert worst <= 1e-15
+
+
+@lru_cache(maxsize=None)
+def _exact_cg(j1, m1, j2, m2, j, m):
+    return _exact_cg_squared(j1, m1, j2, m2, j, m)
+
+
+def _exact_term(sign, root, factors):
+    """``(value, |value|)`` of ``sign * sqrt(root)`` times the product of
+    the Clebsch-Gordan coefficients of ``factors``, at the working
+    precision."""
+    square = Fraction(root)
+    for args in factors:
+        s, sq = _exact_cg(*args)
+        sign, square = sign * s, square * sq
+    value = sign * mp.sqrt(mpf(square.numerator) / square.denominator)
+    return value, abs(value)
+
+
+def test_trace_row_weights_match_exact_values():
+    # every row of weights that assembly._terms reads from the weight
+    # tables, for row degrees lp <= 16: -AXIS_COMPONENT[qq] times a sum
+    # over m1 of terms at (lam, mu - qq), against the exact sum, to 2e-15
+    # of the sum of the terms' magnitudes (exactly 0 where every term is)
+    from sphelast.assembly import _rows
+    from sphelast.translation import _cross_table, _radial_table, _recoupling_table
+
+    def recoupling(k, j, lam, qq, m1, mu):
+        return _exact_term(
+            (-1) ** qq, Fraction(lam * (2 * lam + 1) * (2 * lam - 1), 2 * k + 1),
+            [(lam - 1, mu - m1, 1, m1, lam, mu),
+             (1, qq, lam - 1, mu - m1, k, qq + mu - m1),
+             (1, 0, lam - 1, 0, k, 0),
+             (k, qq + mu - m1, 1, m1, j, qq + mu)])
+
+    def radial(k, j, qq, m1, mu):
+        # a single coupling: the term of m1 = 0 alone
+        if m1:
+            return mpf(0), mpf(0)
+        return _exact_term((-1) ** qq, 1, [(k, mu, 1, qq, j, mu + qq)])
+
+    def cross(j, lam, qq, m1, mu):
+        return _exact_term(
+            (-1) ** qq * ((qq > m1) - (qq < m1)), lam * (2 * lam + 1),
+            [(lam - 1, mu - m1, 1, m1, lam, mu),
+             (lam - 1, mu - m1, 1, qq + m1, j, mu + qq)])
+
+    worst = 0.0
+    with mp.workdps(40):
+        for lp in range(17):
+            # (table, lam, term) as _terms reads them, for row families
+            # V (k = lp + 1), X (k = lp) and W (k = lp - 1)
+            rows = []
+            for k, lams in ((lp + 1, (lp + 1, lp + 3)), (lp, (lp, lp + 2)),
+                            (lp - 1, (lp - 1, lp + 1))):
+                if lp == 0 and k != 1:
+                    continue
+                for lam in lams:
+                    if lam >= 1:
+                        table = _recoupling_table(lam)[1][:, (lam - k) // 2, lp - k + 1]
+                        rows.append((table, lam, partial(recoupling, k, lp, lam)))
+                rows.append((_radial_table(k)[:, lp - k + 1], k, partial(radial, k, lp)))
+            for lam in (lp, lp + 1, lp + 2) if lp else (2,):
+                rows.append((_cross_table(lam)[:, lp - lam + 2], lam, partial(cross, lp, lam)))
+            for table, lam, term in rows:
+                for qq in (-1, 1):
+                    got = _rows(table, lp, lam, qq)
+                    for mu, value in zip(range(-lp, lp + 1), got):
+                        parts = [term(qq, m1, mu - qq) for m1 in (-1, 0, 1)]
+                        want = qq / mp.sqrt(2) * sum(v for v, _ in parts)   # -AXIS_COMPONENT[qq]
+                        scale = sum(a for _, a in parts) / mp.sqrt(2)
+                        if scale == 0:
+                            assert value == 0.0
+                        else:
+                            worst = max(worst, float(abs(value - want) / scale))
+    assert worst <= 2e-15
 
 
 def test_vector_series_check_parallel_to_the_shift():

@@ -284,7 +284,7 @@ class TestSphericalBasis:
 def test_product_recoupling_consistency(rng):
     # the axis-projection product of a growing-trace harmonic re-expands
     # into vector harmonics with the pure recoupling weights
-    from sphelast.translation import recoupling_weight
+    from sphelast.translation import recoupling_weights
 
     for v in random_units(rng, 5):
         a = rng.normal(size=3)
@@ -299,7 +299,7 @@ def test_product_recoupling_consistency(rng):
                             if k == lam - 1:
                                 continue
                             for j in range(abs(k - 1), k + 2):
-                                wgt = recoupling_weight(k, j, lam, m1, mu, q)
+                                wgt = float(recoupling_weights(k, j, lam, m1, mu, q))
                                 if wgt == 0.0 or abs(q + mu) > j:
                                     continue
                                 expand += (
