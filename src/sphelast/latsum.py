@@ -22,15 +22,31 @@ With ``theta`` the phase reduced to ``(-pi, pi]`` and ``mu = i theta``
                       + mu^{s-1} / (s-1)! (psi(s) - psi(a) - ln(-mu)) ],
 
 and ``Li_s(e^mu) = e^mu Phi(e^mu, s, 1)`` is the bracket at ``a = 1``.  The
-series converges like ``(|theta| / 2 pi)^k``; all orders share one table of
-Hurwitz zeta values, ``zeta(1 - m, a) = -B_m(a) / m`` below the pole.
-Only ``theta > 0`` is computed: the value at ``-theta``, and every
-``(s, -)`` slot, is the exact conjugate.  An order's value does not depend
-on how many orders are computed with it, so a longer vector repeats a
-shorter one bit for bit.  ``oracle.polylog_ref``/``lerch_ref`` (mpmath, 30
-digits) are the reference, within ``1e-14 max(1, |ref|)`` in the tests and
-in ``sphelast verify --suite latsum``; the brute-force truncated sums live
-in the test suite, never here.
+series converges like ``(|theta| / 2 pi)^k``; all orders share one column of
+Hurwitz zeta values ``zeta(t, a)``, from 64 orders below the pole
+(``zeta(1 - m, a) = -B_m(a) / m``) up to ``t = s_max``.
+
+``_bracket`` is one array pass over a table with a row per ``t`` and a
+column per order ``s``: entry ``(t, s)`` is the term ``zeta(t, a)
+mu^(s - t) / (s - t)!`` (the pole row holds the psi bracket of order
+``s``), and an exact zero for ``t > s``.  Summed over the rows, which is
+not the contiguous axis, the terms are added to every order one after
+another in ascending ``t``; numpy sums pairwise only along the contiguous
+axis, so the table has two columns even for ``s_max = 1``.  This keeps two
+bitwise properties:
+
+* a longer vector repeats a shorter one: column ``s`` holds the same terms
+  whatever ``s_max`` is (the ``mu^j / j!`` are built one term at a time,
+  each zeta value depends on ``t`` and ``a`` only), they are added in the
+  same order, and the zeros past a column's last term leave it unchanged;
+* the ``(s, -)`` value is the exact conjugate of the ``(s, +)`` one: only
+  ``theta > 0`` is computed, and the value at ``-theta``, like every
+  ``(s, -)`` slot, is the conjugate of the finished vector.
+
+``oracle.polylog_ref``/``lerch_ref`` (mpmath, 30 digits) are the
+reference, within ``1e-14 max(1, |ref|)`` in the tests and in ``sphelast
+verify --suite latsum``; the brute-force truncated sums live in the test
+suite, never here.
 """
 
 from __future__ import annotations
@@ -78,11 +94,13 @@ def _bernoulli_numbers(n: int) -> list[Fraction]:
 _B = _bernoulli_numbers(max(2 * _EM, _POLY))
 _EM_WEIGHT = [float(_B[2 * j] / math.factorial(2 * j)) for j in range(1, _EM + 1)]
 _PSI_WEIGHT = [float(_B[2 * j] / (2 * j)) for j in range(1, _EM + 1)]
-# B_m(x) = sum_k C(m, k) B_k x^(m - k), highest power first
-_POLY_COEF = [
-    [float(math.comb(m, k) * _B[k]) for k in range(m + 1)]
+# B_m(x) = sum_k C(m, k) B_k x^(m - k), highest power first, one row per
+# m = 1.._POLY padded in front with zeros (which leave a Horner sum at 0)
+_POLY_COEF = np.array([
+    [0.0] * (_POLY - m)
+    + [float(math.comb(m, k) * _B[k]) for k in range(m + 1)]
     for m in range(1, _POLY + 1)
-]
+])
 # B_m(x) = -2 m! / (2 pi)^m sum_k cos(2 pi k x - m pi / 2) / k^m
 _HIGH = np.arange(_POLY + 1, _TAIL + 1)
 _FOURIER_K = np.arange(1, _FOURIER + 1, dtype=float)
@@ -182,12 +200,10 @@ def _digamma(a: float) -> float:
 
 def _bernoulli_poly(a: float) -> np.ndarray:
     """``B_m(a)`` for ``m = 1.._TAIL``."""
-    low = []
-    for coef in _POLY_COEF:
-        value = 0.0
-        for c in coef:
-            value = value * a + c
-        low.append(value)
+    low = np.zeros(_POLY)
+    for coef in _POLY_COEF.T:   # one Horner step for every m at once
+        low *= a
+        low += coef
     angle = _TWO_PI * a * _FOURIER_K
     trig = np.array([np.cos(angle), np.sin(angle), -np.cos(angle), -np.sin(angle)])
     high = _FOURIER_SCALE * (_FOURIER_POW * trig[_HIGH % 4]).sum(axis=1)
@@ -197,27 +213,38 @@ def _bernoulli_poly(a: float) -> np.ndarray:
 def _bracket(theta: float, a: float, s_max: int) -> np.ndarray:
     """The bracket of the expansion (module docstring) at ``mu = i theta``,
     ``0 < theta <= pi``, for the orders ``1..s_max``."""
-    n_terms = s_max + _TAIL
+    # at least two orders: the sum over the terms of a single order would
+    # run along the contiguous axis, which numpy sums pairwise
+    width = max(s_max, 2)
+    n_terms = width + _TAIL
     # mu^j / j!, built term by term so that a prefix never depends on s_max
     magnitude = [1.0]
     for j in range(1, n_terms):
         magnitude.append(magnitude[-1] * theta / j)
-    powers = np.array(magnitude) * np.resize([1, 1j, -1, -1j], n_terms)
-    # zeta(t, a) for t = 1 - _TAIL .. s_max, except at the pole t = 1, where
+    i_power = np.array([1, 1j, -1, -1j])[np.arange(n_terms) % 4]
+    powers = np.array(magnitude) * i_power
+    # zeta(t, a) for t = 1 - _TAIL .. width, except at the pole t = 1, where
     # order s has psi(s) - psi(a) - ln(-mu) with psi(s) = H_{s-1} - gamma
-    harmonic = np.cumsum(np.r_[0.0, 1.0 / np.arange(1, s_max)])[:s_max]
+    harmonic = np.cumsum(np.concatenate([[0.0], 1.0 / np.arange(1, width)]))
     log_mu = complex(math.log(theta), -math.pi / 2)
     pole = harmonic - _EULER_GAMMA - _digamma(a) - log_mu
-    zeta = [
-        *(-_bernoulli_poly(a)[::-1] / np.arange(_TAIL, 0, -1)),
-        pole,
-        *(_hurwitz(t, a) for t in range(2, s_max + 1)),
-    ]
-    total = np.zeros(s_max, dtype=complex)
-    for t, coef in zip(range(1 - _TAIL, s_max + 1), zeta):
-        first = max(t, 1)   # the lowest order with a zeta(t, a) term
-        total[first - 1:] += coef * powers[first - t:s_max + 1 - t]
-    return total
+    zeta = np.empty(n_terms, dtype=complex)
+    zeta[:_TAIL] = -_bernoulli_poly(a)[::-1] / np.arange(_TAIL, 0, -1)
+    zeta[_TAIL + 1:] = [_hurwitz(t, a) for t in range(2, width + 1)]
+    # Term t of order s, zeta(t, a) mu^(s - t) / (s - t)!, sits in row
+    # t - 1 + _TAIL and column s - 1; there is none for t > s.  Its power
+    # is read from behind width - 1 zeros, at s - t + width - 1, so that
+    # t > s reads a zero.  The zeta factor is selected to 0 there, not
+    # multiplied by 0, so that an overflowed zeta(t, a) does not reach the
+    # lower orders as inf * 0.
+    index = (np.arange(n_terms - 1, n_terms - 1 + width)
+             - np.arange(n_terms)[:, None])
+    table = np.where(index < width - 1, 0j, zeta[:, None])
+    table[_TAIL] = pole
+    table *= np.concatenate([np.zeros(width - 1), powers])[index]
+    # Summed over the rows, the non-contiguous axis, numpy adds the terms to
+    # every order one after another in ascending t.
+    return np.add.reduce(table, axis=0)[:s_max]
 
 
 def _times(vec: np.ndarray, w: complex) -> np.ndarray:

@@ -107,8 +107,16 @@ class TruncationPolicy:
 
 @lru_cache(maxsize=None)
 def _binomials(size: int) -> np.ndarray:
-    """``binom_safe(n, k)`` for ``0 <= n, k < size``, indexed ``[n, k]``."""
-    return np.array([[binom_safe(n, k) for k in range(size)] for n in range(size)])
+    """``binom_safe(n, k)`` for ``0 <= n, k < size``, indexed ``[n, k]``
+    (read-only): Pascal's rule in exact integers, each entry rounded to
+    float once."""
+    table = np.zeros((size, size))
+    row = [1]
+    for n in range(size):
+        table[n, :n + 1] = row
+        row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

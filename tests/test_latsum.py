@@ -1,9 +1,11 @@
 import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sphelast import latsum
 from sphelast.assembly import _DegreeBlocks, _contract, _per_copy_values
 from sphelast.latsum import (
     AXIS_COMPONENT,
@@ -284,6 +286,71 @@ class TestFloat64Values:
         cache = LatticeSumCache(1.3, DimerGeometry(2e-30, 1e-30))
         with pytest.raises(ValueError):
             dimer_values(cache, 11, "21")
+
+
+def _sequential_bernoulli_poly(a):
+    """``latsum._bernoulli_poly`` with one Python Horner loop per degree."""
+    low = []
+    for m in range(1, latsum._POLY + 1):
+        value = 0.0
+        for k in range(m + 1):
+            value = value * a + float(math.comb(m, k) * latsum._B[k])
+        low.append(value)
+    return np.concatenate([low, latsum._bernoulli_poly(a)[latsum._POLY:]])
+
+
+def _sequential_bracket(theta, a, s_max):
+    """``latsum._bracket`` as a loop over the zeta orders ``t``, each adding
+    its term to every order ``s >= t``: the reference for the table pass."""
+    tail = latsum._TAIL
+    n_terms = s_max + tail
+    magnitude = [1.0]
+    for j in range(1, n_terms):
+        magnitude.append(magnitude[-1] * theta / j)
+    powers = np.array(magnitude) * np.resize([1, 1j, -1, -1j], n_terms)
+    harmonic = np.cumsum(np.r_[0.0, 1.0 / np.arange(1, s_max)])[:s_max]
+    log_mu = complex(math.log(theta), -math.pi / 2)
+    pole = harmonic - latsum._EULER_GAMMA - latsum._digamma(a) - log_mu
+    zeta = [
+        *(-_sequential_bernoulli_poly(a)[::-1] / np.arange(tail, 0, -1)),
+        pole,
+        *(latsum._hurwitz(t, a) for t in range(2, s_max + 1)),
+    ]
+    total = np.zeros(s_max, dtype=complex)
+    for t, coef in zip(range(1 - tail, s_max + 1), zeta):
+        first = max(t, 1)   # the lowest order with a zeta(t, a) term
+        total[first - 1:] += coef * powers[first - t:s_max + 1 - t]
+    return total
+
+
+def _bracket_cases():
+    yield from itertools.product(
+        (1, 2, 7, 9, 13, 35, 40, 131),
+        (1e-9, 0.01, 0.3, 1.3, 3.1, math.pi),
+        (1.0, 0.96, 0.37, 0.02, 1e-3),
+    )
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        yield (
+            int(rng.integers(1, 132)),
+            math.pi * (1.0 - rng.random()),
+            10.0 ** rng.uniform(-4.0, 0.0),
+        )
+
+
+def test_bracket_matches_sequential_loop_bitwise():
+    overflowed = 0
+    for s_max, theta, a in _bracket_cases():
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _sequential_bracket(theta, a, s_max)
+            got = latsum._bracket(theta, a, s_max)
+        finite = np.isfinite(ref)
+        assert np.array_equal(got[finite], ref[finite]), (s_max, theta, a)
+        if not finite.all():
+            # so that lerch_orders still raises LatticeSumOverflow
+            overflowed += 1
+            assert not np.isfinite(got).all(), (s_max, theta, a)
+    assert overflowed > 0   # the grid reaches past the float64 range
 
 
 def _brute_line(coeff_fn, alpha, n_max):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from sphelast.coupling import cg
+from sphelast.coupling import binom_safe, cg
 from sphelast.sphharm import solid_irregular, solid_regular
 from sphelast.translation import (
     ConvergenceError,
     SingularityError,
     TruncationPolicy,
+    _binomials,
     combine_source,
     cross_coeff,
     cross_weights,
@@ -120,6 +121,12 @@ class TestCoefficients:
                         assert lhs == pytest.approx(rhs, abs=1e-14)
                         if m == mu:
                             assert abs(decay_coeff(l, lam, m, mu, a).imag) <= 1e-15
+
+
+def test_binomial_table_matches_binom_safe():
+    for size in (1 << p for p in range(10)):
+        want = [[binom_safe(n, k) for k in range(size)] for n in range(size)]
+        assert np.array_equal(_binomials(size), np.array(want)), size
 
 
 class TestSolidReExpansion:
