@@ -6,6 +6,12 @@ degree, dimer separation, basis ordering version, tool version) followed by
 the entries as ``[re, im]`` pairs in row-major order.  Loaders reject files
 whose basis ordering version does not match the one compiled in.  A flat
 CSV export (row, col, re, im) is available for external tooling.
+
+The bytes are those of ``json.dump(doc, fh, indent=1, sort_keys=True)``
+followed by a newline, written one row at a time: the header through
+``json.dumps``, the entries through one pair template filled with the
+shortest round-trip ``repr`` of each float (``NaN``, ``Infinity`` and
+``-Infinity`` as json spells them).
 """
 
 from __future__ import annotations
@@ -48,16 +54,53 @@ def _header(m: AssembledMatrix) -> dict:
     }
 
 
-def _pairs(arr: np.ndarray):
-    flat = np.asarray(arr, dtype=complex).ravel()
-    return [[float(v.real), float(v.imag)] for v in flat]
+# one [re, im] pair as json.dump(..., indent=1) lays it out at depth 2
+_PAIR = "  [\n   %r,\n   %r\n  ]"
+
+
+def _write(path, header: dict, rows: np.ndarray) -> None:
+    """Write ``{"entries": rows as [re, im] pairs, "header": header}`` with
+    the bytes of ``json.dump(..., indent=1, sort_keys=True)`` and a newline,
+    one row of the 2-D complex array ``rows`` at a time."""
+    # "entries" sorts before "header": the header and the closing brace
+    # follow the entries
+    tail = json.dumps({"header": header}, indent=1, sort_keys=True)[1:] + "\n"
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    with open(path, "w") as fh:
+        if not rows.size:
+            fh.write('{\n "entries": [],' + tail)
+            return
+        fh.write('{\n "entries": [\n')
+        fmt = ",\n".join([_PAIR] * rows.shape[1])
+        for i, row in enumerate(rows):
+            text = fmt % tuple(row.view(float).tolist())
+            # a finite repr has no letter but "e": only the non-finite
+            # tokens change, to json's NaN, Infinity and -Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write((",\n" if i else "") + text)
+        fh.write("\n ]," + tail)
+
+
+def _entries(doc) -> np.ndarray:
+    """``doc["entries"]``, a list of ``[re, im]`` number pairs, as one
+    complex array.
+
+    Anything else (strings, null, flat numbers, triples, deeper lists,
+    integers past int64) goes through ``complex(re, im)`` pair by pair,
+    so it is accepted, or refused with the same exception, as by that loop.
+    """
+    entries = doc["entries"]
+    try:
+        arr = np.array(entries)
+    except (ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf" and arr.shape[1:] == (2,):
+        return arr.astype(float, copy=False).view(complex).reshape(-1)
+    return np.array([complex(re, im) for re, im in entries])
 
 
 def save_matrix(path, m: AssembledMatrix) -> None:
-    doc = {"header": _header(m), "entries": _pairs(m.matrix)}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write(path, _header(m), m.matrix)
 
 
 def load_matrix(path) -> AssembledMatrix:
@@ -70,7 +113,7 @@ def load_matrix(path) -> AssembledMatrix:
             f"match {BASIS_VERSION!r}"
         )
     shape = tuple(hdr["shape"])
-    flat = np.array([complex(re, im) for re, im in doc["entries"]])
+    flat = _entries(doc)
     params = LameParams(hdr["lambda"], hdr["mu"], hdr.get("sign_flip", False))
     geom = None
     if hdr.get("d") is not None:
@@ -89,19 +132,14 @@ def load_matrix(path) -> AssembledMatrix:
 
 def save_vector(path, vec, header_extra: dict | None = None) -> None:
     vec = np.asarray(vec, dtype=complex)
-    doc = {
-        "header": {
-            "kind": "vector",
-            "basis_version": BASIS_VERSION,
-            "tool_version": __version__,
-            "length": int(vec.shape[0]),
-            **(header_extra or {}),
-        },
-        "entries": _pairs(vec),
+    header = {
+        "kind": "vector",
+        "basis_version": BASIS_VERSION,
+        "tool_version": __version__,
+        "length": int(vec.shape[0]),
+        **(header_extra or {}),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write(path, header, vec.reshape(1, -1))
 
 
 def load_vector(path):
@@ -113,15 +151,14 @@ def load_vector(path):
             f"basis ordering version {hdr.get('basis_version')!r} does not "
             f"match {BASIS_VERSION!r}"
         )
-    vec = np.array([complex(re, im) for re, im in doc["entries"]])
-    return vec, hdr
+    return _entries(doc), hdr
 
 
 def matrix_to_csv(path, m: AssembledMatrix) -> None:
+    rows = np.ascontiguousarray(m.matrix, dtype=complex)
+    # row i is str(i) joined over ["", ",0,%r,%r\n", ",1,%r,%r\n", ...]
+    cells = [""] + [f",{j},%r,%r\n" for j in range(rows.shape[1])]
     with open(path, "w") as fh:
         fh.write("row,col,re,im\n")
-        rows, cols = m.matrix.shape
-        for i in range(rows):
-            for j in range(cols):
-                v = complex(m.matrix[i, j])
-                fh.write(f"{i},{j},{v.real!r},{v.imag!r}\n")
+        for i, row in enumerate(rows):
+            fh.write(str(i).join(cells) % tuple(row.view(float).tolist()))

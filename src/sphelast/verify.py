@@ -21,11 +21,17 @@ from .kelvin import (
     norm_factor,
     surface_response,
 )
-from .sphharm import Direction, ylm_complex, ylm_equator
+from .sphharm import (
+    Direction,
+    legendre_table,
+    sph_norm_table,
+    ylm_complex,
+    ylm_equator,
+)
 from .vsh import (
     Family,
     rhat_dot_a_expand,
-    vsh_complex,
+    vsh_complex_table,
     vsh_real,
     vsh_real_table,
 )
@@ -83,22 +89,34 @@ def suite_sphharm(rng):
     return checks
 
 
+def _ylm_table(lmax: int, d: Direction) -> np.ndarray:
+    """``ylm_complex(l, m, d)`` for ``0 <= l <= lmax`` and ``|m| <= lmax``,
+    indexed ``[l, m + lmax]`` (zero for ``|m| > l``), from one
+    ``legendre_table`` and ``sph_norm_table``."""
+    p = legendre_table(lmax, d.theta)[0]
+    m = np.arange(-lmax, lmax + 1)
+    # the Condon-Shortley sign of m > 0; m < 0 is (-1)^m conj of |m|
+    phase = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * d.phi)
+    return (sph_norm_table(lmax) * p)[:, np.abs(m)] * phase
+
+
 def suite_vsh(rng):
     checks = []
+    lmax = 5
+    deg = np.arange(lmax + 1)[:, None]
+    labels = (deg >= 1) & (np.abs(np.arange(-lmax, lmax + 1)) <= deg)
     worst = 0.0
     for v in _rand_dirs(rng, 40):
-        for l in range(1, 6):
-            for m in range(-l, l + 1):
-                w = vsh_complex(Family.W, l, m, v)
-                vv = vsh_complex(Family.V, l, m, v)
-                x = vsh_complex(Family.X, l, m, v)
-                worst = max(
-                    worst,
-                    np.abs(w - vv - (2 * l + 1) * ylm_complex(l, m, v) * v).max(),
-                    abs(np.dot(v, x)),
-                    abs(np.dot(v, vv) + (l + 1) * ylm_complex(l, m, v)),
-                    abs(np.dot(v, w) - l * ylm_complex(l, m, v)),
-                )
+        d = Direction.from_vector(v)
+        vv, w, x = vsh_complex_table(lmax, d)
+        y = _ylm_table(lmax, d)
+        gaps = np.stack([
+            np.abs(w - vv - ((2 * deg + 1) * y)[..., None] * v).max(axis=-1),
+            np.abs(x @ v),
+            np.abs(vv @ v + (deg + 1) * y),
+            np.abs(w @ v - deg * y),
+        ])
+        worst = max(worst, gaps[:, labels].max())
     checks.append(("pointwise identities", worst, 1e-13))
     quad = system.build_quadrature(14)
     basis = assembly.BasisMap(4)
@@ -167,19 +185,20 @@ def vector_series_residual(r, a) -> float:
 
 def suite_translation(rng):
     checks = []
-    from .sphharm import solid_irregular, solid_regular
+    from .sphharm import solid_irregular, solid_regular_table
 
     worst = 0.0
     for _ in range(4):
         r = rng.normal(size=3) * 0.7
         a = rng.normal(size=3)
+        exact = solid_regular_table(4, r + a)
         for l in range(5):
             for m in range(-l, l + 1):
                 worst = max(
                     worst,
                     abs(
                         translation.translate_solid_regular(l, m, r, a)
-                        - solid_regular(l, m, r + a)
+                        - exact[l, m + 4]
                     ),
                 )
     checks.append(("finite growing re-expansion", worst, 1e-12))

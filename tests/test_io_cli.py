@@ -11,9 +11,10 @@ import pytest
 
 import sphelast
 from sphelast import io
-from sphelast.assembly import assemble_single
+from sphelast.assembly import assemble_dimer, assemble_single
 from sphelast.cli import build_parser, main, parse_alpha, parse_grid
 from sphelast.kelvin import LameParams
+from sphelast.latsum import DimerGeometry
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,157 @@ class TestFormats:
         assert len(lines) == 1 + small_matrix.matrix.size
         row, col, re, im = lines[1].split(",")
         assert complex(float(re), float(im)) == small_matrix.matrix[0, 0]
+
+
+def _json_dump_reference(path, header, arr):
+    """The byte contract of the writers: ``json.dump`` of the whole document
+    with ``indent=1, sort_keys=True`` and a newline, each entry an
+    ``[re, im]`` pair of floats."""
+    flat = np.asarray(arr, dtype=complex).ravel()
+    doc = {
+        "header": header,
+        "entries": [[float(v.real), float(v.imag)] for v in flat],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _csv_reference(path, m):
+    with open(path, "w") as fh:
+        fh.write("row,col,re,im\n")
+        rows, cols = m.matrix.shape
+        for i in range(rows):
+            for j in range(cols):
+                v = complex(m.matrix[i, j])
+                fh.write(f"{i},{j},{v.real!r},{v.imag!r}\n")
+
+
+def _reference_load(path, matrix):
+    """The entries as the per-pair loaders read them: one ``complex`` per
+    pair, reshaped to the header's shape for a matrix."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    flat = np.array([complex(re, im) for re, im in doc["entries"]])
+    return flat.reshape(tuple(doc["header"]["shape"])) if matrix else flat
+
+
+@pytest.mark.parametrize("lmax", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("dimer", [False, True], ids=["single", "dimer"])
+def test_matrix_files_match_json_dump(tmp_path, lmax, dimer):
+    rng = np.random.default_rng(1000 + lmax)
+    alpha, rho = rng.uniform(0.3, 6.0), rng.uniform(0.05, 0.15)
+    lam, mu = rng.uniform(0.2, 3.0), rng.uniform(0.5, 2.0)
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    for sign_flip in (False, True):
+        params = LameParams(lam, mu, sign_flip)
+        if dimer:
+            m = assemble_dimer(alpha, DimerGeometry(rho + 0.1, rho), params, lmax)
+        else:
+            m = assemble_single(alpha, rho, params, lmax)
+        io.save_matrix(new, m)
+        _json_dump_reference(ref, io._header(m), m.matrix)
+        assert new.read_bytes() == ref.read_bytes()
+        loaded = io.load_matrix(new).matrix
+        assert loaded.dtype == complex
+        assert np.array_equal(loaded, m.matrix)
+        assert np.array_equal(loaded, _reference_load(new, matrix=True))
+        io.matrix_to_csv(new, m)
+        _csv_reference(ref, m)
+        assert new.read_bytes() == ref.read_bytes()
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1]
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [complex(math.nan, -0.0)],
+    [complex(-math.inf, math.inf)],
+    [complex(-0.0, 0.0)],
+    [complex(a, b) for a in _SPECIAL for b in _SPECIAL],
+], ids=["empty", "nan", "inf", "signed-zero", "pairs"])
+def test_vector_files_match_json_dump(tmp_path, values):
+    # json spells the non-finite floats NaN, Infinity and -Infinity, where
+    # repr gives nan, inf and -inf
+    extra = {"alpha": 1.3, "grid": {"b": [1, 2.5, None, True], "a": {"z": -0.0}},
+             "note": "x"}
+    vec = np.array(values, dtype=complex)
+    new, ref = tmp_path / "new.json", tmp_path / "ref.json"
+    io.save_vector(new, vec, header_extra=extra)
+    header = {
+        "kind": "vector", "basis_version": io.BASIS_VERSION,
+        "tool_version": sphelast.__version__, "length": len(values), **extra,
+    }
+    _json_dump_reference(ref, header, vec)
+    assert new.read_bytes() == ref.read_bytes()
+    loaded, hdr = io.load_vector(new)
+    assert hdr == json.loads(ref.read_text())["header"]
+    assert np.array_equal(loaded, _reference_load(new, matrix=False), equal_nan=True)
+    if values:
+        assert loaded.dtype == complex
+        assert np.array_equal(loaded, vec, equal_nan=True)
+
+
+# entries of a one-entry (lmax 0) matrix file, and of a vector file: both
+# loaders accept the first five, the vector loader also the next three
+_ENTRIES = {
+    "ints": [[1, -2]],
+    "floats": [[0.5, 1e-300]],
+    "non-finite": [[math.nan, -math.inf]],
+    "bools": [[True, False]],
+    "big-int": [[2**70, 1]],
+    "count": [[1, 2], [3.0, 4.0]],
+    "empty": [],
+    "empty-object": {},
+    "strings": [["1", "2"]],
+    "string-im": [[1.0, "2"]],
+    "null": [[None, 1.0]],
+    "flat": [1, 2],
+    "flat-string": ["12"],
+    "triple": [[1, 2, 3]],
+    "single": [[1]],
+    "nested": [[[1, 2], [3, 4]]],
+    "ragged": [[1, 2], [3]],
+    "pair-and-string": [[1, 2], "ab"],
+    "object": [{"re": 1, "im": 2}],
+    "number": 5,
+}
+
+
+def _outcome(load):
+    try:
+        return "ok", load()
+    except Exception as exc:  # noqa: BLE001 - the kind of failure is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(_ENTRIES))
+def test_loaders_accept_and_refuse_as_per_pair_loop(tmp_path, name, capsys):
+    header = io._header(assemble_single(1.3, 0.1, LameParams(1.0, 1.0), 0))
+    path = tmp_path / "doc.json"
+    for matrix in (True, False):
+        path.write_text(json.dumps({"header": header, "entries": _ENTRIES[name]}))
+        loader = io.load_matrix if matrix else io.load_vector
+        got = _outcome(lambda: loader(path))
+        want = _outcome(lambda: _reference_load(path, matrix))
+        if want[0] == "ok":
+            assert got[0] == "ok", got
+            arr = got[1].matrix if matrix else got[1][0]
+            assert arr.dtype == want[1].dtype
+            assert np.array_equal(arr, want[1], equal_nan=True)
+        else:
+            assert got == want
+        accepted = list(_ENTRIES).index(name) < (5 if matrix else 8)
+        assert (got[0] == "ok") == accepted
+    # no vector file among them is a field the solve takes: each exits 2
+    for kind in ("coeffs", "grid"):
+        out = tmp_path / "f.json"
+        rc = main(["solve", *TestCli.BASE, "--phi", f"{kind}:{path}",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip()
+        assert not out.exists()
 
 
 class TestAlphaParsing:

@@ -475,3 +475,16 @@ def test_translation_suite_passes_at_its_worst_known_seed():
     # the tolerance 1e-9 with the series cut at lam_max = 24)
     rows = suite_translation(np.random.default_rng(845589051))
     assert [name for name, residual, tol in rows if not residual <= tol] == []
+
+
+def test_growing_check_margin_at_its_worst_known_seed():
+    # the worst of 1500 seeds for the finite growing re-expansion: 6.2e-13
+    # of the 1e-12 tolerance against the angle route solid_regular, whose
+    # own error was most of it; solid_regular_table leaves 8.6e-14
+    rows = suite_translation(np.random.default_rng(488520556))
+    ((residual, tol),) = [
+        (residual, tol) for name, residual, tol in rows
+        if name == "finite growing re-expansion"
+    ]
+    assert tol == 1e-12
+    assert residual <= 2e-13

@@ -403,3 +403,19 @@ def test_vsh_suite_passes_with_directions_near_the_poles(seed):
 
     rows = suite_vsh(np.random.default_rng(seed))
     assert [name for name, residual, tol in rows if not residual <= tol] == []
+
+
+def test_verify_ylm_table_matches_the_scalar_route(rng):
+    # the vsh suite's pointwise identities read Y_lm from this table: the
+    # values of ylm_complex, exactly off the equator
+    from sphelast.verify import _ylm_table
+
+    dirs = [Direction.from_vector(v) for v in random_units(rng, 20)]
+    dirs += [Direction.from_angles(0.0, 0.0), Direction.from_angles(math.pi, 0.0)]
+    lmax = 6
+    for d in dirs:
+        table = _ylm_table(lmax, d)
+        for l in range(lmax + 1):
+            for m in range(-lmax, lmax + 1):
+                want = ylm_complex(l, m, d) if abs(m) <= l else 0.0
+                assert table[l, m + lmax] == want
