@@ -82,21 +82,8 @@ def _write(path, header: dict, rows: np.ndarray) -> None:
 
 
 def _entries(doc) -> np.ndarray:
-    """``doc["entries"]``, a list of ``[re, im]`` number pairs, as one
-    complex array.
-
-    Anything else (strings, null, flat numbers, triples, deeper lists,
-    integers past int64) goes through ``complex(re, im)`` pair by pair,
-    so it is accepted, or refused with the same exception, as by that loop.
-    """
-    entries = doc["entries"]
-    try:
-        arr = np.array(entries)
-    except (ValueError, OverflowError):
-        arr = None
-    if arr is not None and arr.dtype.kind in "biuf" and arr.shape[1:] == (2,):
-        return arr.astype(float, copy=False).view(complex).reshape(-1)
-    return np.array([complex(re, im) for re, im in entries])
+    """``doc["entries"]``, a list of ``[re, im]`` pairs, as one complex array."""
+    return np.array([complex(re, im) for re, im in doc["entries"]])
 
 
 def save_matrix(path, m: AssembledMatrix) -> None:

@@ -21,13 +21,7 @@ from .kelvin import (
     norm_factor,
     surface_response,
 )
-from .sphharm import (
-    Direction,
-    legendre_table,
-    sph_norm_table,
-    ylm_complex,
-    ylm_equator,
-)
+from .sphharm import Direction, ylm_complex, ylm_equator
 from .vsh import (
     Family,
     rhat_dot_a_expand,
@@ -89,17 +83,6 @@ def suite_sphharm(rng):
     return checks
 
 
-def _ylm_table(lmax: int, d: Direction) -> np.ndarray:
-    """``ylm_complex(l, m, d)`` for ``0 <= l <= lmax`` and ``|m| <= lmax``,
-    indexed ``[l, m + lmax]`` (zero for ``|m| > l``), from one
-    ``legendre_table`` and ``sph_norm_table``."""
-    p = legendre_table(lmax, d.theta)[0]
-    m = np.arange(-lmax, lmax + 1)
-    # the Condon-Shortley sign of m > 0; m < 0 is (-1)^m conj of |m|
-    phase = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * d.phi)
-    return (sph_norm_table(lmax) * p)[:, np.abs(m)] * phase
-
-
 def suite_vsh(rng):
     checks = []
     lmax = 5
@@ -109,7 +92,12 @@ def suite_vsh(rng):
     for v in _rand_dirs(rng, 40):
         d = Direction.from_vector(v)
         vv, w, x = vsh_complex_table(lmax, d)
-        y = _ylm_table(lmax, d)
+        # Y_lm by the scalar route (assoc_legendre, cos/sin phase), not
+        # from the legendre_table and sph_norm_table the vsh table is built on
+        y = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
+        for l in range(1, lmax + 1):
+            for m in range(-l, l + 1):
+                y[l, m + lmax] = ylm_complex(l, m, d)
         gaps = np.stack([
             np.abs(w - vv - ((2 * deg + 1) * y)[..., None] * v).max(axis=-1),
             np.abs(x @ v),
@@ -185,13 +173,15 @@ def vector_series_residual(r, a) -> float:
 
 def suite_translation(rng):
     checks = []
-    from .sphharm import solid_irregular, solid_regular_table
+    from .sphharm import solid_irregular, solid_regular, solid_regular_table
 
     worst = 0.0
+    worst_table = 0.0
     for _ in range(4):
         r = rng.normal(size=3) * 0.7
         a = rng.normal(size=3)
         exact = solid_regular_table(4, r + a)
+        n = np.linalg.norm(r + a)
         for l in range(5):
             for m in range(-l, l + 1):
                 worst = max(
@@ -201,7 +191,13 @@ def suite_translation(rng):
                         - exact[l, m + 4]
                     ),
                 )
+                # the Cartesian table against the angle route, per |r|^l
+                worst_table = max(
+                    worst_table,
+                    abs(exact[l, m + 4] - solid_regular(l, m, r + a)) / n**l,
+                )
     checks.append(("finite growing re-expansion", worst, 1e-12))
+    checks.append(("growing table vs scalar l<=4", worst_table, 1e-14))
     pol = translation.TruncationPolicy(lam_max=24)
     worst = 0.0
     a = np.array([1.0, 0.0, 0.0])

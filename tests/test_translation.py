@@ -488,3 +488,26 @@ def test_growing_check_margin_at_its_worst_known_seed():
     ]
     assert tol == 1e-12
     assert residual <= 2e-13
+
+
+def test_growing_table_check_catches_a_sign_the_addition_theorem_keeps(
+    monkeypatch,
+):
+    # a factor (-1)^m on every growing solid harmonic leaves the addition
+    # theorem true, so the re-expansion check cannot see it; the check of
+    # the table against the angle route solid_regular does
+    from sphelast import sphharm, translation
+
+    good = sphharm.solid_regular_table
+
+    def faulty(lmax, r):
+        return good(lmax, r) * (-1.0) ** np.arange(-lmax, lmax + 1)
+
+    monkeypatch.setattr(sphharm, "solid_regular_table", faulty)
+    monkeypatch.setattr(translation, "solid_regular_table", faulty)
+    rows = {name: (res, tol) for name, res, tol in
+            suite_translation(np.random.default_rng(0))}
+    residual, tol = rows["finite growing re-expansion"]
+    assert residual <= tol
+    residual, tol = rows["growing table vs scalar l<=4"]
+    assert residual > 1e3 * tol

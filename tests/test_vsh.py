@@ -405,17 +405,50 @@ def test_vsh_suite_passes_with_directions_near_the_poles(seed):
     assert [name for name, residual, tol in rows if not residual <= tol] == []
 
 
-def test_verify_ylm_table_matches_the_scalar_route(rng):
-    # the vsh suite's pointwise identities read Y_lm from this table: the
-    # values of ylm_complex, exactly off the equator
-    from sphelast.verify import _ylm_table
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Rebind ``name`` in every sphelast module that imported it."""
+    import sys
 
-    dirs = [Direction.from_vector(v) for v in random_units(rng, 20)]
-    dirs += [Direction.from_angles(0.0, 0.0), Direction.from_angles(math.pi, 0.0)]
-    lmax = 6
-    for d in dirs:
-        table = _ylm_table(lmax, d)
-        for l in range(lmax + 1):
-            for m in range(-lmax, lmax + 1):
-                want = ylm_complex(l, m, d) if abs(m) <= l else 0.0
-                assert table[l, m + lmax] == want
+    original = getattr(sys.modules["sphelast.sphharm"], name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("sphelast") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+    return original
+
+
+@pytest.mark.parametrize(
+    "fault", ["norm", "legendre", "condon-shortley", "negative-m"]
+)
+def test_pointwise_check_fails_on_a_faulty_vsh_table(monkeypatch, fault):
+    # the pointwise identities take Y_lm from ylm_complex, so an error in
+    # the building blocks of vsh_complex_table, or in its phase, does not
+    # cancel out of them
+    from sphelast import verify, vsh
+
+    if fault == "norm":
+        good = _patch_everywhere(
+            monkeypatch, "sph_norm_table",
+            lambda lmax: good(lmax) * (1 + 1e-9),
+        )
+    elif fault == "legendre":
+        good = _patch_everywhere(
+            monkeypatch, "legendre_table",
+            lambda lmax, theta: tuple(
+                t * (1 + 1e-9) for t in good(lmax, theta)
+            ),
+        )
+    else:
+        good = vsh.vsh_complex_table
+        odd = slice(6, None, 2) if fault == "condon-shortley" else slice(0, 5, 2)
+
+        def faulty(lmax, d):
+            assert lmax == 5
+            table = good(lmax, d).copy()
+            table[:, :, odd] *= -1  # the odd m > 0, or the odd m < 0
+            return table
+
+        monkeypatch.setattr(verify, "vsh_complex_table", faulty)
+    rows = {name: (res, tol) for name, res, tol in
+            verify.suite_vsh(np.random.default_rng(0))}
+    residual, tol = rows["pointwise identities"]
+    assert residual > 1e3 * tol
