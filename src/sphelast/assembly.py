@@ -23,8 +23,8 @@ into the block of every real order pair ``(mp, m)`` with the per-degree
 complex-to-real unitaries on both sides (the weights of
 ``translation.combine_source``/``combine_row``; Blanco, Florez & Bermejo,
 J. Mol. Struct. THEOCHEM 419:19 (1997)).  The Python loop
-runs over degree pairs, not entries.  ``Trace``, ``entry_single``,
-``entry_dimer`` and ``per_copy_entries`` all read the same blocks.
+runs over degree pairs, not entries.  ``Trace`` and ``per_copy_entries``
+read the same blocks; single entries are read off the assembled matrices.
 
 Geometry and scale: the radius and the material enter a coefficient on
 order ``s`` only as ``rho^(s+1)`` times the ``response_coeffs`` of the
@@ -107,11 +107,8 @@ __all__ = [
     "BASIS_VERSION",
     "BasisMap",
     "AssembledMatrix",
-    "per_copy_entry",
     "per_copy_entries",
-    "entry_single",
     "assemble_single",
-    "entry_dimer",
     "assemble_dimer",
     "Trace",
     "ScaleOverflow",
@@ -522,26 +519,6 @@ def _per_copy_values(s, coef, x):
     return coef[side] * dist ** -s + coef[side + 2] * dist ** (-s - 2)
 
 
-def per_copy_entry(p, lp, mp, q, l, m, n, rho, params: LameParams) -> float:
-    """Single-copy inner product at shift ``(n, 0, 0)``, ``n != 0``.
-
-    The result is mathematically real; the imaginary roundoff residue is
-    asserted below 1e-12.
-    """
-    val = complex(per_copy_entries(p, lp, mp, q, l, m, [n], rho, params)[0])
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise AssertionError(
-            f"per-copy value unexpectedly complex: {val!r}"
-        )
-    return val.real
-
-
-def _diagonal_term(p, q, l, lp, m, mp, rho, params):
-    if p != q or l != lp or m != mp:
-        return 0.0
-    return float(_scale(rho, params, l, *_label_columns(l, Family(p)))[1])
-
-
 def sector(l: int, m: int, family) -> int:
     """Parity sector ``0..3`` of a basis label under the reflections
     ``z -> -z`` and ``y -> -y`` of a chain on the x-axis.  For V and W the
@@ -549,56 +526,6 @@ def sector(l: int, m: int, family) -> int:
     Entries between labels of different sectors vanish."""
     flip = int(Family(family) == Family.X)
     return 2 * ((l + m) % 2 ^ flip) + ((m < 0) ^ flip)
-
-
-def _entry_lattice(p, lp, mp, q, l, m, rho, params, values) -> complex:
-    """Lattice part of one entry, from the block ``Trace`` reads it from:
-    zero across sectors and without a lattice part, the mirror of the
-    transposed entry when the row label comes after the column label in
-    basis order; ``values(s_max)`` returns the value vector."""
-    _check_labels(p, lp, mp, q, l, m)
-    row, col = (lp, mp, Family(p)), (l, m, Family(q))
-    if sector(*row) != sector(*col) or (row[2], col[2]) not in _STORED:
-        return 0.0 + 0.0j
-    mirrored = row > col
-    if mirrored:
-        row, col = col, row
-    (lp, mp, p), (l, m, q) = row, col
-    s, coef = _entry_coef(p, lp, mp, q, l, m, rho, params)
-    if mirrored:
-        coef = _mirror(coef)
-    return complex(_contract(np.array([s]), coef[None], values(l + lp + 3))[0])
-
-
-def entry_single(
-    p, lp, mp, q, l, m, alpha, rho, params: LameParams, cache=None
-) -> complex:
-    """One entry of the quasi-periodic operator matrix: the on-ball
-    diagonal plus the phased sum over all other copies in closed form."""
-    if cache is None:
-        cache = LatticeSumCache(alpha)
-    lattice = _entry_lattice(
-        p, lp, mp, q, l, m, rho, params,
-        lambda s_max: line_values(cache, s_max),
-    )
-    return complex(lattice + _diagonal_term(p, q, l, lp, m, mp, rho, params))
-
-
-def entry_dimer(
-    block, p, lp, mp, q, l, m, alpha, geom: DimerGeometry,
-    params: LameParams, cache=None,
-) -> complex:
-    """One coupling-block entry (source ball ``s`` onto target ``t`` for
-    block = "st"): the phased sum over the half-offset lattice, including
-    the in-cell copy, with no on-ball diagonal."""
-    if cache is None:
-        cache = LatticeSumCache(alpha, geom)
-    elif cache.geom != geom:
-        raise ValueError("cache belongs to a different dimer geometry")
-    return complex(_entry_lattice(
-        p, lp, mp, q, l, m, geom.rho, params,
-        lambda s_max: dimer_values(cache, s_max, block),
-    ))
 
 
 @dataclass(frozen=True, eq=False)

@@ -159,7 +159,10 @@ def _matrix(args, params, geom):
 def _load_vector(path):
     try:
         vec, hdr = io.load_vector(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
+        # AttributeError: a header that is not an object; OverflowError: an
+        # integer entry beyond the float64 range
         raise ConfigError(f"cannot read vector file {path!r}: {exc}") from exc
     if not np.isfinite(vec).all():
         raise ConfigError(f"vector file {path!r} holds non-finite entries")

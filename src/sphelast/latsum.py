@@ -335,12 +335,6 @@ class LatticeSumCache:
             self._vectors[offset] = vec
         return vec[:s_max]
 
-    def polylog(self, s: int, sign: int) -> complex:
-        return _pick(self.orders, s, sign)
-
-    def lerch(self, s: int, sign: int, offset: float) -> complex:
-        return _pick(lambda n: self.orders(n, offset), s, sign)
-
     def __len__(self) -> int:
         return len(self._vectors)
 

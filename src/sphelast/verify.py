@@ -311,8 +311,9 @@ def suite_latsum(rng):
 def suite_assembly(rng):
     checks = []
     rho, alpha = 0.1, 0.9
-    mat = assembly.assemble_single(alpha, rho, _PARAMS, 2)
-    mat2 = assembly.assemble_single(2 * math.pi - alpha, rho, _PARAMS, 2)
+    trace = assembly.Trace(rho, _PARAMS, 2)
+    mat = trace.single(alpha)
+    mat2 = trace.single(2 * math.pi - alpha)
     checks.append(
         (
             "conjugation symmetry",
@@ -328,21 +329,20 @@ def suite_assembly(rng):
             if {pf, qf} == {Family.V, Family.X}:
                 worst = max(worst, abs(mat.matrix[i, j]))
     checks.append(("structural zero pattern", worst, 0.0))
-    cache = latsum.LatticeSumCache(alpha)
+    # entries of the assembled matrix: the on-ball diagonal plus the
+    # phased sum over the other copies, cut at 20000 shells
     worst = 0.0
     for pf, lp, mp, qf, l, m in [
         (Family.W, 1, 0, Family.V, 1, 0),
         (Family.W, 2, 0, Family.W, 2, 0),
         (Family.X, 1, 0, Family.W, 1, -1),
     ]:
-        closed = assembly.entry_single(
-            pf, lp, mp, qf, l, m, alpha, rho, _PARAMS, cache
-        )
-        diag = assembly._diagonal_term(pf, qf, l, lp, m, mp, rho, _PARAMS)
+        i, j = mat.basis.index_of(lp, mp, pf), mat.basis.index_of(l, m, qf)
+        diag = trace.diag[i] if i == j else 0.0
         brute = oracle.brute_lattice_entry(
             pf, lp, mp, qf, l, m, alpha, rho, _PARAMS, 20000
         )
-        worst = max(worst, abs(closed - (brute + diag)))
+        worst = max(worst, abs(mat.matrix[i, j] - (brute + diag)))
     checks.append(("entries vs truncated sums", worst, 1e-6))
     geom = latsum.DimerGeometry(0.2, 0.1)
     dim = assembly.assemble_dimer(alpha, geom, _PARAMS, 1)
@@ -354,16 +354,16 @@ def suite_assembly(rng):
             0.0,
         )
     )
+    # the W(1,0) entry of coupling block "21" (block row 1, block column 2)
+    # and of block "12"
+    i = dim.basis.index_of(1, 0, Family.W)
     worst = 0.0
-    for block, shift in (("21", 2 * geom.d), ("12", -2 * geom.d)):
-        closed = assembly.entry_dimer(
-            block, Family.W, 1, 0, Family.W, 1, 0, alpha, geom, _PARAMS
-        )
+    for entry, shift in (((i, n + i), 2 * geom.d), ((n + i, i), -2 * geom.d)):
         brute = oracle.brute_lattice_entry(
             Family.W, 1, 0, Family.W, 1, 0, alpha, geom.rho, _PARAMS, 20000,
             shift=shift, include_zero=True,
         )
-        worst = max(worst, abs(closed - brute))
+        worst = max(worst, abs(dim.matrix[entry] - brute))
     checks.append(("dimer blocks vs shifted sums", worst, 1e-5))
     # the premises of the trace's sector/mirror shortcut on every label pair
     # of the full degree-pair blocks, relative to the largest diagonal entry

@@ -50,7 +50,6 @@ __all__ = [
     "vsh_complex_table",
     "vector_Y",
     "vector_Y_table",
-    "cross_spherical",
     "rhat_dot_a_expand",
 ]
 
@@ -264,18 +263,6 @@ def vector_Y(j: int, l: int, m: int, d) -> np.ndarray:
     return vsh_complex_or_zero(Family.W, l + 1, m, d) / math.sqrt(
         (l + 1) * (2 * l + 3)
     )
-
-
-def cross_spherical(m: int, n: int) -> np.ndarray:
-    """Cross product of spherical basis vectors:
-    ``chi_m x chi_n = i sgn(m - n) chi_{m+n}``; zero when ``m = n`` or
-    ``|m + n| > 1``."""
-    if m not in (-1, 0, 1) or n not in (-1, 0, 1):
-        raise DomainError("spherical basis orders must be in {-1, 0, 1}")
-    if m == n or abs(m + n) > 1:
-        return np.zeros(3, dtype=complex)
-    sign = 1.0 if m > n else -1.0
-    return 1j * sign * CHI[m + n]
 
 
 def rhat_dot_a_expand(a) -> dict:

@@ -9,12 +9,10 @@ import numpy as np
 
 from sphelast.assembly import (
     BasisMap,
+    Trace,
     assemble_dimer,
     assemble_single,
-    entry_dimer,
-    entry_single,
     per_copy_entries,
-    per_copy_entry,
 )
 from sphelast.kelvin import (
     LameParams,
@@ -22,7 +20,7 @@ from sphelast.kelvin import (
     norm_factor,
     surface_response,
 )
-from sphelast.latsum import DimerGeometry, LatticeSumCache, lerch_unit, polylog_unit
+from sphelast.latsum import DimerGeometry, lerch_unit, polylog_unit
 from sphelast.oracle import (
     basis_samples,
     brute_potential,
@@ -327,18 +325,17 @@ def _random_pairs(rng, rows_min, cols_min, count=20):
 def test_criterion_08_entry_oracle_equivalence():
     rng = np.random.default_rng(SEED + 5)
     alphas = (0.7, math.pi / 2, 2.9)
-    caches = {al: LatticeSumCache(al) for al in alphas}
+    trace = Trace(RHO, PARAMS, 3)
+    mats = {al: trace.single(al).matrix for al in alphas}
     worst_err, worst_order, n_checked = 0.0, float("inf"), 0
     for (pf, qf), pred in _PREDICTED_ORDER.items():
         rows_min = 0 if pf == Family.V else 1
         cols_min = 0 if qf == Family.V else 1
         for lp, mp, l, m in _random_pairs(rng, rows_min, cols_min):
-            series_cache = {}
+            i, j = trace.basis.index_of(lp, mp, pf), trace.basis.index_of(l, m, qf)
             for alpha in alphas:
                 series = _phased_shell_sums(pf, lp, mp, qf, l, m, alpha, 10000)
-                closed = entry_single(
-                    pf, lp, mp, qf, l, m, alpha, RHO, PARAMS, caches[alpha]
-                )
+                closed = mats[alpha][i, j]
                 if (pf, lp, mp) == (qf, l, m):
                     tau = surface_response(l, PARAMS)[int(pf) - 1]
                     closed -= RHO * tau * norm_factor(pf, l)
@@ -368,16 +365,11 @@ def test_criterion_09_vanishing_family():
         for l in range(1, 4):
             for mp in range(-lp, lp + 1):
                 for m in range(-l, l + 1):
-                    for n in (1, 2, 3, -1, -2, -3):
-                        worst = max(
-                            worst,
-                            abs(
-                                per_copy_entry(
-                                    Family.V, lp, mp, Family.X, l, m, n,
-                                    RHO, PARAMS,
-                                )
-                            ),
-                        )
+                    per_copy = per_copy_entries(
+                        Family.V, lp, mp, Family.X, l, m,
+                        [1.0, 2.0, 3.0, -1.0, -2.0, -3.0], RHO, PARAMS,
+                    )
+                    worst = max(worst, np.abs(per_copy).max())
     _report(9, "vanishing family", worst <= 1e-10, f"max magnitude {worst:.2e}")
 
 
@@ -394,10 +386,11 @@ def test_criterion_11_dimer_blocks():
     rng = np.random.default_rng(SEED + 6)
     geom = DimerGeometry(0.2, RHO)
     alpha = 1.3
-    cache = LatticeSumCache(alpha, geom)
-    mat = assemble_dimer(alpha, geom, PARAMS, 1)
+    mat = assemble_dimer(alpha, geom, PARAMS, 3)
     n = mat.basis.n_eff
     exact_self = np.array_equal(mat.matrix[:n, :n], mat.matrix[n:, n:])
+    # block "st" maps ball s onto ball t: block row t, block column s
+    coupling = {"21": mat.matrix[:n, n:], "12": mat.matrix[n:, :n]}
     worst_err = 0.0
     for block, shift in (("21", 2 * geom.d), ("12", -2 * geom.d)):
         for (pf, qf), pred in _PREDICTED_ORDER.items():
@@ -411,9 +404,9 @@ def test_criterion_11_dimer_blocks():
                     pf, lp, mp, qf, l, m, [shift], RHO, PARAMS
                 )[0]
                 series = series + center
-                closed = entry_dimer(
-                    block, pf, lp, mp, qf, l, m, alpha, geom, PARAMS, cache
-                )
+                closed = coupling[block][
+                    mat.basis.index_of(lp, mp, pf), mat.basis.index_of(l, m, qf)
+                ]
                 agree, order_ok, err, order = _series_checks(
                     closed, series, pred(lp, l)
                 )

@@ -16,10 +16,7 @@ from sphelast.assembly import (
     _unrestricted,
     assemble_dimer,
     assemble_single,
-    entry_dimer,
-    entry_single,
     per_copy_entries,
-    per_copy_entry,
     sector,
 )
 from sphelast.kelvin import (
@@ -28,7 +25,13 @@ from sphelast.kelvin import (
     shifted_ball_potential,
     surface_response,
 )
-from sphelast.latsum import DimerGeometry, LatticeSumCache, QuasiMomentumSingular
+from sphelast.latsum import (
+    DimerGeometry,
+    LatticeSumCache,
+    QuasiMomentumSingular,
+    dimer_values,
+    line_values,
+)
 from sphelast.oracle import (
     brute_lattice_entry,
     build_quadrature,
@@ -46,6 +49,27 @@ from conftest import kernel_coef
 
 RHO = 0.1
 GEOM = DimerGeometry(0.2, RHO)
+
+
+def _per_copy(p, lp, mp, q, l, m, n, params) -> float:
+    """The inner product against the one copy at shift ``(n, 0, 0)``,
+    which is real: its imaginary roundoff is held below 1e-12."""
+    val = complex(per_copy_entries(p, lp, mp, q, l, m, [n], RHO, params)[0])
+    assert abs(val.imag) <= 1e-12 * max(1.0, abs(val.real)), val
+    return val.real
+
+
+def _at(basis, p, lp, mp, q, l, m):
+    """The position of the entry at row label ``(lp, mp, p)`` and column
+    label ``(l, m, q)``."""
+    return basis.index_of(lp, mp, p), basis.index_of(l, m, q)
+
+
+def _coupling(mat, block):
+    """Coupling block ``block`` of a dimer matrix: "st" maps the density on
+    ball s to values on ball t, so it sits at block row t, block column s."""
+    n = mat.basis.n_eff
+    return mat.matrix[:n, n:] if block == "21" else mat.matrix[n:, :n]
 
 
 class TestBasisMap:
@@ -128,14 +152,14 @@ class TestPerCopy:
     def test_decaying_source_rows_vanish(self, params):
         for lp in range(3):
             for l in range(3):
-                assert per_copy_entry(
-                    Family.V, lp, 0, Family.V, l, 0, 1, RHO, params
+                assert _per_copy(
+                    Family.V, lp, 0, Family.V, l, 0, 1, params
                 ) == 0.0
-        assert per_copy_entry(Family.X, 1, 0, Family.V, 1, 0, 2, RHO, params) == 0.0
+        assert _per_copy(Family.X, 1, 0, Family.V, 1, 0, 2, params) == 0.0
 
     def test_toroidal_to_decaying_vanishes_numerically(self, params):
         assert abs(
-            per_copy_entry(Family.V, 2, 1, Family.X, 1, 1, 1, RHO, params)
+            _per_copy(Family.V, 2, 1, Family.X, 1, 1, 1, params)
         ) <= 1e-10
 
     def test_against_quadrature(self, params, quad20):
@@ -154,7 +178,7 @@ class TestPerCopy:
                     lambda d: shifted_ball_potential(n, l, m, qf, d, RHO, params),
                     quad20,
                 )
-                closed = per_copy_entry(pf, lp, mp, qf, l, m, n, RHO, params)
+                closed = _per_copy(pf, lp, mp, qf, l, m, n, params)
                 assert abs(proj - closed) <= 1e-8
 
     def test_vectorised_matches_scalar(self, params):
@@ -164,38 +188,42 @@ class TestPerCopy:
         )
         for i, n in enumerate(ns):
             assert vec[i] == pytest.approx(
-                per_copy_entry(Family.W, 1, 0, Family.W, 1, 0, n, RHO, params),
+                _per_copy(Family.W, 1, 0, Family.W, 1, 0, n, params),
                 abs=1e-15,
             )
 
     def test_forbidden_labels(self, params):
         with pytest.raises(ForbiddenIndexError):
-            per_copy_entry(Family.W, 0, 0, Family.V, 1, 0, 1, RHO, params)
+            per_copy_entries(Family.W, 0, 0, Family.V, 1, 0, [1.0], RHO, params)
 
 
 class TestEntrySingle:
+    """Entries of the single-ball matrix, read off ``Trace.single``."""
+
     def test_zero_blocks(self, params):
-        alpha = 1.2
-        assert entry_single(Family.X, 1, 0, Family.V, 1, 0, alpha, RHO, params) == 0
-        assert entry_single(Family.V, 1, 0, Family.X, 1, 0, alpha, RHO, params) == 0
+        mat = Trace(RHO, params, 1).single(1.2)
+        assert mat.matrix[_at(mat.basis, Family.X, 1, 0, Family.V, 1, 0)] == 0
+        assert mat.matrix[_at(mat.basis, Family.V, 1, 0, Family.X, 1, 0)] == 0
 
     def test_decaying_block_is_pure_diagonal(self, params):
         # no phase dependence anywhere in the (V, V) block
-        one = entry_single(Family.V, 1, 0, Family.V, 1, 0, 0.8, RHO, params)
-        two = entry_single(Family.V, 1, 0, Family.V, 1, 0, 2.4, RHO, params)
-        assert one == two
+        trace = Trace(RHO, params, 2)
+        one, two = trace.single(0.8), trace.single(2.4)
+        v = [i for i, (_l, _m, fam) in enumerate(trace.basis) if fam == Family.V]
+        assert np.array_equal(one.matrix[np.ix_(v, v)], two.matrix[np.ix_(v, v)])
         tau = surface_response(1, params)[0]
-        assert one == pytest.approx(RHO * tau * norm_factor(Family.V, 1))
-        assert entry_single(Family.V, 1, 0, Family.V, 2, 0, 0.8, RHO, params) == 0
+        assert one.matrix[_at(one.basis, Family.V, 1, 0, Family.V, 1, 0)] == (
+            pytest.approx(RHO * tau * norm_factor(Family.V, 1)))
+        assert one.matrix[_at(one.basis, Family.V, 1, 0, Family.V, 2, 0)] == 0
 
     def test_diagonal_consistency(self, params):
         # the diagonal entry minus its lattice part is exactly the on-ball
-        # surface response times the basis norm
-        from sphelast.latsum import line_values
-
+        # surface response times the basis norm, and so is Trace.diag
         alpha = 1.9
+        trace = Trace(RHO, params, 2)
+        mat = trace.single(alpha)
         for fam, l, slot in [(Family.W, 1, 1), (Family.X, 2, 2), (Family.V, 1, 0)]:
-            full = entry_single(fam, l, 0, fam, l, 0, alpha, RHO, params)
+            i, _ = _at(mat.basis, fam, l, 0, fam, l, 0)
             if fam == Family.V:
                 lattice = 0.0
             else:
@@ -204,10 +232,9 @@ class TestEntrySingle:
                     np.array([order]), coef[None],
                     line_values(LatticeSumCache(alpha), 2 * l + 3),
                 )[0]
-            tau = surface_response(l, params)[slot]
-            assert full - lattice == pytest.approx(
-                RHO * tau * norm_factor(fam, l), abs=1e-16
-            )
+            expect = RHO * surface_response(l, params)[slot] * norm_factor(fam, l)
+            assert mat.matrix[i, i] - lattice == pytest.approx(expect, abs=1e-16)
+            assert trace.diag[i] == pytest.approx(expect, abs=1e-16)
 
     @pytest.mark.parametrize(
         "pf,lp,mp,qf,l,m",
@@ -222,7 +249,8 @@ class TestEntrySingle:
     )
     def test_against_truncated_sums(self, params, pf, lp, mp, qf, l, m):
         alpha = math.pi / 2
-        closed = entry_single(pf, lp, mp, qf, l, m, alpha, RHO, params)
+        mat = Trace(RHO, params, 2).single(alpha)
+        closed = mat.matrix[_at(mat.basis, pf, lp, mp, qf, l, m)]
         brute = brute_lattice_entry(pf, lp, mp, qf, l, m, alpha, RHO, params, 10000)
         if (pf, lp, mp) == (qf, l, m):
             tau = surface_response(l, params)[int(pf) - 1]
@@ -232,7 +260,7 @@ class TestEntrySingle:
 
     def test_singular_phase_propagates(self, params):
         with pytest.raises(QuasiMomentumSingular):
-            entry_single(Family.W, 1, 0, Family.W, 1, 0, 0.0, RHO, params)
+            Trace(RHO, params, 1).single(0.0)
 
 
 class TestAssembleSingle:
@@ -263,6 +291,8 @@ class TestAssembleSingle:
 
 
 class TestDimer:
+    """Entries of the dimer matrix, read off ``Trace.dimer``."""
+
     def test_self_blocks_identical(self, params):
         mat = assemble_dimer(1.3, GEOM, params, 1)
         n = mat.basis.n_eff
@@ -271,26 +301,22 @@ class TestDimer:
         assert np.array_equal(mat.matrix[:n, :n], single.matrix)
 
     def test_coupling_zero_blocks(self, params):
+        mat = assemble_dimer(1.3, GEOM, params, 1)
         for block in ("21", "12"):
-            assert entry_dimer(
-                block, Family.V, 1, 0, Family.V, 1, 0, 1.3, GEOM, params
-            ) == 0
-            assert entry_dimer(
-                block, Family.V, 1, 0, Family.X, 1, 0, 1.3, GEOM, params
-            ) == 0
+            coupling = _coupling(mat, block)
+            assert coupling[_at(mat.basis, Family.V, 1, 0, Family.V, 1, 0)] == 0
+            assert coupling[_at(mat.basis, Family.V, 1, 0, Family.X, 1, 0)] == 0
 
     @pytest.mark.parametrize("block,shift", [("21", 2 * GEOM.d), ("12", -2 * GEOM.d)])
     def test_coupling_against_shifted_sums(self, params, block, shift):
         alpha = 1.3
-        cache = LatticeSumCache(alpha, GEOM)
+        mat = assemble_dimer(alpha, GEOM, params, 1)
         for pf, lp, mp, qf, l, m in [
             (Family.W, 1, 0, Family.V, 1, 0),
             (Family.W, 1, 0, Family.W, 1, 0),
             (Family.X, 1, 1, Family.X, 1, 1),
         ]:
-            closed = entry_dimer(
-                block, pf, lp, mp, qf, l, m, alpha, GEOM, params, cache
-            )
+            closed = _coupling(mat, block)[_at(mat.basis, pf, lp, mp, qf, l, m)]
             brute = brute_lattice_entry(
                 pf, lp, mp, qf, l, m, alpha, RHO, params, 10000,
                 shift=shift, include_zero=True,
@@ -298,20 +324,20 @@ class TestDimer:
             assert abs(closed - brute) <= max(1e-7, 3e-4 * abs(closed) + 2e-6)
 
     def test_block_layout(self, params):
-        # coupling block "st" sits at block row t, block column s
-        mat = assemble_dimer(1.3, GEOM, params, 1)
+        # coupling block "st" sits at block row t, block column s, contracted
+        # with the Lerch values of its own half-offset lattice
+        trace = Trace(RHO, params, 1)
+        mat = trace.dimer(1.3, GEOM)
         n = mat.basis.n_eff
-        i = mat.basis.index_of(1, 0, Family.W)
-        j = mat.basis.index_of(1, 0, Family.V)
-        expect21 = entry_dimer(
-            "21", Family.W, 1, 0, Family.V, 1, 0, 1.3, GEOM, params
-        )
-        expect12 = entry_dimer(
-            "12", Family.W, 1, 0, Family.V, 1, 0, 1.3, GEOM, params
-        )
-        assert mat.matrix[i, n + j] == expect21
-        assert mat.matrix[n + i, j] == expect12
-        assert expect21 != expect12
+        cache = LatticeSumCache(1.3, GEOM)
+        expect = {
+            block: trace._block(dimer_values(cache, trace.s_max, block), False)
+            for block in ("21", "12")
+        }
+        assert np.array_equal(mat.matrix[:n, n:], expect["21"])
+        assert np.array_equal(mat.matrix[n:, :n], expect["12"])
+        i, j = _at(mat.basis, Family.W, 1, 0, Family.V, 1, 0)
+        assert expect["21"][i, j] != expect["12"][i, j]
 
 
 class TestOperatorStructure:
@@ -456,21 +482,26 @@ class TestParitySectors:
             assert sector(*trace.basis.labels[flat // n]) == sector(
                 *trace.basis.labels[flat % n])
 
-    def test_entries_match_matrix_bitwise(self, params):
+    @pytest.mark.parametrize("block", ["single", "21", "12"])
+    def test_trace_gathers_unrestricted_blocks(self, params, block):
+        # every label pair of the matrices against the full degree-pair
+        # blocks contracted with no sector rule, no mirror and no pruning,
+        # relative to the largest lattice part
         alpha = 1.3
-        single = assemble_single(alpha, RHO, params, 2)
-        dimer = assemble_dimer(alpha, GEOM, params, 2)
-        n = single.basis.n_eff
-        cache = LatticeSumCache(alpha, GEOM)
-        for i, (lp, mp, pf) in enumerate(single.basis):
-            for j, (l, m, qf) in enumerate(single.basis):
-                args = (pf, lp, mp, qf, l, m, alpha)
-                assert entry_single(
-                    *args, RHO, params, cache) == single.matrix[i, j]
-                assert entry_dimer(
-                    "21", *args, GEOM, params, cache) == dimer.matrix[i, n + j]
-                assert entry_dimer(
-                    "12", *args, GEOM, params, cache) == dimer.matrix[n + i, j]
+        order, coef = _unrestricted(3, RHO, params)
+        n = len(order)
+        trace = Trace(RHO, params, 3)
+        if block == "single":
+            values = line_values(LatticeSumCache(alpha), trace.s_max)
+        else:
+            values = dimer_values(LatticeSumCache(alpha, GEOM), trace.s_max, block)
+        # a pair with no lattice part has order 0 and zero coefficients
+        lattice = _contract(order.ravel(), coef.reshape(-1, 4), values).reshape(n, n)
+        if block == "single":
+            got, expect = trace.single(alpha).matrix, lattice + np.diag(trace.diag)
+        else:
+            got, expect = _coupling(trace.dimer(alpha, GEOM), block), lattice
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(lattice).max()
 
 
 def test_brute_zero_cut(params):
@@ -489,5 +520,5 @@ def test_per_copy_higher_degree_against_quadrature(params):
         lambda d: shifted_ball_potential(1, l, m, qf, d, RHO, params),
         quad,
     )
-    closed = per_copy_entry(pf, lp, mp, qf, l, m, 1, RHO, params)
+    closed = _per_copy(pf, lp, mp, qf, l, m, 1, params)
     assert abs(proj - closed) <= 1e-12

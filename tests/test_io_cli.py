@@ -172,6 +172,7 @@ _ENTRIES = {
     "pair-and-string": [[1, 2], "ab"],
     "object": [{"re": 1, "im": 2}],
     "number": 5,
+    "huge-int": [[10**400, 0]],
 }
 
 
@@ -475,6 +476,7 @@ class TestBadInputs:
     def test_malformed_phi_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for text in ("{not json", json.dumps({"entries": []}),
+                     json.dumps({"header": "abc", "entries": []}),
                      json.dumps({"header": {"basis_version": io.BASIS_VERSION},
                                  "entries": [1, 2]})):
             bad.write_text(text)

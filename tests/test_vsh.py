@@ -19,7 +19,6 @@ from sphelast.vsh import (
     CHI,
     Family,
     ForbiddenIndexError,
-    cross_spherical,
     rhat_dot_a_expand,
     vector_Y,
     vector_Y_table,
@@ -239,17 +238,13 @@ class TestVectorY:
 
 
 class TestSphericalBasis:
-    def test_cross_rule(self):
-        assert np.abs(cross_spherical(1, 0) - 1j * CHI[1]).max() == 0.0
-        assert np.abs(cross_spherical(1, -1) - 1j * CHI[0]).max() == 0.0
-        assert np.abs(cross_spherical(0, 0)).max() == 0.0
-        assert np.abs(cross_spherical(1, 1)).max() == 0.0
-
     def test_cross_rule_is_actual_cross_product(self):
+        # chi_m x chi_n = i sgn(m - n) chi_{m+n}, zero for m = n or |m + n| > 1
         for m in (-1, 0, 1):
             for n in (-1, 0, 1):
-                direct = np.cross(CHI[m], CHI[n])
-                assert np.abs(direct - cross_spherical(m, n)).max() <= 1e-15
+                rule = (np.zeros(3) if m == n or abs(m + n) > 1
+                        else 1j * np.sign(m - n) * CHI[m + n])
+                assert np.abs(np.cross(CHI[m], CHI[n]) - rule).max() <= 1e-15
 
     def test_axis_components_on_lattice_shift(self):
         comps = rhat_dot_a_expand((-3.0, 0, 0))
