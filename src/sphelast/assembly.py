@@ -13,24 +13,29 @@ coupling blocks, a Lerch) value, so every entry is a short vector of
 phase-independent coefficients dotted with ``v(alpha)`` of
 ``latsum.line_values``/``dimer_values``, and ``M(alpha) = D + T v(alpha)``.
 
-Degree-pair blocks: ``_DegreeBlocks`` builds, for one family pair and one
-degree pair ``(lp, l)``, the kernel block ``K[mu, mt]`` of every complex
-order pair with numpy, from one equator table, the prefactor table
-``translation.decay_prefactors`` and rows of the recoupling, radial
-(Clebsch-Gordan) and cross weight tables of ``translation`` (``_rows``), the
-closed spin-1 forms that the re-expansion series use too, and then turns it
-into the block of every real order pair ``(mp, m)`` with the per-degree
-complex-to-real unitaries on both sides (the weights of
-``translation.combine_source``/``combine_row``; Blanco, Florez & Bermejo,
-J. Mol. Struct. THEOCHEM 419:19 (1997)).  The Python loop
-runs over degree pairs, not entries.  ``Trace`` and ``per_copy_entries``
-read the same blocks; single entries are read off the assembled matrices.
+Degree-pair blocks: ``_DegreeBlocks.blocks`` builds, for one family pair,
+the kernel block ``K[mu, mt]`` of every complex order pair of many degree
+pairs ``(lp, l)`` at once, in a few array passes over padded arrays
+indexed ``[pair, mu, mt]``.  The terms of a family pair (``_terms``) are
+weight rows over ``(pair, mu)`` times slices of one table of plain kernels
+over ``(l, lam)`` (the prefactors of ``translation._prefactor_grid`` times
+the equator table), with the weights read from the recoupling, radial
+(Clebsch-Gordan) and cross tables of ``translation._WeightTables``, built
+over a ``lam`` axis from the closed spin-1 forms that the re-expansion
+series use too.  The per-degree complex-to-real unitaries on both sides
+(the weights of ``translation.combine_source``/``combine_row``; Blanco,
+Florez & Bermejo, J. Mol. Struct. THEOCHEM 419:19 (1997)) then give the
+block of every real order pair ``(mp, m)``.  ``_geometry`` groups the
+degree pairs in tiles of two degree bands (``_bands``), so that the
+padded arrays stay below a fixed size at any ``l_max``; at ``l_max <= 9``
+one tile holds them all.  ``Trace`` and ``per_copy_entries`` read the same
+blocks; single entries are read off the assembled matrices.
 
 Geometry and scale: the radius and the material enter a coefficient on
 order ``s`` only as ``rho^(s+1)`` times the ``response_coeffs`` of the
 column degree, ``a11`` (V columns), ``a33`` (X) or ``a12`` and ``a22``
 (W).  So the blocks are built on the unit ball, once per response
-coefficient (``_terms`` with a factor axis): this geometry depends on
+coefficient (the ``factors`` of ``_terms``): this geometry depends on
 ``l_max`` alone and is cached, read-only, for the most recent ``l_max``
 (``_geometry``).  Each radius and material only scales it (``_scale``,
 ``_scaled``); values beyond the float64 range raise ``ScaleOverflow``.
@@ -94,13 +99,7 @@ from .latsum import (
     slot,
 )
 from .sphharm import equator_table
-from .translation import (
-    _PAD,
-    _cross_table,
-    _radial_table,
-    _recoupling_table,
-    decay_prefactors,
-)
+from .translation import _prefactor_grid, _weight_tables
 from .vsh import Family, ForbiddenIndexError
 
 __all__ = [
@@ -195,73 +194,71 @@ def _frozen(values) -> np.ndarray:
     return out
 
 
-def _rows(table, lp: int, lam: int, qq: int) -> np.ndarray:
-    """Row weights over ``mu = -lp..lp`` of a term at ``(lam, mu - qq)``:
-    ``table[qq + 1, mu - qq + lam + _PAD]``, from a translation weight table
-    (zero where ``|mu - qq| > lam``), times ``-AXIS_COMPONENT[qq]``, the
-    factor with which the axis and cross kernels enter their ``(+)`` slot
-    (the shift is odd there; ``qq = 0`` has no axis component, so only
-    ``qq = +-1`` occurs)."""
-    start = lam + _PAD - lp - qq
-    return -AXIS_COMPONENT[qq] * table[qq + 1, start:start + 2 * lp + 1]
+def _rows(tables, table, lam, j: int, qq: int, span: int) -> np.ndarray:
+    """``-AXIS_COMPONENT[qq]``, the factor with which the axis and cross
+    kernels enter their ``(+)`` slot (the shift is odd there; ``qq = 0``
+    has no axis component), times the weights ``table[lam[g], qq + 1, j,
+    mu - qq]`` of one table of ``tables`` (``translation._WeightTables``)
+    over ``mu = -span..span``, for a column ``lam`` of shape ``(G, 1)``."""
+    start = tables.center - span - qq
+    return -AXIS_COMPONENT[qq] * table[lam[:, 0], qq + 1, j, start:start + 2 * span + 1]
 
 
-def _terms(p, q, lp, l, coeffs):
-    """The combination of one family pair on the unit ball: ``(phase,
-    terms)`` with terms ``(order, lam, qq, weights)``, each adding
-    ``weights[..., mu]`` times the plain kernel of degree ``l + lam`` at
-    ``(mu - qq, mt)`` to the block of ``order``; the block is ``phase``
-    times their sum.  ``coeffs`` are the column degree's ``(a11, a12, a22,
-    a33)`` of ``response_coeffs``, as scalars or as arrays over a factor
-    axis (shape ``(F, 1)``).  On a ball of radius ``rho`` every term of
-    order ``o`` takes the factor ``rho^(o + 1)``."""
-    a11, a12, a22, a33 = coeffs
-    one = np.ones(2 * lp + 1)
+def _terms(p, q, lp, l, tables, span):
+    """The combination of one family pair on the unit ball, for the degree
+    pairs ``(lp[g], l[g])`` (integer columns, shape ``(G, 1)``): ``(phase,
+    terms)`` with terms ``(offset, c, qq, factors, weights)``.  Each adds
+    ``weights[g, mu]`` (``mu = -span..span``) times the plain kernel of
+    degree ``l + lam``, ``lam = lp + c``, at ``(mu - qq, mt)`` to the block
+    of order ``l + lp + offset`` of each response coefficient of
+    ``_FACTORS[q]``, times the matching entry of ``factors`` (``+-1``, or 0
+    where the coefficient does not enter); the block is ``phase`` times
+    their sum.  The weights that vary with ``mu`` are read from the tables
+    of ``translation._WeightTables`` (``tables``).  On a ball of radius
+    ``rho`` every term of order ``o`` takes the factor ``rho^(o + 1)``."""
+    one = np.ones(lp.shape)
     if (p, q) == (W, V):
-        return 1.0, [(l + lp + 1, lp, 0, a11 * (norm_factor(W, lp) * one))]
+        return 1.0, [(1, 0, 0, (1,), norm_factor(W, lp) * one)]
     if (p, q) in ((W, X), (X, X), (V, X)):
         if p == X:
             n3 = norm_factor(X, lp)
             # -1j times the cross kernels' 1j: the block is real
-            terms = [(l + lp + 1, lp, 0, a33 * (n3 * one))]
-            root, lam, phase = math.sqrt(n3), lp + 1, 1.0
+            terms = [(1, 0, 0, (1,), n3 * one)]
+            root, c, phase = np.sqrt(n3), 1, 1.0
         elif p == W:
-            root, lam, phase = math.sqrt(norm_factor(W, lp)), lp, 1j
-            terms = []
+            root, c, phase, terms = np.sqrt(norm_factor(W, lp)), 0, 1j, []
         else:
-            root, lam, phase = math.sqrt(norm_factor(V, lp)), lp + 2, 1j
-            terms = []
-        cross = _cross_table(lam)[:, lp - lam + 2]   # total degree lp
+            root, c, phase, terms = np.sqrt(norm_factor(V, lp)), 2, 1j, []
+        # the cross kernels of total degree lp at lam = lp + c
         return phase, terms + [
-            (l + lam, lam, qq, a33 * (root * _rows(cross, lp, lam, qq))) for qq in (-1, 1)]
-    # q == W: the axis kernels recoupled to the row's vector harmonic
-    side = a22 - a12
+            (c, c, qq, (1,), root * _rows(tables, tables.cross, lp + c, 2 - c, qq, span))
+            for qq in (-1, 1)]
+    # q == W: the axis kernels recoupled to the row's vector harmonic; the
+    # factors are (a22, a12), side = a22 - a12
+    side, a22 = (1, -1), (1, 0)
     if p == V:
-        root = math.sqrt(norm_factor(V, lp))
-        k, lams, phase = lp + 1, (lp + 1, lp + 3), 1.0
-        terms = [(l + lp + 1, lp, 0, a22 * (-(2 * l + 1) * (lp + 1) * one))]
+        root, k, phase = np.sqrt(norm_factor(V, lp)), 1, 1.0
+        terms = [(1, 0, 0, a22, -(2 * l + 1) * (lp + 1) * one)]
     elif p == X:
-        root = math.sqrt(norm_factor(X, lp))
-        k, lams, phase = lp, (lp, lp + 2), -1j
-        terms = []
+        root, k, phase, terms = np.sqrt(norm_factor(X, lp)), 0, -1j, []
     else:
         n2 = norm_factor(W, lp)
-        root = math.sqrt(n2)
-        k, lams, phase = lp - 1, (lp - 1, lp + 1), 1.0
-        bracket = a12 + side + a22 * (2 * l + 1) / (2 * lp + 1)
+        root, k, phase = np.sqrt(n2), -1, 1.0
         terms = [
-            (l + lp + 1, lp, 0, bracket * (n2 * one)),
-            (l + lp - 1, lp, 0, side * (n2 * one)),
+            # the bracket a12 + side + a22 (2l+1)/(2lp+1) is a22 (1 + (2l+1)/(2lp+1))
+            (1, 0, 0, a22, (1.0 + (2 * l + 1) / (2 * lp + 1)) * n2),
+            (-1, 0, 0, side, n2 * one),
         ]
-    # the axis kernels recoupled to orbital degree k and total degree lp,
-    # and the axis kernel at (k, mu - qq) coupled with the axis component
-    for lam in lams:
-        if lam >= 1:
-            axis = _recoupling_table(lam)[1][:, (lam - k) // 2, lp - k + 1]
-            terms += [(l + lam, lam, qq, side * (2.0 * root * _rows(axis, lp, lam, qq)))
-                      for qq in (-1, 1)]
-    radial = _radial_table(k)[:, lp - k + 1]
-    terms += [(l + k, k, qq, a22 * ((2 * l + 1) * root * _rows(radial, lp, k, qq)))
+    # the axis kernels recoupled to orbital degree lp + k and total degree
+    # lp at lam = lp + k, lp + k + 2 (none at lam = 0), and the axis kernel
+    # at (lp + k, mu - qq) coupled with the axis component
+    for c in (0, 2):
+        axis = tables.recoupling[:, :, c // 2]   # orbital degree lam - c
+        terms += [(k + c, k + c, qq, side,
+                   2.0 * root * _rows(tables, axis, lp + k + c, 1 - k, qq, span))
+                  for qq in (-1, 1)]
+    terms += [(k, k, qq, a22,
+               (2 * l + 1) * root * _rows(tables, tables.radial, lp + k, 1 - k, qq, span))
               for qq in (-1, 1)]
     return phase, terms
 
@@ -271,15 +268,19 @@ def _terms(p, q, lp, l, coeffs):
 # on-ball diagonal.  An entry stores two factors: V and X columns repeat
 # their one, with zero weights.
 _FACTORS = {V: (0,), W: (2, 1), X: (3,)}
-# the factors as unit response coefficients, the arguments of _terms
-_UNIT = {fam: tuple(np.eye(4)[:, f, None]) for fam, f in _FACTORS.items()}
 
 
-def _label_columns(l: int, family):
-    """``(factors, norm)`` of the column label ``(l, family)``: the flat
-    positions of its two factors in the ``(l_max + 1, 4)`` response table
-    and its squared basis norm."""
-    return 4 * l + np.array((_FACTORS[family] * 2)[:2]), float(norm_factor(family, l))
+_FACTOR_PAIRS = np.array([(_FACTORS[fam] * 2)[:2] for fam in Family])
+
+
+def _label_columns(l, family):
+    """``(factors, norm)`` of the column labels ``(l, family)`` (broadcast
+    over integer arrays): the flat positions of the two factors in the
+    ``(l_max + 1, 4)`` response table (last axis) and the squared basis
+    norm."""
+    l, family = np.asarray(l), np.asarray(family)
+    norm = np.choose(family - 1, [norm_factor(fam, l) for fam in Family])
+    return 4 * l[..., None] + _FACTOR_PAIRS[family - 1], norm.astype(float)
 
 
 class ScaleOverflow(ValueError):
@@ -326,18 +327,21 @@ def _scaled(order, weights, fac, powers, out=None):
     return out
 
 
-def _real_orders(block: np.ndarray, row: bool = False) -> np.ndarray:
-    """The complex-to-real change of order on the last axis of ``block``:
-    the weights of ``combine_source``, or with ``row`` of ``combine_row``,
-    except their common factor ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``)."""
+def _real_orders(block: np.ndarray, row: bool = False, unit=1j) -> np.ndarray:
+    """The complex-to-real change of order on the last axis of ``block``
+    (centred: order 0 in the middle): the weights of ``combine_source``,
+    or with ``row`` of ``combine_row``, except their common factor
+    ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``).  ``unit = 1`` leaves
+    out the factor ``i`` of the negative orders too, so a real block stays
+    real."""
     l = block.shape[-1] // 2
-    out = np.empty(block.shape, dtype=complex)
+    out = np.empty(block.shape, dtype=np.result_type(block, unit))
     out[..., l] = block[..., l]
     if l:
         sign = 1.0 - 2.0 * (np.arange(1, l + 1) % 2)   # (-1)^m, m = 1..l
         up, down = block[..., l + 1:], block[..., l - 1::-1]   # orders m, -m
         out[..., l + 1:] = down + sign * up
-        out[..., l - 1::-1] = 1j * (sign * up - down if row else down - sign * up)
+        out[..., l - 1::-1] = unit * (sign * up - down if row else down - sign * up)
     return out
 
 
@@ -362,60 +366,96 @@ def _mirror(coef, out=None):
 
 
 class _DegreeBlocks:
-    """Geometric lattice coefficients, one family pair and degree pair at a
-    time, for degrees up to ``l_max``: those of the unit ball per unit
-    response coefficient, which no radius or material enters (``_scaled``
-    applies them)."""
+    """Geometric lattice coefficients of a family pair for many degree
+    pairs at once, for column degrees ``low..l_max`` and row degrees up to
+    ``l_max``: those of the unit ball per unit response coefficient, which
+    no radius or material enters (``_scaled`` applies them).
 
-    def __init__(self, l_max: int):
-        self._top = 2 * l_max + 3   # the highest kernel degree l + lam
-        self._equator = equator_table(self._top)
-        self._racah = np.sqrt(4.0 * math.pi / (2 * np.arange(self._top + 1) + 1))
-        self._plain = {}
+    It holds the plain kernels of every column degree ``l`` and every
+    ``lam <= l_max + 3`` as one table, indexed ``[l - low, lam, mu +
+    l_max + 3, mt + l_max]`` (zero outside ``|mu| <= lam``, ``|mt| <= l``),
+    the same table with the real change of the column order
+    (``_real_orders`` without the factor ``i``: the imaginary part at
+    ``mt < 0``, the real part elsewhere, of a table that is one or the
+    other), and the weight tables of ``translation`` for those ``lam``
+    (``tables``, when given, may hold more)."""
+
+    def __init__(self, l_max: int, low: int = 0, tables=None):
+        self._low, self._l_max = low, l_max
+        top = 2 * l_max + 3   # the highest kernel degree l + lam
+        self._lam = l_max + 3   # the highest lam, and the centre of the mu axis
+        l = np.arange(low, l_max + 1)[:, None, None, None]
+        lam = np.arange(self._lam + 1)[:, None, None]
+        mu = np.arange(-self._lam, self._lam + 1)[:, None]
+        mt = np.arange(-l_max, l_max + 1)
+        racah = np.sqrt(4.0 * math.pi / (2 * np.arange(top + 1) + 1))
+        # multiplied in translation.decay_coeff's order, so one kernel at
+        # one shift rounds exactly as that coefficient
+        self._plain = (_prefactor_grid(l, lam, mu, mt) * racah[l + lam]
+                       * equator_table(top)[l + lam, mt - mu + top])
+        self._real = _real_orders(self._plain, unit=1)
+        self._plain.flags.writeable = self._real.flags.writeable = False
+        self._tables = _weight_tables(self._lam + 1) if tables is None else tables
 
     def plain(self, l: int, lam: int) -> np.ndarray:
         """The plain kernel ``decay_prefactor(l, lam, mt, mu)`` times the
         Racah-normalised ``Y_{l+lam}^{mt-mu}(pi/2, 0)``, indexed ``[mu +
-        lam, mt + l]``: its ``(+)`` coefficient on order ``l + lam + 1``.
-        The factors are multiplied in ``translation.decay_coeff``'s order,
-        so one kernel at one shift rounds exactly as that coefficient."""
-        t = np.arange(-l, l + 1) - np.arange(-lam, lam + 1)[:, None]
-        return (decay_prefactors(l, lam) * self._racah[l + lam]
-                * self._equator[l + lam, t + self._top])
+        lam, mt + l]``: its ``(+)`` coefficient on order ``l + lam + 1``."""
+        return self._plain[l - self._low, lam, self._lam - lam:self._lam + lam + 1,
+                           self._l_max - l:self._l_max + l + 1]
 
-    def _padded(self, l: int, lam: int) -> np.ndarray:
-        """``plain`` with the real change of the column order
-        (``_real_orders``), indexed ``[mu + lam + 2, m + l]``: two zero rows
-        on each side."""
-        table = self._plain.get((l, lam))
-        if table is None:
-            table = np.zeros((2 * lam + 5, 2 * l + 1), dtype=complex)
-            table[2:-2] = _real_orders(self.plain(l, lam))   # np.pad: 30 us of overhead a call
-            self._plain[l, lam] = table
-        return table
+    def blocks(self, p, q, lp, l):
+        """``(s, weights)`` for rows of family ``p``, degrees ``lp[g]`` and
+        columns of family ``q``, degrees ``l[g]``: ``weights[g, mp + P, m +
+        Q, f, k]`` (``P``, ``Q`` the largest ``lp``, ``l``) is the ``(+)``
+        coefficient of entry ``(mp, m)`` on order ``s[g] + 2k`` per unit of
+        its ``f``-th response coefficient (``_FACTORS``), for ``|mp| <=
+        lp[g]`` and ``|m| <= l[g]``; the rest of each block is padding."""
+        lp, l = np.asarray(lp), np.asarray(l)
+        b = _ORDER_OFFSET[p, q]
+        span, width = int(lp.max()), int(l.max())
+        phase, terms = _terms(p, q, lp[:, None], l[:, None], self._tables, span)
+        cols = slice(self._l_max - width, self._l_max + width + 1)
+        # Each term is real weights times a column of self._real, so the
+        # kernel of each order s + 2k and factor f is summed as real numbers:
+        # at m >= 0 its real part, at m < 0 its imaginary part, the other
+        # part being +0.  The sums start at +0 and a zero weight adds
+        # nothing, so they round as the complex ones do.
+        kernels = {}
+        for offset, c, qq, factors, weights in terms:
+            if offset - b not in (0, 2):
+                raise RuntimeError(
+                    f"({p.name},{q.name}) term on order l + lp + {offset}, outside "
+                    f"the two orders l + lp + {b} and l + lp + {b + 2}")
+            start = self._lam - span - qq   # rows mu - qq for mu = -span..span
+            term = weights[..., None] * self._real[
+                l - self._low, lp + c, start:start + 2 * span + 1, cols]
+            for f, sign in enumerate(factors):
+                if sign:
+                    key = ((offset - b) // 2, f)
+                    if key not in kernels:
+                        kernels[key] = np.zeros(term.shape)
+                    if sign > 0:
+                        kernels[key] += term
+                    else:
+                        kernels[key] -= term
+        slots = sorted(kernels)
+        block = np.zeros((len(slots),) + term.shape, dtype=complex)
+        for part, key in zip(block, slots):
+            part.real[..., width:] = kernels[key][..., width:]
+            part.imag[..., :width] = kernels[key][..., :width]
+        real = _real_orders(block.swapaxes(-1, -2), row=True).swapaxes(-1, -2)
+        real = phase * (real / _unitary_scale(span, width))
+        weights = np.zeros(term.shape + (2, 2), dtype=complex)
+        for part, (k, f) in zip(real, slots):
+            weights[..., f, k] = part
+        return l + lp + b, weights
 
     def block(self, p, q, lp: int, l: int):
-        """``(s, weights)`` for rows of family ``p``, degree ``lp`` and
-        columns of family ``q``, degree ``l``: ``weights[mp + lp, m + l, f,
-        k]`` is the ``(+)`` coefficient of entry ``(mp, m)`` on order ``s +
-        2k`` per unit of its ``f``-th response coefficient (``_FACTORS``)."""
-        s = l + lp + _ORDER_OFFSET[p, q]
-        factors = len(_FACTORS[q])
-        phase, terms = _terms(p, q, lp, l, _UNIT[q])
-        kernel = np.zeros((2, factors, 2 * lp + 1, 2 * l + 1), dtype=complex)
-        for order, lam, qq, weights in terms:
-            if order - s not in (0, 2):
-                raise RuntimeError(
-                    f"({p.name},{q.name}) term of degrees ({lp}, {l}) on order "
-                    f"{order}, outside the two orders {s} and {s + 2}")
-            start = lam + 2 - lp - qq   # rows mu - qq for mu = -lp..lp
-            rows = self._padded(l, lam)[start:start + 2 * lp + 1]
-            kernel[(order - s) // 2] += weights[..., None] * rows
-        real = _real_orders(kernel.swapaxes(-1, -2), row=True).swapaxes(-1, -2)
-        weights = np.zeros((2 * lp + 1, 2 * l + 1, 2, 2), dtype=complex)
-        weights[:, :, :factors] = (
-            phase * (real / _unitary_scale(lp, l))).transpose(2, 3, 1, 0)
-        return s, weights
+        """``(s, weights)`` of the single degree pair ``(lp, l)`` (``blocks``):
+        ``weights[mp + lp, m + l, f, k]``."""
+        s, weights = self.blocks(p, q, [lp], [l])
+        return int(s[0]), weights[0]
 
 
 def _label_indices(basis: BasisMap) -> dict:
@@ -519,12 +559,13 @@ def _per_copy_values(s, coef, x):
     return coef[side] * dist ** -s + coef[side + 2] * dist ** (-s - 2)
 
 
-def sector(l: int, m: int, family) -> int:
+def sector(l, m, family):
     """Parity sector ``0..3`` of a basis label under the reflections
-    ``z -> -z`` and ``y -> -y`` of a chain on the x-axis.  For V and W the
-    z-parity is ``(l + m) % 2`` and the y-parity ``m < 0``; X flips both.
-    Entries between labels of different sectors vanish."""
-    flip = int(Family(family) == Family.X)
+    ``z -> -z`` and ``y -> -y`` of a chain on the x-axis (broadcast over
+    integer arrays).  For V and W the z-parity is ``(l + m) % 2`` and the
+    y-parity ``m < 0``; X flips both.  Entries between labels of different
+    sectors vanish."""
+    flip = (np.asarray(family) == Family.X).astype(int)
     return 2 * ((l + m) % 2 ^ flip) + ((m < 0) ^ flip)
 
 
@@ -546,41 +587,90 @@ class _Geometry:
     norm: np.ndarray
 
 
+# A band of degrees a..b holds as many degrees as fit (b - a + 1) (2 b + 7)
+# <= _BAND, so that a tile of two bands stays below about _BAND^2 padded
+# entries at any l_max; one band holds every degree up to 9.
+_BAND = 256
+
+
+def _bands(l_max: int) -> list:
+    """Consecutive bands of the degrees ``0..l_max`` (``_BAND``)."""
+    bands, low = [], 0
+    while low <= l_max:
+        high = low
+        while high < l_max and (high - low + 2) * (2 * high + 9) <= _BAND:
+            high += 1
+        bands.append(np.arange(low, high + 1))
+        low = high + 1
+    return bands
+
+
+def _positions(l, m, family):
+    """Basis positions of the labels ``(l, m, family)``, broadcast over
+    integer arrays (``BasisMap`` ordering)."""
+    return np.where(l > 0, 3 * l * l - 2, 0) + 3 * (m + l) + (Family(family) - 1)
+
+
 @lru_cache(maxsize=1)
 def _geometry(l_max: int) -> _Geometry:
-    """The geometry of ``l_max``; only the most recent ``l_max`` is kept."""
+    """The geometry of ``l_max``; only the most recent ``l_max`` is kept.
+
+    The degree pairs ``lp <= l`` are built a tile at a time: the row
+    degrees of one band (``_bands``) against the column degrees of a band
+    at or above it, every family pair of ``_STORED`` in one
+    ``_DegreeBlocks.blocks`` call."""
     basis = BasisMap(l_max)
     n = basis.n_eff
-    ids = _label_indices(basis)
-    secs = np.array([sector(*label) for label in basis.labels])
-    pairs = []   # the label pairs of each block on or above the diagonal, in-sector
-    for l in range(l_max + 1):
-        for lp in range(l + 1):
-            for p, q in _STORED:
-                rows, cols = ids.get((lp, p)), ids.get((l, q))
-                if rows is not None and cols is not None:
-                    keep = (rows[:, None] <= cols) & (secs[rows][:, None] == secs[cols])
-                    pairs.append((p, q, lp, l, rows, cols, keep))
-    # filled in place: at most every pair, and the mirror of each
-    bound = sum(int(keep.sum()) for *_, keep in pairs)
+    degs, orders, fams = np.array(basis.labels).T
+    secs = sector(degs, orders, fams)
+    # filled in place: at most every in-sector label pair on or above the
+    # diagonal of a stored family pair, and the mirror of each; seen[j, f]
+    # counts the labels i <= j of family f in the sector of j
+    seen = np.cumsum(np.eye(12, dtype=int)[3 * secs + fams - 1], axis=0)
+    seen = seen.reshape(n, 4, 3)[np.arange(n), secs]
+    stored = np.array([[(p, q) in _STORED for q in Family] for p in Family])
+    bound = int((seen * stored[:, fams - 1].T).sum())
     index, order = np.empty(2 * bound, dtype=np.intp), np.empty(2 * bound, dtype=np.intp)
     weights = np.empty((bound, 2, 2), dtype=complex)
     built = 0
-    blocks = _DegreeBlocks(l_max)
-    for p, q, lp, l, rows, cols, keep in pairs:
-        s, block = blocks.block(p, q, lp, l)
-        r, c = np.nonzero(keep & block.any(axis=(-2, -1)))
-        end = built + len(r)
-        index[built:end] = rows[r] * n + cols[c]
-        order[built:end] = s
-        weights[built:end] = block[r, c]
-        built = end
+    bands = _bands(l_max)
+    tables = _weight_tables(l_max + 4)
+    for j, cols in enumerate(bands):
+        blocks = _DegreeBlocks(int(cols[-1]), int(cols[0]), tables)
+        for rows in bands[:j + 1]:
+            lp, l = (deg.ravel() for deg in np.meshgrid(rows, cols, indexing="ij"))
+            for p, q in _STORED:
+                # W and X have no degree 0
+                pick = (lp <= l) & (lp >= (p != V)) & (l >= (q != V))
+                if not pick.any():
+                    continue
+                s, block = blocks.blocks(p, q, lp[pick], l[pick])
+                deg_r, deg_c = lp[pick, None], l[pick, None]
+                mp = np.arange(-deg_r.max(), deg_r.max() + 1)
+                m = np.arange(-deg_c.max(), deg_c.max() + 1)
+                r, c = _positions(deg_r, mp, p), _positions(deg_c, m, q)
+                # an entry with any nonzero weight (four ORs: a reduction
+                # over the two short last axes takes several times longer)
+                nonzero = block.reshape(block.shape[:3] + (4,)) != 0
+                keep = ((np.abs(mp) <= deg_r)[:, :, None]
+                        & (np.abs(m) <= deg_c)[:, None, :]
+                        & (r[:, :, None] <= c[:, None, :])
+                        & (sector(deg_r, mp, p)[:, :, None] == sector(deg_c, m, q)[:, None, :])
+                        & (nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2] | nonzero[..., 3]))
+                g, a, b = np.nonzero(keep)
+                end = built + len(g)
+                index[built:end] = r[g, a] * n + c[g, b]
+                order[built:end] = s[g]
+                weights[built:end] = block[g, a, b]
+                built = end
     row, col = np.divmod(index[:built], n)
     below = row != col
     total = built + np.count_nonzero(below)
-    index[built:total] = (col * n + row)[below]
+    col *= n
+    col += row
+    index[built:total] = col[below]
     order[built:total] = order[:built][below]
-    factors, norm = zip(*(_label_columns(l, fam) for l, _m, fam in basis))
+    factors, norm = _label_columns(degs, fams)
     return _Geometry(
         basis=basis, index=_frozen(index[:total]), order=_frozen(order[:total]),
         weights=_frozen(weights[:built]),

@@ -48,6 +48,10 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_VERIFY = 4
 
+# the farthest a point force may lie from the ball's centre, plus the radius:
+# the square root of the largest float64, with a margin for the roundings
+_FAR = math.sqrt(np.finfo(float).max) * (1.0 - 1e-9)
+
 # the names of ``verify.SUITES``, so that only ``verify`` imports the module
 SUITES = ("sphharm", "vsh", "translation", "kelvin", "latsum", "assembly", "system")
 
@@ -206,6 +210,12 @@ def _phi_samples(spec: str, quad, basis, rho, params):
                 raise ConfigError(
                     "builtin:point-force needs finite x,y,z source coordinates"
                 ) from None
+            # the squared distances to the ball's nodes stay below the
+            # largest float64 (math.hypot does not overflow)
+            if math.hypot(*src) + rho >= _FAR:
+                raise ConfigError(
+                    f"point-force source must lie within {_FAR:.4g} of the ball's "
+                    "centre, less its radius (its squared distances overflow float64)")
             if np.linalg.norm(src) <= rho:
                 raise ConfigError("point-force source must lie outside the ball")
             return kelvin_tensor(rho * quad.nodes - src, params)[:, :, 0], None

@@ -223,6 +223,8 @@ def _solve(mat: np.ndarray, rhs: np.ndarray, blocks=None) -> SolveResult:
     rhs = np.asarray(rhs, dtype=complex)
     if mat.shape[0] != mat.shape[1] or rhs.shape != (mat.shape[0],):
         raise ValueError("matrix/rhs shape mismatch")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("the right-hand side holds non-finite entries")
     raw, cond = _lu_solve(mat, rhs, blocks)
     if not np.all(np.isfinite(raw)):
         raise np.linalg.LinAlgError(

@@ -13,10 +13,13 @@ drive everything:
   (``cross_weights`` times the decay prefactor).
 
 The two angular weights are products of the closed spin-1 Clebsch-Gordan
-forms (``coupling.cg_spin1``), broadcast over their arguments.  Summed over
-the spin projection, they make three weight tables per ``lam``
-(``_recoupling_table``, ``_radial_table``, ``_cross_table``), which both the
-vector series below and the trace (``assembly._terms``) read.
+forms (``coupling.cg_spin1``), broadcast over their arguments, ``lam``
+included.  Summed over the spin projection, they make three weight tables
+over a ``lam`` axis, each from one pass of those forms
+(``_WeightTables``: recoupling, radial and cross), which both the vector
+series below and the trace (``assembly._terms``) read.  The decay
+prefactors broadcast the same way (``_prefactor_grid``), for the trace's
+table of plain kernels.
 
 The ``translate_*`` evaluators sum the re-expansion series for the real
 vector harmonics; the assembly code never calls them (its entries are closed
@@ -119,17 +122,25 @@ def _binomials(size: int) -> np.ndarray:
     return table
 
 
+def _prefactor_grid(l, lam, mu, m) -> np.ndarray:
+    """``decay_prefactor(l, lam, m, mu)`` broadcast over integer arrays of
+    the four arguments: 0 wherever ``|m| > l`` or ``|mu| > lam``."""
+    l, lam, mu, m = (np.asarray(x) for x in (l, lam, mu, m))
+    # every binomial index lies within +-reach, negative ones (outside the
+    # selection rules) wrapping into the table; one table per power of 2
+    reach = int(l.max() + lam.max() + np.abs(mu).max() + np.abs(m).max())
+    choose = _binomials(1 << reach.bit_length())
+    bb = choose[l + lam + mu - m, lam + mu] * choose[l + lam + m - mu, lam - mu]
+    inside = (np.abs(mu) <= lam) & (np.abs(m) <= l) & (bb > 0.0)
+    sign = np.where((lam + mu) % 2, -1.0, 1.0)
+    return np.where(inside, sign * np.sqrt((2 * l + 1) / (2 * lam + 1) * bb), 0.0)
+
+
 @lru_cache(maxsize=None)
 def decay_prefactors(l: int, lam: int) -> np.ndarray:
     """``decay_prefactor(l, lam, m, mu)`` for every ``m = -l..l`` and
     ``mu = -lam..lam``, indexed ``[mu + lam, m + l]`` (read-only)."""
-    mu = np.arange(-lam, lam + 1)[:, None]
-    m = np.arange(-l, l + 1)
-    # every binomial argument is at most 2 (l + lam); one table per power of 2
-    choose = _binomials(1 << (2 * (l + lam)).bit_length())
-    bb = choose[l + lam + mu - m, lam + mu] * choose[l + lam + m - mu, lam - mu]
-    sign = np.where((lam + mu) % 2, -1.0, 1.0)
-    out = np.where(bb > 0.0, sign * np.sqrt((2 * l + 1) / (2 * lam + 1) * bb), 0.0)
+    out = _prefactor_grid(l, lam, np.arange(-lam, lam + 1)[:, None], np.arange(-l, l + 1))
     out.flags.writeable = False
     return out
 
@@ -324,11 +335,11 @@ class _Kahan:
         self.total = t
 
 
-def recoupling_weights(k, j, lam: int, m1, mu, q) -> np.ndarray:
+def recoupling_weights(k, j, lam, m1, mu, q) -> np.ndarray:
     """Angular weight converting an axis-projection product into a vector
     harmonic of orbital degree ``k`` and total degree ``j``, from the
-    closed spin-1 Clebsch-Gordan forms, broadcast over every argument but
-    ``lam``; 0 outside the coupling selection rules."""
+    closed spin-1 Clebsch-Gordan forms, broadcast over every argument; 0
+    outside the coupling selection rules."""
     root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * np.asarray(k) + 1)
     # the two couplings with the spin 1 first, cg(1, ., lam - 1, ., k, .),
     # each carry the sign (-1)^(lam - k) against cg_spin1; the signs cancel
@@ -342,68 +353,76 @@ def recoupling_weights(k, j, lam: int, m1, mu, q) -> np.ndarray:
     )
 
 
-def cross_weights(j, lam: int, q, m1, mu) -> np.ndarray:
+def cross_weights(j, lam, q, m1, mu) -> np.ndarray:
     """``cross_coeff``'s prefactor over ``1j * decay_prefactor(l, lam, m,
     mu)``: the two share their binomials, so the ratio depends on neither
     ``l`` nor ``m``.  From the closed spin-1 Clebsch-Gordan forms,
-    broadcast over every argument but ``lam``."""
+    broadcast over every argument."""
     return (
         (-1.0) ** np.asarray(q)
         * np.sign(np.asarray(q) - m1)
-        * math.sqrt(lam * (2 * lam + 1))
+        * np.sqrt(lam * (2 * lam + 1))
         * cg_spin1(lam - 1, mu - m1, m1, lam)
         * cg_spin1(lam - 1, mu - m1, q + m1, j)
     )
 
 
-# Weight tables of one lam, summed over m1 and indexed [q + 1, ..., j - k +
-# 1, mu + lam + _PAD] over the total degrees j of the vector_Y(j, k, .)
-# harmonics that they multiply: the projections mu run _PAD past -lam..lam
-# (with zero weights there), so that a shifted row is a slice.  Read-only,
-# shared by the series and by the trace (assembly._terms).
+# The weight tables of every lam below a size, summed over m1 and indexed
+# [lam, q + 1, ..., j - k + 1, mu + center] over the total degrees j of the
+# vector_Y(j, k, .) harmonics that they multiply: the projections run _PAD
+# past the largest lam (with zero weights beyond each lam), so that a
+# shifted row is a slice.  Read-only, shared by the series and by the trace
+# (assembly._DegreeBlocks).
 _PAD = 2
 _Q = np.arange(-1, 2)
 
 
-def _frozen_table(values) -> np.ndarray:
-    values.flags.writeable = False
-    return values
+class _WeightTables:
+    """The three weight tables of every ``lam < size``, each from one pass
+    of the closed spin-1 forms over a ``lam`` axis:
 
+    * ``recoupling[lam, q + 1, (lam - k) // 2, j - k + 1, mu + center]``,
+      the axis-projection terms of ``|r'|^{-l} V`` at orbital degrees
+      ``k = lam, lam - 2`` (zero where ``k < 0`` and at ``lam = 0``);
+    * ``radial[lam, q + 1, j - lam + 1, mu + center]``, the radial-part terms
+      of ``|r'|^{-l} W``: the coupling of ``Y(lam, mu) chi(q)`` to total
+      degree ``j``;
+    * ``cross[lam, q + 1, j - lam + 2, mu + center]``, the axis
+      cross-product terms of the toroidal series, total degrees ``j = lam -
+      2..lam`` of orbital degree ``lam - 1``.
 
-def _mus(lam: int) -> np.ndarray:
-    return np.arange(-lam - _PAD, lam + _PAD + 1)
+    ``window(lam)`` slices the projections of one ``lam``, ``-lam - _PAD``
+    to ``lam + _PAD``."""
+
+    def __init__(self, size: int):
+        self.center = size - 1 + _PAD
+        mus = np.arange(-self.center, self.center + 1)
+        # recoupling terms over [lam, q, m1, (lam - k) // 2, j - k + 1, mu]
+        lam = np.arange(size)[:, None, None, None, None, None]
+        ks = lam - 2 * np.arange(2)[:, None, None]
+        orbital = np.maximum(ks, 0)   # a negative k has no weights
+        terms = recoupling_weights(orbital, orbital + _Q[:, None], lam,
+                                   _Q[:, None, None, None], mus, _Q[:, None, None, None, None])
+        self.recoupling = np.where(
+            (ks[:, 0] >= 0) & (lam[:, 0] >= 1), terms.sum(axis=2), 0.0)
+        # radial weights over [lam, q, j - lam + 1, mu]
+        lam, q = lam[:, 0, 0], _Q[:, None, None]
+        self.radial = (-1.0) ** q * cg_spin1(lam, mus, q, lam + _Q[:, None])
+        # cross terms over [lam, q, m1, j - lam + 2, mu]
+        lam = lam[..., None]
+        terms = cross_weights(lam - 1 + _Q[:, None], lam, _Q[:, None, None, None],
+                              _Q[:, None, None], mus)
+        self.cross = terms.sum(axis=2)
+        for table in (self.recoupling, self.radial, self.cross):
+            table.flags.writeable = False
+
+    def window(self, lam: int) -> slice:
+        return slice(self.center - lam - _PAD, self.center + lam + _PAD + 1)
 
 
 @lru_cache(maxsize=None)
-def _recoupling_table(lam: int):
-    """``(ks, weights)`` of the axis-projection terms of ``|r'|^{-l} V``:
-    orbital degrees ``ks = lam, lam - 2`` (those >= 0, shape ``(K, 1,
-    1)``), weights indexed ``[q + 1, (lam - k) // 2, j - k + 1, mu + lam +
-    _PAD]``."""
-    ks = np.arange(lam, -1, -2)[:2, None, None]
-    q, m1 = _Q[:, None, None, None, None], _Q[:, None, None, None]
-    weights = recoupling_weights(ks, ks + _Q[:, None], lam, m1, _mus(lam), q)
-    return ks, _frozen_table(weights.sum(axis=1))
-
-
-@lru_cache(maxsize=None)
-def _radial_table(lam: int) -> np.ndarray:
-    """The radial-part terms of ``|r'|^{-l} W``: the coupling of ``Y(lam,
-    mu) chi(q)`` to total degree ``j``, indexed ``[q + 1, j - lam + 1, mu +
-    lam + _PAD]``."""
-    q = _Q[:, None, None]
-    return _frozen_table(
-        (-1.0) ** q * cg_spin1(lam, _mus(lam), q, lam + _Q[:, None]))
-
-
-@lru_cache(maxsize=None)
-def _cross_table(lam: int) -> np.ndarray:
-    """The axis cross-product terms of the toroidal series, total degrees
-    ``j = lam - 2..lam`` of orbital degree ``lam - 1``, indexed ``[q + 1, j
-    - lam + 2, mu + lam + _PAD]``."""
-    q, m1 = _Q[:, None, None, None], _Q[:, None, None]
-    weights = cross_weights(lam - 1 + _Q[:, None], lam, q, m1, _mus(lam))
-    return _frozen_table(weights.sum(axis=1))
+def _weight_tables(size: int) -> _WeightTables:
+    return _WeightTables(size)
 
 
 class _Series:
@@ -428,6 +447,7 @@ class _Series:
         )
         comp = rhat_dot_a_expand(a)
         self.a_sph = np.array([comp[q] for q in (-1, 0, 1)])
+        self.tables = _weight_tables(lam_max + 1)
 
     def field(self, family, lam):
         """One family's harmonics of degree ``lam`` over ``mu``."""
@@ -455,6 +475,11 @@ class _Series:
             lambda mt: np.sqrt(scale * _growing_binomials(l, mt, lam))
             * reg[mt - mu + 2 * l],
         )
+
+    def weights(self, name, lam):
+        """The weight table ``name`` of ``_WeightTables`` at one ``lam``,
+        over its projections ``-lam - _PAD..lam + _PAD``."""
+        return getattr(self.tables, name)[lam, ..., self.tables.window(lam)]
 
     def coupled(self, lam, k, weights, c):
         """``sum_{q, k, j, mu} a_sph[q] weights[q, ..., j - k + 1, mu + lam +
@@ -500,7 +525,8 @@ def _neg_l_common(s: _Series):
         block = (rn ** (lam + 1) + an * an * rn ** (lam - 1)) * (
             c @ s.field(Family.W, lam)
         )
-        ks, weights = _recoupling_table(lam)
+        ks = np.arange(lam, -1, -2)[:2, None, None]   # the orbital degrees k >= 0
+        weights = s.weights("recoupling", lam)[:, :len(ks)]
         block = block + 2.0 * rn**lam * s.coupled(lam, ks, weights, c)
         acc.add(block)
     return acc
@@ -527,7 +553,7 @@ def translate_W_neg_l(
         block = rn ** (lam + 1) / (2 * lam + 1) * (
             c @ (s.field(Family.W, lam) - s.field(Family.V, lam))
         )
-        block = block + rn**lam * s.coupled(lam, lam, _radial_table(lam), c)
+        block = block + rn**lam * s.coupled(lam, lam, s.weights("radial", lam), c)
         acc.add((2 * l + 1) * block)
     return acc.total
 
@@ -543,6 +569,6 @@ def translate_X(
         c = s.decay(lam)
         acc.add(
             s.rn**lam * (c @ s.field(Family.X, lam))
-            + 1j * s.rn ** (lam - 1) * s.coupled(lam, lam - 1, _cross_table(lam), c)
+            + 1j * s.rn ** (lam - 1) * s.coupled(lam, lam - 1, s.weights("cross", lam), c)
         )
     return acc.total

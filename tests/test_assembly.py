@@ -415,6 +415,61 @@ def unrestricted_coefs():
     return secs, order, coef, np.abs(coef).max()
 
 
+def _built(geo):
+    """The built entries of a geometry, sorted by index: ``(rows, cols,
+    order, weights)`` with rows and columns as basis positions."""
+    n = geo.basis.n_eff
+    built = len(geo.weights)
+    pick = np.argsort(geo.index[:built])
+    rows, cols = np.divmod(geo.index[:built][pick], n)
+    return rows, cols, geo.order[:built][pick], geo.weights[pick]
+
+
+class TestBatchedGeometry:
+    """The geometry built a tile of degree pairs at a time: no entry may
+    depend on the padding of its tile or on which pairs share it."""
+
+    def test_entries_do_not_depend_on_lmax_or_tiles(self, monkeypatch):
+        from sphelast import assembly
+
+        small, large = assembly._geometry(3), assembly._geometry(8)
+        # the basis of lmax 3 is the start of that of lmax 8
+        limit = small.basis.n_eff
+        assert large.basis.labels[:limit] == small.basis.labels
+        rows, cols, order, weights = _built(large)
+        inside = cols < limit
+        want = _built(small)
+        got = (rows[inside], cols[inside], order[inside], weights[inside])
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes()
+        # narrow bands: lmax 6 in many tiles of one or two degrees
+        whole = [a.tobytes() for a in _built(assembly._geometry(6))]
+        monkeypatch.setattr(assembly, "_BAND", 20)
+        assembly._geometry.cache_clear()
+        assert len(assembly._bands(6)) > 3
+        try:
+            tiled = [a.tobytes() for a in _built(assembly._geometry(6))]
+        finally:
+            assembly._geometry.cache_clear()
+        assert tiled == whole
+
+    @pytest.mark.parametrize("l_max", range(9))
+    def test_built_entries_and_mirror(self, l_max):
+        from sphelast.assembly import _geometry
+
+        geo = _geometry(l_max)
+        n = geo.basis.n_eff
+        built = len(geo.weights)
+        secs = np.array([sector(*label) for label in geo.basis.labels])
+        rows, cols = np.divmod(geo.index[:built], n)
+        assert np.all(rows <= cols)
+        assert np.array_equal(secs[rows], secs[cols])
+        assert len(np.unique(geo.index)) == len(geo.index)
+        assert np.array_equal(geo.below, rows != cols)
+        assert np.array_equal(geo.index[built:], (cols * n + rows)[rows != cols])
+        assert np.array_equal(geo.order[built:], geo.order[:built][rows != cols])
+
+
 class TestParitySectors:
     """The premises of the sector/mirror shortcut, checked on the
     unrestricted blocks, and the structure it gives the assembled

@@ -567,7 +567,8 @@ class TestBadInputs:
 
     def test_non_finite_point_force_source(self, tmp_path, capsys):
         out = tmp_path / "f.json"
-        for bad in ("nan", "inf"):
+        # 1.4e154 and -1e300 are finite, but their squared distances are not
+        for bad in ("nan", "inf", "1.4e154", "-1e300"):
             self._assert_config_error([
                 "solve", *self.BASE, "--phi", f"builtin:point-force:{bad},0,0",
                 "--out", str(out),

@@ -253,6 +253,13 @@ class TestSolveSingle:
         with pytest.raises(np.linalg.LinAlgError, match="singular operator matrix"):
             _solve(singular, rhs)
 
+    def test_non_finite_rhs_raises(self, matrix):
+        # a NaN right-hand side is named as such, not blamed on the matrix
+        rhs = np.ones(matrix.basis.n_eff, dtype=complex)
+        rhs[2] = np.nan
+        with pytest.raises(ValueError, match="right-hand side"):
+            _solve(matrix.matrix, rhs)
+
     def test_rejects_dimer_matrix(self, rng):
         geom = DimerGeometry(0.2, RHO)
         mat = assemble_dimer(1.3, geom, LameParams(1.0, 1.0), 1)

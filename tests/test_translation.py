@@ -388,12 +388,14 @@ def _exact_term(sign, root, factors):
 
 
 def test_trace_row_weights_match_exact_values():
-    # every row of weights that assembly._terms reads from the weight
-    # tables, for row degrees lp <= 16: -AXIS_COMPONENT[qq] times a sum
-    # over m1 of terms at (lam, mu - qq), against the exact sum, to 2e-15
-    # of the sum of the terms' magnitudes (exactly 0 where every term is)
+    # every row of weights that assembly._terms reads from the stacked
+    # weight tables, for row degrees lp <= 16: -AXIS_COMPONENT[qq] times a
+    # sum over m1 of terms at (lam, mu - qq), against the exact sum, to
+    # 2e-15 of the sum of the terms' magnitudes (exactly 0 where every term is)
     from sphelast.assembly import _rows
-    from sphelast.translation import _cross_table, _radial_table, _recoupling_table
+    from sphelast.translation import _weight_tables
+
+    tables = _weight_tables(20)
 
     def recoupling(k, j, lam, qq, m1, mu):
         return _exact_term(
@@ -427,14 +429,14 @@ def test_trace_row_weights_match_exact_values():
                     continue
                 for lam in lams:
                     if lam >= 1:
-                        table = _recoupling_table(lam)[1][:, (lam - k) // 2, lp - k + 1]
-                        rows.append((table, lam, partial(recoupling, k, lp, lam)))
-                rows.append((_radial_table(k)[:, lp - k + 1], k, partial(radial, k, lp)))
+                        table = tables.recoupling[:, :, (lam - k) // 2]
+                        rows.append((table, lam, lp - k + 1, partial(recoupling, k, lp, lam)))
+                rows.append((tables.radial, k, lp - k + 1, partial(radial, k, lp)))
             for lam in (lp, lp + 1, lp + 2) if lp else (2,):
-                rows.append((_cross_table(lam)[:, lp - lam + 2], lam, partial(cross, lp, lam)))
-            for table, lam, term in rows:
+                rows.append((tables.cross, lam, lp - lam + 2, partial(cross, lp, lam)))
+            for table, lam, j, term in rows:
                 for qq in (-1, 1):
-                    got = _rows(table, lp, lam, qq)
+                    got = _rows(tables, table, np.array([[lam]]), j, qq, lp)[0]
                     for mu, value in zip(range(-lp, lp + 1), got):
                         parts = [term(qq, m1, mu - qq) for m1 in (-1, 0, 1)]
                         want = qq / mp.sqrt(2) * sum(v for v, _ in parts)   # -AXIS_COMPONENT[qq]
