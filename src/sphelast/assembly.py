@@ -545,7 +545,7 @@ def _entry_coef(p, lp, mp, q, l, m, rho, params):
     """``(s, coef)`` of one entry, from its degree-pair block and the
     factors of its column: the same values as the entry in ``Trace``."""
     l_max = max(l, lp)
-    s, weights = _DegreeBlocks(l_max).block(p, q, lp, l)
+    s, weights = _DegreeBlocks(l_max, l).block(p, q, lp, l)   # column degree l alone
     fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
     return s, _scaled(s, weights[mp + lp, m + l], fac, powers)
 
