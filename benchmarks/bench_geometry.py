@@ -12,7 +12,7 @@ starts) and records each process's ``ru_maxrss``:
 Rows go to ``BENCH_geometry.json`` at the repository root (``--out``),
 keyed by ``--label``: a run replaces the rows of its own label and keeps
 the others, so the file holds the trajectory across changes.  Each row has
-the best and the median of ``--repeat`` processes.
+the best and the median of ``PROCESSES`` processes at one L of ``LMAX``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LMAX = (2, 3, 5, 8, 16, 32, 48)
+PROCESSES = 5
 
 # run in the child: the import is not timed, the first _geometry call is
 CHILD = """
@@ -64,15 +65,12 @@ def main(argv=None) -> int:
                         help="the source tree to import sphelast from")
     parser.add_argument("--label", default="this",
                         help="the name of this run's rows (default: this)")
-    parser.add_argument("--lmax", type=int, nargs="+", default=list(LMAX))
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="fresh processes per lmax (default: 3)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_geometry.json")
     args = parser.parse_args(argv)
     src = args.src.resolve()
     rows = []
-    for l_max in args.lmax:
-        runs = [_run(src, l_max) for _ in range(args.repeat)]
+    for l_max in LMAX:
+        runs = [_run(src, l_max) for _ in range(PROCESSES)]
         times = [run["seconds"] for run in runs]
         row = {
             "label": args.label, "commit": _commit(src), "lmax": l_max,

@@ -131,11 +131,18 @@ class BasisMap:
                     if l == 0 and fam != Family.V:
                         continue
                     self.labels.append((l, m, fam))
-        self._lookup = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def n_eff(self) -> int:
         return len(self.labels)
+
+    @staticmethod
+    def positions(l, m, family):
+        """Positions of the labels ``(l, m, family)`` in ``labels``,
+        broadcast over integer arrays ``l`` and ``m``: the ``3 l^2 - 2``
+        labels of the degrees below ``l >= 1`` (one at degree 0), then
+        three families an order.  No range check (``index_of`` has one)."""
+        return 3 * l * l - 2 + 2 * (l == 0) + 3 * (m + l) + (Family(family) - 1)
 
     def index_of(self, l: int, m: int, family) -> int:
         family = Family(family)
@@ -143,11 +150,10 @@ class BasisMap:
             raise ForbiddenIndexError(
                 f"{family.name}(0,0) is excluded from the basis"
             )
-        try:
-            return self._lookup[(l, m, family)]
-        except KeyError:
+        if not (0 <= l <= self.l_max and -l <= m <= l):
             raise IndexError(f"label (l={l}, m={m}, {family.name}) "
-                             f"outside basis with L_max={self.l_max}") from None
+                             f"outside basis with L_max={self.l_max}")
+        return int(self.positions(l, m, family))
 
     def __iter__(self):
         return iter(self.labels)
@@ -605,12 +611,6 @@ def _bands(l_max: int) -> list:
     return bands
 
 
-def _positions(l, m, family):
-    """Basis positions of the labels ``(l, m, family)``, broadcast over
-    integer arrays (``BasisMap`` ordering)."""
-    return np.where(l > 0, 3 * l * l - 2, 0) + 3 * (m + l) + (Family(family) - 1)
-
-
 @lru_cache(maxsize=1)
 def _geometry(l_max: int) -> _Geometry:
     """The geometry of ``l_max``; only the most recent ``l_max`` is kept.
@@ -648,7 +648,8 @@ def _geometry(l_max: int) -> _Geometry:
                 deg_r, deg_c = lp[pick, None], l[pick, None]
                 mp = np.arange(-deg_r.max(), deg_r.max() + 1)
                 m = np.arange(-deg_c.max(), deg_c.max() + 1)
-                r, c = _positions(deg_r, mp, p), _positions(deg_c, m, q)
+                r = BasisMap.positions(deg_r, mp, p)
+                c = BasisMap.positions(deg_c, m, q)
                 # an entry with any nonzero weight (four ORs: a reduction
                 # over the two short last axes takes several times longer)
                 nonzero = block.reshape(block.shape[:3] + (4,)) != 0

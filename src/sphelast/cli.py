@@ -241,10 +241,16 @@ def cmd_solve(args) -> int:
     basis = BasisMap(args.lmax)
     quad = build_quadrature(2 * args.lmax + 2)
     samples, coeffs = _phi_samples(args.phi, quad, basis, args.rho, params)
-    if coeffs is not None:
-        rhs = project_rhs(coeffs, quad, basis, coeffs=True)
-    else:
-        rhs = project_rhs(samples, quad, basis)
+    # finite fields near float64's limit can still project to inf: the
+    # norms reach 3 from degree 1 up
+    with np.errstate(over="ignore", invalid="ignore"):
+        if coeffs is not None:
+            rhs = project_rhs(coeffs, quad, basis, coeffs=True)
+        else:
+            rhs = project_rhs(samples, quad, basis)
+    if not np.isfinite(rhs).all():
+        raise ConfigError(f"--phi {args.phi!r} projects to a right-hand side "
+                          "outside float64")
     header = {
         "alpha": args.alpha, "rho": args.rho, "lmax": args.lmax,
         "lambda": params.lam, "mu": params.mu, "sign_flip": params.sign_flip,

@@ -106,6 +106,19 @@ class TestBasisMap:
             (1, -1, Family.X),
         ]
 
+    def test_positions_follow_labels(self):
+        # the closed form that index_of and the geometry builder read, on
+        # every label, as scalars and broadcast over arrays
+        for l_max in range(7):
+            basis = BasisMap(l_max)
+            for i, lab in enumerate(basis.labels):
+                assert basis.index_of(*lab) == i
+            degs, orders, fams = np.array(basis.labels).T
+            for fam in Family:
+                pick = fams == fam
+                got = BasisMap.positions(degs[pick], orders[pick], fam)
+                assert np.array_equal(got, np.flatnonzero(pick))
+
 
 class TestShiftKernel:
     def test_matches_scalar_coefficients(self):

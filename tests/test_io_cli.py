@@ -529,6 +529,22 @@ class TestBadInputs:
             ], capsys)
             assert not out.exists()
 
+    def test_phi_file_projecting_beyond_float64(self, tmp_path, capsys):
+        # finite entries whose projection is not: a coefficient times a norm
+        # of at least 3, and a sum over the nodes of the degree-4 grid
+        from sphelast.system import build_quadrature
+
+        out = tmp_path / "f.json"
+        nodes = build_quadrature(4).n_nodes
+        for kind, size, extra in (("coeffs", 10, None),
+                                  ("grid", 3 * nodes, {"grid_degree": 4})):
+            path = tmp_path / f"{kind}.json"
+            io.save_vector(path, np.full(size, 1e308), header_extra=extra)
+            self._assert_config_error([
+                "solve", *self.BASE, "--phi", f"{kind}:{path}", "--out", str(out),
+            ], capsys)
+            assert not out.exists()
+
     def test_non_numeric_config_values(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         for key, value in (("rho", "abc"), ("lmax", [1]), ("lambda", "abc")):
