@@ -69,10 +69,13 @@ Mirrored triangle: ``M`` is Hermitian for every phase, and
 ``conj Li_s(e^{-+i alpha}) = Li_s(e^{+-i alpha})``; since the ``Li_s`` are
 linearly independent, the coefficients of entry ``(j, i)`` are the
 conjugates of those of ``(i, j)`` with each ``(s, -)``/``(s, +)`` pair
-swapped (``_mirror``).  The Lerch values of the dimer blocks "21" and "12"
-are related the same way, so one triangle serves all three blocks.  Only
-the blocks with ``lp <= l`` are built, and only their entries on or above
-the diagonal are kept; the rest are mirrored.
+swapped (``_mirror``), so its value is the conjugate of the value of
+``(i, j)``.  Only the blocks with ``lp <= l`` are built, only their entries
+on or above the diagonal are stored, and a phase writes the conjugates of
+their contracted values below the diagonal (``Trace._block``).  The Lerch
+values of the dimer blocks "21" and "12" are mirrors of each other, so the
+lower triangle of each coupling block is the conjugate of the other's
+upper triangle.
 
 Basis ordering: degree ascending, order ``-l..l`` ascending, family V,W,X
 innermost, with the two identically-zero degree-0 labels removed, giving
@@ -93,6 +96,7 @@ from .latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
     LatticeSumCache,
+    _product,
     dimer_values,
     line_values,
     reduce_alpha,
@@ -314,20 +318,18 @@ def _scale(rho, params: LameParams, l_max: int, factors, norm):
     return fac, diag, np.array([rho**k for k in range(2 * l_max + 6)])
 
 
-def _scaled(order, weights, fac, powers, out=None):
+def _scaled(order, weights, fac, powers):
     """The coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (last axis)
     of entries of lowest order ``order``, geometric weights ``weights[...,
     f, k]`` (``_DegreeBlocks.block``) and real factors ``fac[..., f]``:
     ``c(s + 2k, +) = rho^(s + 2k + 1) sum_f fac[f] weights[f, k]`` and
-    ``c(s,-) = (-1)^(s+1) c(s,+)``; written into ``out`` when given.  The
-    factors are real, so each complex product is exact whether fused or
-    not, and an entry's coefficients do not depend on what it is computed
-    with."""
+    ``c(s,-) = (-1)^(s+1) c(s,+)``.  The factors are real, so each complex
+    product is exact whether fused or not, and an entry's coefficients do
+    not depend on what it is computed with."""
     order = np.asarray(order)
     value = powers[order[..., None] + (1, 3)] * (
         fac[..., :1] * weights[..., 0, :] + fac[..., 1:] * weights[..., 1, :])
-    if out is None:
-        out = np.empty(value.shape[:-1] + (4,), dtype=complex)
+    out = np.empty(value.shape[:-1] + (4,), dtype=complex)
     np.multiply(np.where(order % 2 == 0, -1.0, 1.0)[..., None], value, out=out[..., 0::2])
     out[..., 1::2] = value
     return out
@@ -360,15 +362,11 @@ def _unitary_scale(lp: int, l: int) -> np.ndarray:
     return np.array([1.0, _SQRT2, 2.0])[nonzero]
 
 
-def _mirror(coef, out=None):
+def _mirror(coef):
     """Coefficients (the last axis) of the transposed entries: each
-    ``(s, -)``/``(s, +)`` pair swapped, then conjugated; written into
-    ``out`` when given."""
+    ``(s, -)``/``(s, +)`` pair swapped, then conjugated."""
     pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)[..., ::-1]
-    if out is None:
-        out = np.empty(coef.shape, dtype=complex)
-    np.conjugate(pairs, out=out.reshape(pairs.shape))
-    return out
+    return np.conjugate(pairs).reshape(coef.shape)
 
 
 class _DegreeBlocks:
@@ -499,22 +497,12 @@ def _single_order(s: int, plus) -> np.ndarray:
     return np.array([(-1) ** (s + 1) * plus, plus, 0.0, 0.0], dtype=complex)
 
 
-def _product(a, b):
-    """``a * b`` elementwise in real arithmetic: a vectorised complex
-    product may fuse its multiply-adds differently in its tail, which would
-    make an entry's value depend on its position in the array."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _contract(order, coef, values):
     """Each entry's coefficients dotted with the slots of its two orders,
     gathered from ``values``, one ``(s, -)``/``(s, +)`` pair at a time: an
     entry comes out bit-identical whichever entries are contracted with it,
-    and a mirrored entry contracted with mirrored values exactly the
-    conjugate."""
+    and mirrored coefficients (``_mirror``) contracted with mirrored values
+    give exactly the conjugate, up to the sign of a zero."""
     pairs = [
         _product(coef[:, k], values[slot(s, -1)])
         + _product(coef[:, k + 1], values[slot(s, 1)])
@@ -578,17 +566,15 @@ def sector(l, m, family):
 @dataclass(frozen=True, eq=False)
 class _Geometry:
     """The part of ``Trace`` that depends on ``l_max`` alone, read-only:
-    ``basis``, ``index`` and ``order`` as in ``Trace``; ``weights``
-    (``_DegreeBlocks.block``) of the built triangle, which the
-    first ``len(weights)`` entries of ``index`` hold; ``below``, the built
-    entries mirrored into the rest, in order; and for each basis label its
-    ``factors`` and ``norm`` (``_label_columns``)."""
+    ``basis``, ``index``, ``order`` and ``mirror`` as in ``Trace``;
+    ``weights`` (``_DegreeBlocks.block``) of each entry of ``index``; and
+    for each basis label its ``factors`` and ``norm`` (``_label_columns``)."""
 
     basis: BasisMap
     index: np.ndarray
     order: np.ndarray
+    mirror: np.ndarray
     weights: np.ndarray
-    below: np.ndarray
     factors: np.ndarray
     norm: np.ndarray
 
@@ -624,13 +610,13 @@ def _geometry(l_max: int) -> _Geometry:
     degs, orders, fams = np.array(basis.labels).T
     secs = sector(degs, orders, fams)
     # filled in place: at most every in-sector label pair on or above the
-    # diagonal of a stored family pair, and the mirror of each; seen[j, f]
-    # counts the labels i <= j of family f in the sector of j
+    # diagonal of a stored family pair; seen[j, f] counts the labels i <= j
+    # of family f in the sector of j
     seen = np.cumsum(np.eye(12, dtype=int)[3 * secs + fams - 1], axis=0)
     seen = seen.reshape(n, 4, 3)[np.arange(n), secs]
     stored = np.array([[(p, q) in _STORED for q in Family] for p in Family])
     bound = int((seen * stored[:, fams - 1].T).sum())
-    index, order = np.empty(2 * bound, dtype=np.intp), np.empty(2 * bound, dtype=np.intp)
+    index, order = np.empty(bound, dtype=np.intp), np.empty(bound, dtype=np.intp)
     weights = np.empty((bound, 2, 2), dtype=complex)
     built = 0
     bands = _bands(l_max)
@@ -665,17 +651,13 @@ def _geometry(l_max: int) -> _Geometry:
                 weights[built:end] = block[g, a, b]
                 built = end
     row, col = np.divmod(index[:built], n)
-    below = row != col
-    total = built + np.count_nonzero(below)
     col *= n
     col += row
-    index[built:total] = col[below]
-    order[built:total] = order[:built][below]
     factors, norm = _label_columns(degs, fams)
     return _Geometry(
-        basis=basis, index=_frozen(index[:total]), order=_frozen(order[:total]),
-        weights=_frozen(weights[:built]),
-        below=_frozen(below), factors=_frozen(factors), norm=_frozen(norm),
+        basis=basis, index=_frozen(index[:built]), order=_frozen(order[:built]),
+        mirror=_frozen(col), weights=_frozen(weights[:built]),
+        factors=_frozen(factors), norm=_frozen(norm),
     )
 
 
@@ -683,17 +665,18 @@ class Trace:
     """Phase-independent part of ``M(alpha) = D + T v(alpha)`` for one ball
     radius, material and truncation degree.
 
-    ``diag`` is the on-ball diagonal ``D``; ``index`` holds the row-major
-    flat positions of the in-sector entries whose lattice part does not
-    vanish identically, ``order`` the lowest order of each and ``coef`` its
-    four coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (module
-    docstring).  The blocks are built for ``lp <= l`` and only their
-    entries on or above the diagonal are kept; those below are mirrored.
+    ``diag`` is the on-ball diagonal ``D``.  ``index`` holds the row-major
+    flat positions of the in-sector entries on or above the diagonal whose
+    lattice part does not vanish identically, ``order`` the lowest order of
+    each and ``coef`` its four coefficients ``[c(s,-), c(s,+), c(s+2,-),
+    c(s+2,+)]`` (module docstring); ``mirror`` is the flat position of each
+    entry's transpose.  Only this triangle is stored: the entries below the
+    diagonal are the conjugates of its values (``_block``).
 
-    ``basis``, ``index`` and ``order`` are the read-only geometry of
-    ``l_max``, shared by every trace of that ``l_max`` (unless the material
-    cancels some entries); ``coef`` and ``diag`` are its per-radius,
-    per-material scale (``_scale``, ``_scaled``), which raises
+    ``basis``, ``index``, ``order`` and ``mirror`` are the read-only
+    geometry of ``l_max``, shared by every trace of that ``l_max`` (unless
+    the material cancels some entries); ``coef`` and ``diag`` are its
+    per-radius, per-material scale (``_scale``, ``_scaled``), which raises
     ``ScaleOverflow`` where they leave the float64 range.
     """
 
@@ -703,35 +686,42 @@ class Trace:
         geo = _geometry(l_max)
         self.rho, self.params, self.l_max = rho, params, l_max
         self.basis, self.index, self.order = geo.basis, geo.index, geo.order
+        self.mirror = geo.mirror
         self.s_max = 2 * l_max + 3
         fac, self.diag, powers = _scale(rho, params, l_max, geo.factors, geo.norm)
-        built = len(geo.weights)
-        self.coef = np.empty((len(self.index), 4), dtype=complex)
-        _scaled(self.order[:built], geo.weights,
-                fac[self.index[:built] % self.basis.n_eff], powers, self.coef[:built])
-        _mirror(self.coef[:built][geo.below], self.coef[built:])
-        kept = self.coef[:built, 1::2].any(axis=1)   # c(s,-) = +-c(s,+)
+        self.coef = _scaled(self.order, geo.weights, fac[self.index % self.basis.n_eff], powers)
+        kept = self.coef[:, 1::2].any(axis=1)   # c(s,-) = +-c(s,+)
         if not kept.all():
             # a12 = a22 at some degree (l = 3 when lam = mu) cancels the
             # entries that only the difference a22 - a12 reaches
-            stored = np.concatenate([kept, kept[geo.below]])
-            self.index, self.order = self.index[stored], self.order[stored]
-            self.coef = self.coef[stored]
+            self.index, self.order, self.mirror, self.coef = (
+                array[kept] for array in (self.index, self.order, self.mirror, self.coef))
 
-    def _block(self, values, with_diag: bool) -> np.ndarray:
+    def _block(self, upper, lower) -> np.ndarray:
+        """The lattice block with the contracted values ``upper`` at
+        ``index`` and the conjugates of ``lower`` at ``mirror`` (written
+        first, so the diagonal keeps ``upper``).  ``0.0 - imag`` conjugates
+        as the mirrored coefficients would: a zero stays ``+0``."""
         n = self.basis.n_eff
         out = np.zeros(n * n, dtype=complex)
-        out[self.index] = _contract(self.order, self.coef, values)
-        out = out.reshape(n, n)
-        if with_diag:
-            out[np.diag_indices(n)] += self.diag
+        out.real[self.mirror] = lower.real
+        out.imag[self.mirror] = 0.0 - lower.imag
+        out[self.index] = upper
+        return out.reshape(n, n)
+
+    def _self_block(self, cache) -> np.ndarray:
+        """The single-ball matrix at the phase of ``cache``: ``M`` is
+        Hermitian, so one contraction serves both triangles."""
+        upper = _contract(self.order, self.coef, line_values(cache, self.s_max))
+        out = self._block(upper, upper)
+        out[np.diag_indices(len(out))] += self.diag
         return out
 
     def single(self, alpha) -> AssembledMatrix:
         """The single-ball matrix at Bloch phase ``alpha``."""
         cache = LatticeSumCache(alpha)
         return AssembledMatrix(
-            matrix=self._block(line_values(cache, self.s_max), True),
+            matrix=self._self_block(cache),
             basis=self.basis, alpha=cache.alpha, rho=self.rho,
             params=self.params, l_max=self.l_max,
         )
@@ -747,11 +737,14 @@ class Trace:
             raise ValueError("dimer radius differs from the trace radius")
         cache = LatticeSumCache(alpha, geom)
         n = self.basis.n_eff
-        self_block = self._block(line_values(cache, self.s_max), True)
+        self_block = self._self_block(cache)
+        # each coupling block's lower triangle is the other's conjugate
+        u21, u12 = (_contract(self.order, self.coef, dimer_values(cache, self.s_max, block))
+                    for block in ("21", "12"))
         big = np.zeros((2 * n, 2 * n), dtype=complex)
         big[:n, :n] = self_block
-        big[:n, n:] = self._block(dimer_values(cache, self.s_max, "21"), False)
-        big[n:, :n] = self._block(dimer_values(cache, self.s_max, "12"), False)
+        big[:n, n:] = self._block(u21, u12)
+        big[n:, :n] = self._block(u12, u21)
         big[n:, n:] = self_block
         return AssembledMatrix(
             matrix=big, basis=self.basis, alpha=cache.alpha, rho=self.rho,

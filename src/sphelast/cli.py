@@ -69,15 +69,12 @@ class _Parser(argparse.ArgumentParser):
 def parse_alpha(text: str) -> float:
     """Radians, or an exact zone point as ``pi*<rational>``."""
     text = str(text).strip()
-    if text.startswith("pi*"):
-        try:
-            return math.pi * float(Fraction(text[3:]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad Bloch-phase literal {text!r}") from exc
+    exact = text.startswith("pi*")
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad Bloch-phase value {text!r}") from exc
+        value = math.pi * float(Fraction(text[3:])) if exact else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        kind = "literal" if exact else "value"
+        raise ConfigError(f"bad Bloch-phase {kind} {text!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"Bloch phase must be finite, got {text!r}")
     return value
@@ -94,7 +91,12 @@ def parse_grid(text: str):
         raise ConfigError("grid count must be an integer") from exc
     if count < 1:
         raise ConfigError("grid count must be >= 1")
-    return np.linspace(start, stop, count)
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"grid span {start!r}:{stop!r} overflows float64")
+    try:
+        return np.linspace(start, stop, count)
+    except MemoryError as exc:
+        raise ConfigError(f"grid count {count} is too large to allocate") from exc
 
 
 def _checked(convert, ok, rule: str):

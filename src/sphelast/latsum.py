@@ -247,13 +247,13 @@ def _bracket(theta: float, a: float, s_max: int) -> np.ndarray:
     return np.add.reduce(table, axis=0)[:s_max]
 
 
-def _times(vec: np.ndarray, w: complex) -> np.ndarray:
-    """``w * vec`` in real arithmetic: a vectorised complex product may fuse
-    its multiply-adds differently in its tail, which would make an order's
-    value depend on the vector's length."""
-    out = np.empty_like(vec)
-    out.real = vec.real * w.real - vec.imag * w.imag
-    out.imag = vec.real * w.imag + vec.imag * w.real
+def _product(a, b):
+    """``a * b`` elementwise in real arithmetic: a vectorised complex
+    product may fuse its multiply-adds differently in its tail, which would
+    make a value depend on its position in the array."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
@@ -273,7 +273,7 @@ def lerch_orders(alpha: float, offset: float, s_max: int) -> np.ndarray:
     theta = _signed_phase(alpha)
     phase = abs(theta)
     with np.errstate(over="ignore", invalid="ignore"):
-        vec = _times(
+        vec = _product(
             _bracket(phase, offset, s_max),
             complex(math.cos(offset * phase), -math.sin(offset * phase)),
         )
@@ -371,7 +371,7 @@ def dimer_values(cache: LatticeSumCache, s_max: int, block: str) -> np.ndarray:
     if block not in ("21", "12"):
         raise ValueError("block must be '21' or '12'")
     near = cache.orders(s_max, 2 * geom.d)
-    far = _times(
+    far = _product(
         cache.orders(s_max, 1 - 2 * geom.d),
         complex(math.cos(alpha), math.sin(alpha)),
     )

@@ -31,6 +31,7 @@ import numpy as np
 from .sphharm import (
     Direction,
     DomainError,
+    _as_direction,
     assoc_legendre,
     legendre_table,
     pi_tau_row,
@@ -89,12 +90,6 @@ def _check_indices(family: Family, l: int, m: int) -> None:
         raise ForbiddenIndexError(
             f"{family.name}(0,0) is identically zero and not a basis element"
         )
-
-
-def _as_direction(d) -> Direction:
-    if isinstance(d, Direction):
-        return d
-    return Direction.from_vector(np.asarray(d, dtype=float))
 
 
 def _family_amplitudes(family: Family, l: int, a_tau, a_pi, a_y, frame):

@@ -65,6 +65,20 @@ def _at(basis, p, lp, mp, q, l, m):
     return basis.index_of(lp, mp, p), basis.index_of(l, m, q)
 
 
+def _full_contraction(trace, values):
+    """A lattice block by the route that stores both triangles: the stored
+    coefficients at ``index`` and their mirrors (``_mirror``) at the
+    transposed positions below the diagonal, all contracted with
+    ``values``."""
+    n = trace.basis.n_eff
+    below = trace.mirror != trace.index
+    out = np.zeros(n * n, dtype=complex)
+    out[trace.index] = _contract(trace.order, trace.coef, values)
+    out[trace.mirror[below]] = _contract(
+        trace.order[below], _mirror(trace.coef[below]), values)
+    return out.reshape(n, n)
+
+
 def _coupling(mat, block):
     """Coupling block ``block`` of a dimer matrix: "st" maps the density on
     ball s to values on ball t, so it sits at block row t, block column s."""
@@ -338,19 +352,18 @@ class TestDimer:
 
     def test_block_layout(self, params):
         # coupling block "st" sits at block row t, block column s, contracted
-        # with the Lerch values of its own half-offset lattice
+        # with the Lerch values of its own half-offset lattice in both
+        # triangles; block "12" is the conjugate transpose of "21"
         trace = Trace(RHO, params, 1)
         mat = trace.dimer(1.3, GEOM)
-        n = mat.basis.n_eff
         cache = LatticeSumCache(1.3, GEOM)
-        expect = {
-            block: trace._block(dimer_values(cache, trace.s_max, block), False)
-            for block in ("21", "12")
-        }
-        assert np.array_equal(mat.matrix[:n, n:], expect["21"])
-        assert np.array_equal(mat.matrix[n:, :n], expect["12"])
+        got = {block: _coupling(mat, block) for block in ("21", "12")}
+        for block, values in got.items():
+            want = _full_contraction(trace, dimer_values(cache, trace.s_max, block))
+            assert values.tobytes() == want.tobytes()
+        assert np.array_equal(got["12"], got["21"].conj().T)
         i, j = _at(mat.basis, Family.W, 1, 0, Family.V, 1, 0)
-        assert expect["21"][i, j] != expect["12"][i, j]
+        assert got["21"][i, j] != got["12"][i, j]
 
 
 class TestOperatorStructure:
@@ -403,9 +416,9 @@ class TestOperatorStructure:
         one = Trace(RHO, LameParams(1.5, 0.8), 3)
         two = Trace(0.37, LameParams(0.3, 2.1, sign_flip=True), 3)
         geo = _geometry(3)
-        for name in ("basis", "index", "order"):
+        for name in ("basis", "index", "order", "mirror"):
             assert getattr(one, name) is getattr(two, name) is getattr(geo, name)
-        for array in (geo.index, geo.order, geo.weights, geo.below,
+        for array in (geo.index, geo.order, geo.weights, geo.mirror,
                       geo.factors, geo.norm):
             assert not array.flags.writeable
         assert not np.array_equal(one.coef, two.coef)
@@ -431,11 +444,9 @@ def unrestricted_coefs():
 def _built(geo):
     """The built entries of a geometry, sorted by index: ``(rows, cols,
     order, weights)`` with rows and columns as basis positions."""
-    n = geo.basis.n_eff
-    built = len(geo.weights)
-    pick = np.argsort(geo.index[:built])
-    rows, cols = np.divmod(geo.index[:built][pick], n)
-    return rows, cols, geo.order[:built][pick], geo.weights[pick]
+    pick = np.argsort(geo.index)
+    rows, cols = np.divmod(geo.index[pick], geo.basis.n_eff)
+    return rows, cols, geo.order[pick], geo.weights[pick]
 
 
 class TestBatchedGeometry:
@@ -472,15 +483,36 @@ class TestBatchedGeometry:
 
         geo = _geometry(l_max)
         n = geo.basis.n_eff
-        built = len(geo.weights)
         secs = np.array([sector(*label) for label in geo.basis.labels])
-        rows, cols = np.divmod(geo.index[:built], n)
+        # index holds the built triangle alone, one entry per weight
+        assert geo.index.shape == geo.order.shape == geo.mirror.shape == geo.weights.shape[:1]
+        rows, cols = np.divmod(geo.index, n)
         assert np.all(rows <= cols)
         assert np.array_equal(secs[rows], secs[cols])
         assert len(np.unique(geo.index)) == len(geo.index)
-        assert np.array_equal(geo.below, rows != cols)
-        assert np.array_equal(geo.index[built:], (cols * n + rows)[rows != cols])
-        assert np.array_equal(geo.order[built:], geo.order[:built][rows != cols])
+        assert np.array_equal(geo.mirror, cols * n + rows)
+
+
+@pytest.mark.parametrize("l_max", range(7))
+def test_mirrored_values_match_mirrored_coefficients(l_max):
+    # the entries below the diagonal are the conjugated values of the
+    # stored triangle (for a coupling block, those of the other block):
+    # byte for byte the mirrored coefficients contracted with the block's
+    # own values, signs of zero included, for a material that cancels
+    # entries (lambda = mu) and one that does not
+    for params in (LameParams(1.0, 1.0), LameParams(1.5, 0.8)):
+        trace = Trace(RHO, params, l_max)
+        n = trace.basis.n_eff
+        for alpha in (0.7, math.pi, 2 * math.pi - 1e-6):
+            want = _full_contraction(trace, line_values(LatticeSumCache(alpha), trace.s_max))
+            want[np.diag_indices(n)] += trace.diag
+            assert trace.single(alpha).matrix.tobytes() == want.tobytes()
+            mat = trace.dimer(alpha, GEOM)
+            cache = LatticeSumCache(alpha, GEOM)
+            assert mat.matrix[:n, :n].tobytes() == want.tobytes()
+            for block in ("21", "12"):
+                want = _full_contraction(trace, dimer_values(cache, trace.s_max, block))
+                assert _coupling(mat, block).tobytes() == want.tobytes()
 
 
 class TestParitySectors:

@@ -435,15 +435,18 @@ class TestBadInputs:
         assert capsys.readouterr().err.strip()
 
     def test_non_finite_alpha(self, tmp_path, capsys):
-        for bad in ("nan", "inf"):
+        # pi*1e400 overflows the float conversion, pi*+-1e308 the product
+        for bad in ("nan", "inf", "pi*1e400", "pi*1e308", "pi*-1e308"):
             self._assert_config_error([
                 "assemble", *self._argv(self.BASE, alpha=bad),
                 "--out", str(tmp_path / "m.json"),
             ], capsys)
-        self._assert_config_error([
-            "sweep", "--alpha-grid", "0.5:nan:3", "--rho", "0.1",
-            "--lambda", "1", "--mu", "1", "--lmax", "1",
-        ], capsys)
+        # a span beyond float64, and a count numpy refuses to allocate
+        for grid in ("0.5:nan:3", "-1e308:1e308:3", "0.5:1:100000000000000"):
+            self._assert_config_error([
+                "sweep", f"--alpha-grid={grid}", "--rho", "0.1",
+                "--lambda", "1", "--mu", "1", "--lmax", "1",
+            ], capsys)
 
     def test_non_finite_material(self, tmp_path, capsys):
         for flag in ("lambda", "mu"):

@@ -70,7 +70,8 @@ def test_large_lmax_trace():
     trace = Trace(0.1, LameParams(1.0, 1.0), 16)
     print(f"Trace(0.1, lambda = mu = 1, 16) built in "
           f"{time.perf_counter() - start:.2f} s")
-    stored = trace.coef.nbytes + trace.index.nbytes + trace.order.nbytes
+    stored = (trace.coef.nbytes + trace.index.nbytes + trace.order.nbytes
+              + trace.mirror.nbytes)
     assert stored < 15e6
     assert trace.coef.shape == (len(trace.index), 4)
     assert np.all(np.any(trace.coef != 0, axis=1))
