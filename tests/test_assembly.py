@@ -358,9 +358,9 @@ class TestDimer:
         mat = trace.dimer(1.3, GEOM)
         cache = LatticeSumCache(1.3, GEOM)
         got = {block: _coupling(mat, block) for block in ("21", "12")}
-        for block, values in got.items():
+        for block, part in got.items():
             want = _full_contraction(trace, dimer_values(cache, trace.s_max, block))
-            assert values.tobytes() == want.tobytes()
+            assert part.tobytes() == want.tobytes()
         assert np.array_equal(got["12"], got["21"].conj().T)
         i, j = _at(mat.basis, Family.W, 1, 0, Family.V, 1, 0)
         assert got["21"][i, j] != got["12"][i, j]
