@@ -12,6 +12,8 @@ the Bloch phase, ``|x|^-s`` becomes a polylogarithm (or, for the dimer
 coupling blocks, a Lerch) value, so every entry is a short vector of
 phase-independent coefficients dotted with ``v(alpha)`` of
 ``latsum.line_values``/``dimer_values``, and ``M(alpha) = D + T v(alpha)``.
+``Trace.single``/``dimer`` hand the phase to those functions as given and
+keep no value between phases.
 
 Degree-pair blocks: ``_DegreeBlocks.blocks`` builds, for one family pair,
 the kernel block ``K[mu, mt]`` of every complex order pair of many degree
@@ -95,7 +97,6 @@ from .kelvin import LameParams, norm_factor, response_coeffs
 from .latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
-    LatticeSumCache,
     _product,
     dimer_values,
     line_values,
@@ -709,20 +710,19 @@ class Trace:
         out[self.index] = upper
         return out.reshape(n, n)
 
-    def _self_block(self, cache) -> np.ndarray:
-        """The single-ball matrix at the phase of ``cache``: ``M`` is
+    def _self_block(self, alpha) -> np.ndarray:
+        """The single-ball matrix at Bloch phase ``alpha``: ``M`` is
         Hermitian, so one contraction serves both triangles."""
-        upper = _contract(self.order, self.coef, line_values(cache, self.s_max))
+        upper = _contract(self.order, self.coef, line_values(alpha, self.s_max))
         out = self._block(upper, upper)
         out[np.diag_indices(len(out))] += self.diag
         return out
 
     def single(self, alpha) -> AssembledMatrix:
         """The single-ball matrix at Bloch phase ``alpha``."""
-        cache = LatticeSumCache(alpha)
         return AssembledMatrix(
-            matrix=self._self_block(cache),
-            basis=self.basis, alpha=cache.alpha, rho=self.rho,
+            matrix=self._self_block(alpha),
+            basis=self.basis, alpha=reduce_alpha(alpha), rho=self.rho,
             params=self.params, l_max=self.l_max,
         )
 
@@ -735,19 +735,18 @@ class Trace:
         """
         if geom.rho != self.rho:
             raise ValueError("dimer radius differs from the trace radius")
-        cache = LatticeSumCache(alpha, geom)
         n = self.basis.n_eff
-        self_block = self._self_block(cache)
+        self_block = self._self_block(alpha)
         # each coupling block's lower triangle is the other's conjugate
-        u21, u12 = (_contract(self.order, self.coef, dimer_values(cache, self.s_max, block))
-                    for block in ("21", "12"))
+        u21, u12 = (_contract(self.order, self.coef, values)
+                    for values in dimer_values(alpha, geom, self.s_max))
         big = np.zeros((2 * n, 2 * n), dtype=complex)
         big[:n, :n] = self_block
         big[:n, n:] = self._block(u21, u12)
         big[n:, :n] = self._block(u12, u21)
         big[n:, n:] = self_block
         return AssembledMatrix(
-            matrix=big, basis=self.basis, alpha=cache.alpha, rho=self.rho,
+            matrix=big, basis=self.basis, alpha=reduce_alpha(alpha), rho=self.rho,
             params=self.params, l_max=self.l_max, dimer=geom,
         )
 

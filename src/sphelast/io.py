@@ -81,16 +81,9 @@ def _write(path, header: dict, rows: np.ndarray) -> None:
         fh.write("\n ]," + tail)
 
 
-def _entries(doc) -> np.ndarray:
-    """``doc["entries"]``, a list of ``[re, im]`` pairs, as one complex array."""
-    return np.array([complex(re, im) for re, im in doc["entries"]])
-
-
-def save_matrix(path, m: AssembledMatrix) -> None:
-    _write(path, _header(m), m.matrix)
-
-
-def load_matrix(path) -> AssembledMatrix:
+def _read(path) -> tuple[np.ndarray, dict]:
+    """The entries of a dump as one complex array, and its header; refuses
+    a basis ordering version other than the compiled one."""
     with open(path) as fh:
         doc = json.load(fh)
     hdr = doc["header"]
@@ -99,8 +92,16 @@ def load_matrix(path) -> AssembledMatrix:
             f"basis ordering version {hdr.get('basis_version')!r} does not "
             f"match {BASIS_VERSION!r}"
         )
+    return np.array([complex(re, im) for re, im in doc["entries"]]), hdr
+
+
+def save_matrix(path, m: AssembledMatrix) -> None:
+    _write(path, _header(m), m.matrix)
+
+
+def load_matrix(path) -> AssembledMatrix:
+    flat, hdr = _read(path)
     shape = tuple(hdr["shape"])
-    flat = _entries(doc)
     params = LameParams(hdr["lambda"], hdr["mu"], hdr.get("sign_flip", False))
     geom = None
     if hdr.get("d") is not None:
@@ -130,15 +131,7 @@ def save_vector(path, vec, header_extra: dict | None = None) -> None:
 
 
 def load_vector(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    hdr = doc["header"]
-    if hdr.get("basis_version") != BASIS_VERSION:
-        raise FormatError(
-            f"basis ordering version {hdr.get('basis_version')!r} does not "
-            f"match {BASIS_VERSION!r}"
-        )
-    return _entries(doc), hdr
+    return _read(path)
 
 
 def matrix_to_csv(path, m: AssembledMatrix) -> None:

@@ -5,13 +5,20 @@ Summing a re-expansion coefficient over all lattice copies with phase
 phase-independent coefficient times ``Li_s(e^{-i alpha})`` plus another times
 ``Li_s(e^{+i alpha})``.  The coefficients live in ``assembly``; this module
 supplies the values they multiply, as one vector with slot ``slot(s, sign)``
-per order and phase sign:
+per order and phase sign, each a plain function of the raw phase (nothing
+is kept between calls):
 
 * ``line_values``  -- ``Li_s(e^{-+i alpha})`` for the sum over every nonzero
   integer shift (one ball per cell);
-* ``dimer_values`` -- the Lerch values for the half-offset lattices of a
-  two-ball cell, offsets ``2d`` and ``1 - 2d``; block "21" couples the
-  right ball onto the left one, "12" the reverse.
+* ``dimer_values`` -- the Lerch values of the two coupling blocks of a
+  two-ball cell, from one vector per half-offset lattice (offsets ``2d``
+  and ``1 - 2d``); block "21" couples the right ball onto the left one,
+  "12" the reverse.
+
+Every value, the dimer's Bloch factor ``e^{i alpha}`` included, comes from
+the phase as given, so the vectors at ``-alpha`` are the exact conjugates of
+those at ``alpha``; ``reduce_alpha`` only validates it and names its
+representative in ``[0, 2 pi)``.
 
 The values are float64, every order ``s = 1..s_max`` of one phase and one
 offset ``0 < a <= 1`` in one pass (``lerch_orders``, ``polylog_orders``).
@@ -61,12 +68,9 @@ __all__ = [
     "QuasiMomentumSingular",
     "LatticeSumOverflow",
     "DimerGeometry",
-    "LatticeSumCache",
     "reduce_alpha",
     "polylog_orders",
     "lerch_orders",
-    "polylog_unit",
-    "lerch_unit",
     "slot",
     "line_values",
     "dimer_values",
@@ -286,59 +290,6 @@ def lerch_orders(alpha: float, offset: float, s_max: int) -> np.ndarray:
     return vec.conj() if theta < 0 else vec
 
 
-def _pick(orders, s: int, sign: int) -> complex:
-    """The ``(s, sign)`` value, where ``orders(n)`` gives the ``(s, +)``
-    values of the orders ``1..n``."""
-    if s < 1:
-        raise ValueError("polylog/Lerch order must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    value = complex(orders(s)[s - 1])
-    return value if sign > 0 else value.conjugate()
-
-
-def polylog_unit(s: int, alpha: float, sign: int = 1) -> complex:
-    """``Li_s(e^{i sign alpha})`` for integer ``s >= 1``."""
-    return _pick(lambda n: polylog_orders(alpha, n), s, sign)
-
-
-def lerch_unit(s: int, alpha: float, sign: int, offset: float) -> complex:
-    """Lerch transcendent ``Phi(e^{i sign alpha}, s, offset)`` for integer
-    ``s >= 1`` and ``0 < offset <= 1``."""
-    return _pick(lambda n: lerch_orders(alpha, offset, n), s, sign)
-
-
-class LatticeSumCache:
-    """Polylog/Lerch order vectors for one Bloch phase (and geometry).
-
-    One vector per offset (``None`` for the polylogarithm) holds the
-    ``(s, +)`` values of the orders ``1..s`` for the largest ``s`` asked so
-    far; the ``(s, -)`` values are their conjugates.
-    """
-
-    def __init__(self, alpha: float, geom: DimerGeometry | None = None):
-        self.alpha = reduce_alpha(alpha)
-        self.geom = geom
-        self._phase = float(alpha)  # the values come from the raw phase
-        self._vectors: dict = {}
-
-    def orders(self, s_max: int, offset: float | None = None) -> np.ndarray:
-        """``Li_s(e^{i alpha})``, or with an offset ``Phi(e^{i alpha}, s,
-        offset)``, for ``s = 1..s_max`` (read-only)."""
-        vec = self._vectors.get(offset)
-        if vec is None or len(vec) < s_max:
-            if offset is None:
-                vec = polylog_orders(self._phase, s_max)
-            else:
-                vec = lerch_orders(self._phase, offset, s_max)
-            vec.flags.writeable = False
-            self._vectors[offset] = vec
-        return vec[:s_max]
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-
 def slot(s: int, sign: int) -> int:
     """Position of the order-``s`` value at phase sign ``sign`` in a value
     vector: ``(s, -)`` and ``(s, +)`` are adjacent, orders ascend from 1."""
@@ -351,30 +302,25 @@ def _values(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
     return vals
 
 
-def line_values(cache: LatticeSumCache, s_max: int) -> np.ndarray:
-    """``Li_s(e^{-+i alpha})`` at the phase of ``cache`` for ``s = 1..s_max``."""
-    plus = cache.orders(s_max)
+def line_values(alpha: float, s_max: int) -> np.ndarray:
+    """``Li_s(e^{-+i alpha})`` for ``s = 1..s_max``."""
+    plus = polylog_orders(alpha, s_max)
     return _values(plus.conj(), plus)
 
 
-def dimer_values(cache: LatticeSumCache, s_max: int, block: str) -> np.ndarray:
-    """Lerch values for the half-offset lattice of coupling block ``block``,
-    laid out like ``line_values``, at the phase and geometry of ``cache``.
+def dimer_values(
+    alpha: float, geom: DimerGeometry, s_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lerch values of the coupling blocks "21" and "12" of ``geom``, laid
+    out like ``line_values``.
 
     Block "21" sums shifts ``n + 2d``: positive side offsets ``2d``,
-    negative side ``1 - 2d`` with one extra phase.  Block "12" mirrors the
-    offsets ("negative" side at ``2d``).
+    negative side ``1 - 2d`` with one extra phase ``e^{i alpha}``.  Block
+    "12" mirrors the offsets ("negative" side at ``2d``).
     """
-    geom, alpha = cache.geom, cache.alpha
-    if geom is None:
-        raise ValueError("dimer values need a cache with a DimerGeometry")
-    if block not in ("21", "12"):
-        raise ValueError("block must be '21' or '12'")
-    near = cache.orders(s_max, 2 * geom.d)
+    near = lerch_orders(alpha, 2 * geom.d, s_max)
     far = _product(
-        cache.orders(s_max, 1 - 2 * geom.d),
+        lerch_orders(alpha, 1 - 2 * geom.d, s_max),
         complex(math.cos(alpha), math.sin(alpha)),
     )
-    if block == "21":
-        return _values(near.conj(), far)
-    return _values(far.conj(), near)
+    return _values(near.conj(), far), _values(far.conj(), near)

@@ -259,20 +259,21 @@ def suite_kelvin(rng):
 
 def suite_latsum(rng):
     checks = []
-    worst = abs(latsum.polylog_unit(2, math.pi) + math.pi**2 / 12)
+    worst = abs(latsum.polylog_orders(math.pi, 2)[1] + math.pi**2 / 12)
     checks.append(("dilogarithm at the zone edge", worst, 1e-12))
     k = np.arange(1, 100_001, dtype=float)
     worst = 0.0
     for s, al in [(3, 0.7), (4, 2.2)]:
         brute = np.sum(np.exp(1j * al * k) / k**s)
-        worst = max(worst, abs(latsum.polylog_unit(s, al, 1) - brute))
+        worst = max(worst, abs(latsum.polylog_orders(al, s)[s - 1] - brute))
     k0 = np.arange(0, 100_000, dtype=float)
     for s, dd, al in [(3, 0.4, 1.0), (4, 0.6, 2.4)]:
         brute = np.sum(np.exp(-1j * al * k0) / (k0 + dd) ** s)
-        worst = max(worst, abs(latsum.lerch_unit(s, al, -1, dd) - brute))
+        minus = latsum.lerch_orders(al, dd, s)[s - 1].conjugate()
+        worst = max(worst, abs(minus - brute))
     checks.append(("polylog and Lerch vs truncation", worst, 1e-9))
     z = complex(math.cos(1.3), math.sin(1.3))
-    worst = abs(latsum.lerch_unit(3, 1.3, 1, 1.0) * z - latsum.polylog_unit(3, 1.3, 1))
+    worst = abs(latsum.lerch_orders(1.3, 1.0, 3)[2] * z - latsum.polylog_orders(1.3, 3)[2])
     checks.append(("offset-1 reduction", worst, 1e-12))
     # seeded samples against the 30-digit oracle (mpmath's Lerch quadrature
     # costs about 0.1 s a value, so three of each kind)
@@ -282,11 +283,12 @@ def suite_latsum(rng):
         al = float(rng.uniform(0.05, 2 * math.pi - 0.05))
         sign = int(rng.choice((-1, 1)))
         if kind == "polylog":
-            value = latsum.polylog_unit(s, al, sign)
+            value = latsum.line_values(al, s)[latsum.slot(s, sign)]
             ref = oracle.polylog_ref(s, al, sign)
         else:
             off = float(rng.uniform(0.02, 1.0))
-            value = latsum.lerch_unit(s, al, sign, off)
+            value = latsum.lerch_orders(al, off, s)[s - 1]
+            value = value if sign > 0 else value.conjugate()
             ref = oracle.lerch_ref(s, al, sign, off)
         worst = max(worst, abs(value - ref) / max(1.0, abs(ref)))
     checks.append(("float64 vs mpmath", worst, 1e-14))
@@ -295,7 +297,7 @@ def suite_latsum(rng):
     ns = np.concatenate([-ns[::-1], ns])
     worst = 0.0
     blocks = assembly._DegreeBlocks(2)
-    values = latsum.line_values(latsum.LatticeSumCache(alpha), 6)
+    values = latsum.line_values(alpha, 6)
     for l, lam, m, mu in [(1, 1, 0, 0), (2, 1, 1, 0), (1, 2, -1, 1)]:
         # the plain kernel: (+) coefficient on order l + lam + 1
         s = l + lam + 1

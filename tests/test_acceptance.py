@@ -20,7 +20,7 @@ from sphelast.kelvin import (
     norm_factor,
     surface_response,
 )
-from sphelast.latsum import DimerGeometry, lerch_unit, polylog_unit
+from sphelast.latsum import DimerGeometry, lerch_orders, polylog_orders
 from sphelast.oracle import (
     basis_samples,
     brute_potential,
@@ -244,7 +244,7 @@ def test_criterion_06_exterior_layer_identity():
 
 def test_criterion_07_lattice_sum_primitives():
     d = DimerGeometry(0.2, 0.1).d
-    worst = abs(polylog_unit(2, math.pi) + math.pi**2 / 12)
+    worst = abs(polylog_orders(math.pi, 2)[1] + math.pi**2 / 12)
     ok_dilog = worst <= 1e-12
     worst_trunc = 0.0
     for s in (2, 3, 4):
@@ -252,20 +252,19 @@ def test_criterion_07_lattice_sum_primitives():
             k = np.arange(1, 10**6 + 1, dtype=float)
             brute = np.sum(np.exp(1j * alpha * k) / k**s)
             worst_trunc = max(
-                worst_trunc, abs(polylog_unit(s, alpha, 1) - brute)
+                worst_trunc, abs(polylog_orders(alpha, s)[s - 1] - brute)
             )
             for off in (2 * d, 1 - 2 * d, 1.0):
                 k0 = np.arange(0, 10**6, dtype=float)
                 brute = np.sum(np.exp(-1j * alpha * k0) / (k0 + off) ** s)
-                worst_trunc = max(
-                    worst_trunc, abs(lerch_unit(s, alpha, -1, off) - brute)
-                )
+                minus = lerch_orders(alpha, off, s)[s - 1].conjugate()
+                worst_trunc = max(worst_trunc, abs(minus - brute))
     worst_shift = 0.0
     for s in (2, 3, 4):
         z = complex(math.cos(1.3), math.sin(1.3))
         worst_shift = max(
             worst_shift,
-            abs(lerch_unit(s, 1.3, 1, 1.0) * z - polylog_unit(s, 1.3, 1)),
+            abs(lerch_orders(1.3, 1.0, s)[s - 1] * z - polylog_orders(1.3, s)[s - 1]),
         )
     ok = ok_dilog and worst_trunc <= 1e-9 and worst_shift <= 1e-12
     _report(

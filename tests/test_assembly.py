@@ -27,10 +27,10 @@ from sphelast.kelvin import (
 )
 from sphelast.latsum import (
     DimerGeometry,
-    LatticeSumCache,
     QuasiMomentumSingular,
     dimer_values,
     line_values,
+    reduce_alpha,
 )
 from sphelast.oracle import (
     brute_lattice_entry,
@@ -257,7 +257,7 @@ class TestEntrySingle:
                 order, coef = _entry_coef(fam, l, 0, fam, l, 0, RHO, params)
                 lattice = _contract(
                     np.array([order]), coef[None],
-                    line_values(LatticeSumCache(alpha), 2 * l + 3),
+                    line_values(alpha, 2 * l + 3),
                 )[0]
             expect = RHO * surface_response(l, params)[slot] * norm_factor(fam, l)
             assert mat.matrix[i, i] - lattice == pytest.approx(expect, abs=1e-16)
@@ -317,6 +317,37 @@ class TestAssembleSingle:
             assemble_single(1.0, 0.6, params, 1)
 
 
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, 1.3, 3.0])
+def test_negative_phase_gives_exact_conjugate(alpha):
+    # every value, the dimer's Bloch factor included, comes from the phase
+    # as given, so M(-alpha) is conj M(alpha) entry for entry (an exact
+    # zero may change sign)
+    for params in (LameParams(1.0, 1.0), LameParams(1.5, 0.8, sign_flip=True)):
+        trace = Trace(RHO, params, 4)
+        for build in (trace.single, lambda a: trace.dimer(a, GEOM)):
+            here, there = build(alpha), build(-alpha)
+            assert np.array_equal(there.matrix, here.matrix.conj())
+            assert there.alpha == reduce_alpha(-alpha)
+
+
+def test_bad_phases_fail_before_contraction(params, monkeypatch):
+    from sphelast import assembly
+
+    trace = Trace(RHO, params, 1)
+
+    def contract(*args):
+        raise AssertionError("contracted at a bad phase")
+
+    monkeypatch.setattr(assembly, "_contract", contract)
+    with pytest.raises(QuasiMomentumSingular):
+        trace.single(0.0)
+    with pytest.raises(QuasiMomentumSingular):
+        trace.dimer(-2 * math.pi, GEOM)
+    for build in (trace.single, lambda a: trace.dimer(a, GEOM)):
+        with pytest.raises(ValueError, match="finite"):
+            build(math.nan)
+
+
 class TestDimer:
     """Entries of the dimer matrix, read off ``Trace.dimer``."""
 
@@ -356,10 +387,9 @@ class TestDimer:
         # triangles; block "12" is the conjugate transpose of "21"
         trace = Trace(RHO, params, 1)
         mat = trace.dimer(1.3, GEOM)
-        cache = LatticeSumCache(1.3, GEOM)
         got = {block: _coupling(mat, block) for block in ("21", "12")}
-        for block, part in got.items():
-            want = _full_contraction(trace, dimer_values(cache, trace.s_max, block))
+        for part, values in zip(got.values(), dimer_values(1.3, GEOM, trace.s_max)):
+            want = _full_contraction(trace, values)
             assert part.tobytes() == want.tobytes()
         assert np.array_equal(got["12"], got["21"].conj().T)
         i, j = _at(mat.basis, Family.W, 1, 0, Family.V, 1, 0)
@@ -504,14 +534,13 @@ def test_mirrored_values_match_mirrored_coefficients(l_max):
         trace = Trace(RHO, params, l_max)
         n = trace.basis.n_eff
         for alpha in (0.7, math.pi, 2 * math.pi - 1e-6):
-            want = _full_contraction(trace, line_values(LatticeSumCache(alpha), trace.s_max))
+            want = _full_contraction(trace, line_values(alpha, trace.s_max))
             want[np.diag_indices(n)] += trace.diag
             assert trace.single(alpha).matrix.tobytes() == want.tobytes()
             mat = trace.dimer(alpha, GEOM)
-            cache = LatticeSumCache(alpha, GEOM)
             assert mat.matrix[:n, :n].tobytes() == want.tobytes()
-            for block in ("21", "12"):
-                want = _full_contraction(trace, dimer_values(cache, trace.s_max, block))
+            for block, values in zip(("21", "12"), dimer_values(alpha, GEOM, trace.s_max)):
+                want = _full_contraction(trace, values)
                 assert _coupling(mat, block).tobytes() == want.tobytes()
 
 
@@ -592,9 +621,9 @@ class TestParitySectors:
         n = len(order)
         trace = Trace(RHO, params, 3)
         if block == "single":
-            values = line_values(LatticeSumCache(alpha), trace.s_max)
+            values = line_values(alpha, trace.s_max)
         else:
-            values = dimer_values(LatticeSumCache(alpha, GEOM), trace.s_max, block)
+            values = dimer_values(alpha, GEOM, trace.s_max)[("21", "12").index(block)]
         # a pair with no lattice part has order 0 and zero coefficients
         lattice = _contract(order.ravel(), coef.reshape(-1, 4), values).reshape(n, n)
         if block == "single":

@@ -10,15 +10,12 @@ from sphelast.assembly import _DegreeBlocks, _contract, _per_copy_values
 from sphelast.latsum import (
     AXIS_COMPONENT,
     DimerGeometry,
-    LatticeSumCache,
     LatticeSumOverflow,
     QuasiMomentumSingular,
     dimer_values,
     lerch_orders,
-    lerch_unit,
     line_values,
     polylog_orders,
-    polylog_unit,
     reduce_alpha,
     slot,
 )
@@ -37,13 +34,25 @@ def _closed(method, *args, alpha, block=None):
     """Closed-form phased sum of one coefficient family: its trace
     coefficients contracted with the polylog (or, for a dimer block, Lerch)
     values."""
-    cache = LatticeSumCache(alpha, None if block is None else GEOM)
     order, coef = kernel_coef(BLOCKS, method, *args)
     if block is None:
-        vals = line_values(cache, S_MAX)
+        vals = line_values(alpha, S_MAX)
     else:
-        vals = dimer_values(cache, S_MAX, block)
+        vals = dimer_values(alpha, GEOM, S_MAX)[("21", "12").index(block)]
     return complex(_contract(np.array([order]), coef[None], vals)[0])
+
+
+def _polylog(s, alpha, sign=1):
+    """``Li_s(e^{i sign alpha})``, the last value of the shortest vector
+    holding order ``s``."""
+    value = complex(polylog_orders(alpha, s)[s - 1])
+    return value if sign > 0 else value.conjugate()
+
+
+def _lerch(s, alpha, sign, offset):
+    """``Phi(e^{i sign alpha}, s, offset)``, read like ``_polylog``."""
+    value = complex(lerch_orders(alpha, offset, s)[s - 1])
+    return value if sign > 0 else value.conjugate()
 
 
 def _chunked_polylog_sum(s, alpha, sign, terms):
@@ -56,24 +65,20 @@ def _chunked_polylog_sum(s, alpha, sign, terms):
 
 class TestPolylog:
     def test_log_value(self):
-        assert polylog_unit(1, math.pi) == pytest.approx(-math.log(2))
+        assert _polylog(1, math.pi) == pytest.approx(-math.log(2))
 
     def test_dilog_value(self):
-        assert abs(polylog_unit(2, math.pi) + math.pi**2 / 12) <= 1e-12
+        assert abs(_polylog(2, math.pi) + math.pi**2 / 12) <= 1e-12
 
     def test_long_truncation(self):
         brute = _chunked_polylog_sum(3, math.pi / 2, 1, 10**7)
-        assert abs(polylog_unit(3, math.pi / 2, 1) - brute) <= 1e-12
+        assert abs(_polylog(3, math.pi / 2, 1) - brute) <= 1e-12
 
     def test_singular_phase(self):
         with pytest.raises(QuasiMomentumSingular):
-            polylog_unit(1, 0.0)
+            polylog_orders(0.0, 1)
         with pytest.raises(QuasiMomentumSingular):
-            polylog_unit(2, 2 * math.pi)
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            polylog_unit(0, 1.0)
+            polylog_orders(2 * math.pi, 2)
 
 
 class TestLerch:
@@ -81,13 +86,13 @@ class TestLerch:
         for s in (2, 3, 5):
             z = complex(math.cos(1.3), math.sin(1.3))
             assert abs(
-                lerch_unit(s, 1.3, 1, 1.0) * z - polylog_unit(s, 1.3, 1)
+                _lerch(s, 1.3, 1, 1.0) * z - _polylog(s, 1.3, 1)
             ) <= 1e-12
 
     def test_truncation_match(self):
         k = np.arange(0, 10**6, dtype=float)
         brute = np.sum(np.exp(1j * math.pi * k) / (k + 0.5) ** 2)
-        assert abs(lerch_unit(2, math.pi, 1, 0.5) - brute) <= 1e-9
+        assert abs(_lerch(2, math.pi, 1, 0.5) - brute) <= 1e-9
 
     def test_order_one_offsets(self):
         # conditionally convergent case against a long smoothed truncation
@@ -98,69 +103,65 @@ class TestLerch:
         partial = np.cumsum(terms)
         tail_window = partial[-200_000:]
         brute = tail_window.mean()
-        assert abs(lerch_unit(1, alpha, 1, dd) - brute) <= 1e-10
+        assert abs(_lerch(1, alpha, 1, dd) - brute) <= 1e-10
 
     def test_offset_validation(self):
         with pytest.raises(ValueError):
-            lerch_unit(2, 1.0, 1, 0.0)
+            lerch_orders(1.0, 0.0, 2)
         with pytest.raises(ValueError):
-            lerch_unit(2, 1.0, 1, 1.5)
+            lerch_orders(1.0, 1.5, 2)
 
 
 class TestValueVectors:
     def test_line_layout(self):
-        cache = LatticeSumCache(1.7)
-        vals = line_values(cache, 4)
+        vals = line_values(1.7, 4)
         assert vals.shape == (8,)
         for s in range(1, 5):
             for sign in (1, -1):
-                assert vals[slot(s, sign)] == polylog_unit(s, 1.7, sign)
+                assert vals[slot(s, sign)] == _polylog(s, 1.7, sign)
 
     def test_dimer_phase_factors(self):
         alpha = 1.7
-        cache = LatticeSumCache(alpha, GEOM)
         near, far = 2 * GEOM.d, 1 - 2 * GEOM.d
         z = complex(math.cos(alpha), math.sin(alpha))
-        v21 = dimer_values(cache, 2, "21")
-        v12 = dimer_values(cache, 2, "12")
-        assert v21[slot(2, -1)] == lerch_unit(2, alpha, -1, near)
-        assert v21[slot(2, 1)] == pytest.approx(z * lerch_unit(2, alpha, 1, far))
+        v21, v12 = dimer_values(alpha, GEOM, 2)
+        assert v21[slot(2, -1)] == _lerch(2, alpha, -1, near)
+        assert v21[slot(2, 1)] == pytest.approx(z * _lerch(2, alpha, 1, far))
         assert v12[slot(2, -1)] == pytest.approx(
-            z.conjugate() * lerch_unit(2, alpha, -1, far)
+            z.conjugate() * _lerch(2, alpha, -1, far)
         )
-        assert v12[slot(2, 1)] == lerch_unit(2, alpha, 1, near)
+        assert v12[slot(2, 1)] == _lerch(2, alpha, 1, near)
 
-    def test_dimer_validation(self):
-        with pytest.raises(ValueError):
-            dimer_values(LatticeSumCache(1.0), 2, "21")
-        with pytest.raises(ValueError):
-            dimer_values(LatticeSumCache(1.0, GEOM), 2, "11")
+    def test_bad_phases(self):
+        # the value functions validate the phase themselves
+        for call in (
+            lambda alpha: line_values(alpha, 3),
+            lambda alpha: dimer_values(alpha, GEOM, 3),
+        ):
+            for alpha in (0.0, 2 * math.pi, -2 * math.pi):
+                with pytest.raises(QuasiMomentumSingular):
+                    call(alpha)
+            for alpha in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    call(alpha)
 
 
 class TestCache:
     def test_determinism(self):
         alpha = 1.7
-        cache = LatticeSumCache(alpha, GEOM)
-        line_values(cache, 6)
-        dimer_values(cache, 6, "21")
-        # the (s, -) values are the conjugates of the held (s, +) ones
+        vals = line_values(alpha, 6)
+        v21, v12 = dimer_values(alpha, GEOM, 6)
+        assert np.array_equal(line_values(alpha, 6), vals)
+        for again, first in zip(dimer_values(alpha, GEOM, 6), (v21, v12)):
+            assert np.array_equal(again, first)
+        # the (s, -) values are the conjugates of the (s, +) ones, and each
+        # equals the last value of the shortest vector holding its order
+        near = 2 * GEOM.d
         for s in range(1, 7):
-            for sign, pick in ((1, complex), (-1, np.conj)):
-                assert pick(cache.orders(6)[s - 1]) == polylog_unit(s, alpha, sign)
-                for off in (2 * GEOM.d, 1 - 2 * GEOM.d):
-                    assert pick(cache.orders(6, off)[s - 1]) == lerch_unit(
-                        s, alpha, sign, off
-                    )
-
-    def test_one_vector_per_offset(self):
-        cache = LatticeSumCache(0.9, GEOM)
-        line_values(cache, 4)
-        assert len(cache) == 1
-        for block in ("21", "12"):
-            dimer_values(cache, 4, block)
-        line_values(cache, 7)               # a longer vector replaces the old one
-        assert len(cache) == 3
-        assert len(cache.orders(7)) == 7
+            for sign in (1, -1):
+                assert vals[slot(s, sign)] == _polylog(s, alpha, sign)
+            assert v12[slot(s, 1)] == _lerch(s, alpha, 1, near)
+            assert v21[slot(s, -1)] == _lerch(s, alpha, -1, near)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -197,11 +198,12 @@ class TestFloat64Values:
         worst = 0.0
         for alpha in GATE_ALPHAS:
             plus = polylog_orders(alpha, GATE_ORDERS[-1])
+            line = line_values(alpha, GATE_ORDERS[-1])
             for s in GATE_ORDERS:
                 worst = max(
                     worst,
                     _gate_error(plus[s - 1], polylog_ref(s, alpha, 1)),
-                    _gate_error(polylog_unit(s, alpha, -1), polylog_ref(s, alpha, -1)),
+                    _gate_error(line[slot(s, -1)], polylog_ref(s, alpha, -1)),
                 )
         assert worst <= GATE
 
@@ -210,14 +212,14 @@ class TestFloat64Values:
         worst = 0.0
         for alpha in NEGATIVE_ALPHAS:
             plus = polylog_orders(alpha, GATE_ORDERS[-1])
-            held = LatticeSumCache(alpha).orders(GATE_ORDERS[-1])
+            line = line_values(alpha, GATE_ORDERS[-1])
             for s in GATE_ORDERS:
                 ref = polylog_ref(s, alpha, 1)
                 worst = max(
                     worst,
                     _gate_error(plus[s - 1], ref),
-                    _gate_error(held[s - 1], ref),
-                    _gate_error(polylog_unit(s, alpha, -1), polylog_ref(s, alpha, -1)),
+                    _gate_error(line[slot(s, 1)], ref),
+                    _gate_error(line[slot(s, -1)], polylog_ref(s, alpha, -1)),
                 )
         assert worst <= GATE
 
@@ -234,7 +236,7 @@ class TestFloat64Values:
                         worst,
                         _gate_error(plus[s - 1], ref),
                         _gate_error(
-                            lerch_unit(s, alpha, -1, offset), ref.conjugate()
+                            _lerch(s, alpha, -1, offset), ref.conjugate()
                         ),
                     )
         assert worst <= GATE
@@ -242,25 +244,30 @@ class TestFloat64Values:
     def test_lerch_at_negative_phases(self):
         worst = 0.0
         for alpha in NEGATIVE_ALPHAS:
-            cache = LatticeSumCache(alpha, GEOM)
+            # at d = 1/4 both coupling blocks read the gated offset 1/2
+            v21, v12 = dimer_values(alpha, DimerGeometry(0.25, 0.1), GATE_ORDERS[-1])
             for offset in GATE_OFFSETS:
                 plus = lerch_orders(alpha, offset, GATE_ORDERS[-1])
-                held = cache.orders(GATE_ORDERS[-1], offset)
                 for s in GATE_ORDERS:
                     ref = _lerch_reference(s, -alpha, offset).conjugate()
                     worst = max(
                         worst,
                         _gate_error(plus[s - 1], ref),
-                        _gate_error(held[s - 1], ref),
                         _gate_error(
-                            lerch_unit(s, alpha, -1, offset), ref.conjugate()
+                            _lerch(s, alpha, -1, offset), ref.conjugate()
                         ),
                     )
+                    if offset == 0.5:
+                        worst = max(
+                            worst,
+                            _gate_error(v12[slot(s, 1)], ref),
+                            _gate_error(v21[slot(s, -1)], ref.conjugate()),
+                        )
         assert worst <= GATE
 
     def test_longer_vectors_repeat_shorter_ones(self):
-        # what lets the cache, the scalar wrappers and the per-entry paths
-        # agree bit for bit
+        # what lets a value read from a vector of any length agree bit for
+        # bit
         for alpha in (0.3, 5.0):
             for offset in (None, 0.14, 1.0):
                 if offset is None:
@@ -273,10 +280,8 @@ class TestFloat64Values:
     def test_conjugate_phase_is_bitwise_conjugate(self):
         # dyadic phases, so that 2 pi - alpha is exact in float64
         for alpha in (0.25, 1.25, 2.75, 4.5):
-            here = LatticeSumCache(alpha)
-            there = LatticeSumCache(2 * math.pi - alpha)
-            vals = line_values(here, 16)
-            assert np.array_equal(line_values(there, 16), vals.conj())
+            vals = line_values(alpha, 16)
+            assert np.array_equal(line_values(2 * math.pi - alpha, 16), vals.conj())
             assert np.array_equal(vals[0::2], vals[1::2].conj())
 
     def test_values_beyond_float64_rejected(self):
@@ -284,9 +289,8 @@ class TestFloat64Values:
         assert np.isfinite(lerch_orders(1.3, 4e-30, 10)).all()
         with pytest.raises(LatticeSumOverflow):
             lerch_orders(1.3, 4e-30, 11)
-        cache = LatticeSumCache(1.3, DimerGeometry(2e-30, 1e-30))
-        with pytest.raises(ValueError):
-            dimer_values(cache, 11, "21")
+        with pytest.raises(LatticeSumOverflow):
+            dimer_values(1.3, DimerGeometry(2e-30, 1e-30), 11)
 
 
 def _sequential_bernoulli_poly(a):

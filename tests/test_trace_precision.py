@@ -21,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from sphelast.assembly import _ORDER_OFFSET, _STORED, BasisMap, assemble_single
 from sphelast.kelvin import LameParams, norm_factor
-from sphelast.latsum import LatticeSumCache, line_values, slot
+from sphelast.latsum import line_values, slot
 from sphelast.vsh import Family
 
 DPS = 40
@@ -222,7 +222,7 @@ def reference_matrix(l_max, alpha, rho, params):
     ids = {}
     for i, (l, _m, fam) in enumerate(basis.labels):
         ids.setdefault((l, fam), []).append(i)
-    values = [mpc(v) for v in line_values(LatticeSumCache(alpha), 2 * l_max + 3)]
+    values = [mpc(v) for v in line_values(alpha, 2 * l_max + 3)]
     rho = mpf(rho)
     out = np.full((basis.n_eff, basis.n_eff), mpc(0), dtype=object)
     for (lp, p), rows in ids.items():
