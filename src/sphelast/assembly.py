@@ -49,14 +49,17 @@ by the family pair (row, column):
     (V,W), (W,V)   b = 1        (W,X), (X,W)   b = 0
     (W,W)          b = -1       (X,X)          b = 1 (the higher order is 0)
 
-so each entry is stored as its lowest order and four coefficients
-``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]``, contracted by a gather.  Slot
-``(s, -)`` weighs ``Li_s(e^{-i alpha})``, the sum over the copies at
-positive shifts; one copy at shift ``x`` contributes
-``sum_s c(s,-) x^-s`` for ``x > 0`` and ``sum_s c(s,+) |x|^-s`` for
-``x < 0`` (``per_copy_entries``).  The reflection ``x -> -x`` gives
-``c(s,-) = (-1)^(s+1) c(s,+)``.  A term on any other order stops the
-builder.
+and a term on any other order stops the builder.  One copy at shift ``x``
+contributes ``sum_s c(s,-) x^-s`` for ``x > 0`` and ``sum_s c(s,+)
+|x|^-s`` for ``x < 0`` (``per_copy_entries``); summed with the phase, the
+copies at positive shifts give ``Li_s(e^{-i alpha})`` and those at
+negative shifts ``Li_s(e^{i alpha})``.  The reflection ``x -> -x`` gives
+``c(s,-) = (-1)^(s+1) c(s,+)``, and the coefficients of the in-sector
+entries (below) are real.  So each entry is stored as its lowest order
+``s`` and two real coefficients ``[c(s,+), c(s+2,+)]``, contracted with
+one complex value per order, ``u[s - 1] = Li_s(e^{i alpha}) +
+(-1)^(s+1) Li_s(e^{-i alpha})`` (``latsum.line_values``; the Lerch values
+of ``dimer_values`` alike).
 
 Structural zeros: a V-family density produces a pure W-family potential
 off its own ball, so the (V,V) off-diagonal, (X,V) and (V,X) entries
@@ -67,17 +70,16 @@ symmetric under ``z -> -z`` and ``y -> -y``, so ``M`` splits into four
 parity sectors (``sector``): entries whose row and column labels lie in
 different sectors are zero, and the assembled matrices store exact zeros.
 
-Mirrored triangle: ``M`` is Hermitian for every phase, and
-``conj Li_s(e^{-+i alpha}) = Li_s(e^{+-i alpha})``; since the ``Li_s`` are
-linearly independent, the coefficients of entry ``(j, i)`` are the
-conjugates of those of ``(i, j)`` with each ``(s, -)``/``(s, +)`` pair
-swapped (``_mirror``), so its value is the conjugate of the value of
+Mirrored triangle: ``M`` is Hermitian for every phase, and ``conj u[s -
+1] = (-1)^(s+1) u[s - 1]``; since the ``Li_s`` are linearly independent,
+the coefficients of entry ``(j, i)`` are ``(-1)^(s+1)`` times those of
+``(i, j)`` (``_mirror``), so its value is the conjugate of the value of
 ``(i, j)``.  Only the blocks with ``lp <= l`` are built, only their entries
 on or above the diagonal are stored, and a phase writes the conjugates of
 their contracted values below the diagonal (``Trace._block``).  The Lerch
-values of the dimer blocks "21" and "12" are mirrors of each other, so the
-lower triangle of each coupling block is the conjugate of the other's
-upper triangle.
+values of the dimer blocks "21" and "12" are mirrors of each other (``u12
+= (-1)^(s+1) conj u21``), so the lower triangle of each coupling block is
+the conjugate of the other's upper triangle.
 
 Basis ordering: degree ascending, order ``-l..l`` ascending, family V,W,X
 innermost, with the two identically-zero degree-0 labels removed, giving
@@ -94,15 +96,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .kelvin import LameParams, norm_factor, response_coeffs
-from .latsum import (
-    AXIS_COMPONENT,
-    DimerGeometry,
-    _product,
-    dimer_values,
-    line_values,
-    reduce_alpha,
-    slot,
-)
+from .latsum import AXIS_COMPONENT, DimerGeometry, dimer_values, line_values, reduce_alpha
 from .sphharm import equator_table
 from .translation import _prefactor_grid, _weight_tables
 from .vsh import Family, ForbiddenIndexError
@@ -207,9 +201,9 @@ def _frozen(values) -> np.ndarray:
 
 def _rows(tables, table, lam, j: int, qq: int, span: int) -> np.ndarray:
     """``-AXIS_COMPONENT[qq]``, the factor with which the axis and cross
-    kernels enter their ``(+)`` slot (the shift is odd there; ``qq = 0``
-    has no axis component), times the weights ``table[lam[g], qq + 1, j,
-    mu - qq]`` of one table of ``tables`` (``translation._WeightTables``)
+    kernels enter their ``(+)`` coefficient (the shift is odd there; ``qq =
+    0`` has no axis component), times the weights ``table[lam[g], qq + 1,
+    j, mu - qq]`` of one table of ``tables`` (``translation._WeightTables``)
     over ``mu = -span..span``, for a column ``lam`` of shape ``(G, 1)``."""
     start = tables.center - span - qq
     return -AXIS_COMPONENT[qq] * table[lam[:, 0], qq + 1, j, start:start + 2 * span + 1]
@@ -320,38 +314,32 @@ def _scale(rho, params: LameParams, l_max: int, factors, norm):
 
 
 def _scaled(order, weights, fac, powers):
-    """The coefficients ``[c(s,-), c(s,+), c(s+2,-), c(s+2,+)]`` (last axis)
-    of entries of lowest order ``order``, geometric weights ``weights[...,
-    f, k]`` (``_DegreeBlocks.block``) and real factors ``fac[..., f]``:
-    ``c(s + 2k, +) = rho^(s + 2k + 1) sum_f fac[f] weights[f, k]`` and
-    ``c(s,-) = (-1)^(s+1) c(s,+)``.  The factors are real, so each complex
-    product is exact whether fused or not, and an entry's coefficients do
-    not depend on what it is computed with."""
-    order = np.asarray(order)
-    value = powers[order[..., None] + (1, 3)] * (
+    """The coefficients ``[c(s,+), c(s+2,+)]`` (last axis) of entries of
+    lowest order ``order``, geometric weights ``weights[..., f, k]``
+    (``_DegreeBlocks.block``) and factors ``fac[..., f]``: ``c(s + 2k, +) =
+    rho^(s + 2k + 1) sum_f fac[f] weights[f, k]``."""
+    return powers[np.asarray(order)[..., None] + (1, 3)] * (
         fac[..., :1] * weights[..., 0, :] + fac[..., 1:] * weights[..., 1, :])
-    out = np.empty(value.shape[:-1] + (4,), dtype=complex)
-    np.multiply(np.where(order % 2 == 0, -1.0, 1.0)[..., None], value, out=out[..., 0::2])
-    out[..., 1::2] = value
-    return out
 
 
-def _real_orders(block: np.ndarray, row: bool = False, unit=1j) -> np.ndarray:
+def _real_orders(block: np.ndarray, row: bool = False) -> np.ndarray:
     """The complex-to-real change of order on the last axis of ``block``
     (centred: order 0 in the middle): the weights of ``combine_source``,
     or with ``row`` of ``combine_row``, except their common factor
-    ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``).  ``unit = 1`` leaves
-    out the factor ``i`` of the negative orders too, so a real block stays
-    real."""
+    ``1/sqrt(2)`` at ``m != 0`` (``_unitary_scale``) and the factor ``i``
+    of the negative orders, so a real block stays real."""
     l = block.shape[-1] // 2
-    out = np.empty(block.shape, dtype=np.result_type(block, unit))
+    out = np.empty_like(block)
     out[..., l] = block[..., l]
     if l:
         sign = 1.0 - 2.0 * (np.arange(1, l + 1) % 2)   # (-1)^m, m = 1..l
         up, down = block[..., l + 1:], block[..., l - 1::-1]   # orders m, -m
         out[..., l + 1:] = down + sign * up
-        out[..., l - 1::-1] = unit * (sign * up - down if row else down - sign * up)
+        out[..., l - 1::-1] = sign * up - down if row else down - sign * up
     return out
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])   # i^k, k = 0..3
 
 
 def _unitary_scale(lp: int, l: int) -> np.ndarray:
@@ -363,11 +351,11 @@ def _unitary_scale(lp: int, l: int) -> np.ndarray:
     return np.array([1.0, _SQRT2, 2.0])[nonzero]
 
 
-def _mirror(coef):
-    """Coefficients (the last axis) of the transposed entries: each
-    ``(s, -)``/``(s, +)`` pair swapped, then conjugated."""
-    pairs = coef.reshape(*coef.shape[:-1], coef.shape[-1] // 2, 2)[..., ::-1]
-    return np.conjugate(pairs).reshape(coef.shape)
+def _mirror(order, coef):
+    """Coefficients (the last axis) of the transposed entries of lowest
+    order ``order``: the ``(-)`` coefficients ``c(s,-) = (-1)^(s+1)
+    c(s,+)``, one sign for both orders of an entry."""
+    return (-1.0) ** (np.asarray(order)[..., None] + 1) * coef
 
 
 class _DegreeBlocks:
@@ -380,10 +368,9 @@ class _DegreeBlocks:
     ``lam <= l_max + 3`` as one table, indexed ``[l - low, lam, mu +
     l_max + 3, mt + l_max]`` (zero outside ``|mu| <= lam``, ``|mt| <= l``),
     the same table with the real change of the column order
-    (``_real_orders`` without the factor ``i``: the imaginary part at
-    ``mt < 0``, the real part elsewhere, of a table that is one or the
-    other), and the weight tables of ``translation`` for those ``lam``
-    (``tables``, when given, may hold more)."""
+    (``_real_orders``: the complex change divided by ``i`` at ``mt < 0``),
+    and the weight tables of ``translation`` for those ``lam`` (``tables``,
+    when given, may hold more)."""
 
     def __init__(self, l_max: int, low: int = 0, tables=None):
         self._low, self._l_max = low, l_max
@@ -398,7 +385,7 @@ class _DegreeBlocks:
         # one shift rounds exactly as that coefficient
         self._plain = (_prefactor_grid(l, lam, mu, mt) * racah[l + lam]
                        * equator_table(top)[l + lam, mt - mu + top])
-        self._real = _real_orders(self._plain, unit=1)
+        self._real = _real_orders(self._plain)
         self._plain.flags.writeable = self._real.flags.writeable = False
         self._tables = _weight_tables(self._lam + 1) if tables is None else tables
 
@@ -412,20 +399,20 @@ class _DegreeBlocks:
     def blocks(self, p, q, lp, l):
         """``(s, weights)`` for rows of family ``p``, degrees ``lp[g]`` and
         columns of family ``q``, degrees ``l[g]``: ``weights[g, mp + P, m +
-        Q, f, k]`` (``P``, ``Q`` the largest ``lp``, ``l``) is the ``(+)``
-        coefficient of entry ``(mp, m)`` on order ``s[g] + 2k`` per unit of
-        its ``f``-th response coefficient (``_FACTORS``), for ``|mp| <=
-        lp[g]`` and ``|m| <= l[g]``; the rest of each block is padding."""
+        Q, f, k]`` (``P``, ``Q`` the largest ``lp``, ``l``) is the real
+        ``(+)`` coefficient of entry ``(mp, m)`` on order ``s[g] + 2k`` per
+        unit of its ``f``-th response coefficient (``_FACTORS``), for ``|mp|
+        <= lp[g]`` and ``|m| <= l[g]``; the rest of each block is padding.
+        The complex block is the real one times ``phase i^([mp < 0] + [m <
+        0])``: ``+-1`` on the quadrants in one sector, imaginary on the
+        others, which hold roundoff only and are set to 0."""
         lp, l = np.asarray(lp), np.asarray(l)
         b = _ORDER_OFFSET[p, q]
         span, width = int(lp.max()), int(l.max())
         phase, terms = _terms(p, q, lp[:, None], l[:, None], self._tables, span)
         cols = slice(self._l_max - width, self._l_max + width + 1)
-        # Each term is real weights times a column of self._real, so the
-        # kernel of each order s + 2k and factor f is summed as real numbers:
-        # at m >= 0 its real part, at m < 0 its imaginary part, the other
-        # part being +0.  The sums start at +0 and a zero weight adds
-        # nothing, so they round as the complex ones do.
+        # each term is real weights times a column of self._real, so the
+        # kernel of each order s + 2k and factor f is a real sum
         kernels = {}
         for offset, c, qq, factors, weights in terms:
             if offset - b not in (0, 2):
@@ -445,13 +432,14 @@ class _DegreeBlocks:
                     else:
                         kernels[key] -= term
         slots = sorted(kernels)
-        block = np.zeros((len(slots),) + term.shape, dtype=complex)
-        for part, key in zip(block, slots):
-            part.real[..., width:] = kernels[key][..., width:]
-            part.imag[..., :width] = kernels[key][..., :width]
+        block = np.stack([kernels[key] for key in slots])
         real = _real_orders(block.swapaxes(-1, -2), row=True).swapaxes(-1, -2)
-        real = phase * (real / _unitary_scale(span, width))
-        weights = np.zeros(term.shape + (2, 2), dtype=complex)
+        quadrant = (np.arange(-span, span + 1) < 0)[:, None].astype(int) + (
+            np.arange(-width, width + 1) < 0)
+        # times the reciprocal of the scale: a division rounds differently
+        # and would move the bytes of the matrices
+        real *= (phase * _I_POWERS[quadrant]).real * (1.0 / _unitary_scale(span, width))
+        weights = np.zeros(term.shape + (2, 2))
         for part, (k, f) in zip(real, slots):
             weights[..., f, k] = part
         return l + lp + b, weights
@@ -474,14 +462,14 @@ def _label_indices(basis: BasisMap) -> dict:
 def _unrestricted(l_max: int, rho, params: LameParams):
     """``(order, coef)`` of every label pair of ``BasisMap(l_max)``, read
     from the full degree-pair blocks with no sector rule and no mirror:
-    shapes ``(n, n)`` and ``(n, n, 4)``, zero where the family pair has no
+    shapes ``(n, n)`` and ``(n, n, 2)``, zero where the family pair has no
     lattice part."""
     basis = BasisMap(l_max)
     n = basis.n_eff
     ids = _label_indices(basis)
     blocks = _DegreeBlocks(l_max)
     order = np.zeros((n, n), dtype=int)
-    coef = np.zeros((n, n, 4), dtype=complex)
+    coef = np.zeros((n, n, 2))
     for (lp, p), rows in ids.items():
         for (l, q), cols in ids.items():
             if (p, q) in _STORED:
@@ -492,24 +480,20 @@ def _unrestricted(l_max: int, rho, params: LameParams):
     return order, coef
 
 
-def _single_order(s: int, plus) -> np.ndarray:
-    """The four coefficients of a kernel with ``(+)`` coefficient ``plus``
-    on order ``s`` alone; ``c(s,-) = (-1)^(s+1) c(s,+)``."""
-    return np.array([(-1) ** (s + 1) * plus, plus, 0.0, 0.0], dtype=complex)
-
-
 def _contract(order, coef, values):
-    """Each entry's coefficients dotted with the slots of its two orders,
-    gathered from ``values``, one ``(s, -)``/``(s, +)`` pair at a time: an
-    entry comes out bit-identical whichever entries are contracted with it,
-    and mirrored coefficients (``_mirror``) contracted with mirrored values
-    give exactly the conjugate, up to the sign of a zero."""
-    pairs = [
-        _product(coef[:, k], values[slot(s, -1)])
-        + _product(coef[:, k + 1], values[slot(s, 1)])
-        for k, s in ((0, order), (2, order + 2))
-    ]
-    return pairs[0] + pairs[1]
+    """Each entry's two coefficients times the values ``values[s - 1]`` and
+    ``values[s + 1]`` of its two orders, in real arithmetic: an entry comes
+    out bit-identical whichever entries are contracted with it, and a zero
+    comes out as ``+0``.  The mirrored coefficients (``_mirror``)
+    contracted with ``values`` give exactly the conjugates of the stored
+    ones contracted with ``(-1)^(s+1) conj(values)``: the values of the
+    same block for one ball, those of the other coupling block for the
+    dimer."""
+    low, high = values[order - 1], values[order + 1]
+    out = np.empty(len(order), dtype=complex)
+    out.real = coef[:, 0] * low.real + coef[:, 1] * high.real + 0.0
+    out.imag = coef[:, 0] * low.imag + coef[:, 1] * high.imag + 0.0
+    return out
 
 
 def _check_labels(p, lp, mp, q, l, m):
@@ -525,14 +509,14 @@ def _check_labels(p, lp, mp, q, l, m):
 
 def per_copy_entries(p, lp, mp, q, l, m, shifts, rho, params: LameParams):
     """Inner products against one shifted copy, vectorised over the signed
-    shift lengths; values are real up to roundoff but returned complex."""
+    shift lengths (real values)."""
     _check_labels(p, lp, mp, q, l, m)
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     if np.any(x == 0.0):
         raise ValueError("shift lengths must be nonzero")
     p, q = Family(p), Family(q)
     if (p, q) not in _ORDER_OFFSET:
-        return np.zeros(x.shape, dtype=complex)
+        return np.zeros(x.shape)
     return _per_copy_values(*_entry_coef(p, lp, mp, q, l, m, rho, params), x)
 
 
@@ -547,11 +531,11 @@ def _entry_coef(p, lp, mp, q, l, m, rho, params):
 
 def _per_copy_values(s, coef, x):
     """One entry at the signed shift lengths ``x`` from its coefficients:
-    the ``(-)`` slots at ``x > 0``, the ``(+)`` slots at ``x < 0``, times
-    numpy's power of ``|x|`` (as in ``sphharm.solid_irregular``)."""
-    side = (x < 0).astype(int)
+    ``c(s,+)`` at ``x < 0`` and ``c(s,-) = (-1)^(s+1) c(s,+)`` at ``x > 0``,
+    times numpy's power of ``|x|`` (as in ``sphharm.solid_irregular``)."""
     dist = np.abs(x)
-    return coef[side] * dist ** -s + coef[side + 2] * dist ** (-s - 2)
+    return np.where(x > 0, (-1.0) ** (s + 1), 1.0) * (
+        coef[0] * dist ** -s + coef[1] * dist ** (-s - 2))
 
 
 def sector(l, m, family):
@@ -618,7 +602,7 @@ def _geometry(l_max: int) -> _Geometry:
     stored = np.array([[(p, q) in _STORED for q in Family] for p in Family])
     bound = int((seen * stored[:, fams - 1].T).sum())
     index, order = np.empty(bound, dtype=np.intp), np.empty(bound, dtype=np.intp)
-    weights = np.empty((bound, 2, 2), dtype=complex)
+    weights = np.empty((bound, 2, 2))
     built = 0
     bands = _bands(l_max)
     tables = _weight_tables(l_max + 4)
@@ -668,17 +652,19 @@ class Trace:
 
     ``diag`` is the on-ball diagonal ``D``.  ``index`` holds the row-major
     flat positions of the in-sector entries on or above the diagonal whose
-    lattice part does not vanish identically, ``order`` the lowest order of
-    each and ``coef`` its four coefficients ``[c(s,-), c(s,+), c(s+2,-),
-    c(s+2,+)]`` (module docstring); ``mirror`` is the flat position of each
-    entry's transpose.  Only this triangle is stored: the entries below the
+    geometric weights do not vanish identically, ``order`` the lowest order
+    of each and ``coef`` its two real coefficients ``[c(s,+), c(s+2,+)]``
+    (module docstring); ``mirror`` is the flat position of each entry's
+    transpose.  Only this triangle is stored: the entries below the
     diagonal are the conjugates of its values (``_block``).
 
     ``basis``, ``index``, ``order`` and ``mirror`` are the read-only
-    geometry of ``l_max``, shared by every trace of that ``l_max`` (unless
-    the material cancels some entries); ``coef`` and ``diag`` are its
-    per-radius, per-material scale (``_scale``, ``_scaled``), which raises
-    ``ScaleOverflow`` where they leave the float64 range.
+    geometry of ``l_max``, shared by every trace of that ``l_max``;
+    ``coef`` and ``diag`` are its per-radius, per-material scale
+    (``_scale``, ``_scaled``), which raises ``ScaleOverflow`` where they
+    leave the float64 range.  An entry that a material cancels (``a12 =
+    a22`` at ``l = 3`` when ``lam = mu``) keeps its zero coefficients and
+    contracts to ``+0``.
     """
 
     def __init__(self, rho, params: LameParams, l_max: int):
@@ -691,12 +677,6 @@ class Trace:
         self.s_max = 2 * l_max + 3
         fac, self.diag, powers = _scale(rho, params, l_max, geo.factors, geo.norm)
         self.coef = _scaled(self.order, geo.weights, fac[self.index % self.basis.n_eff], powers)
-        kept = self.coef[:, 1::2].any(axis=1)   # c(s,-) = +-c(s,+)
-        if not kept.all():
-            # a12 = a22 at some degree (l = 3 when lam = mu) cancels the
-            # entries that only the difference a22 - a12 reaches
-            self.index, self.order, self.mirror, self.coef = (
-                array[kept] for array in (self.index, self.order, self.mirror, self.coef))
 
     def _block(self, upper, lower) -> np.ndarray:
         """The lattice block with the contracted values ``upper`` at

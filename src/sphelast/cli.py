@@ -10,9 +10,9 @@ so explicit flags win.  The Bloch phase accepts plain radians or
 ``pi*<rational>`` literals (``pi*1/2``).
 
 Exit codes: 0 success, 2 configuration error (any input the parser
-rejects, inputs whose matrix leaves the float64 range, or a file that
-cannot be read or written), 3 singular Bloch phase, 4 verification
-failure.
+rejects, inputs whose matrix leaves the float64 range, a run that does not
+fit in the memory available, or a file that cannot be read or written),
+3 singular Bloch phase, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -390,7 +390,14 @@ def main(argv=None) -> int:
         n_file = sum(t.startswith("--suite=") for t in tokens)
         if n_file and len(args.suite) > n_file:
             args.suite = args.suite[n_file:]
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        except MemoryError:
+            # the matrices and the solve are allocated before any output is
+            # written; every command but verify (small fixed checks) has lmax
+            n = BasisMap(args.lmax).n_eff * (1 if getattr(args, "dimer_d", None) is None else 2)
+            raise ConfigError(f"lmax {args.lmax} (n = {n} unknowns) needs more "
+                              "memory than is available") from None
     except (ConfigError, LatticeSumOverflow, ScaleOverflow) as exc:
         # all three are raised before any output is written
         print(f"configuration error: {exc}", file=sys.stderr)

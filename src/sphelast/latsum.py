@@ -3,13 +3,17 @@
 Summing a re-expansion coefficient over all lattice copies with phase
 ``e^{-i n alpha}`` collapses, because the shifts all lie on one axis, to a
 phase-independent coefficient times ``Li_s(e^{-i alpha})`` plus another times
-``Li_s(e^{+i alpha})``.  The coefficients live in ``assembly``; this module
-supplies the values they multiply, as one vector with slot ``slot(s, sign)``
-per order and phase sign, each a plain function of the raw phase (nothing
-is kept between calls):
+``Li_s(e^{+i alpha})``.  The reflection ``x -> -x`` makes the first
+coefficient ``(-1)^(s+1)`` times the second, so each order carries one real
+coefficient (in ``assembly``) times one value ``u[s - 1] = v(s,+) +
+(-1)^(s+1) v(s,-)``, where ``v(s,-)`` sums the copies at positive shifts
+and ``v(s,+)`` those at negative ones.  This module supplies those values,
+one vector per block, each a plain function of the raw phase (nothing is
+kept between calls):
 
-* ``line_values``  -- ``Li_s(e^{-+i alpha})`` for the sum over every nonzero
-  integer shift (one ball per cell);
+* ``line_values``  -- ``Li_s(e^{i alpha}) + (-1)^(s+1) Li_s(e^{-i alpha})``
+  for the sum over every nonzero integer shift (one ball per cell): exactly
+  ``2 Re Li_s`` at odd and ``2i Im Li_s`` at even orders;
 * ``dimer_values`` -- the Lerch values of the two coupling blocks of a
   two-ball cell, from one vector per half-offset lattice (offsets ``2d``
   and ``1 - 2d``); block "21" couples the right ball onto the left one,
@@ -46,9 +50,10 @@ bitwise properties:
   whatever ``s_max`` is (the ``mu^j / j!`` are built one term at a time,
   each zeta value depends on ``t`` and ``a`` only), they are added in the
   same order, and the zeros past a column's last term leave it unchanged;
-* the ``(s, -)`` value is the exact conjugate of the ``(s, +)`` one: only
-  ``theta > 0`` is computed, and the value at ``-theta``, like every
-  ``(s, -)`` slot, is the conjugate of the finished vector.
+* the value at ``e^{-i alpha}`` is the exact conjugate of the one at
+  ``e^{i alpha}``: only ``theta > 0`` is computed, and the value at
+  ``-theta``, like every ``v(s,-)``, is the conjugate of the finished
+  vector.
 
 ``oracle.polylog_ref``/``lerch_ref`` (mpmath, 30 digits) are the
 reference, within ``1e-14 max(1, |ref|)`` in the tests and in ``sphelast
@@ -71,7 +76,6 @@ __all__ = [
     "reduce_alpha",
     "polylog_orders",
     "lerch_orders",
-    "slot",
     "line_values",
     "dimer_values",
     "AXIS_COMPONENT",
@@ -290,37 +294,38 @@ def lerch_orders(alpha: float, offset: float, s_max: int) -> np.ndarray:
     return vec.conj() if theta < 0 else vec
 
 
-def slot(s: int, sign: int) -> int:
-    """Position of the order-``s`` value at phase sign ``sign`` in a value
-    vector: ``(s, -)`` and ``(s, +)`` are adjacent, orders ascend from 1."""
-    return 2 * (s - 1) + (sign > 0)
-
-
-def _values(minus: np.ndarray, plus: np.ndarray) -> np.ndarray:
-    vals = np.empty(2 * len(plus), dtype=complex)
-    vals[0::2], vals[1::2] = minus, plus
-    return vals
+def _fold(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """``plus + (-1)^(s+1) minus`` for the orders ``s = 1..len(plus)``: the
+    one value per order that a trace coefficient multiplies (each sign
+    applied exactly)."""
+    out = plus + minus
+    out[1::2] = plus[1::2] - minus[1::2]
+    return out
 
 
 def line_values(alpha: float, s_max: int) -> np.ndarray:
-    """``Li_s(e^{-+i alpha})`` for ``s = 1..s_max``."""
+    """``Li_s(e^{i alpha}) + (-1)^(s+1) Li_s(e^{-i alpha})`` for ``s =
+    1..s_max``: exactly ``2 Re Li_s`` at odd and ``2i Im Li_s`` at even
+    orders."""
     plus = polylog_orders(alpha, s_max)
-    return _values(plus.conj(), plus)
+    return _fold(plus, plus.conj())
 
 
 def dimer_values(
     alpha: float, geom: DimerGeometry, s_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lerch values of the coupling blocks "21" and "12" of ``geom``, laid
-    out like ``line_values``.
+    """Lerch values of the coupling blocks "21" and "12" of ``geom``, one
+    per order as in ``line_values``.
 
-    Block "21" sums shifts ``n + 2d``: positive side offsets ``2d``,
-    negative side ``1 - 2d`` with one extra phase ``e^{i alpha}``.  Block
-    "12" mirrors the offsets ("negative" side at ``2d``).
+    Block "21" sums shifts ``n + 2d``: negative side offsets ``1 - 2d``
+    with one extra phase ``e^{i alpha}`` (``far``), positive side ``2d``
+    (``near``), so its value is ``far + (-1)^(s+1) conj(near)``.  Block
+    "12" mirrors the offsets, so its value is ``(-1)^(s+1)`` times the
+    conjugate of that of "21".
     """
     near = lerch_orders(alpha, 2 * geom.d, s_max)
     far = _product(
         lerch_orders(alpha, 1 - 2 * geom.d, s_max),
         complex(math.cos(alpha), math.sin(alpha)),
     )
-    return _values(near.conj(), far), _values(far.conj(), near)
+    return _fold(far, near.conj()), _fold(near, far.conj())

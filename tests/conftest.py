@@ -31,14 +31,14 @@ def random_units(rng, n):
 
 
 def kernel_coef(blocks, kind, *args):
-    """Order and two-order coefficients ``[c(s,-), c(s,+), 0, 0]`` of one
+    """Order and two-order coefficients ``[c(s,+), 0]`` of one
     complex-order kernel, read from the block builder ``blocks`` (an
     ``assembly._DegreeBlocks``): ``plain``/``moment`` take
     ``(l, lam, mt, mu)`` and sit on orders ``l + lam + 1``/``l + lam - 1``;
     ``axis`` takes ``(l, lam, mt, mu, q)`` and ``cross``
     ``(l, j, lam, mt, mu, q, m1)``, both on order ``l + lam`` with the
-    factor ``-AXIS_COMPONENT[q]`` of their odd ``(+)`` slot."""
-    from sphelast.assembly import _single_order
+    factor ``-AXIS_COMPONENT[q]`` of their odd ``(+)`` coefficient; a
+    cross kernel's coefficient is imaginary."""
     from sphelast.latsum import AXIS_COMPONENT
     from sphelast.translation import cross_weights
 
@@ -50,4 +50,4 @@ def kernel_coef(blocks, kind, *args):
         weight = -AXIS_COMPONENT[args[4]] if kind == "axis" else 1.0
     order = l + lam + {"plain": 1, "moment": -1}.get(kind, 0)
     plus = weight * blocks.plain(l, lam)[mu + lam, mt + l] if abs(mu) <= lam else 0.0
-    return order, _single_order(order, plus)
+    return order, np.array([plus, 0.0])

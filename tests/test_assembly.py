@@ -75,7 +75,7 @@ def _full_contraction(trace, values):
     out = np.zeros(n * n, dtype=complex)
     out[trace.index] = _contract(trace.order, trace.coef, values)
     out[trace.mirror[below]] = _contract(
-        trace.order[below], _mirror(trace.coef[below]), values)
+        trace.order[below], _mirror(trace.order[below], trace.coef[below]), values)
     return out.reshape(n, n)
 
 
@@ -162,12 +162,14 @@ class TestShiftKernel:
 
 
 def test_block_unitaries_match_scalar_combinations(rng):
-    # the complex-to-real change of order on both sides of a block is the
-    # per-entry combine_source (columns) then combine_row (rows)
+    # the complex-to-real change of order on both sides of a block, with
+    # the factors i of the negative orders that _real_orders leaves out, is
+    # the per-entry combine_source (columns) then combine_row (rows)
     lp, l = 2, 3
     kernel = rng.normal(size=(2 * lp + 1, 2 * l + 1))
     cols = _real_orders(kernel)
-    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l)
+    quadrant = (np.arange(-lp, lp + 1) < 0)[:, None].astype(int) + (np.arange(-l, l + 1) < 0)
+    block = _real_orders(cols.T, row=True).T / _unitary_scale(lp, l) * 1j ** quadrant
     for mp in range(-lp, lp + 1):
         for m in range(-l, l + 1):
             expect = combine_row(mp, lambda mu: combine_source(
@@ -428,11 +430,18 @@ class TestOperatorStructure:
             )
 
     def test_trace_skips_vanishing_entries(self, params):
+        from sphelast.assembly import _geometry
+
         trace = Trace(RHO, params, 2)
         n = trace.basis.n_eff
-        assert trace.coef.shape == (len(trace.index), 4)
+        geo = _geometry(2)
+        assert trace.coef.dtype == geo.weights.dtype == np.float64
+        assert trace.coef.shape == (len(trace.index), 2)
         assert trace.order.shape == trace.index.shape
-        assert np.all(np.any(trace.coef != 0, axis=1))
+        assert geo.weights.shape == (len(trace.index), 2, 2)
+        for name in ("index", "order", "mirror"):
+            assert getattr(trace, name) is getattr(geo, name)
+        assert np.all(np.any(geo.weights != 0, axis=(1, 2)))
         for flat in trace.index:
             lp, mp, pf = trace.basis.labels[flat // n]
             l, m, qf = trace.basis.labels[flat % n]
@@ -461,7 +470,7 @@ class TestOperatorStructure:
 
 @pytest.fixture(scope="module")
 def unrestricted_coefs():
-    """Every label pair's lowest order and four coefficients at L = 3, read
+    """Every label pair's lowest order and two coefficients at L = 3, read
     from the full degree-pair blocks (zero where the family pair has no
     lattice part)."""
     params = LameParams(1.0, 1.0)
@@ -566,7 +575,7 @@ class TestParitySectors:
                 if secs[i] != secs[j]:
                     continue
                 assert order[i, j] == order[j, i]
-                mirrored = _mirror(coef[j, i])
+                mirrored = _mirror(order[j, i], coef[j, i])
                 assert np.abs(coef[i, j] - mirrored).max() <= 1e-15 * scale
 
     def test_two_order_rule_is_enforced(self, params, monkeypatch):
@@ -602,10 +611,13 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("l_max", [0, 3])
     def test_trace_stores_sector_entries_once(self, params, l_max):
+        from sphelast.assembly import _geometry
+
         trace = Trace(RHO, params, l_max)
         n = trace.basis.n_eff
-        assert trace.coef.shape == (len(trace.index), 4)
-        assert np.all(np.any(trace.coef != 0, axis=1))
+        assert trace.coef.shape == (len(trace.index), 2)
+        for name in ("index", "order", "mirror"):
+            assert getattr(trace, name) is getattr(_geometry(l_max), name)
         assert len(np.unique(trace.index)) == len(trace.index)
         for flat in trace.index:
             assert sector(*trace.basis.labels[flat // n]) == sector(
@@ -625,7 +637,7 @@ class TestParitySectors:
         else:
             values = dimer_values(alpha, GEOM, trace.s_max)[("21", "12").index(block)]
         # a pair with no lattice part has order 0 and zero coefficients
-        lattice = _contract(order.ravel(), coef.reshape(-1, 4), values).reshape(n, n)
+        lattice = _contract(order.ravel(), coef.reshape(-1, 2), values).reshape(n, n)
         if block == "single":
             got, expect = trace.single(alpha).matrix, lattice + np.diag(trace.diag)
         else:

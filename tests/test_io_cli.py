@@ -584,6 +584,22 @@ class TestBadInputs:
             assert "outside float64" in err and "lmax" in err
             assert not out.exists()
 
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # a run that does not fit in memory exits 2 with a message naming
+        # its size, before writing; the failure is faked, nothing is allocated
+        from sphelast.assembly import Trace
+
+        def single(self, alpha):
+            raise MemoryError
+
+        monkeypatch.setattr(Trace, "single", single)
+        out = tmp_path / "f.json"
+        assert main(["solve", *self.BASE, "--phi", "builtin:uniform-x",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "lmax 1 (n = 10 unknowns)" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_finite_point_force_source(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         # 1.4e154 and -1e300 are finite, but their squared distances are not

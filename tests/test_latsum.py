@@ -17,7 +17,6 @@ from sphelast.latsum import (
     line_values,
     polylog_orders,
     reduce_alpha,
-    slot,
 )
 from sphelast.oracle import lerch_ref, polylog_ref
 from sphelast.translation import cross_coeff, decay_coeff
@@ -33,20 +32,22 @@ BLOCKS = _DegreeBlocks(S_MAX)
 def _closed(method, *args, alpha, block=None):
     """Closed-form phased sum of one coefficient family: its trace
     coefficients contracted with the polylog (or, for a dimer block, Lerch)
-    values."""
+    values, the real and imaginary parts of a cross kernel's coefficients
+    one at a time."""
     order, coef = kernel_coef(BLOCKS, method, *args)
     if block is None:
         vals = line_values(alpha, S_MAX)
     else:
         vals = dimer_values(alpha, GEOM, S_MAX)[("21", "12").index(block)]
-    return complex(_contract(np.array([order]), coef[None], vals)[0])
+    order, coef = np.array([order]), coef[None]
+    return complex(_contract(order, coef.real, vals)[0]
+                   + 1j * _contract(order, coef.imag, vals)[0])
 
 
-def _polylog(s, alpha, sign=1):
-    """``Li_s(e^{i sign alpha})``, the last value of the shortest vector
-    holding order ``s``."""
-    value = complex(polylog_orders(alpha, s)[s - 1])
-    return value if sign > 0 else value.conjugate()
+def _polylog(s, alpha):
+    """``Li_s(e^{i alpha})``, the last value of the shortest vector holding
+    order ``s``."""
+    return complex(polylog_orders(alpha, s)[s - 1])
 
 
 def _lerch(s, alpha, sign, offset):
@@ -72,7 +73,7 @@ class TestPolylog:
 
     def test_long_truncation(self):
         brute = _chunked_polylog_sum(3, math.pi / 2, 1, 10**7)
-        assert abs(_polylog(3, math.pi / 2, 1) - brute) <= 1e-12
+        assert abs(_polylog(3, math.pi / 2) - brute) <= 1e-12
 
     def test_singular_phase(self):
         with pytest.raises(QuasiMomentumSingular):
@@ -86,7 +87,7 @@ class TestLerch:
         for s in (2, 3, 5):
             z = complex(math.cos(1.3), math.sin(1.3))
             assert abs(
-                _lerch(s, 1.3, 1, 1.0) * z - _polylog(s, 1.3, 1)
+                _lerch(s, 1.3, 1, 1.0) * z - _polylog(s, 1.3)
             ) <= 1e-12
 
     def test_truncation_match(self):
@@ -114,23 +115,37 @@ class TestLerch:
 
 class TestValueVectors:
     def test_line_layout(self):
-        vals = line_values(1.7, 4)
-        assert vals.shape == (8,)
-        for s in range(1, 5):
-            for sign in (1, -1):
-                assert vals[slot(s, sign)] == _polylog(s, 1.7, sign)
+        # one value per order, Li_s(e^{i alpha}) + (-1)^(s+1) Li_s(e^{-i
+        # alpha}): exactly real at odd orders and exactly imaginary at even
+        for alpha in (1.7, math.pi, -0.3, 2 * math.pi - 1e-6):
+            plus = polylog_orders(alpha, 9)
+            vals = line_values(alpha, 9)
+            assert vals.shape == (9,)
+            for s in range(1, 10):
+                assert vals[s - 1] == plus[s - 1] + (-1) ** (s + 1) * plus[s - 1].conjugate()
+            assert np.all(vals[0::2].imag == 0)
+            assert np.array_equal(vals[0::2].real, 2 * plus[0::2].real)
+            assert np.all(vals[1::2].real == 0)
+            assert np.array_equal(vals[1::2].imag, 2 * plus[1::2].imag)
 
     def test_dimer_phase_factors(self):
         alpha = 1.7
         near, far = 2 * GEOM.d, 1 - 2 * GEOM.d
         z = complex(math.cos(alpha), math.sin(alpha))
         v21, v12 = dimer_values(alpha, GEOM, 2)
-        assert v21[slot(2, -1)] == _lerch(2, alpha, -1, near)
-        assert v21[slot(2, 1)] == pytest.approx(z * _lerch(2, alpha, 1, far))
-        assert v12[slot(2, -1)] == pytest.approx(
-            z.conjugate() * _lerch(2, alpha, -1, far)
-        )
-        assert v12[slot(2, 1)] == _lerch(2, alpha, 1, near)
+        for s, sign in ((1, 1), (2, -1)):
+            assert v21[s - 1] == pytest.approx(
+                z * _lerch(s, alpha, 1, far) + sign * _lerch(s, alpha, -1, near))
+            assert v12[s - 1] == pytest.approx(
+                _lerch(s, alpha, 1, near) + sign * z.conjugate() * _lerch(s, alpha, -1, far))
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1.7, math.pi, -0.3, 7.5])
+    def test_dimer_blocks_mirror_each_other(self, alpha):
+        # u12 = (-1)^(s+1) conj u21, bit for bit
+        v21, v12 = dimer_values(alpha, DimerGeometry(0.3, 0.1), 35)
+        sign = (-1.0) ** np.arange(35)
+        assert np.array_equal(v12.real, sign * v21.real)
+        assert np.array_equal(v12.imag, -sign * v21.imag)
 
     def test_bad_phases(self):
         # the value functions validate the phase themselves
@@ -154,14 +169,12 @@ class TestCache:
         assert np.array_equal(line_values(alpha, 6), vals)
         for again, first in zip(dimer_values(alpha, GEOM, 6), (v21, v12)):
             assert np.array_equal(again, first)
-        # the (s, -) values are the conjugates of the (s, +) ones, and each
-        # equals the last value of the shortest vector holding its order
-        near = 2 * GEOM.d
+        # each value equals the last value of the shortest vector holding
+        # its order
         for s in range(1, 7):
-            for sign in (1, -1):
-                assert vals[slot(s, sign)] == _polylog(s, alpha, sign)
-            assert v12[slot(s, 1)] == _lerch(s, alpha, 1, near)
-            assert v21[slot(s, -1)] == _lerch(s, alpha, -1, near)
+            assert vals[s - 1] == line_values(alpha, s)[-1]
+            for short, full in zip(dimer_values(alpha, GEOM, s), (v21, v12)):
+                assert short[-1] == full[s - 1]
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -193,6 +206,12 @@ def _gate_error(value, ref):
     return abs(value - ref) / max(1.0, abs(ref))
 
 
+def _line_ref(s, alpha, plus):
+    """The reference of ``line_values``: ``plus`` (the reference at sign +1)
+    plus ``(-1)^(s+1)`` times the reference at sign -1."""
+    return plus + (-1) ** (s + 1) * polylog_ref(s, alpha, -1)
+
+
 class TestFloat64Values:
     def test_polylog_against_oracle(self):
         worst = 0.0
@@ -200,10 +219,11 @@ class TestFloat64Values:
             plus = polylog_orders(alpha, GATE_ORDERS[-1])
             line = line_values(alpha, GATE_ORDERS[-1])
             for s in GATE_ORDERS:
+                ref = polylog_ref(s, alpha, 1)
                 worst = max(
                     worst,
-                    _gate_error(plus[s - 1], polylog_ref(s, alpha, 1)),
-                    _gate_error(line[slot(s, -1)], polylog_ref(s, alpha, -1)),
+                    _gate_error(plus[s - 1], ref),
+                    _gate_error(line[s - 1], _line_ref(s, alpha, ref)),
                 )
         assert worst <= GATE
 
@@ -218,8 +238,7 @@ class TestFloat64Values:
                 worst = max(
                     worst,
                     _gate_error(plus[s - 1], ref),
-                    _gate_error(line[slot(s, 1)], ref),
-                    _gate_error(line[slot(s, -1)], polylog_ref(s, alpha, -1)),
+                    _gate_error(line[s - 1], _line_ref(s, alpha, ref)),
                 )
         assert worst <= GATE
 
@@ -258,10 +277,12 @@ class TestFloat64Values:
                         ),
                     )
                     if offset == 0.5:
+                        # both sides of both blocks read the offset 1/2
+                        sign, z = (-1) ** (s + 1), complex(math.cos(alpha), math.sin(alpha))
                         worst = max(
                             worst,
-                            _gate_error(v12[slot(s, 1)], ref),
-                            _gate_error(v21[slot(s, -1)], ref.conjugate()),
+                            _gate_error(v12[s - 1], ref + sign * (z * ref).conjugate()),
+                            _gate_error(v21[s - 1], z * ref + sign * ref.conjugate()),
                         )
         assert worst <= GATE
 
@@ -282,7 +303,6 @@ class TestFloat64Values:
         for alpha in (0.25, 1.25, 2.75, 4.5):
             vals = line_values(alpha, 16)
             assert np.array_equal(line_values(2 * math.pi - alpha, 16), vals.conj())
-            assert np.array_equal(vals[0::2], vals[1::2].conj())
 
     def test_values_beyond_float64_rejected(self):
         # (4e-30)^-10 is 1e293, (4e-30)^-11 past the float64 range

@@ -21,7 +21,7 @@ from mpmath import mp, mpc, mpf
 
 from sphelast.assembly import _ORDER_OFFSET, _STORED, BasisMap, assemble_single
 from sphelast.kelvin import LameParams, norm_factor
-from sphelast.latsum import line_values, slot
+from sphelast.latsum import line_values
 from sphelast.vsh import Family
 
 DPS = 40
@@ -232,10 +232,8 @@ def reference_matrix(l_max, alpha, rho, params):
             s, plus = _block(p, q, lp, l, rho, params)
             for a, i in enumerate(rows):
                 for b, j in enumerate(cols):
-                    out[i, j] = sum(
-                        (-1) ** (order + 1) * plus[k, a, b] * values[slot(order, -1)]
-                        + plus[k, a, b] * values[slot(order, 1)]
-                        for k, order in ((0, s), (1, s + 2)))
+                    out[i, j] = sum(plus[k, a, b] * values[order - 1]
+                                    for k, order in ((0, s), (1, s + 2)))
     for i, (l, _m, fam) in enumerate(basis.labels):
         a11, _a12, a22, a33 = _response(l, params)
         tau = {Family.V: a11, Family.W: a22, Family.X: a33}[fam]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphelast.assembly import Trace, sector
+from sphelast.assembly import Trace, _geometry, sector
 from sphelast.kelvin import LameParams
 from sphelast.latsum import DimerGeometry
 
@@ -64,8 +64,10 @@ def test_matches_recorded_matrix(reference, name):
 
 
 def test_large_lmax_trace():
-    """At lmax 16 the compact layout stays small, every stored entry is a
-    nonzero in-sector entry stored once, and ``M`` keeps its structure."""
+    """At lmax 16 the compact layout stays small, every stored entry is an
+    in-sector entry of the shared geometry stored once (with lambda = mu,
+    also the entries that the material cancels), and ``M`` keeps its
+    structure."""
     start = time.perf_counter()
     trace = Trace(0.1, LameParams(1.0, 1.0), 16)
     print(f"Trace(0.1, lambda = mu = 1, 16) built in "
@@ -73,8 +75,9 @@ def test_large_lmax_trace():
     stored = (trace.coef.nbytes + trace.index.nbytes + trace.order.nbytes
               + trace.mirror.nbytes)
     assert stored < 15e6
-    assert trace.coef.shape == (len(trace.index), 4)
-    assert np.all(np.any(trace.coef != 0, axis=1))
+    assert trace.coef.shape == (len(trace.index), 2)
+    for name in ("index", "order", "mirror"):
+        assert getattr(trace, name) is getattr(_geometry(16), name)
     assert len(np.unique(trace.index)) == len(trace.index)
     n = trace.basis.n_eff
     secs = np.array([sector(*label) for label in trace.basis.labels])
