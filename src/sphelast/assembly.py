@@ -396,7 +396,7 @@ class _DegreeBlocks:
         return self._plain[l - self._low, lam, self._lam - lam:self._lam + lam + 1,
                            self._l_max - l:self._l_max + l + 1]
 
-    def blocks(self, p, q, lp, l):
+    def blocks(self, p, q, lp, l, dropped: bool = False):
         """``(s, weights)`` for rows of family ``p``, degrees ``lp[g]`` and
         columns of family ``q``, degrees ``l[g]``: ``weights[g, mp + P, m +
         Q, f, k]`` (``P``, ``Q`` the largest ``lp``, ``l``) is the real
@@ -405,7 +405,8 @@ class _DegreeBlocks:
         <= lp[g]`` and ``|m| <= l[g]``; the rest of each block is padding.
         The complex block is the real one times ``phase i^([mp < 0] + [m <
         0])``: ``+-1`` on the quadrants in one sector, imaginary on the
-        others, which hold roundoff only and are set to 0."""
+        others, which hold roundoff only and are set to 0 (with ``dropped``,
+        the weights set to 0: the real block times the factor's imaginary part)."""
         lp, l = np.asarray(lp), np.asarray(l)
         b = _ORDER_OFFSET[p, q]
         span, width = int(lp.max()), int(l.max())
@@ -438,16 +439,17 @@ class _DegreeBlocks:
             np.arange(-width, width + 1) < 0)
         # times the reciprocal of the scale: a division rounds differently
         # and would move the bytes of the matrices
-        real *= (phase * _I_POWERS[quadrant]).real * (1.0 / _unitary_scale(span, width))
+        factor = phase * _I_POWERS[quadrant]
+        real *= (factor.imag if dropped else factor.real) * (1.0 / _unitary_scale(span, width))
         weights = np.zeros(term.shape + (2, 2))
         for part, (k, f) in zip(real, slots):
             weights[..., f, k] = part
         return l + lp + b, weights
 
-    def block(self, p, q, lp: int, l: int):
+    def block(self, p, q, lp: int, l: int, dropped: bool = False):
         """``(s, weights)`` of the single degree pair ``(lp, l)`` (``blocks``):
         ``weights[mp + lp, m + l, f, k]``."""
-        s, weights = self.blocks(p, q, [lp], [l])
+        s, weights = self.blocks(p, q, [lp], [l], dropped)
         return int(s[0]), weights[0]
 
 
@@ -459,11 +461,12 @@ def _label_indices(basis: BasisMap) -> dict:
     return {key: np.array(val) for key, val in ids.items()}
 
 
-def _unrestricted(l_max: int, rho, params: LameParams):
+def _unrestricted(l_max: int, rho, params: LameParams, dropped: bool = False):
     """``(order, coef)`` of every label pair of ``BasisMap(l_max)``, read
     from the full degree-pair blocks with no sector rule and no mirror:
     shapes ``(n, n)`` and ``(n, n, 2)``, zero where the family pair has no
-    lattice part."""
+    lattice part.  With ``dropped``, ``coef`` holds the coefficients that
+    the real quadrant signs set to 0 (``_DegreeBlocks.blocks``)."""
     basis = BasisMap(l_max)
     n = basis.n_eff
     ids = _label_indices(basis)
@@ -473,7 +476,7 @@ def _unrestricted(l_max: int, rho, params: LameParams):
     for (lp, p), rows in ids.items():
         for (l, q), cols in ids.items():
             if (p, q) in _STORED:
-                s, weights = blocks.block(p, q, lp, l)
+                s, weights = blocks.block(p, q, lp, l, dropped)
                 fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
                 order[np.ix_(rows, cols)] = s
                 coef[np.ix_(rows, cols)] = _scaled(s, weights, fac, powers)

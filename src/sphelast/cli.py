@@ -393,11 +393,12 @@ def main(argv=None) -> int:
         try:
             return args.handler(args)
         except MemoryError:
-            # the matrices and the solve are allocated before any output is
-            # written; every command but verify (small fixed checks) has lmax
-            n = BasisMap(args.lmax).n_eff * (1 if getattr(args, "dimer_d", None) is None else 2)
-            raise ConfigError(f"lmax {args.lmax} (n = {n} unknowns) needs more "
-                              "memory than is available") from None
+            # the lmax commands allocate before writing; verify has no lmax
+            lmax, size = getattr(args, "lmax", None), ""
+            if lmax is not None:
+                n = BasisMap(lmax).n_eff * (1 if getattr(args, "dimer_d", None) is None else 2)
+                size = f" at lmax {lmax} (n = {n} unknowns)"
+            raise ConfigError(f"this run needs more memory than is available{size}") from None
     except (ConfigError, LatticeSumOverflow, ScaleOverflow) as exc:
         # all three are raised before any output is written
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -374,7 +374,9 @@ def suite_assembly(rng):
     scale = np.abs(coef[np.diag_indices(len(labels))]).max()
     secs = np.array([assembly.sector(*label) for label in labels])
     same = secs[:, None] == secs[None, :]
-    checks.append(("sector rule", np.abs(coef[~same]).max() / scale, 1e-15))
+    # across sectors: the kept coefficients and those the real quadrant signs drop
+    lost = np.abs(assembly._unrestricted(3, rho, _PARAMS, dropped=True)[1]).max()
+    checks.append(("sector rule", max(np.abs(coef[~same]).max(), lost) / scale, 1e-15))
     below = same & np.tri(len(labels), k=-1, dtype=bool)
     mirrored = assembly._mirror(order.T, coef.transpose(1, 0, 2))
     worst = np.abs(coef - mirrored)[below].max()

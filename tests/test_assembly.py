@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphelast import assembly, verify
 from sphelast.assembly import (
     BasisMap,
     Trace,
@@ -566,6 +567,33 @@ class TestParitySectors:
         secs, _order, coef, scale = unrestricted_coefs
         across = secs[:, None] != secs[None, :]
         assert np.abs(coef[across]).max() <= 1e-15 * scale
+
+    def test_quadrant_signs_drop_roundoff_only(self, unrestricted_coefs):
+        # the quadrants whose factor phase i^k is imaginary, which the real
+        # builder sets to 0, lie across sectors and hold roundoff only
+        secs, _order, _coef, scale = unrestricted_coefs
+        _order, lost = _unrestricted(3, RHO, LameParams(1.0, 1.0), dropped=True)
+        assert np.all(lost[secs[:, None] == secs[None, :]] == 0)
+        assert np.abs(lost).max() <= 1e-15 * scale
+
+    def test_sector_rule_sees_a_wrong_phase(self, monkeypatch):
+        # a family pair whose phase is off by a factor i moves its kernel
+        # into the quadrants the real builder drops: verify's "sector rule"
+        # reads what it drops
+        terms = assembly._terms
+
+        def wrong(p, q, *args):
+            phase, found = terms(p, q, *args)
+            return (1j * phase if (p, q) == (Family.W, Family.X) else phase), found
+
+        monkeypatch.setattr(assembly, "_terms", wrong)
+        try:
+            checks = {name: (res, tol) for name, res, tol
+                      in verify.suite_assembly(np.random.default_rng(0))}
+        finally:
+            assembly._geometry.cache_clear()   # built with the wrong phase
+        res, tol = checks["sector rule"]
+        assert res > tol
 
     def test_lower_triangle_mirrors_upper(self, unrestricted_coefs):
         secs, order, coef, scale = unrestricted_coefs

@@ -600,6 +600,19 @@ class TestBadInputs:
         assert "lmax 1 (n = 10 unknowns)" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_out_of_memory_in_verify(self, capsys, monkeypatch):
+        # verify has no lmax: the message names none, and still no traceback
+        from sphelast import verify
+
+        def suite(rng):
+            raise MemoryError
+
+        monkeypatch.setitem(verify.SUITES, "latsum", suite)
+        assert main(["verify", "--suite", "latsum"]) == 2
+        err = capsys.readouterr().err
+        assert "more memory than is available" in err and "lmax" not in err
+        assert "Traceback" not in err
+
     def test_non_finite_point_force_source(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         # 1.4e154 and -1e300 are finite, but their squared distances are not

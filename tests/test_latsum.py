@@ -12,6 +12,7 @@ from sphelast.latsum import (
     DimerGeometry,
     LatticeSumOverflow,
     QuasiMomentumSingular,
+    _product,
     dimer_values,
     lerch_orders,
     line_values,
@@ -129,15 +130,22 @@ class TestValueVectors:
             assert np.array_equal(vals[1::2].imag, 2 * plus[1::2].imag)
 
     def test_dimer_phase_factors(self):
+        # u21 = far + (-1)^(s+1) conj(near), u12 = near + (-1)^(s+1)
+        # conj(far), exactly; far carries the Bloch factor e^{i alpha}
         alpha = 1.7
-        near, far = 2 * GEOM.d, 1 - 2 * GEOM.d
         z = complex(math.cos(alpha), math.sin(alpha))
-        v21, v12 = dimer_values(alpha, GEOM, 2)
-        for s, sign in ((1, 1), (2, -1)):
-            assert v21[s - 1] == pytest.approx(
-                z * _lerch(s, alpha, 1, far) + sign * _lerch(s, alpha, -1, near))
-            assert v12[s - 1] == pytest.approx(
-                _lerch(s, alpha, 1, near) + sign * z.conjugate() * _lerch(s, alpha, -1, far))
+        near = lerch_orders(alpha, 2 * GEOM.d, 6)
+        far = _product(lerch_orders(alpha, 1 - 2 * GEOM.d, 6), z)
+        v21, v12 = dimer_values(alpha, GEOM, 6)
+        for s in range(1, 7):
+            n_s, f_s = near[s - 1], far[s - 1]
+            if s % 2:
+                assert v21[s - 1] == f_s + n_s.conjugate()
+                assert v12[s - 1] == n_s + f_s.conjugate()
+            else:
+                assert v21[s - 1] == f_s - n_s.conjugate()
+                assert v12[s - 1] == n_s - f_s.conjugate()
+            assert f_s == pytest.approx(z * _lerch(s, alpha, 1, 1 - 2 * GEOM.d))
 
     @pytest.mark.parametrize("alpha", [1e-6, 1.7, math.pi, -0.3, 7.5])
     def test_dimer_blocks_mirror_each_other(self, alpha):
