@@ -79,7 +79,7 @@ def build_quadrature(degree: int) -> SphQuadrature:
         raise ValueError("degree must be >= 1")
     n_theta = (degree + 2) // 2
     n_phi = degree + 1
-    x, w = leggauss(n_theta)
+    x, w = _gauss_legendre(n_theta)
     theta_1d = np.arccos(x)
     phi_1d = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi
@@ -93,6 +93,31 @@ def build_quadrature(degree: int) -> SphQuadrature:
     return SphQuadrature(
         _frozen(theta), _frozen(phi), _frozen(nodes), _frozen(weights), degree
     )
+
+
+def _gauss_legendre(n: int):
+    """The ``n``-point Gauss-Legendre rule on ``[-1, 1]``: ``leggauss``'s
+    nodes after one Newton step, and each weight from the Christoffel sum
+    ``1 / w_i = sum_{k<n} (2k + 1) / 2 P_k(x_i)^2``, whose terms are all
+    positive (``leggauss``'s weights lose up to 3e-13 relative by n = 34)."""
+    x, _w = leggauss(n)
+    p = _legendre_rows(n, x)
+    x = x - p[n] * (1.0 - x * x) / (n * (p[n - 1] - x * p[n]))
+    p = _legendre_rows(n - 1, x)
+    k = np.arange(n)[:, None]
+    return x, 1.0 / ((k + 0.5) * p * p).sum(axis=0)
+
+
+def _legendre_rows(n: int, x):
+    """``P_0(x) .. P_n(x)`` by Bonnet's recurrence, shaped ``(n + 1,) +
+    x.shape``."""
+    p = np.empty((n + 1,) + x.shape)
+    p[0] = 1.0
+    if n:
+        p[1] = x
+    for k in range(1, n):
+        p[k + 1] = ((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1)
+    return p
 
 
 @dataclass

@@ -14,6 +14,7 @@ from sphelast.kelvin import LameParams
 from sphelast.latsum import DimerGeometry
 from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
 from sphelast.system import (
+    _gauss_legendre,
     _projection,
     _sectors,
     _solve,
@@ -101,6 +102,70 @@ class TestProjectRhs:
         quad = build_quadrature(6)
         with pytest.raises(ValueError):
             project_rhs(np.zeros((quad.n_nodes, 3)), quad, basis)
+
+
+def _gauss_legendre_40(n):
+    """The n-point Gauss-Legendre rule by Newton's method at 40 digits,
+    rounded to float64: nodes and weights ``2 / ((1 - x^2) P_n'(x)^2)``."""
+    import mpmath
+
+    def values(x):
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for k in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(100):
+                p, dp = values(x)
+                step = p / dp
+                x -= step
+                if abs(step) < mpmath.mpf(10) ** -45:
+                    break
+            p, dp = values(x)
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    order = np.argsort(nodes)
+    return np.array(nodes)[order], np.array(weights)[order]
+
+
+class TestRule:
+    """``build_quadrature``'s Gauss-Legendre factor against 40 digits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 18, 34])
+    def test_nodes_and_weights(self, n):
+        # leggauss's own weights are 8e-14 off at n = 18 and 3e-13 at n = 34
+        x, w = _gauss_legendre(n)
+        ref_x, ref_w = _gauss_legendre_40(n)
+        assert np.abs(x - ref_x).max() <= 2.3e-16
+        assert np.abs(w / ref_w - 1).max() <= 3e-14
+
+    def test_gram_error_at_lmax_16(self):
+        # the real vector harmonics are orthogonal under the rule to the
+        # level the 40-digit rule gives (2.1e-15 for both; 2.0e-14 with
+        # leggauss's weights)
+        l_max = 16
+        basis = BasisMap(l_max)
+        n_phi = 2 * l_max + 3
+
+        def gram_error(theta, weights):
+            fields = vsh_real_table(basis, theta, quad.phi)
+            flat = fields.reshape(len(fields), -1)
+            gram = flat @ (fields * weights[:, None]).reshape(len(fields), -1).T
+            scale = np.sqrt(np.diag(gram))
+            return np.abs(gram / scale[:, None] / scale - np.eye(len(gram))).max()
+
+        quad = build_quadrature(2 * l_max + 2)
+        ref_x, ref_w = _gauss_legendre_40(l_max + 2)
+        ref = gram_error(
+            np.repeat(np.arccos(ref_x), n_phi),
+            np.repeat(ref_w, n_phi) * (2 * math.pi / n_phi),
+        )
+        assert ref <= 6e-15
+        assert gram_error(quad.theta, quad.weights) <= 6e-15
 
 
 class TestSolvePlan:
