@@ -1,10 +1,19 @@
 """Sphere quadrature, right-hand-side projection and the linear solve.
 
 The projection onto the basis harmonics runs on the product rule of
-``build_quadrature`` through one table of the real vector harmonics at its
-nodes (``vsh.vsh_real_table``), times the weights.  That table depends on
-the truncation degree and the rule alone, so it is built once and kept
-(``_projection``); a projection is then one matrix-vector product.
+``build_quadrature``: Gauss-Legendre rings in the polar angle (the nodes of
+``leggauss`` after one Newton step, each weight from the Christoffel sum,
+which does not cancel) times equispaced azimuths.  It is the separable
+transform of that rule (Driscoll & Healy, Adv. Appl. Math. 15:202, 1994;
+Schaeffer, Geochem. Geophys. Geosyst. 14:751, 2013), in O(L^3) time and
+memory: on each ring, one real DFT of the samples' horizontal radial,
+vertical and azimuthal parts for the orders ``0..L``, a small cosine/sine
+matrix product with the frame rotation folded in; then for each basis
+label one sum over the rings against the weighted Legendre ``p``, ``pi``
+and ``tau`` of its ``(l, |m|)``, combined as ``vsh`` combines them.  The
+DFT matrix and the per-label amplitudes depend on the truncation degree
+and the rule alone, so they are built once and kept (``_transform``); a
+projection is then one matrix product and one gather-and-sum.
 
 With both balls on the x-axis, the single matrix and the dimer's 2n system
 are block-diagonal over the four parity sectors of ``assembly.sector``.
@@ -30,8 +39,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .assembly import AssembledMatrix, BasisMap, _frozen, sector
 from .kelvin import norm_factor
-from .sphharm import Direction
-from .vsh import vsh_real_table
+from .sphharm import Direction, legendre_table, sph_norm_table
+from .vsh import Family, _family_amplitudes, _real_combination
 
 __all__ = [
     "SphQuadrature",
@@ -149,7 +158,7 @@ def project_rhs(
             f"quadrature degree {quad.degree} < 2*L_max+2 = "
             f"{2 * basis.l_max + 2}"
         )
-    rule, table = _projection(basis.l_max, quad.degree)
+    rule, dft, group, amps = _transform(basis.l_max, quad.degree)
     if quad is not rule and not all(
         np.array_equal(getattr(quad, key), getattr(rule, key))
         for key in ("theta", "phi", "weights")
@@ -157,23 +166,87 @@ def project_rhs(
         raise ValueError(f"not the rule of build_quadrature({quad.degree})")
     if callable(phi):
         phi = [phi(d) for d in quad.directions()]
-    samples = np.asarray(phi, dtype=complex)
+    samples = np.ascontiguousarray(phi, dtype=complex)
     if samples.shape != (quad.n_nodes, 3):
         raise ValueError(f"expected samples of shape ({quad.n_nodes}, 3)")
-    flat = samples.conjugate().reshape(-1)
-    # two real products, stored as the real and imaginary parts
-    return (table @ np.stack([flat.real, flat.imag], axis=1)).view(complex)[:, 0]
+    sums = samples.view(float).reshape(amps.shape[1], -1) @ dft
+    # [group, part, ring, member]
+    sums = sums.reshape(len(sums), 2, -1, 3).transpose(2, 1, 0, 3)
+    out = np.empty((len(amps), 2))
+    np.einsum("icrx,irx->ic", np.take(sums, group, axis=0), amps, out=out)
+    return out.view(complex)[:, 0]
 
 
 @lru_cache(maxsize=1)
-def _projection(l_max: int, degree: int):
-    """``build_quadrature(degree)`` and the weighted harmonic table of
-    ``BasisMap(l_max)`` on it, shaped ``(n, 3 n_nodes)``, read-only; only
-    the most recent pair is kept."""
+def _transform(l_max: int, degree: int):
+    """``build_quadrature(degree)`` and the ring tables of the projection
+    onto ``BasisMap(l_max)`` (``dft``, ``group``, ``amps``), read-only; only
+    the most recent pair is kept.
+
+    The rule's nodes lie on rings of one polar angle.  At azimuth ``phi``
+    a sample splits into its horizontal radial ``h = x cos phi + y sin phi``,
+    vertical ``z`` and azimuthal ``q = y cos phi - x sin phi`` parts.
+    ``dft`` takes one ring's samples, as the real and imaginary parts of
+    its nodes' Cartesian components, to the cosine (C) and sine (S) sums
+    of orders ``k = 0..l_max`` of the real part and of the imaginary part
+    of the conjugated samples, in groups of three: group ``2 k`` is
+    ``(C h, C z, S q)`` and group ``2 k + 1`` ``(S h, S z, C q)``.  Label
+    ``i`` reads group ``group[i]``, at the order ``|m|`` of the label, and
+    ``amps[i, ring]`` are its amplitudes on the group: the label's real vector
+    harmonic on the frame ``(h, z, q)``, times the ring's weight.  On that
+    frame ``r_hat``, ``theta_hat`` and ``phi_hat`` are ``(sin, cos, 0)``,
+    ``(cos, -sin, 0)`` and ``(0, 0, 1)`` of the ring's polar angle, so the
+    amplitudes hold the ring's Legendre values and no azimuth."""
     quad = build_quadrature(degree)
-    table = vsh_real_table(BasisMap(l_max), quad.theta, quad.phi)
-    table *= quad.weights[:, None]
-    return quad, _frozen(table.reshape(len(table), -1))
+    n_phi = degree + 1
+    theta, weights = quad.theta[::n_phi], quad.weights[::n_phi]
+    phi = quad.phi[:n_phi]
+    angle = np.arange(l_max + 1)[:, None] * phi
+    c, s = np.cos(angle), np.sin(angle)
+    cp, sp, zero = np.cos(phi), np.sin(phi), np.zeros(n_phi)
+    # [azimuth, Cartesian component, h/z/q]
+    split = np.stack([
+        np.stack([cp, zero, -sp], axis=-1),
+        np.stack([sp, zero, cp], axis=-1),
+        np.stack([zero, zero + 1.0, zero], axis=-1),
+    ], axis=1)
+    trig = np.array([[c, c, s], [s, s, c]])    # [half of the six, h/z/q, k, azimuth]
+    folded = np.einsum("jax,gxkj->jakgx", split, trig).reshape(3 * n_phi, -1)
+    # [azimuth and Cartesian component, real/imaginary part, part of the
+    # conjugate, sum]: the conjugate's imaginary part is minus the sample's
+    dft = np.zeros((3 * n_phi, 2, 2, folded.shape[1]))
+    dft[:, 0, 0] = folded
+    dft[:, 1, 1] = -folded
+
+    labels = np.array(BasisMap(l_max).labels)
+    l, m, fam = labels.T
+    ma = np.abs(m)
+    p, pi, tau = legendre_table(l_max, theta)
+    norm = sph_norm_table(l_max)[l, ma, None]
+    a_tau, a_pi, a_y = norm * tau[l, ma], norm * ma[:, None] * pi[l, ma], norm * p[l, ma]
+    st, ct, zero = np.sin(theta), np.cos(theta), np.zeros(len(theta))
+    frame = (
+        np.stack([st, ct, zero], axis=-1),
+        np.stack([ct, -st, zero], axis=-1),
+        np.stack([zero, zero, zero + 1.0], axis=-1),
+    )
+    amps = np.empty((len(labels), len(theta), 3))
+    for family in Family:
+        for sign in (-1, 0, 1):
+            at = np.flatnonzero((fam == family) & (np.sign(m) == sign))
+            if not len(at):
+                continue
+            re, im = _family_amplitudes(
+                family, l[at, None, None], a_tau[at, :, None], a_pi[at, :, None],
+                a_y[at, :, None], frame,
+            )
+            # re and im fill complementary members of (h, z, q): with
+            # c = s = 1 each keeps its own term, on the cosine or the sine sum
+            amps[at] = _real_combination(sign, re, im, 1.0, 1.0)
+    amps *= weights[:, None]
+    # (C h, C z, S q) for V and W at m >= 0 and X at m < 0, else (S h, S z, C q)
+    group = 2 * ma + ((m < 0) ^ (fam == Family.X))
+    return quad, _frozen(dft.reshape(6 * n_phi, -1)), _frozen(group), _frozen(amps)
 
 
 def _layout(groups):
@@ -193,7 +266,7 @@ def _sectors(l_max: int):
     in the single matrix and in the dimer's 2n system, where each sector
     holds its rows on both balls; only the most recent ``l_max`` is
     kept."""
-    secs = np.array([sector(*label) for label in BasisMap(l_max)])
+    secs = sector(*np.array(BasisMap(l_max).labels).T)
     n = len(secs)
     single = [np.flatnonzero(secs == k) for k in range(4)]
     single = [g for g in single if len(g)]

@@ -122,8 +122,8 @@ def suite_vsh(rng):
         )
         worst = max(worst, abs(np.dot(v, a) - expand))
     checks.append(("axis-projection expansion", worst, 1e-13))
-    # the production table (what solve projects onto) against vsh_real,
-    # on seeded directions and both poles
+    # the harmonic table (the tests' reference for the projection) against
+    # vsh_real, on seeded directions and both poles
     dirs = [Direction.from_vector(v) for v in _rand_dirs(rng, 12)]
     dirs += [Direction.from_angles(0.0, 0.0), Direction.from_angles(math.pi, 0.0)]
     labels = list(assembly.BasisMap(8))

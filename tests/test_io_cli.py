@@ -905,6 +905,23 @@ def test_system_import_leaves_out_the_oracle():
     assert done.stdout.strip() == "False"
 
 
+def test_solve_projects_without_the_harmonic_table_or_fft(tmp_path):
+    # the projection runs on the rule's rings: the solve neither evaluates
+    # the harmonic table at the nodes nor loads numpy.fft
+    done = _run_python(
+        "-c",
+        "import sys, sphelast.vsh as vsh; calls = []; table = vsh.vsh_real_table; "
+        "vsh.vsh_real_table = lambda *a: calls.append(a) or table(*a); "
+        "from sphelast.cli import main; "
+        "rc = main(['solve', '--alpha', '1.3', '--rho', '0.1', '--lambda', '1', "
+        "'--mu', '1', '--lmax', '3', '--phi', 'builtin:point-force:0.3,0.4,0.2', "
+        f"'--out', {str(tmp_path / 'x.json')!r}]); "
+        "print(rc, len(calls), 'numpy.fft' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 0 False"
+
+
 def test_point_force_samples_match_per_node_sampling():
     # one stacked Kelvin-tensor call against the oracle's node-by-node loop
     from sphelast.assembly import BasisMap

@@ -10,12 +10,12 @@ from sphelast.assembly import (
     assemble_single,
     sector,
 )
-from sphelast.kelvin import LameParams
+from sphelast.kelvin import LameParams, kelvin_tensor
 from sphelast.latsum import DimerGeometry
 from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
 from sphelast.system import (
     _gauss_legendre,
-    _projection,
+    _transform,
     _sectors,
     _solve,
     condition,
@@ -97,6 +97,17 @@ class TestProjectRhs:
         with pytest.raises(ValueError):
             project_rhs(samples[:-1], quad16, basis)
 
+    def test_strided_samples(self, quad16):
+        # samples that are a strided view project as their contiguous copy
+        basis = BasisMap(2)
+        rng = np.random.default_rng(3)
+        both = rng.normal(size=(quad16.n_nodes, 3, 2)) + 1j * rng.normal(
+            size=(quad16.n_nodes, 3, 2))
+        assert np.array_equal(
+            project_rhs(both[:, :, 0], quad16, basis),
+            project_rhs(both[:, :, 0].copy(), quad16, basis),
+        )
+
     def test_degree_guard(self):
         basis = BasisMap(4)
         quad = build_quadrature(6)
@@ -169,7 +180,7 @@ class TestRule:
 
 
 class TestSolvePlan:
-    """The cached projection table and the per-sector solve."""
+    """The cached ring tables of the projection and the per-sector solve."""
 
     @staticmethod
     def _seeded(seed, sign_flip, dimer):
@@ -218,6 +229,14 @@ class TestSolvePlan:
             )
         assert np.array_equal(_sectors(0)[0][0], [[0]])
 
+    @pytest.mark.parametrize("l_max", range(10))
+    def test_sectors_match_per_label(self, l_max):
+        (rows, valid), _dimer = _sectors(l_max)
+        secs = np.array([sector(*label) for label in BasisMap(l_max)])
+        groups = [np.flatnonzero(secs == k) for k in range(4)]
+        assert [list(r[v]) for r, v in zip(rows, valid)] == [
+            list(g) for g in groups if len(g)]
+
     def test_entry_across_sectors_raises(self, matrix):
         single, _ = _sectors(matrix.l_max)
         i, j = single[0][0, 0], single[0][-1, 0]
@@ -238,22 +257,55 @@ class TestSolvePlan:
     def test_projection_is_cached_read_only(self):
         basis = BasisMap(3)
         quad = build_quadrature(8)
-        first = _projection(3, 8)
-        assert _projection(3, 8) is first
-        rule, table = first
+        first = _transform(3, 8)
+        assert _transform(3, 8) is first
+        assert _transform.cache_info().currsize == 1
+        rule, dft, group, amps = first
         assert rule.degree == 8 and np.array_equal(rule.weights, quad.weights)
-        assert table.shape == (basis.n_eff, 3 * quad.n_nodes)
-        for arr in (table, rule.theta, rule.phi, rule.nodes, rule.weights):
+        assert len(group) == len(amps) == basis.n_eff
+        for arr in (dft, group, amps, rule.theta, rule.phi, rule.nodes, rule.weights):
             assert not arr.flags.writeable
         phi = np.ones((quad.n_nodes, 3))
         project_rhs(phi, quad, basis)
-        assert _projection(3, 8) is first
+        assert _transform(3, 8) is first
 
     def test_projection_refuses_another_rule(self):
         quad = build_quadrature(8)
         moved = type(quad)(quad.theta, quad.phi + 0.1, quad.nodes, quad.weights, 8)
         with pytest.raises(ValueError, match="build_quadrature"):
             project_rhs(np.ones((quad.n_nodes, 3)), moved, BasisMap(3))
+
+    @pytest.mark.parametrize("field", ["random", "uniform-x", "point-force"])
+    @pytest.mark.parametrize("l_max", [*range(9), 16, 32])
+    def test_matches_table_route(self, l_max, field):
+        # the ring transform against the harmonic table at every node times
+        # the weights, as two real products
+        basis = BasisMap(l_max)
+        quad = build_quadrature(2 * l_max + 2)
+        if field == "random":
+            rng = np.random.default_rng(l_max)
+            phi = rng.normal(size=(quad.n_nodes, 3)) + 1j * rng.normal(
+                size=(quad.n_nodes, 3))
+        elif field == "uniform-x":
+            phi = np.tile([1.0, 0.0, 0.0], (quad.n_nodes, 1))
+        else:  # the CI's point force, as the CLI samples it
+            params = LameParams(1.5, 0.8)
+            phi = kelvin_tensor(0.2 * quad.nodes - np.array([2.0, 0.3, 0.0]), params)[:, :, 0]
+        table = vsh_real_table(basis, quad.theta, quad.phi) * quad.weights[:, None]
+        flat = np.asarray(phi, dtype=complex).conjugate().reshape(-1)
+        expect = (table.reshape(len(table), -1) @ np.stack([flat.real, flat.imag], axis=1))
+        expect = expect.view(complex)[:, 0]
+        got = project_rhs(phi, quad, basis)
+        if l_max == 0 and field == "uniform-x":
+            # a uniform field has no degree-0 part: both are the rounding
+            # noise of a sum whose terms add up to 5.6 in size
+            assert max(abs(got[0]), abs(expect[0])) <= 1e-15
+            return
+        # at lmax 32 both routes lie up to 2.5e-15 of the largest entry
+        # from a long-double evaluation of the same sums (the point force
+        # here: 2.0e-15 between the routes)
+        bound = 3e-15 if l_max == 32 else 2e-15
+        assert np.abs(got - expect).max() <= bound * np.abs(expect).max()
 
     @pytest.mark.parametrize("l_max", [5, 16])
     def test_matches_weighted_einsum(self, l_max):
