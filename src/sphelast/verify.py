@@ -19,6 +19,7 @@ from .kelvin import (
     exterior_response,
     kelvin_tensor,
     norm_factor,
+    shifted_ball_potential,
     surface_response,
 )
 from .sphharm import Direction, ylm_complex, ylm_equator
@@ -346,6 +347,26 @@ def suite_assembly(rng):
         )
         worst = max(worst, abs(mat.matrix[i, j] - (brute + diag)))
     checks.append(("entries vs truncated sums", worst, 1e-6))
+    # one copy's inner products against quadrature of the shifted ball's
+    # potential, which comes from exterior_response and no translation
+    # series: the truncated sums above and below read the same degree-pair
+    # blocks as the trace, so only this check sees a wrong block phase
+    quad = oracle.build_quadrature(12)
+    dirs = quad.directions()
+    worst = scale = 0.0
+    for pf, lp, mp, qf, l, m in [
+        (Family.W, 1, 0, Family.V, 1, 0),
+        (Family.X, 1, 0, Family.W, 1, -1),
+    ]:
+        row = vsh_real_table([(lp, mp, pf)], quad.theta, quad.phi)[0]
+        closed = assembly.per_copy_entries(pf, lp, mp, qf, l, m, (1.0, -2.0), rho, _PARAMS)
+        for n, value in zip((1.0, -2.0), closed):
+            potential = np.array([
+                shifted_ball_potential(n, l, m, qf, d, rho, _PARAMS) for d in dirs])
+            quadrature = np.einsum("nk,nk,n->", row, potential, quad.weights)
+            worst = max(worst, abs(quadrature - value))
+            scale = max(scale, abs(value), abs(quadrature))
+    checks.append(("per-copy entries vs shifted potential", worst / scale, 1e-10))
     geom = latsum.DimerGeometry(0.2, 0.1)
     dim = assembly.assemble_dimer(alpha, geom, _PARAMS, 1)
     n = dim.basis.n_eff

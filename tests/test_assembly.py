@@ -595,6 +595,28 @@ class TestParitySectors:
         res, tol = checks["sector rule"]
         assert res > tol
 
+    def test_per_copy_check_sees_a_wrong_phase(self, monkeypatch):
+        # every family pair's phase off by a factor i moves the lattice
+        # entries and the truncated sums built from the same blocks
+        # together; verify's quadrature of the shifted ball's potential
+        # does not read the blocks and sees it
+        terms = assembly._terms
+
+        def wrong(p, q, *args):
+            phase, found = terms(p, q, *args)
+            return 1j * phase, found
+
+        monkeypatch.setattr(assembly, "_terms", wrong)
+        try:
+            # every diagonal coefficient vanishes: the sector checks divide by 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                checks = {name: (res, tol) for name, res, tol
+                          in verify.suite_assembly(np.random.default_rng(0))}
+        finally:
+            assembly._geometry.cache_clear()   # built with the wrong phase
+        res, tol = checks["per-copy entries vs shifted potential"]
+        assert res > tol
+
     def test_lower_triangle_mirrors_upper(self, unrestricted_coefs):
         secs, order, coef, scale = unrestricted_coefs
         n = len(secs)
