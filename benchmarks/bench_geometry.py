@@ -42,7 +42,7 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": peak}))
 """
 
 
-def _commit(src: Path) -> str:
+def commit(src: Path) -> str:
     try:
         return subprocess.run(
             ["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
@@ -51,12 +51,50 @@ def _commit(src: Path) -> str:
         return "unknown"
 
 
-def _run(src: Path, l_max: int) -> dict:
+def run_child(src: Path, child: str, *args) -> dict:
+    """Run ``child`` in a fresh interpreter that imports sphelast from
+    ``src``, with one BLAS thread; returns the JSON object it prints last."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", CHILD, str(l_max)], env=env,
+    out = subprocess.run([sys.executable, "-c", child, *map(str, args)], env=env,
                          capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def timed_rows(src: Path, label: str, child: str, lmaxes, processes: int,
+               *args) -> list:
+    """One row per lmax: the best and the median ``seconds`` and the largest
+    ``peak_rss_mb`` of ``processes`` runs of ``child`` (arguments: the lmax,
+    then ``args``)."""
+    rows = []
+    for l_max in lmaxes:
+        runs = [run_child(src, child, l_max, *args) for _ in range(processes)]
+        times = [run["seconds"] for run in runs]
+        row = {
+            "label": label, "commit": commit(src), "lmax": l_max,
+            "processes": len(runs),
+            "cold_s_best": min(times), "cold_s_median": statistics.median(times),
+            "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
+        }
+        print(f"{label} L={l_max}: best {row['cold_s_best'] * 1e3:.1f} ms, "
+              f"median {row['cold_s_median'] * 1e3:.1f} ms, "
+              f"peak {row['peak_rss_mb']:.0f} MB")
+        rows.append(row)
+    return rows
+
+
+def write_rows(out: Path, label: str, rows: list, what: str) -> None:
+    """Replace the rows of ``label`` in the JSON file ``out`` and keep the
+    others."""
+    doc = {"rows": []}
+    if out.exists():
+        doc = json.loads(out.read_text())
+    doc["what"] = what
+    doc["host"] = {"python": platform.python_version(), "machine": platform.machine(),
+                   "cpus": os.cpu_count()}
+    doc["rows"] = [row for row in doc["rows"] if row["label"] != label] + rows
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"wrote {len(rows)} rows to {out}")
 
 
 def main(argv=None) -> int:
@@ -67,32 +105,11 @@ def main(argv=None) -> int:
                         help="the name of this run's rows (default: this)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_geometry.json")
     args = parser.parse_args(argv)
-    src = args.src.resolve()
-    rows = []
-    for l_max in LMAX:
-        runs = [_run(src, l_max) for _ in range(PROCESSES)]
-        times = [run["seconds"] for run in runs]
-        row = {
-            "label": args.label, "commit": _commit(src), "lmax": l_max,
-            "processes": len(runs),
-            "cold_s_best": min(times), "cold_s_median": statistics.median(times),
-            "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
-        }
-        print(f"{args.label} L={l_max}: best {row['cold_s_best'] * 1e3:.1f} ms, "
-              f"median {row['cold_s_median'] * 1e3:.1f} ms, "
-              f"peak {row['peak_rss_mb']:.0f} MB")
-        rows.append(row)
-    doc = {"rows": []}
-    if args.out.exists():
-        doc = json.loads(args.out.read_text())
-    doc["what"] = ("cold assembly._geometry(L) in fresh processes with one BLAS "
-                   "thread (import not timed); peak_rss_mb is the largest "
-                   "ru_maxrss of the processes")
-    doc["host"] = {"python": platform.python_version(), "machine": platform.machine(),
-                   "cpus": os.cpu_count()}
-    doc["rows"] = [row for row in doc["rows"] if row["label"] != args.label] + rows
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    rows = timed_rows(args.src.resolve(), args.label, CHILD, LMAX, PROCESSES)
+    write_rows(args.out, args.label, rows,
+               "cold assembly._geometry(L) in fresh processes with one BLAS "
+               "thread (import not timed); peak_rss_mb is the largest "
+               "ru_maxrss of the processes")
     return 0
 
 

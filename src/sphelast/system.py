@@ -201,6 +201,7 @@ def _transform(l_max: int, degree: int):
     n_phi = degree + 1
     theta, weights = quad.theta[::n_phi], quad.weights[::n_phi]
     phi = quad.phi[:n_phi]
+    # cos(k phi) of the stored azimuths, as vsh_real_table takes them
     angle = np.arange(l_max + 1)[:, None] * phi
     c, s = np.cos(angle), np.sin(angle)
     cp, sp, zero = np.cos(phi), np.sin(phi), np.zeros(n_phi)
@@ -210,7 +211,7 @@ def _transform(l_max: int, degree: int):
         np.stack([sp, zero, cp], axis=-1),
         np.stack([zero, zero + 1.0, zero], axis=-1),
     ], axis=1)
-    trig = np.array([[c, c, s], [s, s, c]])    # [half of the six, h/z/q, k, azimuth]
+    trig = np.array([[c, c, s], [s, s, c]])    # [group 2k or 2k + 1, h/z/q, k, azimuth]
     folded = np.einsum("jax,gxkj->jakgx", split, trig).reshape(3 * n_phi, -1)
     # [azimuth and Cartesian component, real/imaginary part, part of the
     # conjugate, sum]: the conjugate's imaginary part is minus the sample's
