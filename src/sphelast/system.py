@@ -196,15 +196,11 @@ def _transform(l_max: int, degree: int):
     # cos(k phi) of the stored azimuths, as vsh_real_table takes them
     angle = np.arange(l_max + 1)[:, None] * phi
     c, s = np.cos(angle), np.sin(angle)
-    cp, sp, zero = np.cos(phi), np.sin(phi), np.zeros(n_phi)
-    # [azimuth, Cartesian component, h/z/q]
-    split = np.stack([
-        np.stack([cp, zero, -sp], axis=-1),
-        np.stack([sp, zero, cp], axis=-1),
-        np.stack([zero, zero + 1.0, zero], axis=-1),
-    ], axis=1)
+    cp, sp, zero, one = np.cos(phi), np.sin(phi), np.zeros(n_phi), np.ones(n_phi)
+    # [x/y/z, h/z/q, azimuth]
+    split = np.array([[cp, zero, -sp], [sp, zero, cp], [zero, one, zero]])
     trig = np.array([[c, c, s], [s, s, c]])    # [group 2k or 2k + 1, h/z/q, k, azimuth]
-    folded = np.einsum("jax,gxkj->jakgx", split, trig).reshape(3 * n_phi, -1)
+    folded = np.einsum("axj,gxkj->jakgx", split, trig).reshape(3 * n_phi, -1)
     # [azimuth and Cartesian component, real/imaginary part, part of the
     # conjugate, sum]: the conjugate's imaginary part is minus the sample's
     dft = np.zeros((3 * n_phi, 2, 2, folded.shape[1]))
@@ -217,12 +213,9 @@ def _transform(l_max: int, degree: int):
     p, pi, tau = legendre_table(l_max, theta)
     norm = sph_norm_table(l_max)[l, ma, None]
     a_tau, a_pi, a_y = norm * tau[l, ma], norm * ma[:, None] * pi[l, ma], norm * p[l, ma]
-    st, ct, zero = np.sin(theta), np.cos(theta), np.zeros(len(theta))
-    frame = (
-        np.stack([st, ct, zero], axis=-1),
-        np.stack([ct, -st, zero], axis=-1),
-        np.stack([zero, zero, zero + 1.0], axis=-1),
-    )
+    st, ct, zero, one = np.sin(theta), np.cos(theta), np.zeros(len(theta)), np.ones(len(theta))
+    # r_hat, theta_hat and phi_hat on (h, z, q), each shaped [ring, h/z/q]
+    frame = np.array([[st, ct, zero], [ct, -st, zero], [zero, zero, one]]).transpose(0, 2, 1)
     amps = np.empty((len(labels), len(theta), 3))
     for family in Family:
         for sign in (-1, 0, 1):
