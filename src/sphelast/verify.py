@@ -353,14 +353,15 @@ def suite_assembly(rng):
     # blocks as the trace, so only this check sees a wrong block phase
     quad = oracle.build_quadrature(12)
     dirs = quad.directions()
+    shifts = (1.0, -2.0)
     worst = scale = 0.0
     for pf, lp, mp, qf, l, m in [
         (Family.W, 1, 0, Family.V, 1, 0),
         (Family.X, 1, 0, Family.W, 1, -1),
     ]:
         row = vsh_real_table([(lp, mp, pf)], quad.theta, quad.phi)[0]
-        closed = assembly.per_copy_entries(pf, lp, mp, qf, l, m, (1.0, -2.0), rho, _PARAMS)
-        for n, value in zip((1.0, -2.0), closed):
+        closed = assembly.per_copy_entries(pf, lp, mp, qf, l, m, shifts, rho, _PARAMS)
+        for n, value in zip(shifts, closed):
             potential = np.array([
                 shifted_ball_potential(n, l, m, qf, d, rho, _PARAMS) for d in dirs])
             quadrature = np.einsum("nk,nk,n->", row, potential, quad.weights)

@@ -301,9 +301,9 @@ class TestSolvePlan:
             # noise of a sum whose terms add up to 5.6 in size
             assert max(abs(got[0]), abs(expect[0])) <= 1e-15
             return
-        # at lmax 32 both routes lie up to 2.5e-15 of the largest entry
-        # from a long-double evaluation of the same sums (the point force
-        # here: 2.0e-15 between the routes)
+        # at lmax 32 each route is about 1.8e-15 of the largest entry from
+        # a long-double evaluation of the same sums for the point force,
+        # and they differ by 2.0e-15
         bound = 3e-15 if l_max == 32 else 2e-15
         assert np.abs(got - expect).max() <= bound * np.abs(expect).max()
 
