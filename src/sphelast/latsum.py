@@ -55,10 +55,12 @@ bitwise properties:
   ``-theta``, like every ``v(s,-)``, is the conjugate of the finished
   vector.
 
-``oracle.polylog_ref``/``lerch_ref`` (mpmath, 30 digits) are the
-reference, within ``1e-14 max(1, |ref|)`` in the tests and in ``sphelast
-verify --suite latsum``; the brute-force truncated sums live in the test
-suite, never here.
+``oracle.polylog_ref``/``lerch_ref`` (30 digits: mpmath's polylogarithm,
+and for the Lerch values direct terms plus an Euler-transformed tail under
+a rigorous remainder bound, with mpmath's ``lerchphi`` only next to the
+resonance) are the reference, within ``1e-14 max(1, |ref|)`` in the tests
+and in ``sphelast verify --suite latsum``; the brute-force truncated sums
+live in the test suite, never here.
 """
 
 from __future__ import annotations

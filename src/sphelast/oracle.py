@@ -9,12 +9,20 @@ Nothing in this module touches the re-expansion series or the closed-form
 lattice sums; the only analytic inputs are the harmonics themselves, the
 coupling-free Kelvin tensor and (for ``brute_lattice_entry``) the per-copy
 inner products, which are themselves validated here by quadrature.  The
-30-digit mpmath polylogarithm and Lerch values (``polylog_ref``,
-``lerch_ref``) are the reference for the float64 lattice-sum values; mpmath
-is imported only when one is asked for.
+30-digit polylogarithm and Lerch values (``polylog_ref``, ``lerch_ref``)
+are the reference for the float64 lattice-sum values: mpmath's
+polylogarithm, and for a Lerch offset other than 1 or 1/2 a route of its
+own (``_lerch_direct``): direct terms, then the Euler transform of the tail
+(DLMF 25.14; Abel summation), stopped where a rigorous remainder bound
+falls below ``1e-32 max(1, |Phi|)``.  Only next to the resonance, where
+that would cost more than mpmath's ``lerchphi`` quadrature, does
+``lerchphi`` give the value.  mpmath is imported only when a value is
+asked for.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,6 +45,14 @@ __all__ = [
 ]
 
 _REF_DPS = 30
+# the direct Lerch route: its remainder bound (relative to max(1, |Phi|)),
+# its rounding budget (absolute, 2^-120 = 7.5e-37), the cost of one forward
+# difference against one term, and the cost (in terms) above which
+# lerchphi's quadrature is cheaper
+_LERCH_TOL = 1e-32
+_ROUND_BITS = 120
+_DIFF_COST = 0.02
+_LERCH_MAX_COST = 20_000
 
 
 def sample_field(f, quad: SphQuadrature) -> np.ndarray:
@@ -156,14 +172,120 @@ def polylog_ref(s: int, alpha: float, sign: int) -> complex:
         return complex(mpmath.polylog(s, mpmath.expj(sign * mpmath.mpf(alpha))))
 
 
+def _lerch_plan(s: int, gap: float, offset: float):
+    """``(N, K)`` of the cheapest direct route to ``Phi(z, s, offset)`` with
+    ``|1 - z| = gap`` whose remainder bound is at most ``_LERCH_TOL / 2``, or
+    None where it would cost more than ``_LERCH_MAX_COST`` terms.
+
+    The cost counts one unit per direct term and per tail value, and
+    ``_DIFF_COST`` per forward difference (``K^2 / 2`` of them).
+    """
+    if gap == 0.0:
+        return None
+    best = (_LERCH_MAX_COST, None)
+    k = 0
+    while k + _DIFF_COST * k * k < best[0]:
+        # 2 (s)_K (N + a)^-(s+K) / gap^(K+1) <= tol / 2, solved for N + a
+        log_base = (
+            math.log(4 / _LERCH_TOL) + math.lgamma(s + k) - math.lgamma(s)
+            - (k + 1) * math.log(gap)
+        ) / (s + k)
+        if log_base < math.log(best[0]):
+            n = max(1, math.ceil(math.exp(log_base) - offset))
+            cost = n + k + _DIFF_COST * k * k
+            if cost < best[0]:
+                best = (cost, (n, k))
+        k += 1
+    return best[1]
+
+
+def _fixed(x, bits: int) -> tuple[int, int]:
+    """The mpmath complex ``x`` as two integers in units of ``2^-bits``."""
+    import mpmath
+
+    return int(mpmath.ldexp(x.real, bits)), int(mpmath.ldexp(x.imag, bits))
+
+
+def _lerch_direct(s: int, phase: float, offset: float):
+    """``Phi(e^{i phase}, s, offset)`` as a 30-digit mpmath complex by direct
+    terms and the Euler transform of the tail, or None where
+    ``_lerch_plan`` finds ``lerchphi`` cheaper.
+
+    With ``F(j) = (N + a + j)^-s``,
+
+        Phi = sum_{n<N} z^n (n + a)^-s
+              + sum_{k<K} z^(N+k) Delta^k F(0) / (1 - z)^(k+1) + R_K,
+
+    ``|R_K| <= 2 (s)_K (N + a)^-(s+K) / |1 - z|^(K+1)``: ``(-1)^K Delta^K F``
+    is positive and decreasing (``F`` is completely monotone), so Abel's
+    inequality bounds the remainder series by its first term times
+    ``2 / |1 - z|``, and ``|Delta^K F(0)|`` is at most the largest ``K``-th
+    derivative.  The sums are exact integer arithmetic on fixed-point
+    values, ``F`` and ``(n + a)^-s`` rounded down from the exact float
+    offset: a forward difference of order ``k`` then carries at most
+    ``2^k`` units of the last place, and the tail's scale takes
+    ``K log2(2 / |1 - z|)`` more bits than the direct terms' so that every
+    term stays within ``2^-_ROUND_BITS``.
+    """
+    import mpmath
+
+    gap = abs(2.0 * math.sin(phase / 2.0))
+    plan = _lerch_plan(s, gap, offset)
+    if plan is None:
+        return None
+    n_direct, k_euler = plan
+    bits = _ROUND_BITS + 2 * n_direct.bit_length()
+    tail_bits = (
+        _ROUND_BITS + 2 * (k_euler + 1).bit_length()
+        + math.ceil(k_euler * math.log2(2.0 / gap))
+    )
+    num, den = offset.as_integer_ratio()   # (n + a)^-s = den^s / (n den + num)^s
+    with mpmath.workprec(max(bits, tail_bits) + 20):
+        phi = mpmath.mpf(phase)
+        z = mpmath.expj(phi)
+        zr, zi = _fixed(z, bits)
+        ur, ui = _fixed(mpmath.expj(n_direct * phi) / (1 - z), tail_bits)
+        wr, wi = _fixed(z / (1 - z), tail_bits)
+        # direct terms, at scale 2^(2 bits); z^n by fixed-point rotation
+        top = den**s << bits
+        re = im = 0
+        cr, ci = 1 << bits, 0
+        for n in range(n_direct):
+            term = top // (n * den + num) ** s
+            re += cr * term
+            im += ci * term
+            cr, ci = (cr * zr - ci * zi) >> bits, (cr * zi + ci * zr) >> bits
+        # the tail, at scale 2^(2 tail_bits); Delta^k F(0) is diff[0] after
+        # k rounds of differencing
+        top = den**s << tail_bits
+        diff = [top // ((n_direct + j) * den + num) ** s for j in range(k_euler)]
+        tre = tim = 0
+        for _ in range(k_euler):
+            tre += ur * diff[0]
+            tim += ui * diff[0]
+            diff = [b - a for a, b in zip(diff, diff[1:])]
+            ur, ui = (ur * wr - ui * wi) >> tail_bits, (ur * wi + ui * wr) >> tail_bits
+        total = mpmath.mpc(
+            mpmath.mpf((re, -2 * bits)) + mpmath.mpf((tre, -2 * tail_bits)),
+            mpmath.mpf((im, -2 * bits)) + mpmath.mpf((tim, -2 * tail_bits)),
+        )
+    with mpmath.workdps(_REF_DPS):
+        return +total
+
+
 def lerch_ref(s: int, alpha: float, sign: int, offset: float) -> complex:
     """``Phi(e^{i sign alpha}, s, offset)`` from mpmath at 30 significant
     digits.
 
     Offsets 1 and 1/2 go through mpmath's polylogarithm, with
     ``Phi(z, s, 1) = Li_s(z) / z`` and
-    ``Phi(z, s, 1/2) = 2^(s-1) [Li_s(sqrt z) - Li_s(-sqrt z)] / sqrt z``;
-    ``lerchphi``'s quadrature costs about 15 times as much at offset 1/2.
+    ``Phi(z, s, 1/2) = 2^(s-1) [Li_s(sqrt z) - Li_s(-sqrt z)] / sqrt z``.
+    Other offsets take ``_lerch_direct``: direct terms and the Euler
+    transform of the tail, stopped where the remainder bound is below
+    ``1e-32 max(1, |Phi|)``: a few ms a value.  Only where ``|1 - z|`` is
+    so small that this would take more than ``_LERCH_MAX_COST`` terms (order
+    1 at phase 1e-3 needs 74,000) does mpmath's ``lerchphi`` quadrature,
+    55-90 ms a value, give it.
     """
     import mpmath
 
@@ -176,4 +298,7 @@ def lerch_ref(s: int, alpha: float, sign: int, offset: float) -> complex:
             w = mpmath.expj(phase / 2)
             odd = mpmath.polylog(s, w) - mpmath.polylog(s, -w)
             return complex(2 ** (s - 1) * odd / w)
-        return complex(mpmath.lerchphi(z, s, mpmath.mpf(offset)))
+        value = _lerch_direct(s, sign * alpha, offset)
+        if value is None:
+            value = mpmath.lerchphi(z, s, mpmath.mpf(offset))
+        return complex(value)

@@ -41,6 +41,12 @@ def _rand_dirs(rng, n):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def _relative(worst, scale):
+    """``worst / scale``, or inf when a wrong kernel leaves no scale, so that
+    the check fails instead of dividing by zero."""
+    return worst / scale if scale > 0 else math.inf
+
+
 def suite_sphharm(rng):
     checks = []
     quad = oracle.build_quadrature(16)
@@ -231,7 +237,7 @@ def suite_kelvin(rng):
     worst = 0.0
     for l, fam in [(1, Family.W), (3, Family.X), (2, Family.V)]:
         m = int(rng.integers(-l, l + 1))
-        samples = np.array([vsh_real(fam, l, m, d) for d in dirs])
+        samples = vsh_real_table([(l, m, fam)], quad.theta, quad.phi)[0]
         xhat = _rand_dirs(rng, 1)[0]
         for fac in (1.5, 3.0):
             direct = oracle.brute_potential(
@@ -276,8 +282,8 @@ def suite_latsum(rng):
     z = complex(math.cos(1.3), math.sin(1.3))
     worst = abs(latsum.lerch_orders(1.3, 1.0, 3)[2] * z - latsum.polylog_orders(1.3, 3)[2])
     checks.append(("offset-1 reduction", worst, 1e-12))
-    # seeded samples against the 30-digit oracle (mpmath's Lerch quadrature
-    # costs about 0.1 s a value, so three of each kind)
+    # seeded samples against the 30-digit oracle (its Lerch values are
+    # direct sums with a bounded remainder, a few ms each at these phases)
     worst = 0.0
     for kind in ("polylog", "lerch") * 3:
         s = int(rng.integers(1, 17))
@@ -398,11 +404,12 @@ def suite_assembly(rng):
     same = secs[:, None] == secs[None, :]
     # across sectors: the kept coefficients and those the real quadrant signs drop
     lost = np.abs(assembly._unrestricted(3, rho, _PARAMS, dropped=True)[1]).max()
-    checks.append(("sector rule", max(np.abs(coef[~same]).max(), lost) / scale, 1e-15))
+    across = max(np.abs(coef[~same]).max(), lost)
+    checks.append(("sector rule", _relative(across, scale), 1e-15))
     below = same & np.tri(len(labels), k=-1, dtype=bool)
     mirrored = assembly._mirror(order.T, coef.transpose(1, 0, 2))
     worst = np.abs(coef - mirrored)[below].max()
-    checks.append(("Hermitian mirror", worst / scale, 1e-15))
+    checks.append(("Hermitian mirror", _relative(worst, scale), 1e-15))
     return checks
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -608,14 +609,18 @@ class TestParitySectors:
 
         monkeypatch.setattr(assembly, "_terms", wrong)
         try:
-            # every diagonal coefficient vanishes: the sector checks divide by 0
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # every diagonal coefficient vanishes: the sector checks report
+            # inf instead of dividing by 0, which would warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 checks = {name: (res, tol) for name, res, tol
                           in verify.suite_assembly(np.random.default_rng(0))}
         finally:
             assembly._geometry.cache_clear()   # built with the wrong phase
-        res, tol = checks["per-copy entries vs shifted potential"]
-        assert res > tol
+        for name in ("per-copy entries vs shifted potential", "sector rule",
+                     "Hermitian mirror"):
+            res, tol = checks[name]
+            assert res > tol, name
 
     def test_lower_triangle_mirrors_upper(self, unrestricted_coefs):
         secs, order, coef, scale = unrestricted_coefs

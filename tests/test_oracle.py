@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from sphelast.assembly import BasisMap
+from sphelast import oracle, verify
 from sphelast.oracle import (
+    _lerch_direct,
+    _lerch_plan,
     basis_samples,
     brute_lattice_entry,
     brute_potential,
     build_quadrature,
     finite_diff_gradient,
     inner_product_S2,
+    lerch_ref,
 )
 from sphelast.sphharm import solid_irregular, solid_regular, ylm_complex
 from sphelast.vsh import Family
@@ -160,3 +164,88 @@ class TestFiniteDifferences:
         grad = finite_diff_gradient(lambda p: solid_irregular(0, 0, p), x)
         r = np.linalg.norm(x)
         assert np.abs(grad - (-x / r**3)).max() <= 1e-8
+
+
+# The direct Lerch route against mpmath's lerchphi quadrature at 30 digits:
+# orders 1..16 and three far beyond, phases from next to the resonance to
+# the zone edge, offsets off the two polylog reductions (1 and 1/2)
+LERCH_ORDERS = (*range(1, 17), 23, 40, 131)
+LERCH_PHASES = (0.05, 0.3, 1.3, math.pi, 5.0, 2 * math.pi - 0.05)
+LERCH_OFFSETS = (0.02, 0.14, 0.37, 0.96)
+
+
+class TestLerchReference:
+    @pytest.mark.parametrize("alpha", LERCH_PHASES)
+    def test_direct_route_against_lerchphi(self, alpha):
+        # Phi(conj z, s, a) = conj Phi(z, s, a) for real s and a, so one
+        # lerchphi value serves both signs of the phase
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(30):
+            z = mpmath.expj(mpmath.mpf(alpha))
+            for offset in LERCH_OFFSETS:
+                for s in LERCH_ORDERS:
+                    ref = mpmath.lerchphi(z, s, mpmath.mpf(offset))
+                    plus = _lerch_direct(s, alpha, offset)
+                    minus = _lerch_direct(s, -alpha, offset)
+                    assert plus is not None and minus is not None, (s, offset)
+                    scale = max(1, abs(ref))
+                    worst = max(worst, abs(plus - ref) / scale,
+                                abs(minus - mpmath.conj(ref)) / scale)
+        assert worst <= 1e-25
+
+    @pytest.mark.parametrize("s", (1, 7, 131))
+    @pytest.mark.parametrize("alpha", (0.05, math.pi))
+    def test_plan_meets_the_remainder_bound(self, s, alpha):
+        # 2 (s)_K (N + a)^-(s+K) / |1 - z|^(K+1), evaluated at 40 digits
+        import mpmath
+
+        gap = abs(2 * math.sin(alpha / 2))
+        for offset in LERCH_OFFSETS:
+            n, k = _lerch_plan(s, gap, offset)
+            with mpmath.workdps(40):
+                bound = (2 * mpmath.rf(s, k) * (n + mpmath.mpf(offset)) ** -(s + k)
+                         / mpmath.mpf(gap) ** (k + 1))
+            assert bound <= oracle._LERCH_TOL / 2
+
+    def test_lerchphi_next_to_the_resonance(self, monkeypatch):
+        # where |1 - z| is tiny the direct route would need tens of thousands
+        # of terms or more, and lerchphi's quadrature is cheaper
+        import mpmath
+
+        calls = []
+        lerchphi = mpmath.lerchphi
+        monkeypatch.setattr(
+            mpmath, "lerchphi", lambda *args: calls.append(args) or lerchphi(*args))
+        for alpha in (1e-6, -1e-3):
+            for s in (1, 2, 4):
+                assert _lerch_plan(s, abs(2 * math.sin(alpha / 2)), 0.37) is None
+                lerch_ref(s, alpha, 1, 0.37)
+        assert len(calls) == 6
+
+
+def test_latsum_suite_needs_no_lerchphi(monkeypatch):
+    # verify's seeded phases stay 0.05 from the resonance, where every Lerch
+    # reference takes the direct route
+    import mpmath
+
+    def refuse(*args):
+        raise AssertionError("lerchphi called")
+
+    monkeypatch.setattr(mpmath, "lerchphi", refuse)
+    for seed in range(10):
+        rows = verify.run_suites(["latsum"], seed)
+        assert all(row[-1] for row in rows), (seed, rows)
+
+
+def test_kelvin_suite_samples_from_the_table(monkeypatch):
+    # the surface samples are one vsh_real_table call per label (1891 nodes
+    # each); only the closed side evaluates vsh_real, at one direction
+    calls = []
+    scalar = verify.vsh_real
+    monkeypatch.setattr(
+        verify, "vsh_real", lambda *args: calls.append(args) or scalar(*args))
+    rows = verify.suite_kelvin(np.random.default_rng(0))
+    assert all(res <= tol for _name, res, tol in rows)
+    assert len(calls) <= 24
