@@ -17,21 +17,22 @@ keep no value between phases.
 
 Degree-pair blocks: ``_DegreeBlocks.blocks`` builds, for one family pair,
 the kernel block ``K[mu, mt]`` of every complex order pair of many degree
-pairs ``(lp, l)`` at once, in a few array passes over padded arrays
-indexed ``[pair, mu, mt]``.  The terms of a family pair (``_terms``) are
-weight rows over ``(pair, mu)`` times slices of one table of plain kernels
-over ``(l, lam)`` (the prefactors of ``translation._prefactor_grid`` times
-the equator table), with the weights read from the recoupling, radial
-(Clebsch-Gordan) and cross tables of ``translation._WeightTables``, built
-over a ``lam`` axis from the closed spin-1 forms that the re-expansion
-series use too.  The per-degree complex-to-real unitaries on both sides
-(the weights of ``translation.combine_source``/``combine_row``; Blanco,
-Florez & Bermejo, J. Mol. Struct. THEOCHEM 419:19 (1997)) then give the
-block of every real order pair ``(mp, m)``.  ``_geometry`` groups the
-degree pairs in tiles of two degree bands (``_bands``), so that the
-padded arrays stay below a fixed size at any ``l_max``; at ``l_max <= 9``
-one tile holds them all.  ``Trace`` and ``per_copy_entries`` read the same
-blocks; single entries are read off the assembled matrices.
+pairs ``(lp, l)`` at once, in a few array passes over padded arrays indexed
+``[pair, mu, mt]``.  The terms of a family pair (``_terms``) are weight
+rows over ``(pair, mu)`` times slices of one table of plain kernels over
+``(l, lam)`` (the prefactors of ``coupling._prefactor_grid`` times the
+equator table), with the weights read from the recoupling, radial
+(Clebsch-Gordan) and cross tables of ``coupling._WeightTables``, built over
+a ``lam`` axis from the closed spin-1 forms, which the re-expansion series
+of ``translation`` read too.  The per-degree complex-to-real unitaries on
+both sides (the weights of ``translation.combine_source``/``combine_row``;
+Blanco, Florez & Bermejo, J. Mol. Struct. THEOCHEM 419:19 (1997)) then give
+the block of every real order pair ``(mp, m)``.  ``_geometry`` groups the
+degree pairs in tiles of two degree bands (``_bands``), so that the padded
+arrays stay below a fixed size at any ``l_max``; at ``l_max <= 9`` one tile
+holds them all.  ``Trace``, ``per_copy_entries`` and ``_unrestricted`` read
+the same blocks through ``blocks``; single entries are read off the
+assembled matrices.
 
 Geometry and scale: the radius and the material enter a coefficient on
 order ``s`` only as ``rho^(s+1)`` times the ``response_coeffs`` of the
@@ -95,10 +96,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__ as _pkg_version
+from .coupling import _prefactor_grid, _weight_tables
 from .kelvin import LameParams, norm_factor, response_coeffs
 from .latsum import AXIS_COMPONENT, DimerGeometry, dimer_values, line_values, reduce_alpha
 from .sphharm import equator_table
-from .translation import _prefactor_grid, _weight_tables
 from .vsh import Family, ForbiddenIndexError
 
 __all__ = [
@@ -203,7 +204,7 @@ def _rows(tables, table, lam, j: int, qq: int, span: int) -> np.ndarray:
     """``-AXIS_COMPONENT[qq]``, the factor with which the axis and cross
     kernels enter their ``(+)`` coefficient (the shift is odd there; ``qq =
     0`` has no axis component), times the weights ``table[lam[g], qq + 1,
-    j, mu - qq]`` of one table of ``tables`` (``translation._WeightTables``)
+    j, mu - qq]`` of one table of ``tables`` (``coupling._WeightTables``)
     over ``mu = -span..span``, for a column ``lam`` of shape ``(G, 1)``."""
     start = tables.center - span - qq
     return -AXIS_COMPONENT[qq] * table[lam[:, 0], qq + 1, j, start:start + 2 * span + 1]
@@ -219,7 +220,7 @@ def _terms(p, q, lp, l, tables, span):
     ``_FACTORS[q]``, times the matching entry of ``factors`` (``+-1``, or 0
     where the coefficient does not enter); the block is ``phase`` times
     their sum.  The weights that vary with ``mu`` are read from the tables
-    of ``translation._WeightTables`` (``tables``).  On a ball of radius
+    of ``coupling._WeightTables`` (``tables``).  On a ball of radius
     ``rho`` every term of order ``o`` takes the factor ``rho^(o + 1)``."""
     one = np.ones(lp.shape)
     if (p, q) == (W, V):
@@ -316,7 +317,7 @@ def _scale(rho, params: LameParams, l_max: int, factors, norm):
 def _scaled(order, weights, fac, powers):
     """The coefficients ``[c(s,+), c(s+2,+)]`` (last axis) of entries of
     lowest order ``order``, geometric weights ``weights[..., f, k]``
-    (``_DegreeBlocks.block``) and factors ``fac[..., f]``: ``c(s + 2k, +) =
+    (``_DegreeBlocks.blocks``) and factors ``fac[..., f]``: ``c(s + 2k, +) =
     rho^(s + 2k + 1) sum_f fac[f] weights[f, k]``."""
     return powers[np.asarray(order)[..., None] + (1, 3)] * (
         fac[..., :1] * weights[..., 0, :] + fac[..., 1:] * weights[..., 1, :])
@@ -369,7 +370,7 @@ class _DegreeBlocks:
     l_max + 3, mt + l_max]`` (zero outside ``|mu| <= lam``, ``|mt| <= l``),
     the same table with the real change of the column order
     (``_real_orders``: the complex change divided by ``i`` at ``mt < 0``),
-    and the weight tables of ``translation`` for those ``lam`` (``tables``,
+    and the weight tables of ``coupling`` for those ``lam`` (``tables``,
     when given, may hold more)."""
 
     def __init__(self, l_max: int, low: int = 0, tables=None):
@@ -446,40 +447,35 @@ class _DegreeBlocks:
             weights[..., f, k] = part
         return l + lp + b, weights
 
-    def block(self, p, q, lp: int, l: int, dropped: bool = False):
-        """``(s, weights)`` of the single degree pair ``(lp, l)`` (``blocks``):
-        ``weights[mp + lp, m + l, f, k]``."""
-        s, weights = self.blocks(p, q, [lp], [l], dropped)
-        return int(s[0]), weights[0]
-
-
-def _label_indices(basis: BasisMap) -> dict:
-    """Basis positions of each (degree, family), over ``m = -l..l``."""
-    ids = {}
-    for i, (l, m, fam) in enumerate(basis.labels):
-        ids.setdefault((l, fam), []).append(i)
-    return {key: np.array(val) for key, val in ids.items()}
-
 
 def _unrestricted(l_max: int, rho, params: LameParams, dropped: bool = False):
     """``(order, coef)`` of every label pair of ``BasisMap(l_max)``, read
     from the full degree-pair blocks with no sector rule and no mirror:
     shapes ``(n, n)`` and ``(n, n, 2)``, zero where the family pair has no
     lattice part.  With ``dropped``, ``coef`` holds the coefficients that
-    the real quadrant signs set to 0 (``_DegreeBlocks.blocks``)."""
+    the real quadrant signs set to 0 (``_DegreeBlocks.blocks``).  Each
+    stored family pair is one ``blocks`` call over every degree pair."""
     basis = BasisMap(l_max)
     n = basis.n_eff
-    ids = _label_indices(basis)
+    degs, _orders, fams = np.array(basis.labels).T
+    fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(degs, fams))
     blocks = _DegreeBlocks(l_max)
+    lp, l = (deg.ravel() for deg in np.meshgrid(*[np.arange(l_max + 1)] * 2, indexing="ij"))
     order = np.zeros((n, n), dtype=int)
     coef = np.zeros((n, n, 2))
-    for (lp, p), rows in ids.items():
-        for (l, q), cols in ids.items():
-            if (p, q) in _STORED:
-                s, weights = blocks.block(p, q, lp, l, dropped)
-                fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
-                order[np.ix_(rows, cols)] = s
-                coef[np.ix_(rows, cols)] = _scaled(s, weights, fac, powers)
+    for p, q in _STORED:
+        pick = (lp >= (p != V)) & (l >= (q != V))   # W and X have no degree 0
+        if not pick.any():
+            continue
+        s, block = blocks.blocks(p, q, lp[pick], l[pick], dropped)
+        deg_r, deg_c = lp[pick, None], l[pick, None]
+        mp = np.arange(-deg_r.max(), deg_r.max() + 1)
+        m = np.arange(-deg_c.max(), deg_c.max() + 1)
+        g, a, b = np.nonzero((np.abs(mp) <= deg_r)[:, :, None] & (np.abs(m) <= deg_c)[:, None, :])
+        r = BasisMap.positions(deg_r, mp, p)[g, a]
+        c = BasisMap.positions(deg_c, m, q)[g, b]
+        order[r, c] = s[g]
+        coef[r, c] = _scaled(s[g], block[g, a, b], fac[c], powers)
     return order, coef
 
 
@@ -527,9 +523,9 @@ def _entry_coef(p, lp, mp, q, l, m, rho, params):
     """``(s, coef)`` of one entry, from its degree-pair block and the
     factors of its column: the same values as the entry in ``Trace``."""
     l_max = max(l, lp)
-    s, weights = _DegreeBlocks(l_max, l).block(p, q, lp, l)   # column degree l alone
+    s, weights = _DegreeBlocks(l_max, l).blocks(p, q, [lp], [l])   # column degree l alone
     fac, _diag, powers = _scale(rho, params, l_max, *_label_columns(l, q))
-    return s, _scaled(s, weights[mp + lp, m + l], fac, powers)
+    return int(s[0]), _scaled(s[0], weights[0, mp + lp, m + l], fac, powers)
 
 
 def _per_copy_values(s, coef, x):
@@ -555,7 +551,7 @@ def sector(l, m, family):
 class _Geometry:
     """The part of ``Trace`` that depends on ``l_max`` alone, read-only:
     ``basis``, ``index``, ``order`` and ``mirror`` as in ``Trace``;
-    ``weights`` (``_DegreeBlocks.block``) of each entry of ``index``; and
+    ``weights`` (``_DegreeBlocks.blocks``) of each entry of ``index``; and
     for each basis label its ``factors`` and ``norm`` (``_label_columns``)."""
 
     basis: BasisMap

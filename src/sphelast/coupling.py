@@ -1,11 +1,19 @@
-"""Clebsch-Gordan coefficients for integer angular momenta.
+"""Clebsch-Gordan coefficients for integer angular momenta, and the angular
+weights of the addition theorems.
 
 ``cg_spin1`` gives the coefficients with one spin-1 argument in closed
-form, broadcast over arrays of all four remaining arguments: every weight of
-the trace and of the re-expansion series is a product of them.  ``cg``, the
+form, broadcast over arrays of all four remaining arguments.  ``cg``, the
 general coefficient from Racah's single-sum formula on a precomputed
 log-factorial table, is the reference the closed forms are tested against.
 Selection-rule violations return 0 rather than raising.
+
+The addition theorems for V, W and X enter the trace only through angular
+weights: the decay prefactors (``_prefactor_grid``, signed binomial roots
+broadcast over their four arguments) and the recoupling, radial and cross
+weights, products of the closed spin-1 forms, summed over the spin
+projection into three tables over a ``lam`` axis (``_WeightTables``).  The
+trace (``assembly._DegreeBlocks``) and the series of ``translation`` read
+the same tables.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ __all__ = [
     "cg",
     "cg_spin1",
     "binom_safe",
+    "recoupling_weights",
+    "cross_weights",
 ]
 
 _LMAX_SUPPORTED = 64
@@ -130,3 +140,122 @@ def cg_spin1(j1, m1, q, j) -> np.ndarray:
     num = np.where(ok, p * factors[..., 1], 0.0)
     den = np.where(form, den[..., 0] + (den[..., 1] + den[..., 2] * j1) * j1, 1.0)
     return np.copysign(np.sqrt(num / den), _SPIN1_SIGN[d, q] * p)
+
+
+@lru_cache(maxsize=None)
+def _binomials(size: int) -> np.ndarray:
+    """``binom_safe(n, k)`` for ``0 <= n, k < size``, indexed ``[n, k]``
+    (read-only): Pascal's rule in exact integers, each entry rounded to
+    float once."""
+    table = np.zeros((size, size))
+    row = [1]
+    for n in range(size):
+        table[n, :n + 1] = row
+        row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
+    table.flags.writeable = False
+    return table
+
+
+def _prefactor_grid(l, lam, mu, m) -> np.ndarray:
+    """``translation.decay_prefactor(l, lam, m, mu)`` broadcast over
+    integer arrays of the four arguments: 0 wherever ``|m| > l`` or ``|mu| >
+    lam``."""
+    l, lam, mu, m = (np.asarray(x) for x in (l, lam, mu, m))
+    # every binomial index lies within +-reach, negative ones (outside the
+    # selection rules) wrapping into the table; one table per power of 2
+    reach = int(l.max() + lam.max() + np.abs(mu).max() + np.abs(m).max())
+    choose = _binomials(1 << reach.bit_length())
+    bb = choose[l + lam + mu - m, lam + mu] * choose[l + lam + m - mu, lam - mu]
+    inside = (np.abs(mu) <= lam) & (np.abs(m) <= l) & (bb > 0.0)
+    sign = np.where((lam + mu) % 2, -1.0, 1.0)
+    return np.where(inside, sign * np.sqrt((2 * l + 1) / (2 * lam + 1) * bb), 0.0)
+
+
+def recoupling_weights(k, j, lam, m1, mu, q) -> np.ndarray:
+    """Angular weight converting an axis-projection product into a vector
+    harmonic of orbital degree ``k`` and total degree ``j``, from the
+    closed spin-1 Clebsch-Gordan forms, broadcast over every argument; 0
+    outside the coupling selection rules."""
+    root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * np.asarray(k) + 1)
+    # the two couplings with the spin 1 first, cg(1, ., lam - 1, ., k, .),
+    # each carry the sign (-1)^(lam - k) against cg_spin1; the signs cancel
+    return (
+        np.sqrt(root)
+        * (-1.0) ** np.asarray(q)
+        * cg_spin1(lam - 1, mu - m1, m1, lam)
+        * cg_spin1(lam - 1, mu - m1, q, k)
+        * cg_spin1(lam - 1, 0, 0, k)
+        * cg_spin1(k, q + mu - m1, m1, j)
+    )
+
+
+def cross_weights(j, lam, q, m1, mu) -> np.ndarray:
+    """``translation.cross_coeff``'s prefactor over ``1j *
+    decay_prefactor(l, lam, m, mu)``: the two share their binomials, so the
+    ratio depends on neither ``l`` nor ``m``.  From the closed spin-1
+    Clebsch-Gordan forms, broadcast over every argument."""
+    return (
+        (-1.0) ** np.asarray(q)
+        * np.sign(np.asarray(q) - m1)
+        * np.sqrt(lam * (2 * lam + 1))
+        * cg_spin1(lam - 1, mu - m1, m1, lam)
+        * cg_spin1(lam - 1, mu - m1, q + m1, j)
+    )
+
+
+# The weight tables of every lam below a size, summed over m1 and indexed
+# [lam, q + 1, ..., j - k + 1, mu + center] over the total degrees j of the
+# vector_Y(j, k, .) harmonics that they multiply: the projections run _PAD
+# past the largest lam (with zero weights beyond each lam), so that a
+# shifted row is a slice.  Read-only, shared by the series and by the trace
+# (assembly._DegreeBlocks).
+_PAD = 2
+_Q = np.arange(-1, 2)
+
+
+class _WeightTables:
+    """The three weight tables of every ``lam < size``, each from one pass
+    of the closed spin-1 forms over a ``lam`` axis:
+
+    * ``recoupling[lam, q + 1, (lam - k) // 2, j - k + 1, mu + center]``,
+      the axis-projection terms of ``|r'|^{-l} V`` at orbital degrees
+      ``k = lam, lam - 2`` (zero where ``k < 0`` and at ``lam = 0``);
+    * ``radial[lam, q + 1, j - lam + 1, mu + center]``, the radial-part terms
+      of ``|r'|^{-l} W``: the coupling of ``Y(lam, mu) chi(q)`` to total
+      degree ``j``;
+    * ``cross[lam, q + 1, j - lam + 2, mu + center]``, the axis
+      cross-product terms of the toroidal series, total degrees ``j = lam -
+      2..lam`` of orbital degree ``lam - 1``.
+
+    ``window(lam)`` slices the projections of one ``lam``, ``-lam - _PAD``
+    to ``lam + _PAD``."""
+
+    def __init__(self, size: int):
+        self.center = size - 1 + _PAD
+        mus = np.arange(-self.center, self.center + 1)
+        # recoupling terms over [lam, q, m1, (lam - k) // 2, j - k + 1, mu]
+        lam = np.arange(size)[:, None, None, None, None, None]
+        ks = lam - 2 * np.arange(2)[:, None, None]
+        orbital = np.maximum(ks, 0)   # a negative k has no weights
+        terms = recoupling_weights(orbital, orbital + _Q[:, None], lam,
+                                   _Q[:, None, None, None], mus, _Q[:, None, None, None, None])
+        self.recoupling = np.where(
+            (ks[:, 0] >= 0) & (lam[:, 0] >= 1), terms.sum(axis=2), 0.0)
+        # radial weights over [lam, q, j - lam + 1, mu]
+        lam, q = lam[:, 0, 0], _Q[:, None, None]
+        self.radial = (-1.0) ** q * cg_spin1(lam, mus, q, lam + _Q[:, None])
+        # cross terms over [lam, q, m1, j - lam + 2, mu]
+        lam = lam[..., None]
+        terms = cross_weights(lam - 1 + _Q[:, None], lam, _Q[:, None, None, None],
+                              _Q[:, None, None], mus)
+        self.cross = terms.sum(axis=2)
+        for table in (self.recoupling, self.radial, self.cross):
+            table.flags.writeable = False
+
+    def window(self, lam: int) -> slice:
+        return slice(self.center - lam - _PAD, self.center + lam + _PAD + 1)
+
+
+@lru_cache(maxsize=None)
+def _weight_tables(size: int) -> _WeightTables:
+    return _WeightTables(size)

@@ -1,25 +1,21 @@
-"""Translation re-expansion machinery for solid and vector harmonics.
+"""Translation re-expansion series for solid and vector harmonics: the
+reference that the addition theorems are verified against.
 
 A field centred at the origin is re-expanded about a shifted centre: the
 growing (regular) harmonics give finite sums, the decaying ones give
-geometric-type series valid for ``|r| < |a|``.  Four coefficient families
+geometric-type series valid for ``|r| < |a|``.  Three coefficient families
 drive everything:
 
-* ``regular_coeff``      -- weight of the finite growing re-expansion,
-* ``decay_coeff``        -- weight of the decaying re-expansion,
-* ``recoupling_weights`` -- pure angular-momentum weight that recouples an
-  axis-projection product back into vector harmonics,
-* ``cross_coeff``        -- weight of the axis cross-product recoupling
-  (``cross_weights`` times the decay prefactor).
+* ``regular_coeff`` -- weight of the finite growing re-expansion,
+* ``decay_coeff``   -- weight of the decaying re-expansion,
+* ``cross_coeff``   -- weight of the axis cross-product recoupling
+  (``coupling.cross_weights`` times the decay prefactor).
 
-The two angular weights are products of the closed spin-1 Clebsch-Gordan
-forms (``coupling.cg_spin1``), broadcast over their arguments, ``lam``
-included.  Summed over the spin projection, they make three weight tables
-over a ``lam`` axis, each from one pass of those forms
-(``_WeightTables``: recoupling, radial and cross), which both the vector
-series below and the trace (``assembly._terms``) read.  The decay
-prefactors broadcast the same way (``_prefactor_grid``), for the trace's
-table of plain kernels.
+Their angular parts, the decay prefactors and the recoupling, radial and
+cross weight tables (``coupling._prefactor_grid``,
+``coupling._WeightTables``), live in ``coupling``, which the trace
+(``assembly._terms``) reads too; no module on the path of the matrices
+imports this one.
 
 The ``translate_*`` evaluators sum the re-expansion series for the real
 vector harmonics; the assembly code never calls them (its entries are closed
@@ -48,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coupling import binom_safe, cg_spin1
+from .coupling import (_PAD, _Q, _binomials, _prefactor_grid, _weight_tables, binom_safe,
+                       cross_weights)
 from .sphharm import (
     Direction,
     DomainError,
@@ -73,8 +70,6 @@ __all__ = [
     "decay_prefactor",
     "decay_prefactors",
     "cross_coeff",
-    "recoupling_weights",
-    "cross_weights",
     "combine_source",
     "combine_row",
     "translate_solid_regular",
@@ -106,34 +101,6 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.lam_max < 1:
             raise ValueError("lam_max must be >= 1")
-
-
-@lru_cache(maxsize=None)
-def _binomials(size: int) -> np.ndarray:
-    """``binom_safe(n, k)`` for ``0 <= n, k < size``, indexed ``[n, k]``
-    (read-only): Pascal's rule in exact integers, each entry rounded to
-    float once."""
-    table = np.zeros((size, size))
-    row = [1]
-    for n in range(size):
-        table[n, :n + 1] = row
-        row = [1, *(x + y for x, y in zip(row, row[1:])), 1]
-    table.flags.writeable = False
-    return table
-
-
-def _prefactor_grid(l, lam, mu, m) -> np.ndarray:
-    """``decay_prefactor(l, lam, m, mu)`` broadcast over integer arrays of
-    the four arguments: 0 wherever ``|m| > l`` or ``|mu| > lam``."""
-    l, lam, mu, m = (np.asarray(x) for x in (l, lam, mu, m))
-    # every binomial index lies within +-reach, negative ones (outside the
-    # selection rules) wrapping into the table; one table per power of 2
-    reach = int(l.max() + lam.max() + np.abs(mu).max() + np.abs(m).max())
-    choose = _binomials(1 << reach.bit_length())
-    bb = choose[l + lam + mu - m, lam + mu] * choose[l + lam + m - mu, lam - mu]
-    inside = (np.abs(mu) <= lam) & (np.abs(m) <= l) & (bb > 0.0)
-    sign = np.where((lam + mu) % 2, -1.0, 1.0)
-    return np.where(inside, sign * np.sqrt((2 * l + 1) / (2 * lam + 1) * bb), 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -335,96 +302,6 @@ class _Kahan:
         self.total = t
 
 
-def recoupling_weights(k, j, lam, m1, mu, q) -> np.ndarray:
-    """Angular weight converting an axis-projection product into a vector
-    harmonic of orbital degree ``k`` and total degree ``j``, from the
-    closed spin-1 Clebsch-Gordan forms, broadcast over every argument; 0
-    outside the coupling selection rules."""
-    root = lam * (2 * lam + 1) * (2 * lam - 1) / (2 * np.asarray(k) + 1)
-    # the two couplings with the spin 1 first, cg(1, ., lam - 1, ., k, .),
-    # each carry the sign (-1)^(lam - k) against cg_spin1; the signs cancel
-    return (
-        np.sqrt(root)
-        * (-1.0) ** np.asarray(q)
-        * cg_spin1(lam - 1, mu - m1, m1, lam)
-        * cg_spin1(lam - 1, mu - m1, q, k)
-        * cg_spin1(lam - 1, 0, 0, k)
-        * cg_spin1(k, q + mu - m1, m1, j)
-    )
-
-
-def cross_weights(j, lam, q, m1, mu) -> np.ndarray:
-    """``cross_coeff``'s prefactor over ``1j * decay_prefactor(l, lam, m,
-    mu)``: the two share their binomials, so the ratio depends on neither
-    ``l`` nor ``m``.  From the closed spin-1 Clebsch-Gordan forms,
-    broadcast over every argument."""
-    return (
-        (-1.0) ** np.asarray(q)
-        * np.sign(np.asarray(q) - m1)
-        * np.sqrt(lam * (2 * lam + 1))
-        * cg_spin1(lam - 1, mu - m1, m1, lam)
-        * cg_spin1(lam - 1, mu - m1, q + m1, j)
-    )
-
-
-# The weight tables of every lam below a size, summed over m1 and indexed
-# [lam, q + 1, ..., j - k + 1, mu + center] over the total degrees j of the
-# vector_Y(j, k, .) harmonics that they multiply: the projections run _PAD
-# past the largest lam (with zero weights beyond each lam), so that a
-# shifted row is a slice.  Read-only, shared by the series and by the trace
-# (assembly._DegreeBlocks).
-_PAD = 2
-_Q = np.arange(-1, 2)
-
-
-class _WeightTables:
-    """The three weight tables of every ``lam < size``, each from one pass
-    of the closed spin-1 forms over a ``lam`` axis:
-
-    * ``recoupling[lam, q + 1, (lam - k) // 2, j - k + 1, mu + center]``,
-      the axis-projection terms of ``|r'|^{-l} V`` at orbital degrees
-      ``k = lam, lam - 2`` (zero where ``k < 0`` and at ``lam = 0``);
-    * ``radial[lam, q + 1, j - lam + 1, mu + center]``, the radial-part terms
-      of ``|r'|^{-l} W``: the coupling of ``Y(lam, mu) chi(q)`` to total
-      degree ``j``;
-    * ``cross[lam, q + 1, j - lam + 2, mu + center]``, the axis
-      cross-product terms of the toroidal series, total degrees ``j = lam -
-      2..lam`` of orbital degree ``lam - 1``.
-
-    ``window(lam)`` slices the projections of one ``lam``, ``-lam - _PAD``
-    to ``lam + _PAD``."""
-
-    def __init__(self, size: int):
-        self.center = size - 1 + _PAD
-        mus = np.arange(-self.center, self.center + 1)
-        # recoupling terms over [lam, q, m1, (lam - k) // 2, j - k + 1, mu]
-        lam = np.arange(size)[:, None, None, None, None, None]
-        ks = lam - 2 * np.arange(2)[:, None, None]
-        orbital = np.maximum(ks, 0)   # a negative k has no weights
-        terms = recoupling_weights(orbital, orbital + _Q[:, None], lam,
-                                   _Q[:, None, None, None], mus, _Q[:, None, None, None, None])
-        self.recoupling = np.where(
-            (ks[:, 0] >= 0) & (lam[:, 0] >= 1), terms.sum(axis=2), 0.0)
-        # radial weights over [lam, q, j - lam + 1, mu]
-        lam, q = lam[:, 0, 0], _Q[:, None, None]
-        self.radial = (-1.0) ** q * cg_spin1(lam, mus, q, lam + _Q[:, None])
-        # cross terms over [lam, q, m1, j - lam + 2, mu]
-        lam = lam[..., None]
-        terms = cross_weights(lam - 1 + _Q[:, None], lam, _Q[:, None, None, None],
-                              _Q[:, None, None], mus)
-        self.cross = terms.sum(axis=2)
-        for table in (self.recoupling, self.radial, self.cross):
-            table.flags.writeable = False
-
-    def window(self, lam: int) -> slice:
-        return slice(self.center - lam - _PAD, self.center + lam + _PAD + 1)
-
-
-@lru_cache(maxsize=None)
-def _weight_tables(size: int) -> _WeightTables:
-    return _WeightTables(size)
-
-
 class _Series:
     """The tables of one vector-series call: the complex vector harmonics
     and ``vector_Y`` at the direction of ``r``, the solid harmonics of the
@@ -477,8 +354,8 @@ class _Series:
         )
 
     def weights(self, name, lam):
-        """The weight table ``name`` of ``_WeightTables`` at one ``lam``,
-        over its projections ``-lam - _PAD..lam + _PAD``."""
+        """The weight table ``name`` of ``coupling._WeightTables`` at one
+        ``lam``, over its projections ``-lam - _PAD..lam + _PAD``."""
         return getattr(self.tables, name)[lam, ..., self.tables.window(lam)]
 
     def coupled(self, lam, k, weights, c):

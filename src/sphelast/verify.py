@@ -232,7 +232,6 @@ def suite_kelvin(rng):
     )
     checks.append(("fundamental solution values", worst, 1e-15))
     quad = oracle.build_quadrature(60)
-    dirs = quad.directions()
     rho = 0.3
     worst = 0.0
     for l, fam in [(1, Family.W), (3, Family.X), (2, Family.V)]:

@@ -43,7 +43,6 @@ __all__ = [
     "Family",
     "ForbiddenIndexError",
     "CHI",
-    "chi",
     "vsh_complex",
     "vsh_real",
     "vsh_real_table",
@@ -78,10 +77,6 @@ CHI = {
 }
 
 
-def chi(q: int) -> np.ndarray:
-    return CHI[q].copy()
-
-
 def _check_indices(family: Family, l: int, m: int) -> None:
     family = Family(family)
     if l < 0 or abs(m) > l:
@@ -95,13 +90,17 @@ def _check_indices(family: Family, l: int, m: int) -> None:
 def _family_amplitudes(family: Family, l: int, a_tau, a_pi, a_y, frame):
     """(real, imag) amplitude vectors of one family from the scaled
     Legendre helpers and the local frame (r_hat, theta_hat, phi_hat); scalar
-    amplitudes with 3-vectors, or node columns with node rows of vectors."""
+    amplitudes with 3-vectors, or node columns with node rows of vectors.
+    With ``a_pi`` times ``i`` (``vsh_complex_table``), their sum is the
+    complex harmonic."""
     r_hat, t_hat, p_hat = frame
     if family == Family.V:
         return a_tau * t_hat - (l + 1) * a_y * r_hat, a_pi * p_hat
     if family == Family.W:
         return a_tau * t_hat + l * a_y * r_hat, a_pi * p_hat
-    return a_tau * p_hat, -a_pi * t_hat
+    # negated after the product: the sum then rounds as re - a_pi t_hat,
+    # signed zeros included, when a_pi is complex
+    return a_tau * p_hat, -(a_pi * t_hat)
 
 
 def _real_combination(m: int, re, im, c, s):
@@ -212,12 +211,10 @@ def vsh_complex_table(lmax: int, d) -> np.ndarray:
     a_tau = (norm * tau)[:, ma, None]
     a_pi = 1j * (norm * pi)[:, ma, None] * m[:, None]
     a_y = (norm * p)[:, ma, None]
-    deg = np.arange(lmax + 1)[:, None, None]
-    r_hat, t_hat, p_hat = d.frame()
+    deg, frame = np.arange(lmax + 1)[:, None, None], d.frame()
     return np.stack([
-        a_tau * t_hat - (deg + 1) * a_y * r_hat + a_pi * p_hat,
-        a_tau * t_hat + deg * a_y * r_hat + a_pi * p_hat,
-        a_tau * p_hat - a_pi * t_hat,
+        np.add(*_family_amplitudes(family, deg, a_tau, a_pi, a_y, frame))
+        for family in Family
     ]) * phase[:, None]
 
 

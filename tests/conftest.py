@@ -40,7 +40,7 @@ def kernel_coef(blocks, kind, *args):
     factor ``-AXIS_COMPONENT[q]`` of their odd ``(+)`` coefficient; a
     cross kernel's coefficient is imaginary."""
     from sphelast.latsum import AXIS_COMPONENT
-    from sphelast.translation import cross_weights
+    from sphelast.coupling import cross_weights
 
     if kind == "cross":
         l, j, lam, mt, mu, q, m1 = args

@@ -482,6 +482,33 @@ def unrestricted_coefs():
     return secs, order, coef, np.abs(coef).max()
 
 
+@pytest.mark.parametrize("dropped", [False, True])
+@pytest.mark.parametrize("l_max", range(7))
+def test_unrestricted_reads_the_per_pair_blocks(l_max, dropped):
+    # one blocks call per family pair, scattered by position, against one
+    # call per degree pair, scaled per column degree and scattered label by
+    # label: bit for bit
+    params = LameParams(1.5, 0.8)
+    basis = BasisMap(l_max)
+    n = basis.n_eff
+    ids = {}
+    for i, (l, _m, fam) in enumerate(basis.labels):
+        ids.setdefault((l, fam), []).append(i)
+    blocks = _DegreeBlocks(l_max)
+    order, coef = np.zeros((n, n), dtype=int), np.zeros((n, n, 2))
+    for (lp, p), rows in ids.items():
+        for (l, q), cols in ids.items():
+            if (p, q) in assembly._STORED:
+                s, weights = blocks.blocks(p, q, [lp], [l], dropped)
+                fac, _diag, powers = assembly._scale(
+                    RHO, params, l_max, *assembly._label_columns(l, q))
+                order[np.ix_(rows, cols)] = s[0]
+                coef[np.ix_(rows, cols)] = assembly._scaled(s[0], weights[0], fac, powers)
+    got_order, got_coef = _unrestricted(l_max, RHO, params, dropped)
+    assert got_order.tobytes() == order.tobytes()
+    assert got_coef.tobytes() == coef.tobytes()
+
+
 def _built(geo):
     """The built entries of a geometry, sorted by index: ``(rows, cols,
     order, weights)`` with rows and columns as basis positions."""
@@ -640,7 +667,7 @@ class TestParitySectors:
         monkeypatch.setitem(
             assembly._ORDER_OFFSET, (Family.W, Family.W), 0)
         with pytest.raises(RuntimeError, match="outside the two orders"):
-            _DegreeBlocks(1).block(Family.W, Family.W, 1, 1)
+            _DegreeBlocks(1).blocks(Family.W, Family.W, [1], [1])
 
     @staticmethod
     def _matrices(params):

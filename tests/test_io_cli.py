@@ -856,12 +856,13 @@ _LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 def test_cli_import_leaves_out_mpmath_and_scipy_special():
     # mpmath is only the oracle's reference; neither belongs on the import
     # path of every command, and the package does not use scipy at all.
-    # The self-checks and the oracle behind them load when verify runs.
+    # The self-checks, the oracle and the re-expansion series behind them
+    # load when verify runs; the package and the command line load none.
     reference = "('mpmath', 'scipy.special', 'sphelast.verify', " \
-        "'sphelast.oracle', 'sphelast._kernels')"
+        "'sphelast.oracle', 'sphelast._kernels', 'sphelast.translation')"
     done = _run_python(
         "-c",
-        "import sys, sphelast.cli; "
+        "import sys, sphelast, sphelast.cli; "
         f"print(sorted(m for m in {reference} if m in sys.modules)); "
         f"print({_LOADED_SCIPY})",
     )

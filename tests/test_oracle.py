@@ -1,4 +1,7 @@
+import json
 import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,10 +171,27 @@ class TestFiniteDifferences:
 
 # The direct Lerch route against mpmath's lerchphi quadrature at 30 digits:
 # orders 1..16 and three far beyond, phases from next to the resonance to
-# the zone edge, offsets off the two polylog reductions (1 and 1/2)
+# the zone edge, offsets off the two polylog reductions (1 and 1/2).  The
+# lerchphi values are recorded in lerch_reference.json
+# (make_lerch_reference.py), and one column is recomputed live.
 LERCH_ORDERS = (*range(1, 17), 23, 40, 131)
 LERCH_PHASES = (0.05, 0.3, 1.3, math.pi, 5.0, 2 * math.pi - 0.05)
 LERCH_OFFSETS = (0.02, 0.14, 0.37, 0.96)
+LERCH_REFERENCE = Path(__file__).with_name("lerch_reference.json")
+
+
+@lru_cache(maxsize=1)
+def _lerch_record() -> dict:
+    """The recorded lerchphi values, ``[re, im]`` strings keyed by ``repr``
+    of the phase and of the offset, then by the order."""
+    with open(LERCH_REFERENCE) as fh:
+        return json.load(fh)["values"]
+
+
+def _recorded(alpha, offset, s):
+    import mpmath
+
+    return mpmath.mpc(*_lerch_record()[repr(alpha)][repr(offset)][str(s)])
 
 
 class TestLerchReference:
@@ -183,10 +203,9 @@ class TestLerchReference:
 
         worst = 0.0
         with mpmath.workdps(30):
-            z = mpmath.expj(mpmath.mpf(alpha))
             for offset in LERCH_OFFSETS:
                 for s in LERCH_ORDERS:
-                    ref = mpmath.lerchphi(z, s, mpmath.mpf(offset))
+                    ref = _recorded(alpha, offset, s)
                     plus = _lerch_direct(s, alpha, offset)
                     minus = _lerch_direct(s, -alpha, offset)
                     assert plus is not None and minus is not None, (s, offset)
@@ -194,6 +213,18 @@ class TestLerchReference:
                     worst = max(worst, abs(plus - ref) / scale,
                                 abs(minus - mpmath.conj(ref)) / scale)
         assert worst <= 1e-25
+
+    def test_record_is_lerchphi(self):
+        # one column of the record recomputed: a record written for another
+        # grid, or by another lerchphi, fails here
+        import mpmath
+        from make_lerch_reference import lerchphi_column
+
+        alpha, offset = 1.3, 0.37
+        with mpmath.workdps(30):
+            for s, value in lerchphi_column(alpha, offset).items():
+                ref = _recorded(alpha, offset, s)
+                assert abs(value - ref) <= 1e-28 * max(1, abs(ref)), s
 
     @pytest.mark.parametrize("s", (1, 7, 131))
     @pytest.mark.parametrize("alpha", (0.05, math.pi))

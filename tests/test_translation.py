@@ -6,20 +6,17 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from sphelast.coupling import binom_safe, cg
+from sphelast.coupling import _binomials, binom_safe, cg, cross_weights, recoupling_weights
 from sphelast.sphharm import solid_irregular, solid_regular
 from sphelast.translation import (
     ConvergenceError,
     SingularityError,
     TruncationPolicy,
-    _binomials,
     combine_source,
     cross_coeff,
-    cross_weights,
     decay_coeff,
     decay_prefactor,
     decay_prefactors,
-    recoupling_weights,
     regular_coeff,
     translate_V_decay,
     translate_V_neg_l,
@@ -393,7 +390,7 @@ def test_trace_row_weights_match_exact_values():
     # sum over m1 of terms at (lam, mu - qq), against the exact sum, to
     # 2e-15 of the sum of the terms' magnitudes (exactly 0 where every term is)
     from sphelast.assembly import _rows
-    from sphelast.translation import _weight_tables
+    from sphelast.coupling import _weight_tables
 
     tables = _weight_tables(20)
 

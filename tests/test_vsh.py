@@ -279,7 +279,7 @@ class TestSphericalBasis:
 def test_product_recoupling_consistency(rng):
     # the axis-projection product of a growing-trace harmonic re-expands
     # into vector harmonics with the pure recoupling weights
-    from sphelast.translation import recoupling_weights
+    from sphelast.coupling import recoupling_weights
 
     for v in random_units(rng, 5):
         a = rng.normal(size=3)
