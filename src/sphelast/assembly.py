@@ -69,7 +69,8 @@ vanish; ``per_copy_entries`` still evaluates the printed (V,X) combination
 those, a chain on the x-axis (and the dimer at ``(+-d, 0, 0)``) is
 symmetric under ``z -> -z`` and ``y -> -y``, so ``M`` splits into four
 parity sectors (``sector``): entries whose row and column labels lie in
-different sectors are zero, and the assembled matrices store exact zeros.
+different sectors are zero, and an assembled matrix holds only its blocks
+on the sectors (``sectors``).
 
 Mirrored triangle: ``M`` is Hermitian for every phase, and ``conj u[s -
 1] = (-1)^(s+1) u[s - 1]``; since the ``Li_s`` are linearly independent,
@@ -77,7 +78,7 @@ the coefficients of entry ``(j, i)`` are ``(-1)^(s+1)`` times those of
 ``(i, j)`` (``_mirror``), so its value is the conjugate of the value of
 ``(i, j)``.  Only the blocks with ``lp <= l`` are built, only their entries
 on or above the diagonal are stored, and a phase writes the conjugates of
-their contracted values below the diagonal (``Trace._block``).  The Lerch
+their contracted values below the diagonal (``Trace._fill``).  The Lerch
 values of the dimer blocks "21" and "12" are mirrors of each other (``u12
 = (-1)^(s+1) conj u21``), so the lower triangle of each coupling block is
 the conjugate of the other's upper triangle.
@@ -91,7 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,6 +113,7 @@ __all__ = [
     "Trace",
     "ScaleOverflow",
     "sector",
+    "sectors",
 ]
 
 BASIS_VERSION = "vwx-ordered-1"
@@ -164,9 +166,12 @@ class BasisMap:
 
 @dataclass
 class AssembledMatrix:
-    """Dense operator matrix with the inputs that produced it."""
+    """Operator matrix as its parity-sector blocks, with the inputs that
+    produced it: ``blocks[k]`` is the block on the rows and columns
+    ``rows[k]``, and every other entry is zero.  ``matrix`` scatters the
+    blocks into the dense array; ``from_matrix`` gathers them from one."""
 
-    matrix: np.ndarray
+    blocks: list
     basis: BasisMap
     alpha: float
     rho: float
@@ -178,6 +183,38 @@ class AssembledMatrix:
     def __post_init__(self):
         self.meta.setdefault("basis_version", BASIS_VERSION)
         self.meta.setdefault("tool_version", _pkg_version)
+
+    @property
+    def size(self) -> int:
+        """The number of rows: ``n``, or ``2 n`` for the dimer."""
+        return self.basis.n_eff * (1 if self.dimer is None else 2)
+
+    @property
+    def rows(self) -> list:
+        """The positions of ``sectors(l_max)``, for the dimer each followed by
+        the same on ball 2: block ``k`` is ``[[A_k, C21_k], [C12_k, A_k]]``."""
+        return [g if self.dimer is None else np.concatenate([g, g + self.basis.n_eff])
+                for g in sectors(self.l_max)]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((self.size, self.size), dtype=complex)
+        for block, rows in zip(self.blocks, self.rows):
+            out[np.ix_(rows, rows)] = block
+        return out
+
+    @classmethod
+    def from_matrix(cls, matrix, **inputs) -> AssembledMatrix:
+        """Gather the blocks of a dense ``matrix`` (other fields as keywords);
+        ``ValueError`` for a shape other than the basis's or an entry across sectors."""
+        out, matrix = cls(blocks=[], **inputs), np.asarray(matrix)
+        if matrix.shape != (out.size, out.size):
+            raise ValueError(f"a matrix of shape {matrix.shape}, where lmax {out.l_max} and "
+                             f"d = {out.dimer and out.dimer.d} give {out.size} x {out.size}")
+        out.blocks = [matrix[np.ix_(rows, rows)] for rows in out.rows]
+        if sum(map(np.count_nonzero, out.blocks)) != np.count_nonzero(matrix):
+            raise ValueError("the matrix couples different parity sectors")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +584,27 @@ def sector(l, m, family):
     return 2 * ((l + m) % 2 ^ flip) + ((m < 0) ^ flip)
 
 
+@lru_cache(maxsize=1)
+def sectors(l_max: int) -> tuple:
+    """The basis positions of each nonempty parity sector of
+    ``BasisMap(l_max)``, by ascending ``sector``, read-only; only the most
+    recent ``l_max`` is kept.  ``M`` is block-diagonal over them."""
+    secs = sector(*np.array(BasisMap(l_max).labels).T)
+    return tuple(_frozen(np.flatnonzero(secs == k)) for k in range(4) if np.any(secs == k))
+
+
 @dataclass(frozen=True, eq=False)
 class _Geometry:
     """The part of ``Trace`` that depends on ``l_max`` alone, read-only:
-    ``basis``, ``index``, ``order`` and ``mirror`` as in ``Trace``;
-    ``weights`` (``_DegreeBlocks.blocks``) of each entry of ``index``; and
-    for each basis label its ``factors`` and ``norm`` (``_label_columns``)."""
+    ``basis``, ``bounds``, ``row``, ``col`` and ``order`` as in ``Trace``;
+    ``weights`` (``_DegreeBlocks.blocks``) of each stored entry; and for
+    each basis label its ``factors`` and ``norm`` (``_label_columns``)."""
 
     basis: BasisMap
-    index: np.ndarray
+    bounds: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
     order: np.ndarray
-    mirror: np.ndarray
     weights: np.ndarray
     factors: np.ndarray
     norm: np.ndarray
@@ -634,13 +681,19 @@ def _geometry(l_max: int) -> _Geometry:
                 order[built:end] = s[g]
                 weights[built:end] = block[g, a, b]
                 built = end
+    # the entries grouped by sector, each at the ranks of its labels there
+    group, rank = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.intp)
+    for k, labels in enumerate(sectors(l_max)):
+        group[labels], rank[labels] = k, np.arange(len(labels))
     row, col = np.divmod(index[:built], n)
-    col *= n
-    col += row
+    by_group = np.argsort(group[row], kind="stable")
+    bounds = np.searchsorted(group[row[by_group]], np.arange(group.max() + 2))
+    # rebound before the weights are copied, so that the originals are freed
+    row, col, order = rank[row[by_group]], rank[col[by_group]], order[by_group]
     factors, norm = _label_columns(degs, fams)
     return _Geometry(
-        basis=basis, index=_frozen(index[:built]), order=_frozen(order[:built]),
-        mirror=_frozen(col), weights=_frozen(weights[:built]),
+        basis=basis, bounds=_frozen(bounds), row=_frozen(row), col=_frozen(col),
+        order=_frozen(order), weights=_frozen(weights[by_group]),
         factors=_frozen(factors), norm=_frozen(norm),
     )
 
@@ -649,15 +702,15 @@ class Trace:
     """Phase-independent part of ``M(alpha) = D + T v(alpha)`` for one ball
     radius, material and truncation degree.
 
-    ``diag`` is the on-ball diagonal ``D``.  ``index`` holds the row-major
-    flat positions of the in-sector entries on or above the diagonal whose
-    geometric weights do not vanish identically, ``order`` the lowest order
-    of each and ``coef`` its two real coefficients ``[c(s,+), c(s+2,+)]``
-    (module docstring); ``mirror`` is the flat position of each entry's
-    transpose.  Only this triangle is stored: the entries below the
-    diagonal are the conjugates of its values (``_block``).
+    ``diag`` is the on-ball diagonal ``D``.  The in-sector entries on or
+    above the diagonal whose geometric weights do not vanish identically
+    are stored by sector: entries ``bounds[k]:bounds[k + 1]`` lie at ``(row,
+    col)`` of the block of ``sectors(l_max)[k]``, ``order`` is the lowest
+    order of each and ``coef`` its two real coefficients ``[c(s,+),
+    c(s+2,+)]`` (module docstring).  Only this triangle is stored: the
+    entries below the diagonal are the conjugates of its values (``_fill``).
 
-    ``basis``, ``index``, ``order`` and ``mirror`` are the read-only
+    ``basis``, ``bounds``, ``row``, ``col`` and ``order`` are the read-only
     geometry of ``l_max``, shared by every trace of that ``l_max``;
     ``coef`` and ``diag`` are its per-radius, per-material scale
     (``_scale``, ``_scaled``), which raises ``ScaleOverflow`` where they
@@ -671,38 +724,41 @@ class Trace:
             raise ValueError("need 0 < rho < 1/2")
         geo = _geometry(l_max)
         self.rho, self.params, self.l_max = rho, params, l_max
-        self.basis, self.index, self.order = geo.basis, geo.index, geo.order
-        self.mirror = geo.mirror
+        self.basis, self.bounds, self.order = geo.basis, geo.bounds, geo.order
+        self.row, self.col = geo.row, geo.col
         self.s_max = 2 * l_max + 3
         fac, self.diag, powers = _scale(rho, params, l_max, geo.factors, geo.norm)
-        self.coef = _scaled(self.order, geo.weights, fac[self.index % self.basis.n_eff], powers)
+        cols = np.concatenate([labels[self.col[a:b]] for labels, a, b in zip(
+            sectors(l_max), self.bounds, self.bounds[1:])])
+        self.coef = _scaled(self.order, geo.weights, fac[cols], powers)
 
-    def _block(self, upper, lower) -> np.ndarray:
-        """The lattice block with the contracted values ``upper`` at
-        ``index`` and the conjugates of ``lower`` at ``mirror`` (written
-        first, so the diagonal keeps ``upper``).  ``0.0 - imag`` conjugates
-        as the mirrored coefficients would: a zero stays ``+0``."""
-        n = self.basis.n_eff
-        out = np.zeros(n * n, dtype=complex)
-        out.real[self.mirror] = lower.real
-        out.imag[self.mirror] = 0.0 - lower.imag
-        out[self.index] = upper
-        return out.reshape(n, n)
+    def _fill(self, blocks, upper, lower) -> None:
+        """Write into each zeroed sector block of ``blocks`` the contracted
+        values ``upper`` at ``(row, col)`` and the conjugates of ``lower`` at
+        ``(col, row)``, first, so the diagonal keeps ``upper``.  ``0.0 -
+        imag`` conjugates as the mirrored coefficients would: ``+0`` stays."""
+        mirrored = np.empty_like(lower)
+        mirrored.real, mirrored.imag = lower.real, 0.0 - lower.imag
+        for out, a, b in zip(blocks, self.bounds, self.bounds[1:]):
+            row, col = self.row[a:b], self.col[a:b]
+            out[col, row] = mirrored[a:b]
+            out[row, col] = upper[a:b]
 
-    def _self_block(self, alpha) -> np.ndarray:
-        """The single-ball matrix at Bloch phase ``alpha``: ``M`` is
-        Hermitian, so one contraction serves both triangles."""
+    def _self_blocks(self, alpha, blocks) -> None:
+        """Write the single-ball matrix at phase ``alpha`` into zeroed blocks:
+        ``M`` is Hermitian, so one contraction serves both triangles."""
         upper = _contract(self.order, self.coef, line_values(alpha, self.s_max))
-        out = self._block(upper, upper)
-        out[np.diag_indices(len(out))] += self.diag
-        return out
+        self._fill(blocks, upper, upper)
+        for out, labels in zip(blocks, sectors(self.l_max)):
+            out.flat[::len(out) + 1] += self.diag[labels]
 
     def single(self, alpha) -> AssembledMatrix:
         """The single-ball matrix at Bloch phase ``alpha``."""
+        blocks = [np.zeros((len(g), len(g)), dtype=complex) for g in sectors(self.l_max)]
+        self._self_blocks(alpha, blocks)
         return AssembledMatrix(
-            matrix=self._self_block(alpha),
-            basis=self.basis, alpha=reduce_alpha(alpha), rho=self.rho,
-            params=self.params, l_max=self.l_max,
+            blocks=blocks, basis=self.basis, alpha=reduce_alpha(alpha),
+            rho=self.rho, params=self.params, l_max=self.l_max,
         )
 
     def dimer(self, alpha, geom: DimerGeometry) -> AssembledMatrix:
@@ -714,18 +770,20 @@ class Trace:
         """
         if geom.rho != self.rho:
             raise ValueError("dimer radius differs from the trace radius")
-        n = self.basis.n_eff
-        self_block = self._self_block(alpha)
+        halves = [len(g) for g in sectors(self.l_max)]
+        blocks = [np.zeros((2 * h, 2 * h), dtype=complex) for h in halves]
+        a, c21, c12, a2 = zip(*[(b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:])
+                                for b, h in zip(blocks, halves)])
+        self._self_blocks(alpha, a)
         # each coupling block's lower triangle is the other's conjugate
         u21, u12 = (_contract(self.order, self.coef, values)
                     for values in dimer_values(alpha, geom, self.s_max))
-        big = np.zeros((2 * n, 2 * n), dtype=complex)
-        big[:n, :n] = self_block
-        big[:n, n:] = self._block(u21, u12)
-        big[n:, :n] = self._block(u12, u21)
-        big[n:, n:] = self_block
+        self._fill(c21, u21, u12)
+        self._fill(c12, u12, u21)
+        for out, same in zip(a2, a):
+            out[...] = same
         return AssembledMatrix(
-            matrix=big, basis=self.basis, alpha=reduce_alpha(alpha), rho=self.rho,
+            blocks=blocks, basis=self.basis, alpha=reduce_alpha(alpha), rho=self.rho,
             params=self.params, l_max=self.l_max, dimer=geom,
         )
 

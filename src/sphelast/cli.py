@@ -267,7 +267,7 @@ def cmd_solve(args) -> int:
         result = solve_single(mat, rhs)
         out = result.coeffs
     io.save_vector(args.out, out, header_extra=header)
-    print(f"solved {mat.matrix.shape[0]} unknowns -> {args.out}")
+    print(f"solved {mat.size} unknowns -> {args.out}")
     print(f"relative residual: {result.residual:.3e}")
     print(f"condition estimate (1-norm): {result.cond:.3e}")
     if result.warning:
@@ -286,9 +286,8 @@ def cmd_sweep(args) -> int:
     lines = ["alpha,max_entry,cond_1norm"]
     for alpha in args.alpha_grid:
         mat = trace.single(float(alpha))
-        lines.append(
-            f"{float(alpha)!r},{float(np.abs(mat.matrix).max())!r},{condition(mat)!r}"
-        )
+        top = max(np.abs(block).max() for block in mat.blocks)
+        lines.append(f"{float(alpha)!r},{float(top)!r},{condition(mat)!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,8 +4,10 @@ A dump is a single JSON document: a header object carrying every input that
 produced the data (Bloch phase, radius, material constants, truncation
 degree, dimer separation, basis ordering version, tool version) followed by
 the entries as ``[re, im]`` pairs in row-major order.  Loaders reject files
-whose basis ordering version does not match the one compiled in.  A flat
-CSV export (row, col, re, im) is available for external tooling.
+whose basis ordering version does not match the one compiled in, and
+matrices of another shape than their basis or coupling parity sectors
+(``AssembledMatrix.from_matrix``).  A flat CSV export (row, col, re, im) is
+available for external tooling.
 
 The bytes are those of ``json.dump(doc, fh, indent=1, sort_keys=True)``
 followed by a newline, written one row at a time: the header through
@@ -50,7 +52,7 @@ def _header(m: AssembledMatrix) -> dict:
         "d": m.dimer.d if m.dimer is not None else None,
         "basis_version": BASIS_VERSION,
         "tool_version": __version__,
-        "shape": list(m.matrix.shape),
+        "shape": [m.size, m.size],
     }
 
 
@@ -101,19 +103,11 @@ def save_matrix(path, m: AssembledMatrix) -> None:
 
 def load_matrix(path) -> AssembledMatrix:
     flat, hdr = _read(path)
-    shape = tuple(hdr["shape"])
     params = LameParams(hdr["lambda"], hdr["mu"], hdr.get("sign_flip", False))
-    geom = None
-    if hdr.get("d") is not None:
-        geom = DimerGeometry(hdr["d"], hdr["rho"])
-    return AssembledMatrix(
-        matrix=flat.reshape(shape),
-        basis=BasisMap(hdr["lmax"]),
-        alpha=hdr["alpha"],
-        rho=hdr["rho"],
-        params=params,
-        l_max=hdr["lmax"],
-        dimer=geom,
+    geom = None if hdr.get("d") is None else DimerGeometry(hdr["d"], hdr["rho"])
+    return AssembledMatrix.from_matrix(
+        flat.reshape(tuple(hdr["shape"])), basis=BasisMap(hdr["lmax"]), alpha=hdr["alpha"],
+        rho=hdr["rho"], params=params, l_max=hdr["lmax"], dimer=geom,
         meta={"tool_version": hdr.get("tool_version")},
     )
 

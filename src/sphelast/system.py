@@ -17,10 +17,10 @@ and the rule alone, so they are built once and kept (``_transform``); a
 projection is then one matrix product and one gather-and-sum.
 
 With both balls on the x-axis, the single matrix and the dimer's 2n system
-are block-diagonal over the four parity sectors of ``assembly.sector``.
-The solve and the condition number run one LU per sector block
-(``_lu_solve``), on index groups kept per truncation degree
-(``_sectors``), and refuse a matrix with a nonzero entry across sectors.
+are block-diagonal over the parity sectors of ``assembly.sectors``, and an
+``AssembledMatrix`` holds only those blocks.  The solve and the condition
+number run one LU per block (``_lu_solve``) and never form the dense
+matrix; the residual, too, is summed block by block.
 
 The operator equation pairs the matrix with the *conjugated* coefficient
 vector (the Bloch phase is pulled out of the inner product's second slot
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .assembly import AssembledMatrix, BasisMap, _frozen, sector
+from .assembly import AssembledMatrix, BasisMap, _frozen
 from .kelvin import norm_factor
 from .sphharm import Direction, _recur_up, legendre_table, sph_norm_table
 from .vsh import Family, _family_amplitudes, _real_combination
@@ -235,107 +235,58 @@ def _transform(l_max: int, degree: int):
     return quad, _frozen(dft.reshape(6 * n_phi, -1)), _frozen(group), _frozen(amps)
 
 
-def _layout(groups):
-    """Index groups of a block-diagonal matrix as one batch of square blocks
-    padded to the largest, read-only: ``rows[b, i]`` is the matrix row of
-    row ``i`` of block ``b`` where ``valid[b, i]``, and 0 in the padding."""
-    sizes = np.array([len(g) for g in groups])
-    valid = np.arange(sizes.max()) < sizes[:, None]
-    rows = np.zeros(valid.shape, dtype=np.intp)
-    rows[valid] = np.concatenate(groups)
-    return _frozen(rows), _frozen(valid)
-
-
-@lru_cache(maxsize=1)
-def _sectors(l_max: int):
-    """The ``_layout`` of the nonempty parity sectors of ``BasisMap(l_max)``
-    in the single matrix and in the dimer's 2n system, where each sector
-    holds its rows on both balls; only the most recent ``l_max`` is
-    kept."""
-    secs = sector(*np.array(BasisMap(l_max).labels).T)
-    n = len(secs)
-    single = [np.flatnonzero(secs == k) for k in range(4)]
-    single = [g for g in single if len(g)]
-    dimer = [np.concatenate([g, g + n]) for g in single]
-    return _layout(single), _layout(dimer)
-
-
-def _blocks(m: AssembledMatrix):
-    single, dimer = _sectors(m.l_max)
-    return single if m.dimer is None else dimer
-
-
-def _lu_solve(mat: np.ndarray, rhs: np.ndarray, blocks=None):
+def _lu_solve(m: AssembledMatrix, rhs: np.ndarray):
     """LAPACK ``gesv`` (LU with partial pivoting) on ``[rhs_k | I]`` for
-    each diagonal block ``M_k`` of a ``_layout``, by default one block of
-    the whole matrix: column 0 is the solution, the rest the inverse, which
-    gives the exact one-norm condition number ``||M||_1 max_k ||M_k^-1||_1``
-    of the block-diagonal matrix.  The blocks go to LAPACK as one batch,
-    each padded with the identity, which changes neither its pivots nor its
-    inverse.  Raises ``ValueError`` if an entry outside the blocks is
-    nonzero."""
-    n = mat.shape[0]
-    rows, valid = _layout([np.arange(n)]) if blocks is None else blocks
-    batch = mat[rows[:, :, None], rows[:, None, :]]
-    pad, row = np.nonzero(~valid)
-    batch[pad, row, :] = 0.0
-    batch[pad, :, row] = 0.0
-    if np.count_nonzero(batch) != np.count_nonzero(mat):
-        raise ValueError("the matrix couples different parity sectors")
-    norm = _column_sums(batch, valid)
-    batch[pad, row, row] = 1.0
-    cols = np.zeros(batch.shape[:2] + (batch.shape[2] + 1,), dtype=complex)
-    cols[:, :, 1:] = np.eye(batch.shape[2])
-    cols[valid, 0] = rhs[rows[valid]]
-    try:
-        both = np.linalg.solve(batch, cols)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        return np.full(n, np.nan, dtype=complex), np.inf
-    raw = np.empty(n, dtype=complex)
-    raw[rows[valid]] = both[valid, 0]
-    return raw, float(norm * _column_sums(both[:, :, 1:], valid))
+    each sector block ``M_k`` of ``m``: column 0 is the solution, the rest
+    the inverse, which gives the exact one-norm condition number ``max_k
+    ||M_k||_1 max_k ||M_k^-1||_1`` of the block-diagonal matrix (NaNs and
+    ``inf`` when a block is exactly singular)."""
+    raw = np.empty(len(rhs), dtype=complex)
+    norm = inverse = 0.0
+    for block, rows in zip(m.blocks, m.rows):
+        cols = np.eye(len(rows), len(rows) + 1, 1, dtype=complex)
+        cols[:, 0] = rhs[rows]
+        try:
+            both = np.linalg.solve(block, cols)
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            return np.full(len(rhs), np.nan, dtype=complex), np.inf
+        raw[rows] = both[:, 0]
+        norm = max(norm, np.abs(block).sum(axis=0).max())
+        inverse = max(inverse, np.abs(both[:, 1:]).sum(axis=0).max())
+    return raw, float(norm * inverse)
 
 
-def _column_sums(batch, valid) -> float:
-    """The largest one-norm of the blocks of a padded batch, each column
-    summed as ``numpy.linalg.norm(block, 1)`` sums it; the padding's
-    columns are left out."""
-    return np.abs(batch).sum(axis=1)[valid].max()
-
-
-def _solve(mat: np.ndarray, rhs: np.ndarray, blocks=None) -> SolveResult:
+def _solve(m: AssembledMatrix, rhs) -> SolveResult:
     rhs = np.asarray(rhs, dtype=complex)
-    if mat.shape[0] != mat.shape[1] or rhs.shape != (mat.shape[0],):
+    if rhs.shape != (m.size,):
         raise ValueError("matrix/rhs shape mismatch")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("the right-hand side holds non-finite entries")
-    raw, cond = _lu_solve(mat, rhs, blocks)
+    raw, cond = _lu_solve(m, rhs)
     if not np.all(np.isfinite(raw)):
         raise np.linalg.LinAlgError(
             f"singular operator matrix (condition estimate {cond:.3e})"
         )
-    coeffs = raw.conjugate()
+    misfit = [block @ raw[rows] - rhs[rows] for block, rows in zip(m.blocks, m.rows)]
     denom = np.linalg.norm(rhs)
-    residual = float(
-        np.linalg.norm(mat @ coeffs.conjugate() - rhs) / (denom if denom else 1.0)
-    )
+    residual = float(np.linalg.norm(np.concatenate(misfit)) / (denom if denom else 1.0))
     warning = None
     if cond > _COND_WARN:
         warning = f"ill-conditioned system: cond ~ {cond:.3e}"
-    return SolveResult(coeffs, residual, cond, warning)
+    return SolveResult(raw.conjugate(), residual, cond, warning)
 
 
 def condition(m: AssembledMatrix) -> float:
     """The exact one-norm condition number of an assembled matrix, the
     number the solve reports (``inf`` for an exactly singular one)."""
-    return _lu_solve(m.matrix, np.zeros(m.matrix.shape[0]), _blocks(m))[1]
+    return _lu_solve(m, np.zeros(m.size))[1]
 
 
 def solve_single(m: AssembledMatrix, rhs: np.ndarray) -> SolveResult:
     """Solve for the density coefficients of a single ball."""
     if m.dimer is not None:
         raise ValueError("got a dimer matrix; use solve_dimer")
-    return _solve(m.matrix, rhs, _blocks(m))
+    return _solve(m, rhs)
 
 
 def solve_dimer(m: AssembledMatrix, rhs_pair) -> tuple[SolveResult, ...]:
@@ -344,9 +295,6 @@ def solve_dimer(m: AssembledMatrix, rhs_pair) -> tuple[SolveResult, ...]:
     if m.dimer is None:
         raise ValueError("got a single-ball matrix; use solve_single")
     b1, b2 = rhs_pair
-    n = m.basis.n_eff
-    stacked = np.concatenate([np.asarray(b1), np.asarray(b2)])
-    res = _solve(m.matrix, stacked, _blocks(m))
-    first = SolveResult(res.coeffs[:n], res.residual, res.cond, res.warning)
-    second = SolveResult(res.coeffs[n:], res.residual, res.cond, res.warning)
-    return first, second
+    res = _solve(m, np.concatenate([np.asarray(b1), np.asarray(b2)]))
+    return tuple(SolveResult(coeffs, res.residual, res.cond, res.warning)
+                 for coeffs in np.split(res.coeffs, 2))

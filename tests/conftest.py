@@ -51,3 +51,16 @@ def kernel_coef(blocks, kind, *args):
     order = l + lam + {"plain": 1, "moment": -1}.get(kind, 0)
     plus = weight * blocks.plain(l, lam)[mu + lam, mt + l] if abs(mu) <= lam else 0.0
     return order, np.array([plus, 0.0])
+
+
+def stored_labels(geo):
+    """The basis positions ``(rows, cols)`` of the stored entries of a
+    trace or geometry, read through ``assembly.sectors`` from the sector
+    and the ranks of each entry."""
+    from sphelast.assembly import sectors
+
+    groups = sectors(geo.basis.l_max)
+    spans = list(zip(groups, geo.bounds, geo.bounds[1:]))
+    return tuple(
+        np.concatenate([labels[ranks[a:b]] for labels, a, b in spans]).astype(np.intp)
+        for ranks in (geo.row, geo.col))

@@ -47,7 +47,7 @@ from sphelast.translation import (
 )
 from sphelast.vsh import Family, ForbiddenIndexError, vsh_real
 
-from conftest import kernel_coef
+from conftest import kernel_coef, stored_labels
 
 RHO = 0.1
 GEOM = DimerGeometry(0.2, RHO)
@@ -69,16 +69,17 @@ def _at(basis, p, lp, mp, q, l, m):
 
 def _full_contraction(trace, values):
     """A lattice block by the route that stores both triangles: the stored
-    coefficients at ``index`` and their mirrors (``_mirror``) at the
-    transposed positions below the diagonal, all contracted with
+    coefficients at their label positions and their mirrors (``_mirror``)
+    at the transposed positions below the diagonal, all contracted with
     ``values``."""
     n = trace.basis.n_eff
-    below = trace.mirror != trace.index
-    out = np.zeros(n * n, dtype=complex)
-    out[trace.index] = _contract(trace.order, trace.coef, values)
-    out[trace.mirror[below]] = _contract(
+    rows, cols = stored_labels(trace)
+    below = rows != cols
+    out = np.zeros((n, n), dtype=complex)
+    out[rows, cols] = _contract(trace.order, trace.coef, values)
+    out[cols[below], rows[below]] = _contract(
         trace.order[below], _mirror(trace.order[below], trace.coef[below]), values)
-    return out.reshape(n, n)
+    return out
 
 
 def _coupling(mat, block):
@@ -403,10 +404,6 @@ class TestDimer:
 class TestOperatorStructure:
     """Properties of the physical operator that the trace must preserve."""
 
-    @staticmethod
-    def _hermitian_part(mat):
-        return 0.5 * (mat + mat.conj().T)
-
     def test_hermitian(self, params):
         single = assemble_single(1.3, RHO, params, 3).matrix
         assert np.abs(single - single.conj().T).max() <= 1e-15
@@ -414,14 +411,19 @@ class TestOperatorStructure:
         assert np.abs(dimer - dimer.conj().T).max() <= 1e-15
 
     def test_definite_with_sign_convention(self):
+        # every sector block is positive definite, negative definite under
+        # sign_flip: the Cholesky factor of the block (or of minus it)
+        # exists, at phases near both ends of the Brillouin zone
         for sign_flip, sign in ((False, 1.0), (True, -1.0)):
             params = LameParams(1.0, 1.0, sign_flip)
-            for mat in (
-                assemble_single(1.3, RHO, params, 3).matrix,
-                assemble_dimer(1.3, GEOM, params, 2).matrix,
-            ):
-                eig = sign * np.linalg.eigvalsh(self._hermitian_part(mat))
-                assert eig.min() > 0.0
+            cases = [(l_max, None) for l_max in (0, 1, 4, 8)]
+            cases += [(l_max, GEOM) for l_max in (0, 2, 4)]
+            for l_max, geom in cases:
+                trace = Trace(RHO, params, l_max)
+                for alpha in (0.05, 1.3, math.pi, 2 * math.pi - 0.05):
+                    mat = trace.single(alpha) if geom is None else trace.dimer(alpha, geom)
+                    for block in mat.blocks:
+                        np.linalg.cholesky(sign * block)
 
     def test_one_trace_serves_every_phase(self, params):
         trace = Trace(RHO, params, 3)
@@ -438,15 +440,15 @@ class TestOperatorStructure:
         n = trace.basis.n_eff
         geo = _geometry(2)
         assert trace.coef.dtype == geo.weights.dtype == np.float64
-        assert trace.coef.shape == (len(trace.index), 2)
-        assert trace.order.shape == trace.index.shape
-        assert geo.weights.shape == (len(trace.index), 2, 2)
-        for name in ("index", "order", "mirror"):
+        assert trace.coef.shape == (len(trace.row), 2)
+        assert trace.order.shape == trace.row.shape == trace.col.shape
+        assert geo.weights.shape == (len(trace.row), 2, 2)
+        for name in ("bounds", "row", "col", "order"):
             assert getattr(trace, name) is getattr(geo, name)
         assert np.all(np.any(geo.weights != 0, axis=(1, 2)))
-        for flat in trace.index:
-            lp, mp, pf = trace.basis.labels[flat // n]
-            l, m, qf = trace.basis.labels[flat % n]
+        for i, j in zip(*stored_labels(trace)):
+            lp, mp, pf = trace.basis.labels[i]
+            l, m, qf = trace.basis.labels[j]
             assert Family.V not in (pf, qf) or Family.W in (pf, qf)
 
     def test_traces_share_one_geometry(self):
@@ -457,9 +459,9 @@ class TestOperatorStructure:
         one = Trace(RHO, LameParams(1.5, 0.8), 3)
         two = Trace(0.37, LameParams(0.3, 2.1, sign_flip=True), 3)
         geo = _geometry(3)
-        for name in ("basis", "index", "order", "mirror"):
+        for name in ("basis", "bounds", "row", "col", "order"):
             assert getattr(one, name) is getattr(two, name) is getattr(geo, name)
-        for array in (geo.index, geo.order, geo.weights, geo.mirror,
+        for array in (geo.bounds, geo.row, geo.col, geo.order, geo.weights,
                       geo.factors, geo.norm):
             assert not array.flags.writeable
         assert not np.array_equal(one.coef, two.coef)
@@ -510,11 +512,11 @@ def test_unrestricted_reads_the_per_pair_blocks(l_max, dropped):
 
 
 def _built(geo):
-    """The built entries of a geometry, sorted by index: ``(rows, cols,
-    order, weights)`` with rows and columns as basis positions."""
-    pick = np.argsort(geo.index)
-    rows, cols = np.divmod(geo.index[pick], geo.basis.n_eff)
-    return rows, cols, geo.order[pick], geo.weights[pick]
+    """The built entries of a geometry, sorted by row and column: ``(rows,
+    cols, order, weights)`` with rows and columns as basis positions."""
+    rows, cols = stored_labels(geo)
+    pick = np.lexsort((cols, rows))
+    return rows[pick], cols[pick], geo.order[pick], geo.weights[pick]
 
 
 class TestBatchedGeometry:
@@ -547,18 +549,22 @@ class TestBatchedGeometry:
 
     @pytest.mark.parametrize("l_max", range(9))
     def test_built_entries_and_mirror(self, l_max):
-        from sphelast.assembly import _geometry
+        from sphelast.assembly import _geometry, sectors
 
         geo = _geometry(l_max)
         n = geo.basis.n_eff
         secs = np.array([sector(*label) for label in geo.basis.labels])
-        # index holds the built triangle alone, one entry per weight
-        assert geo.index.shape == geo.order.shape == geo.mirror.shape == geo.weights.shape[:1]
-        rows, cols = np.divmod(geo.index, n)
+        # the built triangle alone, one entry per weight, grouped by sector
+        assert geo.row.shape == geo.col.shape == geo.order.shape == geo.weights.shape[:1]
+        groups = sectors(l_max)
+        assert geo.bounds[0] == 0 and geo.bounds[-1] == len(geo.row)
+        assert len(geo.bounds) == len(groups) + 1 and np.all(np.diff(geo.bounds) >= 0)
+        for labels, a, b in zip(groups, geo.bounds, geo.bounds[1:]):
+            assert np.all(geo.col[a:b] < len(labels))
+        rows, cols = stored_labels(geo)
         assert np.all(rows <= cols)
         assert np.array_equal(secs[rows], secs[cols])
-        assert len(np.unique(geo.index)) == len(geo.index)
-        assert np.array_equal(geo.mirror, cols * n + rows)
+        assert len(np.unique(rows * n + cols)) == len(rows)
 
 
 @pytest.mark.parametrize("l_max", range(7))
@@ -697,13 +703,13 @@ class TestParitySectors:
 
         trace = Trace(RHO, params, l_max)
         n = trace.basis.n_eff
-        assert trace.coef.shape == (len(trace.index), 2)
-        for name in ("index", "order", "mirror"):
+        assert trace.coef.shape == (len(trace.row), 2)
+        for name in ("bounds", "row", "col", "order"):
             assert getattr(trace, name) is getattr(_geometry(l_max), name)
-        assert len(np.unique(trace.index)) == len(trace.index)
-        for flat in trace.index:
-            assert sector(*trace.basis.labels[flat // n]) == sector(
-                *trace.basis.labels[flat % n])
+        rows, cols = stored_labels(trace)
+        assert len(np.unique(rows * n + cols)) == len(rows)
+        for i, j in zip(rows, cols):
+            assert sector(*trace.basis.labels[i]) == sector(*trace.basis.labels[j])
 
     @pytest.mark.parametrize("block", ["single", "21", "12"])
     def test_trace_gathers_unrestricted_blocks(self, params, block):

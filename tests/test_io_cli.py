@@ -941,3 +941,47 @@ def test_point_force_samples_match_per_node_sampling():
         lambda d: kelvin_tensor(rho * d.vec - src, params)[:, 0], quad
     )
     assert np.abs(samples - per_node).max() <= 1e-15 * np.abs(per_node).max()
+
+
+_BLOCK_RUNS = {
+    "solve-single": ["solve", "--alpha", "1.1", "--rho", "0.2", "--lambda", "1.5",
+                     "--mu", "0.8", "--lmax", "3", "--phi", "builtin:point-force:2,0.3,0"],
+    "solve-dimer": ["solve", "--alpha", "1.1", "--rho", "0.1", "--dimer-d", "0.25",
+                    "--lambda", "1.5", "--mu", "0.8", "--lmax", "3",
+                    "--phi", "builtin:point-force:2,0.3,0"],
+    "sweep": ["sweep", "--alpha-grid", "0.3:6:5", "--rho", "0.2", "--lambda", "1.5",
+              "--mu", "0.8", "--lmax", "3"],
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+def test_solve_and_sweep_never_build_the_dense_matrix(tmp_path, monkeypatch, name):
+    # solve and sweep read the sector blocks alone: with the dense matrix
+    # refused they exit 0 and write the bytes of a plain run
+    from sphelast.assembly import AssembledMatrix
+
+    plain, blocks = tmp_path / "plain", tmp_path / "blocks"
+    assert main([*_BLOCK_RUNS[name], "--out", str(plain)]) == 0
+
+    def refuse(self):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(AssembledMatrix, "matrix", property(refuse))
+    assert main([*_BLOCK_RUNS[name], "--out", str(blocks)]) == 0
+    assert blocks.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [("lmax", 1), ("lmax", 3), ("d", 0.25)],
+                         ids=["lmax-1", "lmax-3", "dimer"])
+def test_loader_refuses_a_shape_other_than_the_basis(tmp_path, edit):
+    # a 25 x 25 matrix (lmax 2) whose header names another basis size is
+    # refused on load, naming both shapes, before any solve sees it
+    path = tmp_path / "m.json"
+    io.save_matrix(path, assemble_single(1.3, 0.1, LameParams(1.0, 1.0), 2))
+    doc = json.loads(path.read_text())
+    key, value = edit
+    doc["header"][key] = value
+    path.write_text(json.dumps(doc))
+    size = {"lmax": 3 * (value + 1) ** 2 - 2, "d": 50}[key]
+    with pytest.raises(ValueError, match=rf"\(25, 25\).* {size} x {size}"):
+        io.load_matrix(path)

@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from sphelast import io
 from sphelast.assembly import (
     AssembledMatrix,
     BasisMap,
     assemble_dimer,
     assemble_single,
     sector,
+    sectors,
 )
 from sphelast.kelvin import LameParams, kelvin_tensor
 from sphelast.latsum import DimerGeometry
@@ -16,8 +19,6 @@ from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
 from sphelast.system import (
     _gauss_legendre,
     _transform,
-    _sectors,
-    _solve,
     condition,
     project_rhs,
     solve_dimer,
@@ -31,6 +32,13 @@ RHO = 0.1
 @pytest.fixture(scope="module")
 def matrix():
     return assemble_single(1.3, RHO, LameParams(1.0, 1.0), 3)
+
+
+def _dense(m, dense):
+    """``m`` with its blocks gathered from the dense array ``dense``."""
+    return AssembledMatrix.from_matrix(
+        dense, basis=m.basis, alpha=m.alpha, rho=m.rho, params=m.params,
+        l_max=m.l_max, dimer=m.dimer)
 
 
 class TestProjectRhs:
@@ -192,7 +200,7 @@ class TestSolvePlan:
             mat = assemble_dimer(alpha, geom, params, 2)
         else:
             mat = assemble_single(alpha, rho, params, 5)
-        n = mat.matrix.shape[0]
+        n = mat.size
         return mat, rng.normal(size=n) + 1j * rng.normal(size=n)
 
     @pytest.mark.parametrize("dimer", [False, True])
@@ -200,7 +208,8 @@ class TestSolvePlan:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sectors_match_one_group(self, seed, sign_flip, dimer):
         mat, rhs = self._seeded(seed, sign_flip, dimer)
-        whole = _solve(mat.matrix, rhs)
+        whole = np.linalg.solve(mat.matrix, rhs).conj()
+        whole_cond = np.linalg.cond(mat.matrix, 1)
         if dimer:
             parts = solve_dimer(mat, np.split(rhs, 2))
             coeffs = np.concatenate([r.coeffs for r in parts])
@@ -208,51 +217,53 @@ class TestSolvePlan:
         else:
             res = solve_single(mat, rhs)
             coeffs = res.coeffs
-        assert np.abs(coeffs - whole.coeffs).max() <= 1e-15 * np.abs(whole.coeffs).max()
-        assert f"{res.cond:.3e}" == f"{whole.cond:.3e}"
+        assert np.abs(coeffs - whole).max() <= 1e-15 * np.abs(whole).max()
+        assert f"{res.cond:.3e}" == f"{whole_cond:.3e}"
         assert condition(mat) == res.cond
-        assert condition(mat) == pytest.approx(np.linalg.cond(mat.matrix, 1), rel=1e-14)
+        assert condition(mat) == pytest.approx(whole_cond, rel=1e-14)
 
     def test_sectors_partition_the_basis(self):
-        (rows, valid), (dimer_rows, dimer_valid) = _sectors(3)
+        groups = sectors(3)
+        assert sectors(3) is groups
         n = BasisMap(3).n_eff
-        assert len(rows) == len(dimer_rows) == 4
-        assert np.array_equal(np.sort(rows[valid]), np.arange(n))
-        assert np.array_equal(np.sort(dimer_rows[dimer_valid]), np.arange(2 * n))
+        assert len(groups) == 4
+        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(n))
+        assert not any(g.flags.writeable for g in groups)
         # each sector is one block of the matrix, on both balls of the dimer
+        single = assemble_single(1.3, RHO, LameParams(1.0, 1.0), 3)
+        dimer = assemble_dimer(1.3, DimerGeometry(0.2, RHO), LameParams(1.0, 1.0), 3)
         secs = np.array([sector(*label) for label in BasisMap(3)])
         for b in range(4):
-            assert set(secs[rows[b][valid[b]]]) == {b}
-            assert np.array_equal(
-                dimer_rows[b][dimer_valid[b]],
-                np.r_[rows[b][valid[b]], rows[b][valid[b]] + n],
-            )
-        assert np.array_equal(_sectors(0)[0][0], [[0]])
+            assert set(secs[groups[b]]) == {b}
+            assert np.array_equal(single.rows[b], groups[b])
+            assert np.array_equal(dimer.rows[b], np.r_[groups[b], groups[b] + n])
+            assert single.blocks[b].shape == (len(groups[b]),) * 2
+            assert dimer.blocks[b].shape == (2 * len(groups[b]),) * 2
+        assert [list(g) for g in sectors(0)] == [[0]]
 
     @pytest.mark.parametrize("l_max", range(10))
     def test_sectors_match_per_label(self, l_max):
-        (rows, valid), _dimer = _sectors(l_max)
         secs = np.array([sector(*label) for label in BasisMap(l_max)])
         groups = [np.flatnonzero(secs == k) for k in range(4)]
-        assert [list(r[v]) for r, v in zip(rows, valid)] == [
+        assert [list(g) for g in sectors(l_max)] == [
             list(g) for g in groups if len(g)]
 
-    def test_entry_across_sectors_raises(self, matrix):
-        single, _ = _sectors(matrix.l_max)
-        i, j = single[0][0, 0], single[0][-1, 0]
+    def test_entry_across_sectors_raises(self, matrix, tmp_path):
+        # a dense matrix comes in through from_matrix alone, which refuses
+        # one with a nonzero entry across sectors, as does the loader
+        groups = sectors(matrix.l_max)
+        i, j = groups[0][0], groups[-1][0]
         coupled = matrix.matrix.copy()
         coupled[i, j] = 1e-30
-        rhs = np.ones(matrix.basis.n_eff, dtype=complex)
         with pytest.raises(ValueError, match="parity sectors"):
-            _solve(coupled, rhs, single)
-        bad = AssembledMatrix(
-            matrix=coupled, basis=matrix.basis, alpha=matrix.alpha,
-            rho=matrix.rho, params=matrix.params, l_max=matrix.l_max,
-        )
+            _dense(matrix, coupled)
+        path = tmp_path / "m.json"
+        io.save_matrix(path, matrix)
+        doc = json.loads(path.read_text())
+        doc["entries"][i * matrix.size + j] = [1e-30, 0.0]
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="parity sectors"):
-            solve_single(bad, rhs)
-        with pytest.raises(ValueError, match="parity sectors"):
-            condition(bad)
+            io.load_matrix(path)
 
     def test_projection_is_cached_read_only(self):
         basis = BasisMap(3)
@@ -349,15 +360,9 @@ class TestSolveSingle:
         assert np.abs(combo - parts).max() <= 1e-10
 
     def test_ill_conditioning_warns_but_solves(self, matrix):
-        bad = AssembledMatrix(
-            matrix=matrix.matrix.copy(),
-            basis=matrix.basis,
-            alpha=matrix.alpha,
-            rho=matrix.rho,
-            params=matrix.params,
-            l_max=matrix.l_max,
-        )
-        bad.matrix[-1] *= 1e-14
+        scaled = matrix.matrix.copy()
+        scaled[-1] *= 1e-14
+        bad = _dense(matrix, scaled)
         rhs = np.ones(matrix.basis.n_eff, dtype=complex)
         res = solve_single(bad, rhs)
         assert res.warning is not None
@@ -368,14 +373,15 @@ class TestSolveSingle:
         singular[3] = 0.0
         rhs = np.ones(matrix.basis.n_eff, dtype=complex)
         with pytest.raises(np.linalg.LinAlgError, match="singular operator matrix"):
-            _solve(singular, rhs)
+            solve_single(_dense(matrix, singular), rhs)
+        assert condition(_dense(matrix, singular)) == math.inf
 
     def test_non_finite_rhs_raises(self, matrix):
         # a NaN right-hand side is named as such, not blamed on the matrix
         rhs = np.ones(matrix.basis.n_eff, dtype=complex)
         rhs[2] = np.nan
         with pytest.raises(ValueError, match="right-hand side"):
-            _solve(matrix.matrix, rhs)
+            solve_single(matrix, rhs)
 
     def test_rejects_dimer_matrix(self, rng):
         geom = DimerGeometry(0.2, RHO)

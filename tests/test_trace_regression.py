@@ -20,6 +20,8 @@ from sphelast.assembly import Trace, _geometry, sector
 from sphelast.kelvin import LameParams
 from sphelast.latsum import DimerGeometry
 
+from conftest import stored_labels
+
 REFERENCE = Path(__file__).with_name("trace_reference.json")
 SEED = 7
 
@@ -72,16 +74,17 @@ def test_large_lmax_trace():
     trace = Trace(0.1, LameParams(1.0, 1.0), 16)
     print(f"Trace(0.1, lambda = mu = 1, 16) built in "
           f"{time.perf_counter() - start:.2f} s")
-    stored = (trace.coef.nbytes + trace.index.nbytes + trace.order.nbytes
-              + trace.mirror.nbytes)
+    stored = (trace.coef.nbytes + trace.row.nbytes + trace.order.nbytes
+              + trace.col.nbytes)
     assert stored < 15e6
-    assert trace.coef.shape == (len(trace.index), 2)
-    for name in ("index", "order", "mirror"):
+    assert trace.coef.shape == (len(trace.row), 2)
+    for name in ("bounds", "row", "col", "order"):
         assert getattr(trace, name) is getattr(_geometry(16), name)
-    assert len(np.unique(trace.index)) == len(trace.index)
     n = trace.basis.n_eff
+    rows, cols = stored_labels(trace)
+    assert len(np.unique(rows * n + cols)) == len(rows)
     secs = np.array([sector(*label) for label in trace.basis.labels])
-    assert np.array_equal(secs[trace.index // n], secs[trace.index % n])
+    assert np.array_equal(secs[rows], secs[cols])
     mat = trace.single(1.3).matrix
     off = ~np.eye(n, dtype=bool)
     assert np.array_equal(mat[off], mat.conj().T[off])
