@@ -93,16 +93,18 @@ def response_coeffs(l: int, p: LameParams):
     return s * a11, s * a12, s * a22, s * a33
 
 
-def exterior_response(l: int, x_norm: float, p: LameParams) -> np.ndarray:
+def exterior_response(l: int, x_norm, p: LameParams) -> np.ndarray:
     """Response matrix of the unit-ball single layer at ``|x| > 1``.
 
     Entry ``[j, k]`` weights the family-``j+1`` harmonic in the potential of
     the family-``k+1`` density; only (V,V), (V,W), (W,W), (X,X) are nonzero.
+    An array of radii gives the matrices indexed ``[j, k, node]``.
     """
-    if x_norm <= 1.0:
-        raise DomainError(f"exterior response needs |x| > 1, got {x_norm}")
+    x_norm = np.asarray(x_norm, dtype=float)
+    if np.any(x_norm <= 1.0):
+        raise DomainError(f"exterior response needs |x| > 1, got {x_norm.min()}")
     a11, a12, a22, a33 = response_coeffs(l, p)
-    out = np.zeros((3, 3))
+    out = np.zeros((3, 3) + x_norm.shape)
     out[0, 0] = a11 * x_norm ** (-l - 2)
     out[0, 1] = a12 * (x_norm ** (-l - 2) - x_norm ** (-l))
     out[1, 1] = a22 * x_norm ** (-l)
@@ -139,7 +141,9 @@ def shifted_ball_potential(
     ball of radius ``rho`` centred at ``(shift, 0, 0)``; the potential is
     evaluated at ``x = rho * x_hat`` on the home ball's surface.  Closed
     form: ``rho * sum_j Y_j(w_hat) * exterior_response(l, w/rho)[j, family]``
-    with ``w = x - (shift, 0, 0)``.
+    with ``w = x - (shift, 0, 0)``.  ``x_hat`` is one direction (a 3-vector
+    comes back) or a batch (``(N, 3)`` rows or a batch ``Direction``; rows
+    ``[node, xyz]`` come back).
     """
     family = Family(family)
     if shift == 0.0:
@@ -150,15 +154,15 @@ def shifted_ball_potential(
         x_hat = x_hat.vec
     x_hat = np.asarray(x_hat, dtype=float)
     w = rho * x_hat - np.array([shift, 0.0, 0.0])
-    w_norm = float(np.linalg.norm(w))
+    w_norm = np.linalg.norm(w, axis=-1)
     mat = exterior_response(l, w_norm / rho, p)
     w_dir = Direction.from_vector(w)
-    out = np.zeros(3)
+    out = np.zeros(w.shape)
     for fam in Family:
         entry = mat[fam - 1, family - 1]
-        if entry == 0.0:
+        if not np.any(entry):
             continue
         if l == 0 and fam in (Family.W, Family.X):
             continue
-        out = out + entry * vsh_real(fam, l, m, w_dir)
+        out = out + entry[..., None] * vsh_real(fam, l, m, w_dir)
     return rho * out

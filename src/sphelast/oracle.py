@@ -2,9 +2,11 @@
 
 Everything here checks the analytic machinery from the outside: product
 Gauss-Legendre quadrature on the sphere (``system.build_quadrature``, which
-the production projection shares) with the harmonics sampled one label and
-node at a time by the scalar ``vsh_real``, direct surface integration of the
-fundamental solution, truncated lattice sums and finite differences.
+the production projection shares) with the harmonics sampled by the scalar
+``vsh_real``, one call per label over all the nodes (the Legendre rows of
+that label, never the degree-and-order tables the production code reads),
+direct surface integration of the fundamental solution, truncated lattice
+sums and finite differences.
 Nothing in this module touches the re-expansion series or the closed-form
 lattice sums; the only analytic inputs are the harmonics themselves, the
 coupling-free Kelvin tensor and (for ``brute_lattice_entry``) the per-copy
@@ -29,6 +31,7 @@ import numpy as np
 from ._kernels import kelvin_apply
 from .assembly import BasisMap, per_copy_entries
 from .kelvin import LameParams
+from .sphharm import Direction
 from .system import SphQuadrature, build_quadrature
 from .vsh import vsh_real
 
@@ -83,12 +86,12 @@ def inner_product_S2(f, g, quad: SphQuadrature) -> complex:
 
 def basis_samples(basis: BasisMap, quad: SphQuadrature) -> np.ndarray:
     """Real vector harmonic values for each basis label on the grid,
-    shaped (n_eff, n_nodes, 3)."""
-    dirs = quad.directions()
+    shaped (n_eff, n_nodes, 3): one ``vsh_real`` call per label over all
+    the nodes."""
+    dirs = Direction.from_angles(quad.theta, quad.phi)
     out = np.zeros((basis.n_eff, quad.n_nodes, 3))
     for i, (l, m, fam) in enumerate(basis):
-        for k, d in enumerate(dirs):
-            out[i, k] = vsh_real(fam, l, m, d)
+        out[i] = vsh_real(fam, l, m, dirs)
     return out
 
 
@@ -134,11 +137,12 @@ def brute_lattice_entry(
     """
     if n_cut < 0:
         raise ValueError("n_cut must be >= 0")
-    ns = [n for n in range(-n_cut, n_cut + 1) if include_zero or n != 0]
-    if not ns or n_cut == 0 and not include_zero:
+    ns = np.arange(-n_cut, n_cut + 1, dtype=float)
+    if not include_zero:
+        ns = ns[ns != 0.0]
+    if not ns.size:
         total = 0.0 + 0.0j
         return (total, {}) if checkpoints is not None else total
-    ns = np.array(ns, dtype=float)
     vals = per_copy_entries(p, lp, mp, q, l, m, shift + ns, rho, params)
     phased = vals * np.exp(-1j * alpha * ns)
     total = complex(np.sum(phased))

@@ -49,61 +49,75 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Direction:
-    """A point on the unit sphere, stored both as angles and a unit vector.
+    """Points on the unit sphere, stored both as angles and unit vectors.
 
     ``theta`` is the polar angle in ``[0, pi]``, ``phi`` the azimuth in
-    ``[0, 2 pi)``.  On the poles ``phi`` is fixed to 0.
+    ``[0, 2 pi)``.  Where ``sin theta < 1e-15`` (on the poles) ``phi`` is
+    fixed to 0.  One point has float angles and ``vec`` of shape ``(3,)``;
+    a batch of N points has angle arrays of shape ``(N,)`` and ``vec`` of
+    shape ``(N, 3)``, and every harmonic evaluated at it gains that node
+    axis.
     """
 
-    theta: float
-    phi: float
+    theta: float | np.ndarray
+    phi: float | np.ndarray
     vec: np.ndarray = field(repr=False)
 
     @staticmethod
-    def from_angles(theta: float, phi: float) -> "Direction":
-        if not 0.0 <= theta <= math.pi + 1e-12:
-            raise DomainError(f"theta={theta} outside [0, pi]")
-        st = math.sin(theta)
-        if st < 1e-15:
-            phi = 0.0
-        phi = phi % (2.0 * math.pi)
-        vec = np.array(
-            [st * math.cos(phi), st * math.sin(phi), math.cos(theta)]
-        )
+    def _of(theta, phi, vec) -> "Direction":
+        if vec.ndim == 1:
+            return Direction(float(theta), float(phi), vec)
         return Direction(theta, phi, vec)
 
     @staticmethod
+    def from_angles(theta, phi) -> "Direction":
+        theta, phi = np.broadcast_arrays(
+            np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+        )
+        bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
+        if bad.any():
+            raise DomainError(f"theta={theta[bad].flat[0]} outside [0, pi]")
+        st = np.sin(theta)
+        phi = np.where(st < 1e-15, 0.0, phi) % (2.0 * math.pi)
+        vec = np.stack(
+            [st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1
+        )
+        return Direction._of(theta, phi, vec)
+
+    @staticmethod
     def from_vector(v) -> "Direction":
+        """The directions of ``v``: one vector, or rows of an ``(N, 3)``
+        array."""
         v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0.0:
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        if np.any(n == 0.0):
             raise DomainError("zero vector has no direction")
         u = v / n
-        axial = math.hypot(u[0], u[1])
+        axial = np.hypot(u[..., 0], u[..., 1])
         # atan2 keeps full relative accuracy next to the poles, where
         # acos(u_z) loses the digits of sin theta
-        theta = math.atan2(axial, u[2])
-        if axial < 1e-15:
-            phi = 0.0
-        else:
-            phi = math.atan2(u[1], u[0]) % (2.0 * math.pi)
-        return Direction(theta, phi, u)
+        theta = np.arctan2(axial, u[..., 2])
+        phi = np.where(
+            axial < 1e-15, 0.0, np.arctan2(u[..., 1], u[..., 0]) % (2.0 * math.pi)
+        )
+        return Direction._of(theta, phi, u)
 
     @property
-    def cos_theta(self) -> float:
-        return math.cos(self.theta)
+    def cos_theta(self):
+        return np.cos(self.theta)
 
     @property
-    def sin_theta(self) -> float:
-        return math.sin(self.theta)
+    def sin_theta(self):
+        return np.sin(self.theta)
 
     def frame(self):
-        """Orthonormal frame (r_hat, theta_hat, phi_hat) at this direction."""
-        ct, st = math.cos(self.theta), math.sin(self.theta)
-        cp, sp = math.cos(self.phi), math.sin(self.phi)
-        r_hat = np.array([st * cp, st * sp, ct])
-        t_hat = np.array([ct * cp, ct * sp, -st])
-        p_hat = np.array([-sp, cp, 0.0])
+        """Orthonormal frame (r_hat, theta_hat, phi_hat) at each point,
+        each of the shape of ``vec``."""
+        ct, st = np.cos(self.theta), np.sin(self.theta)
+        cp, sp = np.cos(self.phi), np.sin(self.phi)
+        r_hat = np.stack([st * cp, st * sp, ct], axis=-1)
+        t_hat = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        p_hat = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         return r_hat, t_hat, p_hat
 
 
@@ -148,53 +162,59 @@ def _tau_from_pi(pi_rows, m: int, u):
     return tau
 
 
-def legendre_row(
-    lmax: int, m: int, u: float, s: float | None = None
-) -> np.ndarray:
+def legendre_row(lmax: int, m: int, u, s=None) -> np.ndarray:
     """Unsigned associated Legendre values ``P_l^m(u)`` for ``l = 0..lmax``.
 
     Upward three-term recurrence in ``l`` at fixed ``m``, seeded on the
     diagonal by the double-factorial product.  No Condon-Shortley phase.
     ``s = sin theta`` should be passed by callers that hold the angle:
     ``sqrt(1 - u^2)`` loses the relative accuracy of ``sin theta`` next to
-    the poles (and is 0 within about 1e-8 of them).
+    the poles (and is 0 within about 1e-8 of them).  ``u`` (and ``s``) may
+    be arrays of nodes: the values are then indexed ``[l, node]``.
     """
     if m < 0:
         raise DomainError("m must be >= 0 for legendre_row")
-    if abs(u) > 1.0 + 1e-14:
-        raise DomainError(f"|u|={abs(u)} > 1")
-    u = min(1.0, max(-1.0, u))
-    out = np.zeros(lmax + 1)
+    u = np.asarray(u, dtype=float)
+    if np.any(np.abs(u) > 1.0 + 1e-14):
+        raise DomainError(f"|u|={np.abs(u).max()} > 1")
+    u = np.clip(u, -1.0, 1.0)
+    out = np.zeros((lmax + 1,) + u.shape)
     if m > lmax:
         return out
     if s is None:
-        s = math.sqrt(max(0.0, 1.0 - u * u))
-    _recur_up(out, m, u, _double_factorial(2 * m - 1) * s**m)
+        s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    # the power of an array, also for one point: a numpy scalar's ** is
+    # libm's pow, which rounds differently from the array loop
+    _recur_up(out, m, u, _double_factorial(2 * m - 1) * np.asarray(s) ** m)
     return out
 
 
-def assoc_legendre(l: int, m: int, u: float, s: float | None = None) -> float:
+def assoc_legendre(l: int, m: int, u, s=None):
     """Unsigned ``P_l^m(u)``; raises for ``m > l``, ``m < 0`` or ``|u| > 1``.
-    ``s`` is ``sin theta``, as in ``legendre_row``."""
+    ``s`` is ``sin theta``, as in ``legendre_row``, whose node axes the
+    value keeps."""
     if not 0 <= m <= l:
         raise DomainError(f"need 0 <= m <= l, got l={l} m={m}")
-    return float(legendre_row(l, m, u, s)[l])
+    return legendre_row(l, m, u, s)[l]
 
 
-def pi_tau_row(lmax: int, m: int, theta: float):
+def pi_tau_row(lmax: int, m: int, theta):
     """Pole-safe angular helper functions for the surface gradient.
 
     For ``m >= 1`` returns ``pi_l = P_l^m(cos theta)/sin theta`` and
     ``tau_l = d P_l^m(cos theta)/d theta`` for ``l = 0..lmax``; both stay
     finite on the poles because ``P_l^m`` carries ``sin^m theta``.
-    For ``m = 0``, ``pi_l = 0`` and ``tau_l = -P_l^1``.
+    For ``m = 0``, ``pi_l = 0`` and ``tau_l = -P_l^1``.  An array of
+    angles gives rows indexed ``[l, node]``.
     """
-    u, s = math.cos(theta), math.sin(theta)
-    pi_row = np.zeros(lmax + 1)
+    theta = np.asarray(theta, dtype=float)
+    u, s = np.cos(theta), np.sin(theta)
+    pi_row = np.zeros((lmax + 1,) + theta.shape)
     if m == 0:
         return pi_row, -legendre_row(lmax, 1, u, s)
     if m <= lmax:
-        _recur_up(pi_row, m, u, _double_factorial(2 * m - 1) * s ** (m - 1))
+        seed = _double_factorial(2 * m - 1) * np.asarray(s) ** (m - 1)
+        _recur_up(pi_row, m, u, seed)
     return pi_row, _tau_from_pi(pi_row, m, u)
 
 
@@ -241,20 +261,21 @@ def sph_norm_table(lmax: int) -> np.ndarray:
     return out
 
 
-def ylm_complex(l: int, m: int, d) -> complex:
-    """Orthonormal complex spherical harmonic with Condon-Shortley phase."""
+def ylm_complex(l: int, m: int, d):
+    """Orthonormal complex spherical harmonic with Condon-Shortley phase:
+    a complex at one direction, a complex array over the points of a
+    batch ``Direction`` (or of ``(N, 3)`` rows)."""
     if abs(m) > l:
         raise DomainError(f"|m|={abs(m)} > l={l}")
     d = _as_direction(d)
     ma = abs(m)
-    phase = complex(math.cos(ma * d.phi), math.sin(ma * d.phi))
-    if d.vec[2] == 0.0:
-        # on the equator (every shift of the chain and the dimer), the
-        # closed form that the lattice sums use
-        val = ylm_equator(l, ma) * phase
-    else:
-        p = assoc_legendre(l, ma, d.cos_theta, d.sin_theta)
-        val = (-1) ** ma * sph_norm(l, ma) * p * phase
+    phase = np.cos(ma * d.phi) + 1j * np.sin(ma * d.phi)
+    p = assoc_legendre(l, ma, d.cos_theta, d.sin_theta)
+    # on the equator (every shift of the chain and the dimer), the closed
+    # form that the lattice sums use
+    val = np.where(
+        d.vec[..., 2] == 0.0, ylm_equator(l, ma), (-1) ** ma * sph_norm(l, ma) * p
+    ) * phase
     if m < 0:
         val = (-1) ** ma * val.conjugate()
     return val

@@ -50,29 +50,21 @@ def _relative(worst, scale):
 def suite_sphharm(rng):
     checks = []
     quad = oracle.build_quadrature(16)
-    dirs = quad.directions()
-    worst = 0.0
-    vals = {}
-    for l in range(7):
-        for m in range(-l, l + 1):
-            vals[(l, m)] = np.array([ylm_complex(l, m, d) for d in dirs])
-    for (l, m), f in vals.items():
-        for (lp, mp), g in vals.items():
-            ip = np.sum(f * g.conjugate() * quad.weights)
-            expect = 1.0 if (l, m) == (lp, mp) else 0.0
-            worst = max(worst, abs(ip - expect))
+    dirs = Direction.from_angles(quad.theta, quad.phi)
+    vals = np.array([
+        ylm_complex(l, m, dirs) for l in range(7) for m in range(-l, l + 1)
+    ])
+    gram = (vals * quad.weights) @ vals.conj().T
+    worst = np.abs(gram - np.eye(len(vals))).max()
     checks.append(("orthonormality l<=6", worst, 1e-12))
-    worst = 0.0
-    for v in _rand_dirs(rng, 50):
-        for l in range(5):
-            for m in range(0, l + 1):
-                worst = max(
-                    worst,
-                    abs(
-                        ylm_complex(l, -m, v)
-                        - (-1) ** m * np.conj(ylm_complex(l, m, v))
-                    ),
-                )
+    dirs = Direction.from_vector(_rand_dirs(rng, 50))
+    worst = max(
+        np.abs(
+            ylm_complex(l, -m, dirs) - (-1) ** m * np.conj(ylm_complex(l, m, dirs))
+        ).max()
+        for l in range(5)
+        for m in range(l + 1)
+    )
     checks.append(("conjugation rule", worst, 1e-14))
     worst = 0.0
     for l in range(7):
@@ -95,16 +87,18 @@ def suite_vsh(rng):
     lmax = 5
     deg = np.arange(lmax + 1)[:, None]
     labels = (deg >= 1) & (np.abs(np.arange(-lmax, lmax + 1)) <= deg)
+    vecs = _rand_dirs(rng, 40)
+    dirs = Direction.from_vector(vecs)
+    # Y_lm by the scalar route (legendre_row, cos/sin phase), not from the
+    # legendre_table and sph_norm_table the vsh table is built on
+    y_all = np.zeros((lmax + 1, 2 * lmax + 1, len(vecs)), dtype=complex)
+    for l in range(1, lmax + 1):
+        for m in range(-l, l + 1):
+            y_all[l, m + lmax] = ylm_complex(l, m, dirs)
     worst = 0.0
-    for v in _rand_dirs(rng, 40):
-        d = Direction.from_vector(v)
-        vv, w, x = vsh_complex_table(lmax, d)
-        # Y_lm by the scalar route (assoc_legendre, cos/sin phase), not
-        # from the legendre_table and sph_norm_table the vsh table is built on
-        y = np.zeros((lmax + 1, 2 * lmax + 1), dtype=complex)
-        for l in range(1, lmax + 1):
-            for m in range(-l, l + 1):
-                y[l, m + lmax] = ylm_complex(l, m, d)
+    for k, v in enumerate(vecs):
+        vv, w, x = vsh_complex_table(lmax, Direction.from_vector(v))
+        y = y_all[..., k]
         gaps = np.stack([
             np.abs(w - vv - ((2 * deg + 1) * y)[..., None] * v).max(axis=-1),
             np.abs(x @ v),
@@ -120,27 +114,25 @@ def suite_vsh(rng):
     expect = np.diag([norm_factor(fam, l) for l, _m, fam in basis])
     worst = np.abs(gram - expect).max()
     checks.append(("orthogonality and norms l<=4", worst, 1e-11))
-    worst = 0.0
-    for v in _rand_dirs(rng, 20):
-        a = rng.normal(size=3)
-        comp = rhat_dot_a_expand(a)
-        expand = math.sqrt(4 * math.pi / 3) * sum(
-            (-1) ** q * comp[q] * ylm_complex(1, q, v) for q in (-1, 0, 1)
-        )
-        worst = max(worst, abs(np.dot(v, a) - expand))
+    v = _rand_dirs(rng, 20)
+    a = rng.normal(size=(20, 3))
+    comp = rhat_dot_a_expand(a.T)
+    expand = math.sqrt(4 * math.pi / 3) * sum(
+        (-1) ** q * comp[q] * ylm_complex(1, q, v) for q in (-1, 0, 1)
+    )
+    worst = np.abs(np.einsum("nk,nk->n", v, a) - expand).max()
     checks.append(("axis-projection expansion", worst, 1e-13))
     # the harmonic table (the tests' reference for the projection) against
-    # vsh_real, on seeded directions and both poles
-    dirs = [Direction.from_vector(v) for v in _rand_dirs(rng, 12)]
-    dirs += [Direction.from_angles(0.0, 0.0), Direction.from_angles(math.pi, 0.0)]
-    labels = list(assembly.BasisMap(8))
-    table = vsh_real_table(
-        labels, [d.theta for d in dirs], [d.phi for d in dirs]
+    # vsh_real, one call per label, on seeded directions and both poles
+    rand = Direction.from_vector(_rand_dirs(rng, 12))
+    dirs = Direction.from_angles(
+        np.r_[rand.theta, 0.0, math.pi], np.r_[rand.phi, 0.0, 0.0]
     )
+    labels = list(assembly.BasisMap(8))
+    table = vsh_real_table(labels, dirs.theta, dirs.phi)
     worst = max(
-        np.abs(table[i, k] - vsh_real(fam, l, m, d)).max()
+        np.abs(table[i] - vsh_real(fam, l, m, dirs)).max()
         for i, (l, m, fam) in enumerate(labels)
-        for k, d in enumerate(dirs)
     )
     checks.append(("table vs scalar l<=8", worst, 1e-13))
     return checks
@@ -357,7 +349,7 @@ def suite_assembly(rng):
     # series: the truncated sums above and below read the same degree-pair
     # blocks as the trace, so only this check sees a wrong block phase
     quad = oracle.build_quadrature(12)
-    dirs = quad.directions()
+    dirs = Direction.from_angles(quad.theta, quad.phi)
     shifts = (1.0, -2.0)
     worst = scale = 0.0
     for pf, lp, mp, qf, l, m in [
@@ -367,8 +359,7 @@ def suite_assembly(rng):
         row = vsh_real_table([(lp, mp, pf)], quad.theta, quad.phi)[0]
         closed = assembly.per_copy_entries(pf, lp, mp, qf, l, m, shifts, rho, _PARAMS)
         for n, value in zip(shifts, closed):
-            potential = np.array([
-                shifted_ball_potential(n, l, m, qf, d, rho, _PARAMS) for d in dirs])
+            potential = shifted_ball_potential(n, l, m, qf, dirs, rho, _PARAMS)
             quadrature = np.einsum("nk,nk,n->", row, potential, quad.weights)
             worst = max(worst, abs(quadrature - value))
             scale = max(scale, abs(value), abs(quadrature))

@@ -116,12 +116,14 @@ def _real_combination(m: int, re, im, c, s):
 def _amplitudes(family: Family, l: int, m_abs: int, d: Direction):
     """Cartesian (real, imag) amplitude vectors of the ``m >= 0`` harmonic,
     without the azimuthal factor ``exp(i m phi)`` and without the
-    Condon-Shortley phase."""
+    Condon-Shortley phase; a node axis ahead of the vector axis when ``d``
+    holds a batch of points."""
     norm = sph_norm(l, m_abs)
     pi_row, tau_row = pi_tau_row(l, m_abs, d.theta)
+    a_y = assoc_legendre(l, m_abs, d.cos_theta, d.sin_theta)
     return _family_amplitudes(
-        family, l, norm * tau_row[l], norm * m_abs * pi_row[l],
-        norm * assoc_legendre(l, m_abs, d.cos_theta, d.sin_theta), d.frame(),
+        family, l, norm * tau_row[l, ..., None],
+        norm * m_abs * pi_row[l, ..., None], norm * a_y[..., None], d.frame(),
     )
 
 
@@ -140,23 +142,26 @@ def vsh_complex(family, l: int, m: int, d) -> np.ndarray:
 
 
 def vsh_real(family, l: int, m: int, d) -> np.ndarray:
-    """Real vector spherical harmonic, evaluated in real arithmetic."""
+    """Real vector spherical harmonic, evaluated in real arithmetic: a
+    3-vector at one direction, rows ``[node, xyz]`` over a batch ``d`` (or
+    ``(N, 3)`` rows)."""
     family = Family(family)
     _check_indices(family, l, m)
     d = _as_direction(d)
     ma = abs(m)
     re, im = _amplitudes(family, l, ma, d)
-    return _real_combination(
-        m, re, im, math.cos(ma * d.phi), math.sin(ma * d.phi)
-    )
+    phi = np.asarray(d.phi)[..., None]
+    return _real_combination(m, re, im, np.cos(ma * phi), np.sin(ma * phi))
 
 
 def vsh_real_table(labels, theta, phi) -> np.ndarray:
     """Real vector harmonics of every label ``(l, m, family)`` at every
     node ``(theta[k], phi[k])``, shaped ``(len(labels), n_nodes, 3)``.
 
-    The values of ``vsh_real``, from one ``legendre_table`` over the nodes
-    instead of one Legendre row per label and node.
+    The values of ``vsh_real`` at ``Direction.from_angles(theta, phi)``,
+    from one ``legendre_table`` of every degree and order over the nodes
+    instead of the Legendre rows of each label (``vsh_real``'s route, which
+    the tests and ``verify`` keep as its independent reference).
     """
     labels = [(l, m, Family(fam)) for l, m, fam in labels]
     for l, m, fam in labels:

@@ -150,6 +150,30 @@ class TestBruteLatticeEntry:
         assert partials[100] == total
         assert partials[10] != total
 
+    @pytest.mark.parametrize("shift, include_zero", [(0.0, False), (0.4, True)])
+    def test_against_the_per_shell_sum(self, params, shift, include_zero):
+        # every shell 0 < |n| <= 6 (and n = 0 for the dimer's coupling
+        # copies), one per_copy_entries call each
+        from sphelast.assembly import per_copy_entries
+
+        alpha, rho, n_cut = 0.9, 0.1, 6
+        ns = [n for n in range(-n_cut, n_cut + 1) if include_zero or n != 0]
+        for label in [(Family.W, 1, 0, Family.V, 1, 0), (Family.X, 2, 1, Family.W, 1, -1)]:
+            terms = {
+                n: per_copy_entries(*label, [shift + n], rho, params)[0]
+                * np.exp(-1j * alpha * n)
+                for n in ns
+            }
+            total, partials = brute_lattice_entry(
+                *label, alpha, rho, params, n_cut, shift=shift,
+                include_zero=include_zero, checkpoints=[2, n_cut],
+            )
+            scale = max(abs(t) for t in terms.values())
+            assert abs(total - sum(terms.values())) <= 1e-15 * scale
+            assert partials[n_cut] == total
+            low = sum(t for n, t in terms.items() if abs(n) <= 2)
+            assert abs(partials[2] - low) <= 1e-15 * scale
+
 
 class TestFiniteDifferences:
     def test_inverse_distance(self):
@@ -280,3 +304,25 @@ def test_kelvin_suite_samples_from_the_table(monkeypatch):
     rows = verify.suite_kelvin(np.random.default_rng(0))
     assert all(res <= tol for _name, res, tol in rows)
     assert len(calls) <= 24
+
+
+def test_harmonic_samples_take_one_vsh_real_call_per_label(monkeypatch):
+    # basis_samples and verify's "table vs scalar" evaluate vsh_real once
+    # per label over all their nodes, and the samples are the one-point
+    # values at each node
+    calls = []
+    scalar = oracle.vsh_real
+    counted = lambda *args: calls.append(args) or scalar(*args)
+    monkeypatch.setattr(oracle, "vsh_real", counted)
+    basis, quad = BasisMap(3), build_quadrature(8)
+    samples = basis_samples(basis, quad)
+    assert len(calls) == basis.n_eff
+    dirs = quad.directions()
+    for i, (l, m, fam) in enumerate(basis):
+        assert np.array_equal(
+            samples[i], np.array([scalar(fam, l, m, d) for d in dirs]))
+    calls.clear()
+    monkeypatch.setattr(verify, "vsh_real", counted)
+    rows = verify.suite_vsh(np.random.default_rng(0))
+    assert all(res <= tol for _name, res, tol in rows)
+    assert 0 < len(calls) <= BasisMap(8).n_eff

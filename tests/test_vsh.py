@@ -447,3 +447,20 @@ def test_pointwise_check_fails_on_a_faulty_vsh_table(monkeypatch, fault):
             verify.suite_vsh(np.random.default_rng(0))}
     residual, tol = rows["pointwise identities"]
     assert residual > 1e3 * tol
+
+
+def test_scalar_route_checks_fail_on_a_faulty_legendre_row(monkeypatch):
+    # the reference harmonics over node arrays stay on legendre_row, not on
+    # the legendre_table they are compared with
+    from sphelast import verify
+
+    good = _patch_everywhere(
+        monkeypatch, "legendre_row",
+        lambda lmax, m, u, s=None: good(lmax, m, u, s) * (1 + 1e-9),
+    )
+    rng = np.random.default_rng(0)
+    rows = {name: (res, tol) for name, res, tol in
+            verify.suite_vsh(rng) + verify.suite_sphharm(rng)}
+    for name in ("table vs scalar l<=8", "orthonormality l<=6"):
+        residual, tol = rows[name]
+        assert residual > 1e3 * tol, name
