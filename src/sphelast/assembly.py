@@ -635,27 +635,35 @@ def _geometry(l_max: int) -> _Geometry:
     The degree pairs ``lp <= l`` are built a tile at a time: the row
     degrees of one band (``_bands``) against the column degrees of a band
     at or above it, every family pair of ``_STORED`` in one
-    ``_DegreeBlocks.blocks`` call."""
+    ``_DegreeBlocks.blocks`` call.  Each tile's entries go straight to the
+    region of their sector, so the entries are never copied to be grouped."""
     basis = BasisMap(l_max)
     n = basis.n_eff
     degs, orders, fams = np.array(basis.labels).T
     secs = sector(degs, orders, fams)
-    # filled in place: at most every in-sector label pair on or above the
-    # diagonal of a stored family pair; seen[j, f] counts the labels i <= j
-    # of family f in the sector of j
+    # the position of each sector's block and each label's rank in it
+    group, rank = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.intp)
+    for k, labels in enumerate(sectors(l_max)):
+        group[labels], rank[labels] = k, np.arange(len(labels))
+    # filled in place, a region per sector sized for every in-sector label
+    # pair on or above the diagonal of a stored family pair; seen[j, f]
+    # counts the labels i <= j of family f in the sector of j
     seen = np.cumsum(np.eye(12, dtype=int)[3 * secs + fams - 1], axis=0)
     seen = seen.reshape(n, 4, 3)[np.arange(n), secs]
     stored = np.array([[(p, q) in _STORED for q in Family] for p in Family])
-    bound = int((seen * stored[:, fams - 1].T).sum())
-    index, order = np.empty(bound, dtype=np.intp), np.empty(bound, dtype=np.intp)
-    weights = np.empty((bound, 2, 2))
-    built = 0
+    room = np.bincount(group, (seen * stored[:, fams - 1].T).sum(axis=1)).astype(np.intp)
+    size = int(room.sum())
+    row, col, order = (np.empty(size, dtype=np.intp) for _ in range(3))
+    weights = np.empty((size, 2, 2))
+    start = np.cumsum(room) - room
+    end = start.copy()
     bands = _bands(l_max)
     tables = _weight_tables(l_max + 4)
     for j, cols in enumerate(bands):
         blocks = _DegreeBlocks(int(cols[-1]), int(cols[0]), tables)
         for rows in bands[:j + 1]:
             lp, l = (deg.ravel() for deg in np.meshgrid(rows, cols, indexing="ij"))
+            found = []
             for p, q in _STORED:
                 # W and X have no degree 0
                 pick = (lp <= l) & (lp >= (p != V)) & (l >= (q != V))
@@ -676,24 +684,33 @@ def _geometry(l_max: int) -> _Geometry:
                         & (sector(deg_r, mp, p)[:, :, None] == sector(deg_c, m, q)[:, None, :])
                         & (nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2] | nonzero[..., 3]))
                 g, a, b = np.nonzero(keep)
-                end = built + len(g)
-                index[built:end] = r[g, a] * n + c[g, b]
-                order[built:end] = s[g]
-                weights[built:end] = block[g, a, b]
-                built = end
-    # the entries grouped by sector, each at the ranks of its labels there
-    group, rank = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.intp)
-    for k, labels in enumerate(sectors(l_max)):
-        group[labels], rank[labels] = k, np.arange(len(labels))
-    row, col = np.divmod(index[:built], n)
-    by_group = np.argsort(group[row], kind="stable")
-    bounds = np.searchsorted(group[row[by_group]], np.arange(group.max() + 2))
-    # rebound before the weights are copied, so that the originals are freed
-    row, col, order = rank[row[by_group]], rank[col[by_group]], order[by_group]
+                found.append((r[g, a], c[g, b], s[g], block[g, a, b]))
+            if not found:
+                continue
+            # the tile's entries of each sector in the order found, after the
+            # sector's earlier ones: its k-th goes to end[sector] + k
+            tile_r, tile_c, tile_s, tile_w = (np.concatenate(parts) for parts in zip(*found))
+            within = group[tile_r]
+            count = np.bincount(within, minlength=len(room))
+            at = np.empty(len(tile_r), dtype=np.intp)
+            at[np.argsort(within, kind="stable")] = np.arange(len(tile_r)) + np.repeat(
+                end - np.cumsum(count) + count, count)
+            row[at], col[at] = rank[tile_r], rank[tile_c]
+            order[at], weights[at] = tile_s, tile_w
+            end += count
+    # close the gaps between the sectors' regions (an overlapping move
+    # goes through a copy of one sector's entries)
+    bounds = np.zeros(len(room) + 1, dtype=np.intp)
+    np.cumsum(end - start, out=bounds[1:])
+    for k in range(1, len(room)):
+        if start[k] > bounds[k]:
+            for values in (row, col, order, weights):
+                values[bounds[k]:bounds[k + 1]] = values[start[k]:end[k]]
+    row, col, order, weights = (v[:bounds[-1]] for v in (row, col, order, weights))
     factors, norm = _label_columns(degs, fams)
     return _Geometry(
         basis=basis, bounds=_frozen(bounds), row=_frozen(row), col=_frozen(col),
-        order=_frozen(order), weights=_frozen(weights[by_group]),
+        order=_frozen(order), weights=_frozen(weights),
         factors=_frozen(factors), norm=_frozen(norm),
     )
 

@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -228,6 +229,9 @@ def _phi_samples(spec: str, quad, basis, rho, params):
 
 
 def cmd_assemble(args) -> int:
+    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.out):
+        raise ConfigError(f"--csv {args.csv!r} names the --out file; the CSV "
+                          "would overwrite the matrix")
     params, geom = _params_geometry(args)
     mat = _matrix(args, params, geom)
     io.save_matrix(args.out, mat)

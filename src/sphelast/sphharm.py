@@ -228,7 +228,8 @@ def legendre_table(lmax: int, theta):
     nodes, with ``sin theta`` taken from the angle.
     """
     theta = np.asarray(theta, dtype=float)
-    u, s = np.cos(theta), np.sin(theta)
+    # the powers of arrays, also for one point, as in legendre_row
+    u, s = np.cos(theta), np.asarray(np.sin(theta))
     p = np.zeros((lmax + 1, lmax + 1) + theta.shape)
     pi, tau = np.zeros_like(p), np.zeros_like(p)
     for m in range(lmax + 1):

@@ -22,14 +22,18 @@ vector harmonics; the assembly code never calls them (its entries are closed
 form), they exist so the series themselves can be verified against direct
 evaluation of the translated field.
 
-Each call first builds its tables: the solid harmonics of ``r`` and of the
+Each call builds its tables once: the solid harmonics of ``r`` and of the
 shift (``sphharm.solid_regular_table``, from the Cartesian components; the
 decaying ones from the table of the unit shift, or from
 ``sphharm.equator_table`` on the equator) and, for the vector series, the
 complex vector harmonics and ``vector_Y`` at the direction of ``r``
-(``vsh.vsh_complex_table``, ``vsh.vector_Y_table``).  Each ``lam`` block is
-then a sum of arrays over ``mu``, weighted by ``decay_prefactors`` and by
-the weight tables.  A compensated sum adds the blocks.
+(``vsh.vsh_complex_table``, ``vsh.vector_Y_table``).  The solid series take
+an integer array of orders ``m`` and sum every order of one degree over the
+same tables; the vector series keep the tables of the most recent ``(l, r,
+a, lam_max)`` (``_series_tables``), so the decaying series at one point and
+shift share them.  Each ``lam`` block is then a sum of arrays over ``mu``,
+weighted by ``decay_prefactors`` and by the weight tables.  A compensated
+sum adds the blocks.
 
 ``combine_source`` / ``combine_row`` encode the three-case real/complex
 recombination for the source and projection order respectively and are the
@@ -223,37 +227,54 @@ def _growing_shift(l: int, a) -> np.ndarray:
     return np.pad(solid_regular_table(l, a), ((0, 0), (l, l)))
 
 
-def _check_order(l: int, m: int):
-    if abs(m) > l:
-        raise DomainError(f"|m|={abs(m)} > l={l}")
+def _orders(l: int, m) -> np.ndarray:
+    """The orders ``m`` of degree ``l`` as a flat integer array (one order
+    is an array of one)."""
+    orders = np.asarray(m).reshape(-1)
+    if np.any(np.abs(orders) > l):
+        raise DomainError(f"|m|={np.abs(orders).max()} > l={l}")
+    return orders
 
 
-def translate_solid_regular(l: int, m: int, r, a) -> complex:
-    """Growing solid harmonic of ``r + a`` as its finite re-expansion."""
-    _check_order(l, m)
+def _shaped(m, values):
+    """``values`` over the flat orders, in the shape of ``m``: a Python
+    number for one order."""
+    if np.ndim(m) == 0:
+        return values[0].item()
+    return values.reshape(np.shape(m))
+
+
+def translate_solid_regular(l: int, m, r, a):
+    """Growing solid harmonic of ``r + a`` as its finite re-expansion.
+
+    An integer array ``m`` gives one value per order (its shape), every
+    order from the same tables of ``r`` and ``a``."""
+    orders = _orders(l, m)[:, None]
     reg_r = solid_regular_table(l, r)
     reg_a = _growing_shift(l, a)
-    total = 0.0 + 0.0j
+    total = np.zeros(len(orders), dtype=complex)
     for lam in range(l + 1):
         mu = np.arange(-lam, lam + 1)
         total += np.sum(
-            np.sqrt(_growing_binomials(l, m, lam))
+            np.sqrt(_growing_binomials(l, orders, lam))
             * reg_r[lam, mu + l]
-            * reg_a[l - lam, m - mu + 2 * l]
+            * reg_a[l - lam, orders - mu + 2 * l],
+            axis=-1,
         )
-    return complex(total)
+    return _shaped(m, total)
 
 
 def translate_solid_irregular(
-    l: int, m: int, r, a, policy: TruncationPolicy = TruncationPolicy(),
+    l: int, m, r, a, policy: TruncationPolicy = TruncationPolicy(),
     with_tail: bool = False,
 ):
     """Decaying solid harmonic of ``r + a`` as a truncated series.
 
     Requires ``|r| < |a|``; the tail is estimated from the geometric ratio
-    of the last computed block.
+    of the last computed block.  An integer array ``m`` gives one value
+    (and tail) per order, as ``translate_solid_regular`` does.
     """
-    _check_order(l, m)
+    orders = _orders(l, m)
     r = np.asarray(r, dtype=float)
     a = np.asarray(a, dtype=float)
     rn, an = np.linalg.norm(r), np.linalg.norm(a)
@@ -266,18 +287,20 @@ def translate_solid_irregular(
         mu = np.arange(-lam, lam + 1)
         # decay_prefactors holds sqrt((2l+1)/(2lam+1)) on top of the
         # signed binomial root of this series
-        weights = decay_prefactors(l, lam)[:, m + l] * math.sqrt(
+        weights = decay_prefactors(l, lam)[:, orders + l].T * math.sqrt(
             (2 * lam + 1) / (2 * l + 1)
         )
         block = np.sum(
-            weights * reg_r[lam, mu + lam_max] * irr_a[l + lam, m - mu + l + lam_max]
+            weights * reg_r[lam, mu + lam_max]
+            * irr_a[l + lam, orders[:, None] - mu + l + lam_max],
+            axis=-1,
         )
         acc.add(block)
     ratio = rn / an
     tail = abs(block) * ratio / (1.0 - ratio)
     if with_tail:
-        return complex(acc.total), tail
-    return complex(acc.total)
+        return _shaped(m, acc.total), _shaped(m, tail)
+    return _shaped(m, acc.total)
 
 
 def _check_region(rn: float, an: float):
@@ -302,13 +325,29 @@ class _Kahan:
         self.total = t
 
 
+@lru_cache(maxsize=1)
+def _series_tables(l: int, r: tuple, a: tuple, lam_max: int, decaying: bool):
+    """The tables of the vector series of degree ``l`` at ``r`` about the
+    shift ``a`` (tuples), read-only; only the most recent are kept, so the
+    decaying series at one point and shift build them once: the complex
+    vector harmonics and ``vector_Y`` at the direction of ``r``, the solid
+    harmonics of the shift and its spherical components."""
+    fields = vsh_complex_table(lam_max + 1, Direction.from_vector(r))
+    shift = _decaying_table(l + lam_max, a) if decaying else _growing_shift(l, a)
+    comp = rhat_dot_a_expand(a)
+    tables = (fields, vector_Y_table(fields), shift,
+              np.array([comp[q] for q in (-1, 0, 1)]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class _Series:
-    """The tables of one vector-series call: the complex vector harmonics
-    and ``vector_Y`` at the direction of ``r``, the solid harmonics of the
-    shift and its spherical components."""
+    """The tables of one vector-series call (``_series_tables``) and the
+    weight tables of ``coupling``."""
 
     def __init__(self, l, m, r_vec, a, lam_max, decaying=True):
-        _check_order(l, m)
+        _orders(l, m)
         r_vec = np.asarray(r_vec, dtype=float)
         a = np.asarray(a, dtype=float)
         self.rn, self.an = np.linalg.norm(r_vec), np.linalg.norm(a)
@@ -317,13 +356,8 @@ class _Series:
         if decaying:
             _check_region(self.rn, self.an)
         self.l, self.m, self.lam_max = l, m, lam_max
-        self.fields = vsh_complex_table(lam_max + 1, Direction.from_vector(r_vec))
-        self.vec_y = vector_Y_table(self.fields)
-        self.shift = (
-            _decaying_table(l + lam_max, a) if decaying else _growing_shift(l, a)
-        )
-        comp = rhat_dot_a_expand(a)
-        self.a_sph = np.array([comp[q] for q in (-1, 0, 1)])
+        self.fields, self.vec_y, self.shift, self.a_sph = _series_tables(
+            l, tuple(r_vec.tolist()), tuple(a.tolist()), lam_max, decaying)
         self.tables = _weight_tables(lam_max + 1)
 
     def field(self, family, lam):

@@ -32,7 +32,7 @@ from .sphharm import (
     Direction,
     DomainError,
     _as_direction,
-    assoc_legendre,
+    legendre_row,
     legendre_table,
     pi_tau_row,
     sph_norm,
@@ -77,11 +77,16 @@ CHI = {
 }
 
 
-def _check_indices(family: Family, l: int, m: int) -> None:
+def _check_indices(family: Family, l, m) -> None:
+    """Refuse any label of the integer arrays (or integers) ``l``, ``m``
+    outside the basis of ``family``."""
     family = Family(family)
-    if l < 0 or abs(m) > l:
-        raise DomainError(f"invalid harmonic index l={l} m={m}")
-    if l == 0 and family in (Family.W, Family.X):
+    l, m = np.asarray(l), np.asarray(m)
+    bad = (l < 0) | (np.abs(m) > l)
+    if bad.any():
+        l, m = np.broadcast_arrays(l, m)
+        raise DomainError(f"invalid harmonic index l={l[bad][0]} m={m[bad][0]}")
+    if family in (Family.W, Family.X) and (l == 0).any():
         raise ForbiddenIndexError(
             f"{family.name}(0,0) is identically zero and not a basis element"
         )
@@ -103,27 +108,33 @@ def _family_amplitudes(family: Family, l: int, a_tau, a_pi, a_y, frame):
     return a_tau * p_hat, -(a_pi * t_hat)
 
 
-def _real_combination(m: int, re, im, c, s):
-    """Real harmonic of order ``m`` from the ``|m|`` amplitudes and
-    ``c, s = cos(|m| phi), sin(|m| phi)``."""
-    if m == 0:
+def _real_combination(m, re, im, c, s):
+    """Real harmonics of the orders ``m`` of one ``|m|`` (one order, or an
+    array along the leading axis of the amplitudes) from the ``|m|``
+    amplitudes and ``c, s = cos(|m| phi), sin(|m| phi)``."""
+    m = np.reshape(m, np.shape(m) + (1,) * (np.ndim(re) - np.ndim(m)))
+    if not m.any():
         return re
-    if m > 0:
-        return _SQRT2 * (re * c - im * s)
-    return _SQRT2 * (re * s + im * c)
+    return _SQRT2 * np.where(m > 0, re * c - im * s, re * s + im * c)
 
 
-def _amplitudes(family: Family, l: int, m_abs: int, d: Direction):
-    """Cartesian (real, imag) amplitude vectors of the ``m >= 0`` harmonic,
-    without the azimuthal factor ``exp(i m phi)`` and without the
-    Condon-Shortley phase; a node axis ahead of the vector axis when ``d``
-    holds a batch of points."""
-    norm = sph_norm(l, m_abs)
-    pi_row, tau_row = pi_tau_row(l, m_abs, d.theta)
-    a_y = assoc_legendre(l, m_abs, d.cos_theta, d.sin_theta)
+def _amplitudes(family: Family, l, m_abs: int, d: Direction, frame):
+    """Cartesian (real, imag) amplitude vectors of the ``m >= 0`` harmonics
+    of the degrees ``l`` (an integer array) at one order ``m_abs``, without
+    the azimuthal factor ``exp(i m phi)`` and without the Condon-Shortley
+    phase: a degree axis, then a node axis when ``d`` holds a batch of
+    points, then the vector axis.  One ``pi_tau_row`` and one
+    ``legendre_row`` at the largest degree serve every degree: an upward
+    recurrence at fixed ``m`` gives the same rows whatever its top
+    degree."""
+    top = int(l.max())
+    axes = (-1,) + (1,) * (np.ndim(d.theta) + 1)
+    norm = np.array([sph_norm(int(k), m_abs) for k in l]).reshape(axes)
+    pi_row, tau_row = pi_tau_row(top, m_abs, d.theta)
+    p_row = legendre_row(top, m_abs, d.cos_theta, d.sin_theta)
     return _family_amplitudes(
-        family, l, norm * tau_row[l, ..., None],
-        norm * m_abs * pi_row[l, ..., None], norm * a_y[..., None], d.frame(),
+        family, l.reshape(axes), norm * tau_row[l, ..., None],
+        norm * m_abs * pi_row[l, ..., None], norm * p_row[l, ..., None], frame,
     )
 
 
@@ -133,7 +144,7 @@ def vsh_complex(family, l: int, m: int, d) -> np.ndarray:
     _check_indices(family, l, m)
     d = _as_direction(d)
     ma = abs(m)
-    re, im = _amplitudes(family, l, ma, d)
+    re, im = (part[0] for part in _amplitudes(family, np.array([l]), ma, d, d.frame()))
     phase = complex(math.cos(ma * d.phi), math.sin(ma * d.phi))
     val = (-1) ** ma * (re + 1j * im) * phase
     if m < 0:
@@ -141,17 +152,31 @@ def vsh_complex(family, l: int, m: int, d) -> np.ndarray:
     return val
 
 
-def vsh_real(family, l: int, m: int, d) -> np.ndarray:
+def vsh_real(family, l, m, d) -> np.ndarray:
     """Real vector spherical harmonic, evaluated in real arithmetic: a
     3-vector at one direction, rows ``[node, xyz]`` over a batch ``d`` (or
-    ``(N, 3)`` rows)."""
+    ``(N, 3)`` rows).
+
+    Integer arrays ``l`` and ``m`` (broadcast together) give one such value
+    per label, on leading axes of their shape; one label is the batch of
+    one.  The labels of each ``|m|`` share one recurrence (``_amplitudes``).
+    """
     family = Family(family)
+    l, m = np.asarray(l), np.asarray(m)
+    if l.shape != m.shape:
+        l, m = np.broadcast_arrays(l, m)
     _check_indices(family, l, m)
     d = _as_direction(d)
-    ma = abs(m)
-    re, im = _amplitudes(family, l, ma, d)
+    frame = d.frame()
+    degs, orders = l.reshape(-1), m.reshape(-1)
     phi = np.asarray(d.phi)[..., None]
-    return _real_combination(m, re, im, np.cos(ma * phi), np.sin(ma * phi))
+    out = np.empty(degs.shape + np.shape(d.theta) + (3,))
+    for ma in sorted(set(np.abs(orders).tolist())):
+        pick = np.flatnonzero(np.abs(orders) == ma)
+        re, im = _amplitudes(family, degs[pick], ma, d, frame)
+        out[pick] = _real_combination(
+            orders[pick], re, im, np.cos(ma * phi), np.sin(ma * phi))
+    return out.reshape(l.shape + out.shape[1:])
 
 
 def vsh_real_table(labels, theta, phi) -> np.ndarray:
@@ -204,23 +229,26 @@ def vsh_complex_table(lmax: int, d) -> np.ndarray:
     """``vsh_complex_or_zero(family, l, m, d)`` for every family,
     ``0 <= l <= lmax`` and ``|m| <= lmax`` at one direction, indexed
     ``[family - 1, l, m + lmax]`` (Cartesian 3-vectors), from one
-    ``legendre_table``."""
+    ``legendre_table``.  A batch ``d`` (or ``(N, 3)`` rows) adds a node
+    axis ahead of the vector axis: ``[family - 1, l, m + lmax, node]``."""
     d = _as_direction(d)
     p, pi, tau = legendre_table(lmax, d.theta)
-    m = np.arange(-lmax, lmax + 1)
-    ma = np.abs(m)
+    nodes = (None,) * np.ndim(d.theta)
+    orders = np.arange(-lmax, lmax + 1)
+    m, ma = orders[(slice(None),) + nodes], np.abs(orders)
     # the Condon-Shortley sign of m > 0; the conjugation rule of m < 0 is
     # the sign of m in the pi amplitude
     phase = np.where((m > 0) & (m % 2 == 1), -1.0, 1.0) * np.exp(1j * m * d.phi)
-    norm = sph_norm_table(lmax)
-    a_tau = (norm * tau)[:, ma, None]
-    a_pi = 1j * (norm * pi)[:, ma, None] * m[:, None]
-    a_y = (norm * p)[:, ma, None]
-    deg, frame = np.arange(lmax + 1)[:, None, None], d.frame()
+    norm = sph_norm_table(lmax)[(...,) + nodes]
+    a_tau = (norm * tau)[:, ma, ..., None]
+    a_pi = 1j * (norm * pi)[:, ma, ..., None] * m[..., None]
+    a_y = (norm * p)[:, ma, ..., None]
+    deg = np.arange(lmax + 1).reshape((-1, 1) + (1,) * len(nodes) + (1,))
+    frame = d.frame()
     return np.stack([
         np.add(*_family_amplitudes(family, deg, a_tau, a_pi, a_y, frame))
         for family in Family
-    ]) * phase[:, None]
+    ]) * phase[..., None]
 
 
 def vector_Y_table(fields: np.ndarray) -> np.ndarray:

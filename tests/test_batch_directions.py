@@ -1,8 +1,12 @@
-"""The scalar harmonic route over a batch of directions.
+"""The scalar harmonic route over a batch of directions, and the reference
+routes over a batch of labels.
 
 ``Direction`` holds one point or N; ``legendre_row``, ``pi_tau_row``,
-``ylm_complex``, ``vsh_real`` and ``shifted_ball_potential`` then gain a
-node axis.  One call over the batch must give each point's one-point value.
+``ylm_complex``, ``vsh_real``, ``vsh_complex_table`` and
+``shifted_ball_potential`` then gain a node axis.  One call over the batch
+must give each point's one-point value.  ``vsh_real`` over arrays of labels
+and the solid series over arrays of orders must give the one-label values
+bit for bit.
 """
 
 import math
@@ -20,7 +24,12 @@ from sphelast.sphharm import (
     pi_tau_row,
     ylm_complex,
 )
-from sphelast.vsh import Family, vsh_real
+from sphelast.translation import (
+    TruncationPolicy,
+    translate_solid_irregular,
+    translate_solid_regular,
+)
+from sphelast.vsh import Family, vsh_complex_table, vsh_real
 
 LMAX = 8
 
@@ -145,3 +154,60 @@ def test_shifted_ball_potential_refuses_a_node_inside_the_ball(points, params):
     for x_hat in (batch, v):
         with pytest.raises(DomainError):
             shifted_ball_potential(0.19, 2, 1, Family.W, x_hat, 0.1, params)
+
+
+def _same_bits(got, want):
+    want = np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_vector_harmonics_over_labels(points):
+    # every label of a family to degree 8 in one call is the one-label calls
+    v, batch, singles = points
+    labels = np.array(list(_labels()))
+    for fam in Family:
+        l, m = labels[labels[:, 2] == fam, :2].T
+        values = vsh_real(fam, l, m, batch)
+        assert values.shape == (len(l), len(v), 3)
+        _same_bits(values, [vsh_real(fam, *label, batch) for label in zip(l, m)])
+        one = vsh_real(fam, l, m, singles[8])  # 8e-4 from the north pole
+        assert one.shape == (len(l), 3)
+        _same_bits(one, [vsh_real(fam, *label, singles[8]) for label in zip(l, m)])
+    # labels broadcast, and keep their shape ahead of the node axis
+    grid = vsh_real(Family.V, [[1], [2]], [-1, 0, 1], batch)
+    assert grid.shape == (2, 3, len(v), 3)
+    _same_bits(grid[1, 0], vsh_real(Family.V, 2, -1, batch))
+    with pytest.raises(DomainError):
+        vsh_real(Family.V, [1, 2], [0, 3], batch)
+
+
+def test_complex_table_over_nodes(points):
+    v, batch, singles = points
+    table = vsh_complex_table(LMAX, batch)
+    assert table.shape == (3, LMAX + 1, 2 * LMAX + 1, len(v), 3)
+    _same_bits(table, np.stack([vsh_complex_table(LMAX, d) for d in singles], axis=3))
+    _same_bits(vsh_complex_table(LMAX, v), table)
+
+
+def test_solid_series_over_orders():
+    # every order of a degree in one call is the one-order calls, off and
+    # on the equator (where the decaying table takes its closed form)
+    rng = np.random.default_rng(11)
+    pol = TruncationPolicy(lam_max=16)
+    for a in (rng.normal(size=3), np.r_[rng.normal(size=2), 0.0]):
+        r = rng.normal(size=3)
+        small = 0.4 * np.linalg.norm(a) * r / np.linalg.norm(r)
+        for l in range(7):
+            m = np.arange(-l, l + 1)
+            _same_bits(translate_solid_regular(l, m, r, a),
+                       [translate_solid_regular(l, k, r, a) for k in m])
+            got, tail = translate_solid_irregular(l, m, small, a, pol, with_tail=True)
+            one = [translate_solid_irregular(l, k, small, a, pol, with_tail=True)
+                   for k in m]
+            _same_bits(got, [value for value, _tail in one])
+            _same_bits(tail, [t for _value, t in one])
+    assert isinstance(translate_solid_regular(2, 1, r, a), complex)
+    assert translate_solid_regular(2, np.array([[-2, 0, 1], [2, -1, 0]]), r, a).shape == (2, 3)
+    with pytest.raises(DomainError):
+        translate_solid_regular(2, np.array([0, 3]), r, a)

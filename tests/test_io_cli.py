@@ -434,6 +434,23 @@ class TestBadInputs:
         assert main(argv) == 2
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("command", ["assemble", "dimer-assemble"])
+    def test_csv_naming_the_out_file(self, tmp_path, monkeypatch, capsys, command):
+        # the CSV would overwrite the JSON matrix: refused before anything
+        # is written, however the two paths spell the same file
+        monkeypatch.chdir(tmp_path)
+        extra = ["--dimer-d", "0.2"] if command == "dimer-assemble" else []
+        for out, csv in (("m.json", "m.json"), ("./m.json", "m.json"),
+                         (str(tmp_path / "m.json"), "sub/../m.json")):
+            (tmp_path / "sub").mkdir(exist_ok=True)
+            self._assert_config_error(
+                [command, *self.BASE, *extra, "--out", out, "--csv", csv], capsys)
+            assert not (tmp_path / "m.json").exists()
+        assert main([command, *self.BASE, *extra, "--out", "m.json",
+                     "--csv", "m.csv"]) == 0
+        assert io.load_matrix(tmp_path / "m.json").matrix.shape[0] == (
+            20 if extra else 10)
+
     def test_non_finite_alpha(self, tmp_path, capsys):
         # pi*1e400 overflows the float conversion, pi*+-1e308 the product
         for bad in ("nan", "inf", "pi*1e400", "pi*1e308", "pi*-1e308"):

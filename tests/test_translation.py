@@ -510,3 +510,47 @@ def test_growing_table_check_catches_a_sign_the_addition_theorem_keeps(
     assert residual <= tol
     residual, tol = rows["growing table vs scalar l<=4"]
     assert residual > 1e3 * tol
+
+
+def test_translation_suite_takes_one_series_call_per_degree(monkeypatch):
+    # the solid series run once per degree and sample over every order, and
+    # the four decaying vector series at one point and shift share one
+    # build of their tables
+    from sphelast import translation
+
+    calls = []
+    for name in ("translate_solid_regular", "translate_solid_irregular"):
+        def counted(l, m, *args, _fn=getattr(translation, name), _name=name):
+            calls.append((_name, l, tuple(np.ravel(m))))
+            return _fn(l, m, *args)
+
+        monkeypatch.setattr(translation, name, counted)
+    translation._series_tables.cache_clear()
+    rows = suite_translation(np.random.default_rng(0))
+    assert all(res <= tol for _name, res, tol in rows)
+    growing = [call for call in calls if call[0] == "translate_solid_regular"]
+    decaying = [call for call in calls if call[0] == "translate_solid_irregular"]
+    assert len(growing) == 4 * 5 and len(decaying) == 4
+    assert all(m == tuple(range(-l, l + 1)) for _name, l, m in calls)
+    # the growing series and the four decaying ones
+    assert translation._series_tables.cache_info().misses == 2
+    translation._series_tables.cache_clear()
+    r, a = np.array([0.1, -0.2, 0.15]), np.array([0.2, 0.9, -0.3])
+    for fn in (translate_V_decay, translate_V_neg_l, translate_W_neg_l, translate_X):
+        fn(2, 1, r, a)
+    assert translation._series_tables.cache_info().misses == 1
+
+
+def test_decaying_checks_fail_on_faulty_prefactors(monkeypatch):
+    # a relative error of 1e-6 in the decay prefactors shows in the scalar
+    # and in the vector decaying series
+    from sphelast import translation
+
+    good = translation.decay_prefactors
+    monkeypatch.setattr(translation, "decay_prefactors",
+                        lambda l, lam: good(l, lam) * (1 + 1e-6))
+    rows = {name: (res, tol) for name, res, tol in
+            suite_translation(np.random.default_rng(0))}
+    for name in ("decaying re-expansion at ratio 0.3", "vector re-expansion series"):
+        residual, tol = rows[name]
+        assert residual > 10 * tol, name

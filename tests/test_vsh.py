@@ -464,3 +464,19 @@ def test_scalar_route_checks_fail_on_a_faulty_legendre_row(monkeypatch):
     for name in ("table vs scalar l<=8", "orthonormality l<=6"):
         residual, tol = rows[name]
         assert residual > 1e3 * tol, name
+
+
+def test_table_check_takes_one_vsh_real_call_per_family(monkeypatch):
+    # "table vs scalar l<=8" evaluates every label of a family in one call
+    from sphelast import verify
+
+    calls = []
+    scalar = verify.vsh_real
+    monkeypatch.setattr(
+        verify, "vsh_real",
+        lambda fam, l, m, d: calls.append((fam, len(l))) or scalar(fam, l, m, d))
+    rows = {name: (res, tol) for name, res, tol in
+            verify.suite_vsh(np.random.default_rng(0))}
+    residual, tol = rows["table vs scalar l<=8"]
+    assert residual <= tol
+    assert sorted(calls) == [(Family.V, 81), (Family.W, 80), (Family.X, 80)]
