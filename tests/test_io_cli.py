@@ -440,9 +440,9 @@ class TestBadInputs:
         # is written, however the two paths spell the same file
         monkeypatch.chdir(tmp_path)
         extra = ["--dimer-d", "0.2"] if command == "dimer-assemble" else []
+        (tmp_path / "sub").mkdir()
         for out, csv in (("m.json", "m.json"), ("./m.json", "m.json"),
                          (str(tmp_path / "m.json"), "sub/../m.json")):
-            (tmp_path / "sub").mkdir(exist_ok=True)
             self._assert_config_error(
                 [command, *self.BASE, *extra, "--out", out, "--csv", csv], capsys)
             assert not (tmp_path / "m.json").exists()
