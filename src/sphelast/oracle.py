@@ -3,9 +3,10 @@
 Everything here checks the analytic machinery from the outside: product
 Gauss-Legendre quadrature on the sphere (``system.build_quadrature``, which
 the production projection shares) with the harmonics sampled by the scalar
-``vsh_real``, one call per label over all the nodes (the Legendre rows of
-that label, never the degree-and-order tables the production code reads),
-direct surface integration of the fundamental solution, truncated lattice
+``vsh_real``, one call per family over every label and node (the Legendre
+rows of each order, never the degree-and-order tables the production code
+reads), direct surface integration of the fundamental solution (a pairwise
+Kelvin-tensor sum over the nodes, vectorised with numpy), truncated lattice
 sums and finite differences.
 Nothing in this module touches the re-expansion series or the closed-form
 lattice sums; the only analytic inputs are the harmonics themselves, the
@@ -28,12 +29,11 @@ import math
 
 import numpy as np
 
-from ._kernels import kelvin_apply
 from .assembly import BasisMap, per_copy_entries
 from .kelvin import LameParams
 from .sphharm import Direction
 from .system import SphQuadrature, build_quadrature
-from .vsh import vsh_real
+from .vsh import Family, vsh_real
 
 __all__ = [
     "SphQuadrature",
@@ -86,12 +86,14 @@ def inner_product_S2(f, g, quad: SphQuadrature) -> complex:
 
 def basis_samples(basis: BasisMap, quad: SphQuadrature) -> np.ndarray:
     """Real vector harmonic values for each basis label on the grid,
-    shaped (n_eff, n_nodes, 3): one ``vsh_real`` call per label over all
-    the nodes."""
+    shaped (n_eff, n_nodes, 3): one ``vsh_real`` call per family over all
+    its labels and all the nodes."""
     dirs = Direction.from_angles(quad.theta, quad.phi)
-    out = np.zeros((basis.n_eff, quad.n_nodes, 3))
-    for i, (l, m, fam) in enumerate(basis):
-        out[i] = vsh_real(fam, l, m, dirs)
+    labels = np.array(basis.labels)
+    out = np.empty((basis.n_eff, quad.n_nodes, 3))
+    for fam in Family:
+        of = labels[:, 2] == fam
+        out[of] = vsh_real(fam, labels[of, 0], labels[of, 1], dirs)
     return out
 
 
@@ -111,14 +113,24 @@ def brute_potential(
     if np.any(dist < 0.05 * rho):
         raise ValueError("evaluation point too close to the layer surface")
     samples = _as_samples(density, quad)
-    sources = center + rho * quad.nodes
+    lam, mu = params.lam, params.mu
+    c1, c2 = (lam + 3.0 * mu) / (lam + 2.0 * mu), (lam + mu) / (lam + 2.0 * mu)
+    diff = x[:, None, :] - (center + rho * quad.nodes)[None, :, :]  # (M, N, 3)
+    r2 = np.einsum("mnk,mnk->mn", diff, diff)
+    r = np.sqrt(r2)
     w = rho * rho * quad.weights
-    out = kelvin_apply(x, sources, w, samples.real, params.lam, params.mu)
-    out = out.astype(complex)
+
+    def kelvin_sum(part):
+        # sum_j w_j G(x_i - y_j) f_j for a real density
+        wf = w[:, None] * np.ascontiguousarray(part, dtype=float)
+        iso = np.einsum("nk,mn->mk", wf, 1.0 / r)
+        proj = np.einsum("mnk,nk->mn", diff, wf) / (r2 * r)
+        aniso = np.einsum("mn,mnk->mk", proj, diff)
+        return (c1 * iso + c2 * aniso) / (8.0 * np.pi)
+
+    out = kelvin_sum(samples.real).astype(complex)
     if np.iscomplexobj(samples) and np.any(samples.imag):
-        out = out + 1j * kelvin_apply(
-            x, sources, w, samples.imag, params.lam, params.mu
-        )
+        out = out + 1j * kelvin_sum(samples.imag)
     out = params.sign * out
     return out[0] if out.shape[0] == 1 else out
 

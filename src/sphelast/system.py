@@ -193,7 +193,7 @@ def _transform(l_max: int, degree: int):
     n_phi = degree + 1
     theta, weights = quad.theta[::n_phi], quad.weights[::n_phi]
     phi = quad.phi[:n_phi]
-    # cos(k phi) of the stored azimuths, as vsh_real_table takes them
+    # cos(k phi) of the stored azimuths, as vsh_real takes them
     angle = np.arange(l_max + 1)[:, None] * phi
     c, s = np.cos(angle), np.sin(angle)
     cp, sp, zero, one = np.cos(phi), np.sin(phi), np.zeros(n_phi), np.ones(n_phi)

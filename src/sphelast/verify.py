@@ -23,13 +23,7 @@ from .kelvin import (
     surface_response,
 )
 from .sphharm import Direction, ylm_complex, ylm_equator
-from .vsh import (
-    Family,
-    rhat_dot_a_expand,
-    vsh_complex_table,
-    vsh_real,
-    vsh_real_table,
-)
+from .vsh import Family, rhat_dot_a_expand, vsh_complex_table, vsh_real
 
 __all__ = ["SUITES", "run_suites"]
 
@@ -115,7 +109,7 @@ def suite_vsh(rng):
     checks.append(("pointwise identities", worst, 1e-13))
     quad = system.build_quadrature(14)
     basis = assembly.BasisMap(4)
-    fields = vsh_real_table(basis, quad.theta, quad.phi)
+    fields = oracle.basis_samples(basis, quad)
     gram = np.einsum("ink,jnk,n->ij", fields, fields, quad.weights)
     expect = np.diag([norm_factor(fam, l) for l, _m, fam in basis])
     worst = np.abs(gram - expect).max()
@@ -128,19 +122,26 @@ def suite_vsh(rng):
     )
     worst = np.abs(np.einsum("nk,nk->n", v, a) - expand).max()
     checks.append(("axis-projection expansion", worst, 1e-13))
-    # the harmonic table (the tests' reference for the projection) against
-    # vsh_real, one call per family, on seeded directions and both poles
+    # vsh_real (Legendre rows per order, real arithmetic), one call per
+    # family, against the complex table (legendre_table, complex phases)
+    # recombined with combine_source's weights on its +m and -m entries,
+    # on seeded directions and both poles
     rand = Direction.from_vector(_rand_dirs(rng, 12))
     dirs = Direction.from_angles(
         np.r_[rand.theta, 0.0, math.pi], np.r_[rand.phi, 0.0, 0.0]
     )
-    labels = np.array(assembly.BasisMap(8).labels)
-    table = vsh_real_table(labels, dirs.theta, dirs.phi)
+    lmax = 8
+    table = vsh_complex_table(lmax, dirs)
+    combined = np.stack([
+        translation.combine_source(m, lambda k: table[:, :, k + lmax])
+        for m in range(-lmax, lmax + 1)
+    ], axis=2)  # [family - 1, l, m + lmax, node, xyz]
+    labels = np.array(assembly.BasisMap(lmax).labels)
     worst = 0.0
     for fam in Family:
-        of = labels[:, 2] == fam
-        l, m = labels[of, :2].T
-        worst = max(worst, np.abs(table[of] - vsh_real(fam, l, m, dirs)).max())
+        l, m = labels[labels[:, 2] == fam, :2].T
+        gap = vsh_real(fam, l, m, dirs) - combined[fam - 1, l, m + lmax]
+        worst = max(worst, np.abs(gap).max())
     checks.append(("table vs scalar l<=8", worst, 1e-13))
     return checks
 
@@ -222,11 +223,12 @@ def suite_kelvin(rng):
     )
     checks.append(("fundamental solution values", worst, 1e-15))
     quad = oracle.build_quadrature(60)
+    grid = Direction.from_angles(quad.theta, quad.phi)
     rho = 0.3
     worst = 0.0
     for l, fam in [(1, Family.W), (3, Family.X), (2, Family.V)]:
         m = int(rng.integers(-l, l + 1))
-        samples = vsh_real_table([(l, m, fam)], quad.theta, quad.phi)[0]
+        samples = vsh_real(fam, l, m, grid)
         xhat = _rand_dirs(rng, 1)[0]
         for fac in (1.5, 3.0):
             direct = oracle.brute_potential(
@@ -354,7 +356,7 @@ def suite_assembly(rng):
         (Family.W, 1, 0, Family.V, 1, 0),
         (Family.X, 1, 0, Family.W, 1, -1),
     ]:
-        row = vsh_real_table([(lp, mp, pf)], quad.theta, quad.phi)[0]
+        row = vsh_real(pf, lp, mp, dirs)
         closed = assembly.per_copy_entries(pf, lp, mp, qf, l, m, shifts, rho, _PARAMS)
         for n, value in zip(shifts, closed):
             potential = shifted_ball_potential(n, l, m, qf, dirs, rho, _PARAMS)

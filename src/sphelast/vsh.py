@@ -8,8 +8,9 @@ Three families on the unit sphere, built from a scalar harmonic Y:
 
 ``W(0,0)`` and ``X(0,0)`` are identically zero and excluded from any basis;
 evaluating them through the public functions raises ``ForbiddenIndexError``
-so indexing bugs surface immediately.  Series code that relies on the
-zero-function semantics uses ``vsh_complex_or_zero``.
+so indexing bugs surface immediately.  ``vsh_complex_or_zero`` returns the
+zero vector for them instead, and ``vsh_complex_table``, which the
+re-expansion series read, holds the same zero entries.
 
 The surface gradient is evaluated analytically through the pole-safe
 ``pi``/``tau`` Legendre helpers and rotated to Cartesian components, so no
@@ -45,7 +46,6 @@ __all__ = [
     "CHI",
     "vsh_complex",
     "vsh_real",
-    "vsh_real_table",
     "vsh_complex_or_zero",
     "vsh_complex_table",
     "vector_Y",
@@ -177,43 +177,6 @@ def vsh_real(family, l, m, d) -> np.ndarray:
         out[pick] = _real_combination(
             orders[pick], re, im, np.cos(ma * phi), np.sin(ma * phi))
     return out.reshape(l.shape + out.shape[1:])
-
-
-def vsh_real_table(labels, theta, phi) -> np.ndarray:
-    """Real vector harmonics of every label ``(l, m, family)`` at every
-    node ``(theta[k], phi[k])``, shaped ``(len(labels), n_nodes, 3)``.
-
-    The values of ``vsh_real`` at ``Direction.from_angles(theta, phi)``,
-    from one ``legendre_table`` of every degree and order over the nodes
-    instead of the Legendre rows of each label (``vsh_real``'s route, which
-    the tests and ``verify`` keep as its independent reference).
-    """
-    labels = [(l, m, Family(fam)) for l, m, fam in labels]
-    for l, m, fam in labels:
-        _check_indices(fam, l, m)
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    out = np.empty((len(labels), theta.size, 3))
-    p, pi, tau = legendre_table(max(l for l, _m, _f in labels), theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    phi = np.where(st < 1e-15, 0.0, phi)  # the poles' azimuth, as in Direction
-    cp, sp = np.cos(phi), np.sin(phi)
-    frame = (
-        np.stack([st * cp, st * sp, ct], axis=-1),
-        np.stack([ct * cp, ct * sp, -st], axis=-1),
-        np.stack([-sp, cp, np.zeros_like(phi)], axis=-1),
-    )
-    for i, (l, m, fam) in enumerate(labels):
-        ma = abs(m)
-        norm = sph_norm(l, ma)
-        re, im = _family_amplitudes(
-            fam, l, norm * tau[l, ma, :, None], norm * ma * pi[l, ma, :, None],
-            norm * p[l, ma, :, None], frame,
-        )
-        out[i] = _real_combination(
-            m, re, im, np.cos(ma * phi)[:, None], np.sin(ma * phi)[:, None]
-        )
-    return out
 
 
 def vsh_complex_or_zero(family, l: int, m: int, d) -> np.ndarray:

@@ -30,6 +30,18 @@ def random_units(rng, n):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
+def grid_at(theta, phi):
+    """The nodes ``(theta[k], phi[k])`` as a ``SphQuadrature`` with unit
+    weights, for ``oracle.basis_samples`` on any nodes."""
+    from sphelast.oracle import SphQuadrature
+
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    st = np.sin(theta)
+    nodes = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
+    return SphQuadrature(theta, phi, nodes, np.ones(theta.size), 0)
+
+
 def kernel_coef(blocks, kind, *args):
     """Order and two-order coefficients ``[c(s,+), 0]`` of one
     complex-order kernel, read from the block builder ``blocks`` (an

@@ -127,6 +127,23 @@ class TestBrutePotential:
         )
         assert out.shape == (2, 3)
 
+    def test_matches_direct_tensor(self, params, quad16, rng):
+        # the pairwise sum against one kelvin_tensor product per target and
+        # node, for a complex density on an off-centre ball
+        from sphelast.kelvin import kelvin_tensor
+
+        center, rho = np.array([0.3, -0.1, 0.2]), 0.2
+        targets = center + rng.normal(size=(7, 3)) + np.array([3.0, 0, 0])
+        density = rng.normal(size=(quad16.n_nodes, 3)) + 1j * rng.normal(
+            size=(quad16.n_nodes, 3))
+        out = brute_potential(targets, density, center, rho, params, quad16)
+        sources = center + rho * quad16.nodes
+        direct = np.zeros_like(out)
+        for i, x in enumerate(targets):
+            for y, w, f in zip(sources, rho * rho * quad16.weights, density):
+                direct[i] += w * kelvin_tensor(x - y, params) @ f
+        assert np.abs(out - direct).max() <= 1e-13
+
 
 class TestBruteLatticeEntry:
     def test_zero_cut(self, params):
@@ -294,9 +311,10 @@ def test_latsum_suite_needs_no_lerchphi(monkeypatch):
         assert all(row[-1] for row in rows), (seed, rows)
 
 
-def test_kelvin_suite_samples_from_the_table(monkeypatch):
-    # the surface samples are one vsh_real_table call per label (1891 nodes
-    # each); only the closed side evaluates vsh_real, at one direction
+def test_kelvin_suite_samples_each_label_in_one_call(monkeypatch):
+    # the surface samples are one vsh_real call per label over all 1891
+    # nodes (3 calls); the closed side evaluates vsh_real at one direction
+    # (18 calls)
     calls = []
     scalar = verify.vsh_real
     monkeypatch.setattr(
@@ -306,17 +324,17 @@ def test_kelvin_suite_samples_from_the_table(monkeypatch):
     assert len(calls) <= 24
 
 
-def test_harmonic_samples_take_one_vsh_real_call_per_label(monkeypatch):
+def test_harmonic_samples_take_one_vsh_real_call_per_family(monkeypatch):
     # basis_samples and verify's "table vs scalar" evaluate vsh_real once
-    # per label over all their nodes, and the samples are the one-point
-    # values at each node
+    # per family over all their labels and nodes, and the samples are the
+    # one-point values at each node
     calls = []
     scalar = oracle.vsh_real
     counted = lambda *args: calls.append(args) or scalar(*args)
     monkeypatch.setattr(oracle, "vsh_real", counted)
     basis, quad = BasisMap(3), build_quadrature(8)
     samples = basis_samples(basis, quad)
-    assert len(calls) == basis.n_eff
+    assert len(calls) == 3
     dirs = quad.directions()
     for i, (l, m, fam) in enumerate(basis):
         assert np.array_equal(

@@ -24,7 +24,9 @@ from sphelast.system import (
     solve_dimer,
     solve_single,
 )
-from sphelast.vsh import Family, vsh_real_table
+from sphelast.vsh import Family
+
+from conftest import grid_at
 
 RHO = 0.1
 
@@ -171,7 +173,7 @@ class TestRule:
         n_phi = 2 * l_max + 3
 
         def gram_error(theta, weights):
-            fields = vsh_real_table(basis, theta, quad.phi)
+            fields = basis_samples(basis, grid_at(theta, quad.phi))
             flat = fields.reshape(len(fields), -1)
             gram = flat @ (fields * weights[:, None]).reshape(len(fields), -1).T
             scale = np.sqrt(np.diag(gram))
@@ -302,7 +304,7 @@ class TestSolvePlan:
         else:  # the CI's point force, as the CLI samples it
             params = LameParams(1.5, 0.8)
             phi = kelvin_tensor(0.2 * quad.nodes - np.array([2.0, 0.3, 0.0]), params)[:, :, 0]
-        table = vsh_real_table(basis, quad.theta, quad.phi) * quad.weights[:, None]
+        table = basis_samples(basis, quad) * quad.weights[:, None]
         flat = np.asarray(phi, dtype=complex).conjugate().reshape(-1)
         expect = (table.reshape(len(table), -1) @ np.stack([flat.real, flat.imag], axis=1))
         expect = expect.view(complex)[:, 0]
@@ -326,7 +328,7 @@ class TestSolvePlan:
         phi = rng.normal(size=(quad.n_nodes, 3)) + 1j * rng.normal(
             size=(quad.n_nodes, 3)
         )
-        fields = vsh_real_table(basis, quad.theta, quad.phi)
+        fields = basis_samples(basis, quad)
         einsum = np.einsum("ink,nk,n->i", fields, phi.conjugate(), quad.weights)
         got = project_rhs(phi, quad, basis)
         assert np.abs(got - einsum).max() <= 4e-15 * np.abs(einsum).max()
@@ -420,8 +422,8 @@ def test_oracle_path_manufactured_recovery(rng, params):
     # direct quadrature over the lattice copies (tapered outer shells to
     # damp the conditionally convergent tail) plus the closed-form on-ball
     # term, then projected and solved
-    from sphelast._kernels import kelvin_apply, kelvin_lattice_apply
     from sphelast.kelvin import surface_response
+    from sphelast.oracle import brute_potential
 
     alpha, l_max, n_cut, window = math.pi / 2, 1, 400, 40
     basis = BasisMap(l_max)
@@ -430,21 +432,12 @@ def test_oracle_path_manufactured_recovery(rng, params):
     fields = basis_samples(basis, quad)
     density = np.tensordot(coeffs, fields, axes=(0, 0))
     targets = RHO * quad.nodes
-    w = RHO * RHO * quad.weights
-    phi = kelvin_lattice_apply(
-        targets, targets, w, density, params.lam, params.mu, alpha,
-        n_cut - window,
-    )
-    for j in range(n_cut - window + 1, n_cut + 1):
-        wt = (n_cut - j + 1) / window
+    phi = np.zeros((quad.n_nodes, 3), dtype=complex)
+    for j in range(1, n_cut + 1):
+        wt = min(1.0, (n_cut - j + 1) / window)
         for sgn in (1, -1):
-            shifted = targets - np.array([sgn * j, 0.0, 0.0])
-            shell = kelvin_apply(
-                shifted, targets, w, density.real, params.lam, params.mu
-            ).astype(complex)
-            shell += 1j * kelvin_apply(
-                shifted, targets, w, density.imag, params.lam, params.mu
-            )
+            shell = brute_potential(
+                targets, density, (sgn * j, 0.0, 0.0), RHO, params, quad)
             phi += wt * np.exp(1j * alpha * sgn * j) * shell
     for i, (l, m, fam) in enumerate(basis):
         tau = surface_response(l, params)[int(fam) - 1]

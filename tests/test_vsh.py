@@ -7,7 +7,7 @@ from sphelast.coupling import cg
 from sphelast.kelvin import norm_factor
 from sphelast.oracle import finite_diff_gradient
 from sphelast.assembly import BasisMap
-from sphelast.oracle import build_quadrature
+from sphelast.oracle import basis_samples, build_quadrature
 from sphelast.sphharm import (
     Direction,
     DomainError,
@@ -26,10 +26,9 @@ from sphelast.vsh import (
     vsh_complex_or_zero,
     vsh_complex_table,
     vsh_real,
-    vsh_real_table,
 )
 
-from conftest import random_units
+from conftest import grid_at, random_units
 
 
 def _poly_table():
@@ -319,6 +318,9 @@ def _near_pole_angles():
 
 
 class TestHarmonicTable:
+    """``basis_samples``: every basis label at every node, one ``vsh_real``
+    call per family over arrays of labels and nodes."""
+
     def test_matches_scalar_route_to_degree_16(self, rng):
         # Gauss-Legendre nodes, random nodes and nodes exactly on both poles
         # (at several azimuths: the pole value does not depend on it)
@@ -331,7 +333,7 @@ class TestHarmonicTable:
             [0.0, 0.0, 1.3, 1.3, 4.0, 4.0],
         ])
         basis = BasisMap(16)
-        table = vsh_real_table(basis, theta, phi)
+        table = basis_samples(basis, grid_at(theta, phi))
         assert table.shape == (basis.n_eff, len(theta), 3)
         dirs = [Direction.from_angles(t, p) for t, p in zip(theta, phi)]
         worst = 0.0
@@ -343,19 +345,22 @@ class TestHarmonicTable:
     def test_near_poles_against_polynomials(self):
         poly = _poly_table()
         theta, phi = np.array(_near_pole_angles()).T
-        labels = [(l, m, fam) for fam, l, m in poly]
-        table = vsh_real_table(labels, theta, phi)
+        basis = BasisMap(2)
+        assert sorted(basis) == sorted((l, m, fam) for fam, l, m in poly)
+        table = basis_samples(basis, grid_at(theta, phi))
         for k, (t, p) in enumerate(zip(theta, phi)):
             d = Direction.from_angles(t, p)
-            for i, (l, m, fam) in enumerate(labels):
+            for i, (l, m, fam) in enumerate(basis):
                 assert np.abs(table[i, k] - poly[(fam, l, m)](*d.vec)).max() <= 1e-13
 
     def test_forbidden_labels_raise(self):
+        # the calls of basis_samples: one family, arrays of labels
+        d = Direction.from_angles(np.array([0.3]), np.array([0.1]))
         for fam in (Family.W, Family.X):
             with pytest.raises(ForbiddenIndexError):
-                vsh_real_table([(0, 0, fam)], [0.3], [0.1])
+                vsh_real(fam, [1, 0], [0, 0], d)
         with pytest.raises(DomainError):
-            vsh_real_table([(1, 2, Family.V)], [0.3], [0.1])
+            vsh_real(Family.V, [1, 1], [0, 2], d)
 
 
 def test_scalar_route_near_poles_against_polynomials():
@@ -415,9 +420,9 @@ def _patch_everywhere(monkeypatch, name, replacement):
     "fault", ["norm", "legendre", "condon-shortley", "negative-m"]
 )
 def test_pointwise_check_fails_on_a_faulty_vsh_table(monkeypatch, fault):
-    # the pointwise identities take Y_lm from ylm_complex, so an error in
-    # the building blocks of vsh_complex_table, or in its phase, does not
-    # cancel out of them
+    # the pointwise identities take Y_lm from ylm_complex and "table vs
+    # scalar" compares with vsh_real, so an error in the building blocks of
+    # vsh_complex_table, or in its phase, cancels out of neither
     from sphelast import verify, vsh
 
     if fault == "norm":
@@ -434,19 +439,21 @@ def test_pointwise_check_fails_on_a_faulty_vsh_table(monkeypatch, fault):
         )
     else:
         good = vsh.vsh_complex_table
-        odd = slice(6, None, 2) if fault == "condon-shortley" else slice(0, 5, 2)
 
         def faulty(lmax, d):
-            assert lmax == 5
+            # the odd m > 0, or the odd m < 0
+            odd = (slice(lmax + 1, None, 2) if fault == "condon-shortley"
+                   else slice((lmax + 1) % 2, lmax, 2))
             table = good(lmax, d).copy()
-            table[:, :, odd] *= -1  # the odd m > 0, or the odd m < 0
+            table[:, :, odd] *= -1
             return table
 
         monkeypatch.setattr(verify, "vsh_complex_table", faulty)
     rows = {name: (res, tol) for name, res, tol in
             verify.suite_vsh(np.random.default_rng(0))}
-    residual, tol = rows["pointwise identities"]
-    assert residual > 1e3 * tol
+    for name in ("pointwise identities", "table vs scalar l<=8"):
+        residual, tol = rows[name]
+        assert residual > 1e3 * tol, name
 
 
 def test_scalar_route_checks_fail_on_a_faulty_legendre_row(monkeypatch):
