@@ -91,12 +91,11 @@ innermost, with the two identically-zero degree-0 labels removed, giving
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import __version__ as _pkg_version
 from .coupling import _prefactor_grid, _weight_tables
 from .kelvin import LameParams, norm_factor, response_coeffs
 from .latsum import AXIS_COMPONENT, DimerGeometry, dimer_values, line_values, reduce_alpha
@@ -169,7 +168,7 @@ class AssembledMatrix:
     """Operator matrix as its parity-sector blocks, with the inputs that
     produced it: ``blocks[k]`` is the block on the rows and columns
     ``rows[k]``, and every other entry is zero.  ``matrix`` scatters the
-    blocks into the dense array; ``from_matrix`` gathers them from one."""
+    blocks into the dense array."""
 
     blocks: list
     basis: BasisMap
@@ -178,11 +177,6 @@ class AssembledMatrix:
     params: LameParams
     l_max: int
     dimer: DimerGeometry | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.meta.setdefault("basis_version", BASIS_VERSION)
-        self.meta.setdefault("tool_version", _pkg_version)
 
     @property
     def size(self) -> int:
@@ -201,19 +195,6 @@ class AssembledMatrix:
         out = np.zeros((self.size, self.size), dtype=complex)
         for block, rows in zip(self.blocks, self.rows):
             out[np.ix_(rows, rows)] = block
-        return out
-
-    @classmethod
-    def from_matrix(cls, matrix, **inputs) -> AssembledMatrix:
-        """Gather the blocks of a dense ``matrix`` (other fields as keywords);
-        ``ValueError`` for a shape other than the basis's or an entry across sectors."""
-        out, matrix = cls(blocks=[], **inputs), np.asarray(matrix)
-        if matrix.shape != (out.size, out.size):
-            raise ValueError(f"a matrix of shape {matrix.shape}, where lmax {out.l_max} and "
-                             f"d = {out.dimer and out.dimer.d} give {out.size} x {out.size}")
-        out.blocks = [matrix[np.ix_(rows, rows)] for rows in out.rows]
-        if sum(map(np.count_nonzero, out.blocks)) != np.count_nonzero(matrix):
-            raise ValueError("the matrix couples different parity sectors")
         return out
 
 

@@ -3,11 +3,10 @@
 A dump is a single JSON document: a header object carrying every input that
 produced the data (Bloch phase, radius, material constants, truncation
 degree, dimer separation, basis ordering version, tool version) followed by
-the entries as ``[re, im]`` pairs in row-major order.  Loaders reject files
-whose basis ordering version does not match the one compiled in, and
-matrices of another shape than their basis or coupling parity sectors
-(``AssembledMatrix.from_matrix``).  A flat CSV export (row, col, re, im) is
-available for external tooling.
+the entries as ``[re, im]`` pairs in row-major order.  Matrices are only
+written; ``load_vector`` reads a coefficient or grid vector back and refuses
+a file of another ``kind`` or basis ordering version than the one compiled
+in.  A flat CSV export (row, col, re, im) is available for external tooling.
 
 The bytes are those of ``json.dump(doc, fh, indent=1, sort_keys=True)``
 followed by a newline, written one row at a time: the header through
@@ -22,14 +21,11 @@ import json
 
 import numpy as np
 
-from .assembly import BASIS_VERSION, AssembledMatrix, BasisMap
-from .kelvin import LameParams
-from .latsum import DimerGeometry
+from .assembly import BASIS_VERSION, AssembledMatrix
 from . import __version__
 
 __all__ = [
     "save_matrix",
-    "load_matrix",
     "save_vector",
     "load_vector",
     "matrix_to_csv",
@@ -83,33 +79,8 @@ def _write(path, header: dict, rows: np.ndarray) -> None:
         fh.write("\n ]," + tail)
 
 
-def _read(path) -> tuple[np.ndarray, dict]:
-    """The entries of a dump as one complex array, and its header; refuses
-    a basis ordering version other than the compiled one."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    hdr = doc["header"]
-    if hdr.get("basis_version") != BASIS_VERSION:
-        raise FormatError(
-            f"basis ordering version {hdr.get('basis_version')!r} does not "
-            f"match {BASIS_VERSION!r}"
-        )
-    return np.array([complex(re, im) for re, im in doc["entries"]]), hdr
-
-
 def save_matrix(path, m: AssembledMatrix) -> None:
     _write(path, _header(m), m.matrix)
-
-
-def load_matrix(path) -> AssembledMatrix:
-    flat, hdr = _read(path)
-    params = LameParams(hdr["lambda"], hdr["mu"], hdr.get("sign_flip", False))
-    geom = None if hdr.get("d") is None else DimerGeometry(hdr["d"], hdr["rho"])
-    return AssembledMatrix.from_matrix(
-        flat.reshape(tuple(hdr["shape"])), basis=BasisMap(hdr["lmax"]), alpha=hdr["alpha"],
-        rho=hdr["rho"], params=params, l_max=hdr["lmax"], dimer=geom,
-        meta={"tool_version": hdr.get("tool_version")},
-    )
 
 
 def save_vector(path, vec, header_extra: dict | None = None) -> None:
@@ -124,8 +95,21 @@ def save_vector(path, vec, header_extra: dict | None = None) -> None:
     _write(path, header, vec.reshape(1, -1))
 
 
-def load_vector(path):
-    return _read(path)
+def load_vector(path) -> tuple[np.ndarray, dict]:
+    """The entries of a vector dump as one complex array, and its header;
+    refuses a ``kind`` other than ``"vector"`` and a basis ordering version
+    other than the compiled one."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    hdr = doc["header"]
+    if hdr.get("kind") != "vector":
+        raise FormatError(f"a file of kind {hdr.get('kind')!r}, not 'vector'")
+    if hdr.get("basis_version") != BASIS_VERSION:
+        raise FormatError(
+            f"basis ordering version {hdr.get('basis_version')!r} does not "
+            f"match {BASIS_VERSION!r}"
+        )
+    return np.array([complex(re, im) for re, im in doc["entries"]]), hdr
 
 
 def matrix_to_csv(path, m: AssembledMatrix) -> None:

@@ -134,10 +134,11 @@ def project_rhs(
 ) -> np.ndarray:
     """Project a boundary field onto the basis harmonics.
 
-    ``phi`` is a sampler (direction -> 3-vector), precomputed samples of
-    shape (n_nodes, 3), or, with ``coeffs=True``, an expansion coefficient
-    vector, in which case the projection is the closed form
-    ``conj(c) * norm`` with no quadrature at all.
+    ``phi`` is the field's samples on the nodes of ``quad``, of shape
+    (n_nodes, 3) (``oracle.sample_field`` takes them from a sampler), or,
+    with ``coeffs=True``, an expansion coefficient vector, in which case the
+    projection is the closed form ``conj(c) * norm`` with no quadrature at
+    all.
     """
     if coeffs:
         c = np.asarray(phi, dtype=complex)
@@ -156,8 +157,6 @@ def project_rhs(
         for key in ("theta", "phi", "weights")
     ):
         raise ValueError(f"not the rule of build_quadrature({quad.degree})")
-    if callable(phi):
-        phi = [phi(d) for d in quad.directions()]
     samples = np.ascontiguousarray(phi, dtype=complex)
     if samples.shape != (quad.n_nodes, 3):
         raise ValueError(f"expected samples of shape ({quad.n_nodes}, 3)")

@@ -1,11 +1,14 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import sphelast
 from sphelast import assembly, verify
 from sphelast.assembly import (
+    BASIS_VERSION,
     BasisMap,
     Trace,
     _DegreeBlocks,
@@ -21,6 +24,7 @@ from sphelast.assembly import (
     per_copy_entries,
     sector,
 )
+from sphelast.cli import main
 from sphelast.kelvin import (
     LameParams,
     norm_factor,
@@ -296,11 +300,18 @@ class TestEntrySingle:
 
 
 class TestAssembleSingle:
-    def test_shape_and_metadata(self, params):
+    def test_shape_and_metadata(self, params, tmp_path):
         mat = assemble_single(1.1, RHO, params, 2)
         assert mat.matrix.shape == (25, 25)
-        assert mat.meta["basis_version"]
         assert mat.l_max == 2
+        # the inputs' provenance is the header the assemble command writes
+        out = tmp_path / "m.json"
+        assert main(["assemble", "--alpha", "1.1", "--rho", str(RHO), "--lambda", "1",
+                     "--mu", "1", "--lmax", "2", "--out", str(out)]) == 0
+        header = json.loads(out.read_text())["header"]
+        assert header["basis_version"] == BASIS_VERSION
+        assert header["tool_version"] == sphelast.__version__
+        assert header["shape"] == [25, 25]
 
     def test_zero_pattern(self, params):
         mat = assemble_single(1.1, RHO, params, 2)
@@ -409,6 +420,33 @@ class TestOperatorStructure:
         assert np.abs(single - single.conj().T).max() <= 1e-15
         dimer = assemble_dimer(1.3, GEOM, params, 2).matrix
         assert np.abs(dimer - dimer.conj().T).max() <= 1e-15
+
+    @pytest.mark.parametrize("sign_flip", [False, True])
+    @pytest.mark.parametrize("l_max", [4, 8, 16])
+    def test_single_entry_phase_follows_order_parity(self, l_max, sign_flip):
+        # an entry is imaginary where the orders of its labels differ in
+        # parity and real where they agree, exactly
+        trace = Trace(RHO, LameParams(1.0, 1.0, sign_flip), l_max)
+        m = np.array([m for _l, m, _fam in trace.basis])
+        odd = (m[:, None] - m) % 2 == 1
+        for alpha in (1.3, -2.0, 0.02):
+            mat = trace.single(alpha).matrix
+            assert np.all(mat.real[odd] == 0)
+            assert np.all(mat.imag[~odd] == 0)
+
+    @pytest.mark.parametrize("l_max", range(9))
+    def test_dimer_conjugation_swaps_the_balls(self, params, l_max):
+        # J conj(M) J == M exactly, J = [[0, S], [S, 0]] with
+        # S = diag((-1)^(l + [family is X])): swapping the balls and
+        # mirroring the labels conjugates the dimer matrix
+        trace = Trace(RHO, params, l_max)
+        s = np.array([(-1.0) ** (l + (fam == Family.X)) for l, _m, fam in trace.basis])
+        ss = np.r_[s, s]
+        for alpha in (1.3, -2.0):
+            mat = trace.dimer(alpha, DimerGeometry(0.3, RHO)).matrix
+            # (J A J)[i, j] = s_i s_j A[i on the other ball, j on the other ball]
+            swapped = np.roll(mat.conj(), len(s), axis=(0, 1)) * np.outer(ss, ss)
+            assert np.array_equal(swapped, mat)
 
     def test_definite_with_sign_convention(self):
         # every sector block is positive definite, negative definite under

@@ -23,23 +23,27 @@ def small_matrix():
 
 
 class TestFormats:
-    def test_matrix_round_trip(self, small_matrix, tmp_path):
-        path = tmp_path / "m.json"
-        io.save_matrix(path, small_matrix)
-        loaded = io.load_matrix(path)
-        assert np.array_equal(loaded.matrix, small_matrix.matrix)
-        assert loaded.alpha == small_matrix.alpha
-        assert loaded.params == small_matrix.params
-        assert loaded.l_max == small_matrix.l_max
-
-    def test_version_rejection(self, small_matrix, tmp_path):
-        path = tmp_path / "m.json"
-        io.save_matrix(path, small_matrix)
+    def test_version_rejection(self, tmp_path):
+        path = tmp_path / "v.json"
+        io.save_vector(path, np.zeros(10))
         doc = json.loads(path.read_text())
         doc["header"]["basis_version"] = "something-else"
         path.write_text(json.dumps(doc))
-        with pytest.raises(io.FormatError):
-            io.load_matrix(path)
+        with pytest.raises(io.FormatError, match="something-else"):
+            io.load_vector(path)
+
+    def test_kind_rejection(self, small_matrix, tmp_path):
+        # a matrix file, or a vector file without its kind, is no vector
+        path = tmp_path / "m.json"
+        io.save_matrix(path, small_matrix)
+        with pytest.raises(io.FormatError, match="kind 'matrix'"):
+            io.load_vector(path)
+        io.save_vector(path, np.zeros(10))
+        doc = json.loads(path.read_text())
+        del doc["header"]["kind"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(io.FormatError, match="kind None"):
+            io.load_vector(path)
 
     def test_vector_round_trip(self, tmp_path, rng):
         vec = rng.normal(size=10) + 1j * rng.normal(size=10)
@@ -84,8 +88,8 @@ def _csv_reference(path, m):
 
 
 def _reference_load(path, matrix):
-    """The entries as the per-pair loaders read them: one ``complex`` per
-    pair, reshaped to the header's shape for a matrix."""
+    """The entries as a per-pair loop reads them: one ``complex`` per pair,
+    reshaped to the header's shape for a matrix."""
     with open(path) as fh:
         doc = json.load(fh)
     flat = np.array([complex(re, im) for re, im in doc["entries"]])
@@ -108,10 +112,7 @@ def test_matrix_files_match_json_dump(tmp_path, lmax, dimer):
         io.save_matrix(new, m)
         _json_dump_reference(ref, io._header(m), m.matrix)
         assert new.read_bytes() == ref.read_bytes()
-        loaded = io.load_matrix(new).matrix
-        assert loaded.dtype == complex
-        assert np.array_equal(loaded, m.matrix)
-        assert np.array_equal(loaded, _reference_load(new, matrix=True))
+        assert np.array_equal(_reference_load(new, matrix=True), m.matrix)
         io.matrix_to_csv(new, m)
         _csv_reference(ref, m)
         assert new.read_bytes() == ref.read_bytes()
@@ -149,8 +150,7 @@ def test_vector_files_match_json_dump(tmp_path, values):
         assert np.array_equal(loaded, vec, equal_nan=True)
 
 
-# entries of a one-entry (lmax 0) matrix file, and of a vector file: both
-# loaders accept the first five, the vector loader also the next three
+# entries of a vector file: the loader accepts the first eight
 _ENTRIES = {
     "ints": [[1, -2]],
     "floats": [[0.5, 1e-300]],
@@ -185,22 +185,18 @@ def _outcome(load):
 
 @pytest.mark.parametrize("name", list(_ENTRIES))
 def test_loaders_accept_and_refuse_as_per_pair_loop(tmp_path, name, capsys):
-    header = io._header(assemble_single(1.3, 0.1, LameParams(1.0, 1.0), 0))
+    header = {"kind": "vector", "basis_version": io.BASIS_VERSION, "length": 1}
     path = tmp_path / "doc.json"
-    for matrix in (True, False):
-        path.write_text(json.dumps({"header": header, "entries": _ENTRIES[name]}))
-        loader = io.load_matrix if matrix else io.load_vector
-        got = _outcome(lambda: loader(path))
-        want = _outcome(lambda: _reference_load(path, matrix))
-        if want[0] == "ok":
-            assert got[0] == "ok", got
-            arr = got[1].matrix if matrix else got[1][0]
-            assert arr.dtype == want[1].dtype
-            assert np.array_equal(arr, want[1], equal_nan=True)
-        else:
-            assert got == want
-        accepted = list(_ENTRIES).index(name) < (5 if matrix else 8)
-        assert (got[0] == "ok") == accepted
+    path.write_text(json.dumps({"header": header, "entries": _ENTRIES[name]}))
+    got = _outcome(lambda: io.load_vector(path))
+    want = _outcome(lambda: _reference_load(path, matrix=False))
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert got[1][0].dtype == want[1].dtype
+        assert np.array_equal(got[1][0], want[1], equal_nan=True)
+    else:
+        assert got == want
+    assert (got[0] == "ok") == (list(_ENTRIES).index(name) < 8)
     # no vector file among them is a field the solve takes: each exits 2
     for kind in ("coeffs", "grid"):
         out = tmp_path / "f.json"
@@ -241,7 +237,7 @@ class TestCli:
         csv = tmp_path / "m.csv"
         rc = main(["assemble", *self.BASE, "--out", str(out), "--csv", str(csv)])
         assert rc == 0
-        assert io.load_matrix(out).matrix.shape == (10, 10)
+        assert _reference_load(out, matrix=True).shape == (10, 10)
         assert csv.exists()
 
     def test_assemble_degree_two_size(self, tmp_path):
@@ -251,7 +247,7 @@ class TestCli:
             "--mu", "1", "--lmax", "2", "--out", str(out),
         ])
         assert rc == 0
-        assert io.load_matrix(out).matrix.shape == (25, 25)
+        assert _reference_load(out, matrix=True).shape == (25, 25)
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -263,7 +259,7 @@ class TestCli:
         out = tmp_path / "d.json"
         rc = main(["dimer-assemble", *self.BASE, "--dimer-d", "0.2", "--out", str(out)])
         assert rc == 0
-        assert io.load_matrix(out).matrix.shape == (20, 20)
+        assert _reference_load(out, matrix=True).shape == (20, 20)
 
     def test_solve_with_coefficient_field(self, tmp_path, rng):
         coeff_path = tmp_path / "phi.json"
@@ -313,9 +309,10 @@ class TestCli:
             "--out", str(out),
         ])
         assert rc == 0
-        loaded = io.load_matrix(out)
-        assert loaded.l_max == 1                     # flag wins
-        assert loaded.alpha == pytest.approx(math.pi / 2)
+        header = json.loads(out.read_text())["header"]
+        assert header["lmax"] == 1                   # flag wins
+        assert _reference_load(out, matrix=True).shape == (10, 10)
+        assert header["alpha"] == pytest.approx(math.pi / 2)
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -369,8 +366,8 @@ class TestCli:
         out1, out2 = tmp_path / "p.json", tmp_path / "n.json"
         main(["assemble", *self.BASE, "--out", str(out1)])
         main(["assemble", *self.BASE, "--sign-flip", "--out", str(out2)])
-        a = io.load_matrix(out1).matrix
-        b = io.load_matrix(out2).matrix
+        a = _reference_load(out1, matrix=True)
+        b = _reference_load(out2, matrix=True)
         assert np.abs(a + b).max() == 0.0
 
 
@@ -448,7 +445,7 @@ class TestBadInputs:
             assert not (tmp_path / "m.json").exists()
         assert main([command, *self.BASE, *extra, "--out", "m.json",
                      "--csv", "m.csv"]) == 0
-        assert io.load_matrix(tmp_path / "m.json").matrix.shape[0] == (
+        assert _reference_load(tmp_path / "m.json", matrix=True).shape[0] == (
             20 if extra else 10)
 
     def test_non_finite_alpha(self, tmp_path, capsys):
@@ -516,6 +513,20 @@ class TestBadInputs:
             "solve", *self.BASE, "--phi", f"coeffs:{path}",
             "--out", str(tmp_path / "f.json"),
         ], capsys)
+
+    @pytest.mark.parametrize("lmax", ["0", "1"])
+    def test_matrix_file_as_phi_file(self, tmp_path, capsys, lmax):
+        # at lmax 0 the 1 x 1 matrix has the length of a coefficient vector:
+        # refused for its kind all the same, by name
+        base = self._argv(self.BASE, lmax=lmax)
+        matrix, out = tmp_path / "m.json", tmp_path / "f.json"
+        assert main(["assemble", *base, "--out", str(matrix)]) == 0
+        capsys.readouterr()
+        for kind in ("coeffs", "grid"):
+            assert main(["solve", *base, "--phi", f"{kind}:{matrix}",
+                         "--out", str(out)]) == 2
+            assert "kind 'matrix'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_grid_file_of_wrong_length(self, tmp_path, capsys):
         # the right grid_degree (2*lmax+2 = 4) but one node too few or
@@ -989,19 +1000,3 @@ def test_solve_and_sweep_never_build_the_dense_matrix(tmp_path, monkeypatch, nam
     monkeypatch.setattr(AssembledMatrix, "matrix", property(refuse))
     assert main([*_BLOCK_RUNS[name], "--out", str(blocks)]) == 0
     assert blocks.read_bytes() == plain.read_bytes()
-
-
-@pytest.mark.parametrize("edit", [("lmax", 1), ("lmax", 3), ("d", 0.25)],
-                         ids=["lmax-1", "lmax-3", "dimer"])
-def test_loader_refuses_a_shape_other_than_the_basis(tmp_path, edit):
-    # a 25 x 25 matrix (lmax 2) whose header names another basis size is
-    # refused on load, naming both shapes, before any solve sees it
-    path = tmp_path / "m.json"
-    io.save_matrix(path, assemble_single(1.3, 0.1, LameParams(1.0, 1.0), 2))
-    doc = json.loads(path.read_text())
-    key, value = edit
-    doc["header"][key] = value
-    path.write_text(json.dumps(doc))
-    size = {"lmax": 3 * (value + 1) ** 2 - 2, "d": 50}[key]
-    with pytest.raises(ValueError, match=rf"\(25, 25\).* {size} x {size}"):
-        io.load_matrix(path)

@@ -1,12 +1,10 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sphelast import io
 from sphelast.assembly import (
-    AssembledMatrix,
     BasisMap,
     assemble_dimer,
     assemble_single,
@@ -15,7 +13,7 @@ from sphelast.assembly import (
 )
 from sphelast.kelvin import LameParams, kelvin_tensor
 from sphelast.latsum import DimerGeometry
-from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2
+from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2, sample_field
 from sphelast.system import (
     _gauss_legendre,
     _transform,
@@ -38,9 +36,7 @@ def matrix():
 
 def _dense(m, dense):
     """``m`` with its blocks gathered from the dense array ``dense``."""
-    return AssembledMatrix.from_matrix(
-        dense, basis=m.basis, alpha=m.alpha, rho=m.rho, params=m.params,
-        l_max=m.l_max, dimer=m.dimer)
+    return dataclasses.replace(m, blocks=[dense[np.ix_(r, r)] for r in m.rows])
 
 
 class TestProjectRhs:
@@ -102,7 +98,8 @@ class TestProjectRhs:
 
         samples = np.array([field(d) for d in quad16.directions()])
         assert np.array_equal(
-            project_rhs(field, quad16, basis), project_rhs(samples, quad16, basis)
+            project_rhs(sample_field(field, quad16), quad16, basis),
+            project_rhs(samples, quad16, basis),
         )
         with pytest.raises(ValueError):
             project_rhs(samples[:-1], quad16, basis)
@@ -249,23 +246,6 @@ class TestSolvePlan:
         groups = [np.flatnonzero(secs == k) for k in range(4)]
         assert [list(g) for g in sectors(l_max)] == [
             list(g) for g in groups if len(g)]
-
-    def test_entry_across_sectors_raises(self, matrix, tmp_path):
-        # a dense matrix comes in through from_matrix alone, which refuses
-        # one with a nonzero entry across sectors, as does the loader
-        groups = sectors(matrix.l_max)
-        i, j = groups[0][0], groups[-1][0]
-        coupled = matrix.matrix.copy()
-        coupled[i, j] = 1e-30
-        with pytest.raises(ValueError, match="parity sectors"):
-            _dense(matrix, coupled)
-        path = tmp_path / "m.json"
-        io.save_matrix(path, matrix)
-        doc = json.loads(path.read_text())
-        doc["entries"][i * matrix.size + j] = [1e-30, 0.0]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="parity sectors"):
-            io.load_matrix(path)
 
     def test_projection_is_cached_read_only(self):
         basis = BasisMap(3)
