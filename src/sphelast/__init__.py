@@ -22,8 +22,7 @@ from .system import (
     SolveResult,
     build_quadrature,
     project_rhs,
-    solve_dimer,
-    solve_single,
+    solve,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "assemble_dimer",
     "SolveResult",
     "project_rhs",
-    "solve_single",
-    "solve_dimer",
+    "solve",
     "build_quadrature",
 ]

@@ -35,14 +35,14 @@ from .assembly import (
     assemble_dimer,
     assemble_single,
 )
-from .kelvin import LameParams, kelvin_tensor
+from .kelvin import LameParams, kelvin_tensor, norm_factor
 from .latsum import (
     DimerGeometry,
     LatticeSumOverflow,
     QuasiMomentumSingular,
     reduce_alpha,
 )
-from .system import build_quadrature, condition, project_rhs, solve_dimer, solve_single
+from .system import build_quadrature, condition, project_rhs, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -176,18 +176,38 @@ def _load_vector(path):
     return vec, hdr
 
 
-def _phi_samples(spec: str, quad, basis, rho, params):
-    """Resolve a boundary-field source: ``builtin:<name>``, ``coeffs:<path>``
-    or ``grid:<path>``.  Returns (samples or None, coeffs or None)."""
-    kind, _, rest = str(spec).partition(":")
+def _rhs(spec: str, quad, basis, rho, params) -> np.ndarray:
+    """The right-hand side of a boundary-field source: for ``coeffs:<path>``
+    the closed-form projection ``conj(c) * norm`` of the file's expansion
+    coefficients, else the projection of ``_phi_samples``."""
+    kind, _, path = str(spec).partition(":")
     if kind == "coeffs":
-        vec, _hdr = _load_vector(rest)
+        vec, _hdr = _load_vector(path)
         if vec.shape != (basis.n_eff,):
             raise ConfigError(
                 f"coefficient file length {vec.shape[0]} != basis size "
                 f"{basis.n_eff}"
             )
-        return None, vec
+        norms = np.array([norm_factor(fam, l) for l, _m, fam in basis])
+    else:
+        samples = _phi_samples(spec, quad, rho, params)
+    # finite fields near float64's limit can still project to inf: the
+    # norms reach 3 from degree 1 up
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "coeffs":
+            rhs = vec.conjugate() * norms
+        else:
+            rhs = project_rhs(samples, quad, basis)
+    if not np.isfinite(rhs).all():
+        raise ConfigError(f"--phi {spec!r} projects to a right-hand side "
+                          "outside float64")
+    return rhs
+
+
+def _phi_samples(spec: str, quad, rho, params):
+    """The samples on the nodes of ``quad`` of a ``builtin:<name>`` or
+    ``grid:<path>`` boundary field."""
+    kind, _, rest = str(spec).partition(":")
     if kind == "grid":
         vec, hdr = _load_vector(rest)
         if hdr.get("grid_degree") != quad.degree:
@@ -199,11 +219,11 @@ def _phi_samples(spec: str, quad, basis, rho, params):
             raise ConfigError(
                 f"grid file length {vec.shape[0]} != 3 x {quad.n_nodes} nodes"
             )
-        return vec.reshape(quad.n_nodes, 3), None
+        return vec.reshape(quad.n_nodes, 3)
     if kind == "builtin":
         name, _, arg = rest.partition(":")
         if name == "uniform-x":
-            return np.tile([1.0, 0.0, 0.0], (quad.n_nodes, 1)).astype(complex), None
+            return np.tile([1.0, 0.0, 0.0], (quad.n_nodes, 1)).astype(complex)
         if name == "point-force":
             try:
                 src = np.array([float(t) for t in arg.split(",")])
@@ -221,7 +241,7 @@ def _phi_samples(spec: str, quad, basis, rho, params):
                     "centre, less its radius (its squared distances overflow float64)")
             if np.linalg.norm(src) <= rho:
                 raise ConfigError("point-force source must lie outside the ball")
-            return kelvin_tensor(rho * quad.nodes - src, params)[:, :, 0], None
+            return kelvin_tensor(rho * quad.nodes - src, params)[:, :, 0]
         raise ConfigError(f"unknown builtin field {name!r}")
     raise ConfigError(
         f"bad --phi spec {spec!r} (use builtin:name, coeffs:path or grid:path)"
@@ -246,31 +266,16 @@ def cmd_solve(args) -> int:
     params, geom = _params_geometry(args)
     basis = BasisMap(args.lmax)
     quad = build_quadrature(2 * args.lmax + 2)
-    samples, coeffs = _phi_samples(args.phi, quad, basis, args.rho, params)
-    # finite fields near float64's limit can still project to inf: the
-    # norms reach 3 from degree 1 up
-    with np.errstate(over="ignore", invalid="ignore"):
-        if coeffs is not None:
-            rhs = project_rhs(coeffs, quad, basis, coeffs=True)
-        else:
-            rhs = project_rhs(samples, quad, basis)
-    if not np.isfinite(rhs).all():
-        raise ConfigError(f"--phi {args.phi!r} projects to a right-hand side "
-                          "outside float64")
+    rhs = _rhs(args.phi, quad, basis, args.rho, params)
     header = {
         "alpha": args.alpha, "rho": args.rho, "lmax": args.lmax,
         "lambda": params.lam, "mu": params.mu, "sign_flip": params.sign_flip,
     }
-    mat = _matrix(args, params, geom)
     if geom is not None:
-        r1, r2 = solve_dimer(mat, (rhs, rhs))
-        out = np.concatenate([r1.coeffs, r2.coeffs])
-        result = r1
         header["d"] = geom.d
-    else:
-        result = solve_single(mat, rhs)
-        out = result.coeffs
-    io.save_vector(args.out, out, header_extra=header)
+    mat = _matrix(args, params, geom)
+    result = solve(mat, rhs if geom is None else np.concatenate([rhs, rhs]))
+    io.save_vector(args.out, result.coeffs, header_extra=header)
     print(f"solved {mat.size} unknowns -> {args.out}")
     print(f"relative residual: {result.residual:.3e}")
     print(f"condition estimate (1-norm): {result.cond:.3e}")

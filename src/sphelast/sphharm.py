@@ -319,14 +319,11 @@ def _equator(l, m):
 
 
 @lru_cache(maxsize=None)
-def ylm_equator(l: int, m: int, at_pi: bool = False) -> float:
-    """``Y_l^m`` on the equator at azimuth 0 (or pi); real, zero for odd ``l+m``."""
+def ylm_equator(l: int, m: int) -> float:
+    """``Y_l^m`` on the equator at azimuth 0; real, zero for odd ``l+m``."""
     if abs(m) > l:
         raise DomainError(f"|m|={abs(m)} > l={l}")
-    val = float(_equator(l, m))
-    if at_pi and m % 2:
-        val = -val
-    return val
+    return float(_equator(l, m))
 
 
 def equator_table(lmax: int) -> np.ndarray:

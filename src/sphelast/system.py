@@ -18,9 +18,10 @@ projection is then one matrix product and one gather-and-sum.
 
 With both balls on the x-axis, the single matrix and the dimer's 2n system
 are block-diagonal over the parity sectors of ``assembly.sectors``, and an
-``AssembledMatrix`` holds only those blocks.  The solve and the condition
-number run one LU per block (``_lu_solve``) and never form the dense
-matrix; the residual, too, is summed block by block.
+``AssembledMatrix`` holds only those blocks.  One ``solve`` serves both
+cells.  It and the condition number run one LU per block (``_lu_solve``)
+and never form the dense matrix; the residual, too, is summed block by
+block.
 
 The operator equation pairs the matrix with the *conjugated* coefficient
 vector (the Bloch phase is pulled out of the inner product's second slot
@@ -39,7 +40,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .assembly import AssembledMatrix, BasisMap, _frozen
-from .kelvin import norm_factor
 from .sphharm import Direction, _recur_up, legendre_table, sph_norm_table
 from .vsh import Family, _family_amplitudes, _real_combination
 
@@ -49,8 +49,7 @@ __all__ = [
     "SolveResult",
     "project_rhs",
     "condition",
-    "solve_single",
-    "solve_dimer",
+    "solve",
 ]
 
 _COND_WARN = 1e12
@@ -129,23 +128,14 @@ class SolveResult:
     warning: str | None = None
 
 
-def project_rhs(
-    phi, quad: SphQuadrature, basis: BasisMap, coeffs: bool = False
-) -> np.ndarray:
+def project_rhs(phi, quad: SphQuadrature, basis: BasisMap) -> np.ndarray:
     """Project a boundary field onto the basis harmonics.
 
     ``phi`` is the field's samples on the nodes of ``quad``, of shape
-    (n_nodes, 3) (``oracle.sample_field`` takes them from a sampler), or,
-    with ``coeffs=True``, an expansion coefficient vector, in which case the
-    projection is the closed form ``conj(c) * norm`` with no quadrature at
-    all.
+    (n_nodes, 3) (``oracle.sample_field`` takes them from a sampler).  A
+    field given by its expansion coefficients ``c`` projects to
+    ``conj(c) * norm`` (``kelvin.norm_factor``) with no quadrature at all.
     """
-    if coeffs:
-        c = np.asarray(phi, dtype=complex)
-        if c.shape != (basis.n_eff,):
-            raise ValueError(f"expected {basis.n_eff} coefficients")
-        norms = np.array([norm_factor(fam, l) for l, _m, fam in basis])
-        return c.conjugate() * norms
     if quad.degree < 2 * basis.l_max + 2:
         raise ValueError(
             f"quadrature degree {quad.degree} < 2*L_max+2 = "
@@ -255,7 +245,16 @@ def _lu_solve(m: AssembledMatrix, rhs: np.ndarray):
     return raw, float(norm * inverse)
 
 
-def _solve(m: AssembledMatrix, rhs) -> SolveResult:
+def condition(m: AssembledMatrix) -> float:
+    """The exact one-norm condition number of an assembled matrix, the
+    number the solve reports (``inf`` for an exactly singular one)."""
+    return _lu_solve(m, np.zeros(m.size))[1]
+
+
+def solve(m: AssembledMatrix, rhs) -> SolveResult:
+    """Solve for the density coefficients of one ball, or of the dimer's
+    two: ``rhs`` and ``coeffs`` have ``m.size`` entries, for the dimer
+    ball 1's then ball 2's."""
     rhs = np.asarray(rhs, dtype=complex)
     if rhs.shape != (m.size,):
         raise ValueError("matrix/rhs shape mismatch")
@@ -273,27 +272,3 @@ def _solve(m: AssembledMatrix, rhs) -> SolveResult:
     if cond > _COND_WARN:
         warning = f"ill-conditioned system: cond ~ {cond:.3e}"
     return SolveResult(raw.conjugate(), residual, cond, warning)
-
-
-def condition(m: AssembledMatrix) -> float:
-    """The exact one-norm condition number of an assembled matrix, the
-    number the solve reports (``inf`` for an exactly singular one)."""
-    return _lu_solve(m, np.zeros(m.size))[1]
-
-
-def solve_single(m: AssembledMatrix, rhs: np.ndarray) -> SolveResult:
-    """Solve for the density coefficients of a single ball."""
-    if m.dimer is not None:
-        raise ValueError("got a dimer matrix; use solve_dimer")
-    return _solve(m, rhs)
-
-
-def solve_dimer(m: AssembledMatrix, rhs_pair) -> tuple[SolveResult, ...]:
-    """Solve the two-ball block system; returns per-ball results sharing
-    the stacked residual and condition number."""
-    if m.dimer is None:
-        raise ValueError("got a single-ball matrix; use solve_single")
-    b1, b2 = rhs_pair
-    res = _solve(m, np.concatenate([np.asarray(b1), np.asarray(b2)]))
-    return tuple(SolveResult(coeffs, res.residual, res.cond, res.warning)
-                 for coeffs in np.split(res.coeffs, 2))

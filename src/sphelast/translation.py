@@ -36,14 +36,16 @@ weighted by ``decay_prefactors`` and by the weight tables.  A compensated
 sum adds the blocks.
 
 ``combine_source`` / ``combine_row`` encode the three-case real/complex
-recombination for the source and projection order respectively and are the
-single place where those sign conventions live.
+recombination for the source and projection order respectively.  Their sign
+conventions are coded twice more: in ``assembly._real_orders`` (on whole
+blocks of orders, without the factors ``1/sqrt(2)`` and ``i``) and in
+``vsh._real_combination`` (the real harmonics from their ``|m|``
+amplitudes).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,7 +68,6 @@ from .vsh import (
 )
 
 __all__ = [
-    "TruncationPolicy",
     "ConvergenceError",
     "SingularityError",
     "regular_coeff",
@@ -96,15 +97,12 @@ class SingularityError(ValueError):
     """Coefficient requested at a singular translation (a = 0)."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Cutoff for the infinite re-expansion series."""
-
-    lam_max: int = 30
-
-    def __post_init__(self):
-        if self.lam_max < 1:
-            raise ValueError("lam_max must be >= 1")
+def _cutoff(lam_max: int) -> int:
+    """``lam_max``, the last degree kept of an infinite re-expansion
+    series, which must be at least 1."""
+    if lam_max < 1:
+        raise ValueError("lam_max must be >= 1")
+    return lam_max
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +262,7 @@ def translate_solid_regular(l: int, m, r, a):
     return _shaped(m, total)
 
 
-def translate_solid_irregular(
-    l: int, m, r, a, policy: TruncationPolicy = TruncationPolicy(),
-    with_tail: bool = False,
-):
+def translate_solid_irregular(l: int, m, r, a, lam_max: int = 30, with_tail: bool = False):
     """Decaying solid harmonic of ``r + a`` as a truncated series.
 
     Requires ``|r| < |a|``; the tail is estimated from the geometric ratio
@@ -279,7 +274,7 @@ def translate_solid_irregular(
     a = np.asarray(a, dtype=float)
     rn, an = np.linalg.norm(r), np.linalg.norm(a)
     _check_region(rn, an)
-    lam_max = policy.lam_max
+    lam_max = _cutoff(lam_max)
     reg_r = solid_regular_table(lam_max, r)
     irr_a = _decaying_table(l + lam_max, a)
     acc = _Kahan(0.0j)
@@ -355,7 +350,7 @@ class _Series:
             raise SingularityError("evaluation point must be nonzero")
         if decaying:
             _check_region(self.rn, self.an)
-        self.l, self.m, self.lam_max = l, m, lam_max
+        self.l, self.m, self.lam_max = l, m, _cutoff(lam_max)
         self.fields, self.vec_y, self.shift, self.a_sph = _series_tables(
             l, tuple(r_vec.tolist()), tuple(a.tolist()), lam_max, decaying)
         self.tables = _weight_tables(lam_max + 1)
@@ -416,13 +411,11 @@ def translate_W(l: int, m: int, r_vec, a) -> np.ndarray:
     return acc.total
 
 
-def translate_V_decay(
-    l: int, m: int, r_vec, a, policy: TruncationPolicy = TruncationPolicy()
-) -> np.ndarray:
+def translate_V_decay(l: int, m: int, r_vec, a, lam_max: int = 30) -> np.ndarray:
     """Series for the decaying field ``|r'|^{-l-2} V(l, m)``."""
-    s = _Series(l, m, r_vec, a, policy.lam_max)
+    s = _Series(l, m, r_vec, a, lam_max)
     acc = _Kahan(np.zeros(3, dtype=complex))
-    for lam in range(1, policy.lam_max + 1):
+    for lam in range(1, lam_max + 1):
         acc.add(s.rn ** (lam - 1) * (s.decay(lam) @ s.field(Family.W, lam)))
     return acc.total
 
@@ -443,23 +436,19 @@ def _neg_l_common(s: _Series):
     return acc
 
 
-def translate_V_neg_l(
-    l: int, m: int, r_vec, a, policy: TruncationPolicy = TruncationPolicy()
-) -> np.ndarray:
+def translate_V_neg_l(l: int, m: int, r_vec, a, lam_max: int = 30) -> np.ndarray:
     """Series for ``|r'|^{-l} V(l, m)`` (decaying field times ``|r'|^2``)."""
-    return _neg_l_common(_Series(l, m, r_vec, a, policy.lam_max)).total
+    return _neg_l_common(_Series(l, m, r_vec, a, lam_max)).total
 
 
-def translate_W_neg_l(
-    l: int, m: int, r_vec, a, policy: TruncationPolicy = TruncationPolicy()
-) -> np.ndarray:
+def translate_W_neg_l(l: int, m: int, r_vec, a, lam_max: int = 30) -> np.ndarray:
     """Series for ``|r'|^{-l} W(l, m)``; adds the radial-part re-expansion
     to the ``V`` series through the pointwise identity
     ``W - V = (2l+1) Y r_hat``."""
-    s = _Series(l, m, r_vec, a, policy.lam_max)
+    s = _Series(l, m, r_vec, a, lam_max)
     acc = _neg_l_common(s)
     rn = s.rn
-    for lam in range(policy.lam_max + 1):
+    for lam in range(lam_max + 1):
         c = s.decay(lam)
         block = rn ** (lam + 1) / (2 * lam + 1) * (
             c @ (s.field(Family.W, lam) - s.field(Family.V, lam))
@@ -469,14 +458,12 @@ def translate_W_neg_l(
     return acc.total
 
 
-def translate_X(
-    l: int, m: int, r_vec, a, policy: TruncationPolicy = TruncationPolicy()
-) -> np.ndarray:
+def translate_X(l: int, m: int, r_vec, a, lam_max: int = 30) -> np.ndarray:
     """Series for the toroidal field ``|r'|^{-l-1} X(l, m)``: a toroidal
     branch plus the axis cross-product branch."""
-    s = _Series(l, m, r_vec, a, policy.lam_max)
+    s = _Series(l, m, r_vec, a, lam_max)
     acc = _Kahan(np.zeros(3, dtype=complex))
-    for lam in range(1, policy.lam_max + 1):
+    for lam in range(1, lam_max + 1):
         c = s.decay(lam)
         acc.add(
             s.rn**lam * (c @ s.field(Family.X, lam))

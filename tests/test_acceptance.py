@@ -28,9 +28,8 @@ from sphelast.oracle import (
     finite_diff_gradient,
 )
 from sphelast.sphharm import solid_irregular, solid_regular, ylm_real
-from sphelast.system import project_rhs, solve_single
+from sphelast.system import project_rhs, solve
 from sphelast.translation import (
-    TruncationPolicy,
     translate_V_decay,
     translate_V_neg_l,
     translate_W,
@@ -126,7 +125,7 @@ def test_criterion_03_solid_re_expansions():
                 worst_reg = max(
                     worst_reg, abs(got - expect) / max(1.0, abs(expect))
                 )
-    pol = TruncationPolicy(lam_max=24)
+    cutoff = 24
     worst_irr = 0.0
     a = np.array([1.0, 0, 0])
     for v in _units(rng, 3):
@@ -134,7 +133,7 @@ def test_criterion_03_solid_re_expansions():
         for l in range(4):
             for m in range(-l, l + 1):
                 expect = solid_irregular(l, m, r + a)
-                got = translate_solid_irregular(l, m, r, a, pol)
+                got = translate_solid_irregular(l, m, r, a, cutoff)
                 worst_irr = max(worst_irr, abs(got - expect))
     ok = worst_reg <= 1e-12 and worst_irr <= 1e-9
     _report(
@@ -145,7 +144,7 @@ def test_criterion_03_solid_re_expansions():
 
 def test_criterion_04_vector_re_expansions():
     rng = np.random.default_rng(SEED + 2)
-    pol = TruncationPolicy(lam_max=30)
+    cutoff = 30
     a = np.array([1.0, 0, 0])
     r = 0.25 * _units(rng, 1)[0]
     rp = r + a
@@ -159,18 +158,18 @@ def test_criterion_04_vector_re_expansions():
     }
     worst = 0.0
     orders = []
-    for name, (fn, fam, power, lmin, needs_pol) in cases.items():
+    for name, (fn, fam, power, lmin, needs_cutoff) in cases.items():
         for l in range(lmin, 5):
             for m in sorted({-l, 0, l}):
-                got = fn(l, m, r, a, pol) if needs_pol else fn(l, m, r, a)
+                got = fn(l, m, r, a, cutoff) if needs_cutoff else fn(l, m, r, a)
                 expect = rpn ** power(l) * vsh_real(fam, l, m, rp / rpn)
                 worst = max(worst, np.abs(got - expect).max())
-        if needs_pol:
+        if needs_cutoff:
             l, m = max(lmin, 2), 1
             expect = rpn ** power(l) * vsh_real(fam, l, m, rp / rpn)
             res = {}
             for lam_max in (8, 16):
-                got = fn(l, m, r, a, TruncationPolicy(lam_max=lam_max))
+                got = fn(l, m, r, a, lam_max)
                 res[lam_max] = np.abs(got - expect).max()
             if res[16] > 1e-14:
                 orders.append(
@@ -447,7 +446,7 @@ def test_criterion_12_manufactured_solution():
 
     rhs = project_rhs(phi, quad, basis)
     mat = assemble_single(alpha, RHO, PARAMS, l_max)
-    res = solve_single(mat, rhs)
+    res = solve(mat, rhs)
     err = np.abs(res.coeffs - coeffs).max()
     _report(
         12, "manufactured solution", err <= 1e-5,

@@ -25,7 +25,6 @@ from sphelast.sphharm import (
     ylm_complex,
 )
 from sphelast.translation import (
-    TruncationPolicy,
     translate_solid_irregular,
     translate_solid_regular,
 )
@@ -194,7 +193,7 @@ def test_solid_series_over_orders():
     # every order of a degree in one call is the one-order calls, off and
     # on the equator (where the decaying table takes its closed form)
     rng = np.random.default_rng(11)
-    pol = TruncationPolicy(lam_max=16)
+    cutoff = 16
     for a in (rng.normal(size=3), np.r_[rng.normal(size=2), 0.0]):
         r = rng.normal(size=3)
         small = 0.4 * np.linalg.norm(a) * r / np.linalg.norm(r)
@@ -202,8 +201,8 @@ def test_solid_series_over_orders():
             m = np.arange(-l, l + 1)
             _same_bits(translate_solid_regular(l, m, r, a),
                        [translate_solid_regular(l, k, r, a) for k in m])
-            got, tail = translate_solid_irregular(l, m, small, a, pol, with_tail=True)
-            one = [translate_solid_irregular(l, k, small, a, pol, with_tail=True)
+            got, tail = translate_solid_irregular(l, m, small, a, cutoff, with_tail=True)
+            one = [translate_solid_irregular(l, k, small, a, cutoff, with_tail=True)
                    for k in m]
             _same_bits(got, [value for value, _tail in one])
             _same_bits(tail, [t for _value, t in one])

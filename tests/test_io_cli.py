@@ -297,6 +297,33 @@ class TestCli:
         coeffs, _hdr = io.load_vector(out)
         assert np.abs(coeffs - f).max() <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["coeffs", "point-force"])
+    def test_dimer_solve_stacks_one_rhs_twice(self, tmp_path, kind):
+        # the written coefficients are solve's on [b, b], b the field's
+        # right-hand side for one ball
+        from sphelast.kelvin import kelvin_tensor, norm_factor
+        from sphelast.system import build_quadrature, project_rhs, solve
+
+        params = LameParams(1.0, 1.0)
+        mat = assemble_dimer(1.3, DimerGeometry(0.2, 0.1), params, 1)
+        if kind == "coeffs":
+            c = np.random.default_rng(4).normal(size=10) + 0.5j
+            phi = tmp_path / "phi.json"
+            io.save_vector(phi, c)
+            spec = f"coeffs:{phi}"
+            b = c.conjugate() * [norm_factor(fam, l) for l, _m, fam in mat.basis]
+        else:
+            spec = "builtin:point-force:2,0.3,0"
+            quad = build_quadrature(4)
+            field = kelvin_tensor(0.1 * quad.nodes - [2.0, 0.3, 0.0], params)[:, :, 0]
+            b = project_rhs(field, quad, mat.basis)
+        out = tmp_path / "f.json"
+        rc = main(["solve", *self.BASE, "--dimer-d", "0.2", "--phi", spec, "--out", str(out)])
+        assert rc == 0
+        coeffs, hdr = io.load_vector(out)
+        assert np.array_equal(coeffs, solve(mat, np.concatenate([b, b])).coeffs)
+        assert hdr["d"] == 0.2
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -956,7 +983,6 @@ def test_solve_projects_without_the_harmonic_table_or_fft(tmp_path):
 
 def test_point_force_samples_match_per_node_sampling():
     # one stacked Kelvin-tensor call against the oracle's node-by-node loop
-    from sphelast.assembly import BasisMap
     from sphelast.cli import _phi_samples
     from sphelast.kelvin import kelvin_tensor
     from sphelast.oracle import build_quadrature, sample_field
@@ -964,10 +990,7 @@ def test_point_force_samples_match_per_node_sampling():
     params, rho = LameParams(1.4, 0.8), 0.2
     src = np.array([0.3, 0.1, -0.2])
     quad = build_quadrature(12)
-    samples, coeffs = _phi_samples(
-        "builtin:point-force:0.3,0.1,-0.2", quad, BasisMap(5), rho, params
-    )
-    assert coeffs is None
+    samples = _phi_samples("builtin:point-force:0.3,0.1,-0.2", quad, rho, params)
     per_node = sample_field(
         lambda d: kelvin_tensor(rho * d.vec - src, params)[:, 0], quad
     )

@@ -211,7 +211,7 @@ class TestEquatorValues:
         assert ylm_equator(1, 0) == 0.0
 
     def test_constant(self):
-        assert ylm_equator(0, 0, at_pi=True) == pytest.approx(1 / (2 * SQPI))
+        assert ylm_equator(0, 0) == pytest.approx(1 / (2 * SQPI))
 
     def test_frozen_value(self):
         assert ylm_equator(2, 2) == pytest.approx(
@@ -227,15 +227,18 @@ class TestEquatorValues:
                     complex(ylm_complex(l, m, d0)).real, abs=1e-14
                 )
                 assert abs(complex(ylm_complex(l, m, d0)).imag) < 1e-16
-                assert ylm_equator(l, m, at_pi=True) == pytest.approx(
+                # at azimuth pi, the rule of equator_table: times (-1)^m
+                assert (-1) ** m * ylm_equator(l, m) == pytest.approx(
                     complex(ylm_complex(l, m, dpi)).real, abs=1e-14
                 )
 
     def test_azimuth_flip_sign(self):
+        d0 = Direction.from_angles(math.pi / 2, 0.0)
+        dpi = Direction.from_angles(math.pi / 2, math.pi)
         for l in range(6):
             for m in range(-l, l + 1):
-                assert ylm_equator(l, m, at_pi=True) == pytest.approx(
-                    (-1) ** m * ylm_equator(l, m), abs=1e-15
+                assert complex(ylm_complex(l, m, dpi)) == pytest.approx(
+                    (-1) ** m * complex(ylm_complex(l, m, d0)), abs=1e-15
                 )
                 if (l + m) % 2 == 1:
                     assert ylm_equator(l, m) == 0.0

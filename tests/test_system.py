@@ -11,7 +11,7 @@ from sphelast.assembly import (
     sector,
     sectors,
 )
-from sphelast.kelvin import LameParams, kelvin_tensor
+from sphelast.kelvin import LameParams, kelvin_tensor, norm_factor
 from sphelast.latsum import DimerGeometry
 from sphelast.oracle import basis_samples, build_quadrature, inner_product_S2, sample_field
 from sphelast.system import (
@@ -19,8 +19,7 @@ from sphelast.system import (
     _transform,
     condition,
     project_rhs,
-    solve_dimer,
-    solve_single,
+    solve,
 )
 from sphelast.vsh import Family
 
@@ -71,7 +70,7 @@ class TestProjectRhs:
         basis = BasisMap(2)
         rng = np.random.default_rng(5)
         c = rng.normal(size=basis.n_eff) + 1j * rng.normal(size=basis.n_eff)
-        b_closed = project_rhs(c, quad16, basis, coeffs=True)
+        b_closed = c.conjugate() * [norm_factor(fam, l) for l, _m, fam in basis]
         fields = basis_samples(basis, quad16)
         phi = np.tensordot(c, fields, axes=(0, 0))
         b_quad = project_rhs(phi, quad16, basis)
@@ -209,14 +208,8 @@ class TestSolvePlan:
         mat, rhs = self._seeded(seed, sign_flip, dimer)
         whole = np.linalg.solve(mat.matrix, rhs).conj()
         whole_cond = np.linalg.cond(mat.matrix, 1)
-        if dimer:
-            parts = solve_dimer(mat, np.split(rhs, 2))
-            coeffs = np.concatenate([r.coeffs for r in parts])
-            res = parts[0]
-        else:
-            res = solve_single(mat, rhs)
-            coeffs = res.coeffs
-        assert np.abs(coeffs - whole).max() <= 1e-15 * np.abs(whole).max()
+        res = solve(mat, rhs)
+        assert np.abs(res.coeffs - whole).max() <= 1e-15 * np.abs(whole).max()
         assert f"{res.cond:.3e}" == f"{whole_cond:.3e}"
         assert condition(mat) == res.cond
         assert condition(mat) == pytest.approx(whole_cond, rel=1e-14)
@@ -320,13 +313,13 @@ class TestSolveSingle:
             size=matrix.basis.n_eff
         )
         rhs = matrix.matrix @ f.conjugate()
-        res = solve_single(matrix, rhs)
+        res = solve(matrix, rhs)
         assert np.abs(res.coeffs - f).max() <= 1e-10
         assert res.residual <= 1e-12
         assert np.isfinite(res.cond)
 
     def test_zero_rhs(self, matrix):
-        res = solve_single(matrix, np.zeros(matrix.basis.n_eff))
+        res = solve(matrix, np.zeros(matrix.basis.n_eff))
         assert np.abs(res.coeffs).max() == 0.0
 
     def test_conjugate_linearity(self, matrix, rng):
@@ -334,10 +327,10 @@ class TestSolveSingle:
         b1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         b2 = rng.normal(size=n) + 1j * rng.normal(size=n)
         c1, c2 = 0.3 - 1.1j, 2.0 + 0.4j
-        combo = solve_single(matrix, c1 * b1 + c2 * b2).coeffs
+        combo = solve(matrix, c1 * b1 + c2 * b2).coeffs
         parts = (
-            np.conj(c1) * solve_single(matrix, b1).coeffs
-            + np.conj(c2) * solve_single(matrix, b2).coeffs
+            np.conj(c1) * solve(matrix, b1).coeffs
+            + np.conj(c2) * solve(matrix, b2).coeffs
         )
         assert np.abs(combo - parts).max() <= 1e-10
 
@@ -346,7 +339,7 @@ class TestSolveSingle:
         scaled[-1] *= 1e-14
         bad = _dense(matrix, scaled)
         rhs = np.ones(matrix.basis.n_eff, dtype=complex)
-        res = solve_single(bad, rhs)
+        res = solve(bad, rhs)
         assert res.warning is not None
         assert np.all(np.isfinite(res.coeffs))
 
@@ -355,7 +348,7 @@ class TestSolveSingle:
         singular[3] = 0.0
         rhs = np.ones(matrix.basis.n_eff, dtype=complex)
         with pytest.raises(np.linalg.LinAlgError, match="singular operator matrix"):
-            solve_single(_dense(matrix, singular), rhs)
+            solve(_dense(matrix, singular), rhs)
         assert condition(_dense(matrix, singular)) == math.inf
 
     def test_non_finite_rhs_raises(self, matrix):
@@ -363,13 +356,14 @@ class TestSolveSingle:
         rhs = np.ones(matrix.basis.n_eff, dtype=complex)
         rhs[2] = np.nan
         with pytest.raises(ValueError, match="right-hand side"):
-            solve_single(matrix, rhs)
+            solve(matrix, rhs)
 
-    def test_rejects_dimer_matrix(self, rng):
-        geom = DimerGeometry(0.2, RHO)
-        mat = assemble_dimer(1.3, geom, LameParams(1.0, 1.0), 1)
-        with pytest.raises(ValueError):
-            solve_single(mat, np.zeros(2 * mat.basis.n_eff))
+    def test_rejects_the_other_cells_rhs(self, matrix):
+        # one ball's right-hand side for the dimer, two balls' for one ball
+        dimer = assemble_dimer(1.3, DimerGeometry(0.2, RHO), LameParams(1.0, 1.0), 1)
+        for mat, size in ((dimer, dimer.basis.n_eff), (matrix, 2 * matrix.basis.n_eff)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                solve(mat, np.zeros(size))
 
 
 class TestSolveDimer:
@@ -380,21 +374,15 @@ class TestSolveDimer:
         f1 = rng.normal(size=n) + 1j * rng.normal(size=n)
         f2 = rng.normal(size=n) + 1j * rng.normal(size=n)
         rhs = mat.matrix @ np.concatenate([f1, f2]).conjugate()
-        r1, r2 = solve_dimer(mat, (rhs[:n], rhs[n:]))
-        assert np.abs(r1.coeffs - f1).max() <= 1e-10
-        assert np.abs(r2.coeffs - f2).max() <= 1e-10
+        r1, r2 = np.split(solve(mat, rhs).coeffs, 2)
+        assert np.abs(r1 - f1).max() <= 1e-10
+        assert np.abs(r2 - f2).max() <= 1e-10
 
     def test_zero_rhs(self):
         geom = DimerGeometry(0.2, RHO)
         mat = assemble_dimer(1.3, geom, LameParams(1.0, 1.0), 1)
-        n = mat.basis.n_eff
-        r1, r2 = solve_dimer(mat, (np.zeros(n), np.zeros(n)))
-        assert np.abs(r1.coeffs).max() == 0.0
-        assert np.abs(r2.coeffs).max() == 0.0
-
-    def test_rejects_single_matrix(self, matrix):
-        with pytest.raises(ValueError):
-            solve_dimer(matrix, (np.zeros(1), np.zeros(1)))
+        res = solve(mat, np.zeros(2 * mat.basis.n_eff))
+        assert np.abs(res.coeffs).max() == 0.0
 
 
 def test_oracle_path_manufactured_recovery(rng, params):
@@ -423,5 +411,5 @@ def test_oracle_path_manufactured_recovery(rng, params):
         tau = surface_response(l, params)[int(fam) - 1]
         phi += coeffs[i] * RHO * tau * fields[i]
     mat = assemble_single(alpha, RHO, params, l_max)
-    res = solve_single(mat, project_rhs(phi, quad, basis))
+    res = solve(mat, project_rhs(phi, quad, basis))
     assert np.abs(res.coeffs - coeffs).max() <= 1e-6

@@ -11,7 +11,6 @@ from sphelast.sphharm import solid_irregular, solid_regular
 from sphelast.translation import (
     ConvergenceError,
     SingularityError,
-    TruncationPolicy,
     combine_source,
     cross_coeff,
     decay_coeff,
@@ -150,7 +149,7 @@ class TestSolidReExpansion:
         assert worst <= 1e-12
 
     def test_decaying_series(self, rng):
-        pol = TruncationPolicy(lam_max=24)
+        cutoff = 24
         a = rng.normal(size=3)
         a /= np.linalg.norm(a)
         r = rng.normal(size=3)
@@ -158,7 +157,7 @@ class TestSolidReExpansion:
         for l in range(4):
             for m in range(-l, l + 1):
                 got, tail = translate_solid_irregular(
-                    l, m, r, a, pol, with_tail=True
+                    l, m, r, a, cutoff, with_tail=True
                 )
                 expect = solid_irregular(l, m, r + a)
                 assert abs(got - expect) <= 1e-9
@@ -179,8 +178,8 @@ def _direct(fam, l, m, power, r, a):
 
 @pytest.mark.parametrize("name", list(EVALUATORS))
 def test_series_match_direct_evaluation(name, rng):
-    fn, fam, power, needs_pol, lmin = EVALUATORS[name]
-    pol = TruncationPolicy(lam_max=28)
+    fn, fam, power, needs_cutoff, lmin = EVALUATORS[name]
+    cutoff = 28
     a = np.array([1.0, 0.0, 0.0])
     r = rng.normal(size=3)
     r *= 0.25 / np.linalg.norm(r)
@@ -188,33 +187,33 @@ def test_series_match_direct_evaluation(name, rng):
         for m in (-l, -1, 0, 1, l):
             if abs(m) > l:
                 continue
-            got = fn(l, m, r, a, pol) if needs_pol else fn(l, m, r, a)
+            got = fn(l, m, r, a, cutoff) if needs_cutoff else fn(l, m, r, a)
             expect = _direct(fam, l, m, power, r, a)
             assert np.abs(got - expect).max() <= 1e-9
 
 
 @pytest.mark.parametrize("name", list(EVALUATORS))
 def test_series_off_axis_shift(name, rng):
-    fn, fam, power, needs_pol, lmin = EVALUATORS[name]
-    pol = TruncationPolicy(lam_max=28)
+    fn, fam, power, needs_cutoff, lmin = EVALUATORS[name]
+    cutoff = 28
     a = np.array([0.5, -0.7, 0.4])
     r = rng.normal(size=3)
     r *= 0.2 * np.linalg.norm(a) / np.linalg.norm(r)
     l = max(lmin, 2)
     for m in (-2, 0, 1):
-        got = fn(l, m, r, a, pol) if needs_pol else fn(l, m, r, a)
+        got = fn(l, m, r, a, cutoff) if needs_cutoff else fn(l, m, r, a)
         expect = _direct(fam, l, m, power, r, a)
         assert np.abs(got - expect).max() <= 1e-9
 
 
 def test_zero_order_branch_is_real(rng):
-    pol = TruncationPolicy(lam_max=24)
+    cutoff = 24
     a = np.array([1.0, 0.0, 0.0])
     r = rng.normal(size=3)
     r *= 0.25 / np.linalg.norm(r)
-    for name, (fn, fam, power, needs_pol, lmin) in EVALUATORS.items():
+    for name, (fn, fam, power, needs_cutoff, lmin) in EVALUATORS.items():
         l = max(lmin, 1)
-        got = fn(l, 0, r, a, pol) if needs_pol else fn(l, 0, r, a)
+        got = fn(l, 0, r, a, cutoff) if needs_cutoff else fn(l, 0, r, a)
         assert np.abs(got.imag).max() <= 1e-12
 
 
@@ -223,16 +222,16 @@ def test_reflection_covariance_of_order_branches(rng):
     # through the xz-plane multiplies each series by the order-sign parity
     # (the toroidal family is axial and picks up an extra minus), which
     # ties the positive- and negative-order branches to the same algebra
-    pol = TruncationPolicy(lam_max=26)
+    cutoff = 26
     a = np.array([1.0, 0.0, 0.0])
     reflect = np.array([1.0, -1.0, 1.0])
     r = rng.normal(size=3)
     r *= 0.25 / np.linalg.norm(r)
-    for name, (fn, fam, power, needs_pol, lmin) in EVALUATORS.items():
+    for name, (fn, fam, power, needs_cutoff, lmin) in EVALUATORS.items():
         axial = -1.0 if fam == Family.X else 1.0
         for l, m in [(2, 1), (2, -1), (3, 0), (3, -2)]:
             sign = (1.0 if m >= 0 else -1.0) * axial
-            args = (pol,) if needs_pol else ()
+            args = (cutoff,) if needs_cutoff else ()
             plain = fn(l, m, r, a, *args)
             mirrored = fn(l, m, r * reflect, a, *args)
             assert np.abs(mirrored - sign * reflect * plain).max() <= 1e-13
@@ -245,7 +244,7 @@ def test_reflection_covariance_of_order_branches(rng):
 def test_geometric_convergence(name, ratio, rng):
     # doubling the cutoff must gain accuracy consistently with the radius
     # ratio (the growing series is finite and exempt)
-    fn, fam, power, _needs_pol, lmin = EVALUATORS[name]
+    fn, fam, power, _needs_cutoff, lmin = EVALUATORS[name]
     a = np.array([1.0, 0.0, 0.0])
     r = rng.normal(size=3)
     r *= ratio / np.linalg.norm(r)
@@ -253,7 +252,7 @@ def test_geometric_convergence(name, ratio, rng):
     direct = _direct(fam, l, m, power, r, a)
     res = {}
     for lam_max in (8, 16):
-        got = fn(l, m, r, a, TruncationPolicy(lam_max=lam_max))
+        got = fn(l, m, r, a, lam_max)
         res[lam_max] = np.abs(got - direct).max()
     if res[16] > 1e-14:
         observed = math.log(res[8] / res[16]) / (8 * math.log(1 / ratio))
@@ -263,23 +262,33 @@ def test_geometric_convergence(name, ratio, rng):
 
 
 def test_toroidal_series_is_tangential(rng):
-    pol = TruncationPolicy(lam_max=26)
+    cutoff = 26
     a = np.array([1.0, 0.0, 0.0])
     r = rng.normal(size=3)
     r *= 0.25 / np.linalg.norm(r)
     rp = r + a
     rp_hat = rp / np.linalg.norm(rp)
     for l, m in [(1, 0), (2, -1), (3, 2)]:
-        got = translate_X(l, m, r, a, pol)
+        got = translate_X(l, m, r, a, cutoff)
         assert abs(np.dot(rp_hat, got)) <= 1e-10
 
 
 def test_convergence_region_enforced():
-    pol = TruncationPolicy()
     with pytest.raises(ConvergenceError):
-        translate_V_decay(1, 0, (1.2, 0, 0), (1.0, 0, 0), pol)
+        translate_V_decay(1, 0, (1.2, 0, 0), (1.0, 0, 0))
     with pytest.raises(SingularityError):
-        translate_X(1, 0, (0.1, 0, 0), (0.0, 0, 0), pol)
+        translate_X(1, 0, (0.1, 0, 0), (0.0, 0, 0))
+
+
+@pytest.mark.parametrize("lam_max", [0, -1])
+@pytest.mark.parametrize("fn", [
+    translate_solid_irregular, translate_V_decay, translate_V_neg_l,
+    translate_W_neg_l, translate_X,
+], ids=lambda fn: fn.__name__)
+def test_cutoff_below_one_refused(fn, lam_max):
+    # a series cut before its first block would sum to zero, not fail
+    with pytest.raises(ValueError, match="lam_max must be >= 1"):
+        fn(1, 0, (0.3, 0.1, 0.0), (1.0, 0.0, 0.0), lam_max)
 
 
 def test_source_combination_cases():
