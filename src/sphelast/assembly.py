@@ -513,21 +513,13 @@ def _contract(order, coef, values):
     return out
 
 
-def _check_labels(p, lp, mp, q, l, m):
-    for fam, deg, order in ((p, lp, mp), (q, l, m)):
-        fam = Family(fam)
-        if deg < 0 or abs(order) > deg:
-            raise IndexError(f"invalid label (l={deg}, m={order})")
-        if deg == 0 and fam != Family.V:
-            raise ForbiddenIndexError(
-                f"{fam.name}(0,0) is excluded from the basis"
-            )
-
-
 def per_copy_entries(p, lp, mp, q, l, m, shifts, rho, params: LameParams):
     """Inner products against one shifted copy, vectorised over the signed
-    shift lengths (real values)."""
-    _check_labels(p, lp, mp, q, l, m)
+    shift lengths (real values).  Both labels must be basis labels
+    (``BasisMap.index_of``)."""
+    basis = BasisMap(max(lp, l, 0))
+    basis.index_of(lp, mp, p)
+    basis.index_of(l, m, q)
     x = np.atleast_1d(np.asarray(shifts, dtype=float))
     if np.any(x == 0.0):
         raise ValueError("shift lengths must be nonzero")
@@ -616,28 +608,28 @@ def _geometry(l_max: int) -> _Geometry:
     The degree pairs ``lp <= l`` are built a tile at a time: the row
     degrees of one band (``_bands``) against the column degrees of a band
     at or above it, every family pair of ``_STORED`` in one
-    ``_DegreeBlocks.blocks`` call.  Each tile's entries go straight to the
-    region of their sector, so the entries are never copied to be grouped."""
+    ``_DegreeBlocks.blocks`` call.  Every in-sector label pair on or above
+    the diagonal of a stored family pair is stored, some with zero weights,
+    so each sector's region is sized from the basis alone before the first
+    tile; each tile's entries go straight to the region of their sector,
+    so the entries are never copied to be grouped."""
     basis = BasisMap(l_max)
     n = basis.n_eff
-    degs, orders, fams = np.array(basis.labels).T
-    secs = sector(degs, orders, fams)
+    degs, _orders, fams = np.array(basis.labels).T
     # the position of each sector's block and each label's rank in it
+    groups = sectors(l_max)
     group, rank = np.empty(n, dtype=np.int8), np.empty(n, dtype=np.intp)
-    for k, labels in enumerate(sectors(l_max)):
+    for k, labels in enumerate(groups):
         group[labels], rank[labels] = k, np.arange(len(labels))
-    # filled in place, a region per sector sized for every in-sector label
-    # pair on or above the diagonal of a stored family pair; seen[j, f]
-    # counts the labels i <= j of family f in the sector of j
-    seen = np.cumsum(np.eye(12, dtype=int)[3 * secs + fams - 1], axis=0)
-    seen = seen.reshape(n, 4, 3)[np.arange(n), secs]
-    stored = np.array([[(p, q) in _STORED for q in Family] for p in Family])
-    room = np.bincount(group, (seen * stored[:, fams - 1].T).sum(axis=1)).astype(np.intp)
-    size = int(room.sum())
-    row, col, order = (np.empty(size, dtype=np.intp) for _ in range(3))
-    weights = np.empty((size, 2, 2))
-    start = np.cumsum(room) - room
-    end = start.copy()
+    # filled in place, a region per sector holding its label pairs i <= j of
+    # a stored family pair: all but (V, V) and V with X in either order
+    nv, nw, nx = (np.bincount(group[fams == f], minlength=len(groups)) for f in Family)
+    size = nv + nw + nx
+    bounds = np.zeros(len(groups) + 1, dtype=np.intp)
+    np.cumsum(size * (size + 1) // 2 - nv * (nv + 1) // 2 - nv * nx, out=bounds[1:])
+    row, col, order = (np.empty(bounds[-1], dtype=np.intp) for _ in range(3))
+    weights = np.empty((bounds[-1], 2, 2))
+    end = bounds[:-1].copy()
     bands = _bands(l_max)
     tables = _weight_tables(l_max + 4)
     for j, cols in enumerate(bands):
@@ -656,14 +648,10 @@ def _geometry(l_max: int) -> _Geometry:
                 m = np.arange(-deg_c.max(), deg_c.max() + 1)
                 r = BasisMap.positions(deg_r, mp, p)
                 c = BasisMap.positions(deg_c, m, q)
-                # an entry with any nonzero weight (four ORs: a reduction
-                # over the two short last axes takes several times longer)
-                nonzero = block.reshape(block.shape[:3] + (4,)) != 0
                 keep = ((np.abs(mp) <= deg_r)[:, :, None]
                         & (np.abs(m) <= deg_c)[:, None, :]
                         & (r[:, :, None] <= c[:, None, :])
-                        & (sector(deg_r, mp, p)[:, :, None] == sector(deg_c, m, q)[:, None, :])
-                        & (nonzero[..., 0] | nonzero[..., 1] | nonzero[..., 2] | nonzero[..., 3]))
+                        & (sector(deg_r, mp, p)[:, :, None] == sector(deg_c, m, q)[:, None, :]))
                 g, a, b = np.nonzero(keep)
                 found.append((r[g, a], c[g, b], s[g], block[g, a, b]))
             if not found:
@@ -672,22 +660,15 @@ def _geometry(l_max: int) -> _Geometry:
             # sector's earlier ones: its k-th goes to end[sector] + k
             tile_r, tile_c, tile_s, tile_w = (np.concatenate(parts) for parts in zip(*found))
             within = group[tile_r]
-            count = np.bincount(within, minlength=len(room))
+            count = np.bincount(within, minlength=len(groups))
             at = np.empty(len(tile_r), dtype=np.intp)
             at[np.argsort(within, kind="stable")] = np.arange(len(tile_r)) + np.repeat(
                 end - np.cumsum(count) + count, count)
             row[at], col[at] = rank[tile_r], rank[tile_c]
             order[at], weights[at] = tile_s, tile_w
             end += count
-    # close the gaps between the sectors' regions (an overlapping move
-    # goes through a copy of one sector's entries)
-    bounds = np.zeros(len(room) + 1, dtype=np.intp)
-    np.cumsum(end - start, out=bounds[1:])
-    for k in range(1, len(room)):
-        if start[k] > bounds[k]:
-            for values in (row, col, order, weights):
-                values[bounds[k]:bounds[k + 1]] = values[start[k]:end[k]]
-    row, col, order, weights = (v[:bounds[-1]] for v in (row, col, order, weights))
+    if not np.array_equal(end, bounds[1:]):
+        raise RuntimeError(f"sector regions filled to {end - bounds[:-1]} of {np.diff(bounds)}")
     factors, norm = _label_columns(degs, fams)
     return _Geometry(
         basis=basis, bounds=_frozen(bounds), row=_frozen(row), col=_frozen(col),
@@ -700,9 +681,12 @@ class Trace:
     """Phase-independent part of ``M(alpha) = D + T v(alpha)`` for one ball
     radius, material and truncation degree.
 
-    ``diag`` is the on-ball diagonal ``D``.  The in-sector entries on or
-    above the diagonal whose geometric weights do not vanish identically
-    are stored by sector: entries ``bounds[k]:bounds[k + 1]`` lie at ``(row,
+    ``diag`` is the on-ball diagonal ``D``.  Every in-sector entry on or
+    above the diagonal of a family pair with a lattice part (all but (V, V)
+    and V with X) is stored, some with zero weights (6 of 978 at ``l_max =
+    5``), by sector: a sector of ``S`` labels, ``nV`` of them V and ``nX``
+    of them X, holds ``S (S + 1) / 2 - nV (nV + 1) / 2 - nV nX`` entries,
+    and entries ``bounds[k]:bounds[k + 1]`` lie at ``(row,
     col)`` of the block of ``sectors(l_max)[k]``, ``order`` is the lowest
     order of each and ``coef`` its two real coefficients ``[c(s,+),
     c(s+2,+)]`` (module docstring).  Only this triangle is stored: the
@@ -712,9 +696,10 @@ class Trace:
     geometry of ``l_max``, shared by every trace of that ``l_max``;
     ``coef`` and ``diag`` are its per-radius, per-material scale
     (``_scale``, ``_scaled``), which raises ``ScaleOverflow`` where they
-    leave the float64 range.  An entry that a material cancels (``a12 =
-    a22`` at ``l = 3`` when ``lam = mu``) keeps its zero coefficients and
-    contracts to ``+0``.
+    leave the float64 range.  An entry with zero weights, or one that a
+    material cancels (``a12 = a22`` at ``l = 3`` when ``lam = mu``), keeps
+    its zero coefficients and contracts to ``+0``, the value its position
+    holds anyway.
     """
 
     def __init__(self, rho, params: LameParams, l_max: int):

@@ -133,8 +133,9 @@ def project_rhs(phi, quad: SphQuadrature, basis: BasisMap) -> np.ndarray:
 
     ``phi`` is the field's samples on the nodes of ``quad``, of shape
     (n_nodes, 3) (``oracle.sample_field`` takes them from a sampler).  A
-    field given by its expansion coefficients ``c`` projects to
-    ``conj(c) * norm`` (``kelvin.norm_factor``) with no quadrature at all.
+    field given by its expansion coefficients ``c`` needs no projection:
+    its right-hand side is ``conj(c) * norm`` (``kelvin.norm_factor``),
+    which the command line's ``coeffs:`` source (``cli._rhs``) computes.
     """
     if quad.degree < 2 * basis.l_max + 2:
         raise ValueError(

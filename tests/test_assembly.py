@@ -232,6 +232,16 @@ class TestPerCopy:
         with pytest.raises(ForbiddenIndexError):
             per_copy_entries(Family.W, 0, 0, Family.V, 1, 0, [1.0], RHO, params)
 
+    @pytest.mark.parametrize("row, col", [
+        ((Family.W, 1, 2), (Family.V, 1, 0)),    # |m| > l
+        ((Family.W, 1, 0), (Family.X, 2, -3)),
+        ((Family.V, -1, 0), (Family.W, 1, 0)),   # l < 0
+        ((Family.W, 1, 0), (Family.W, -2, 0)),
+    ])
+    def test_out_of_range_labels(self, params, row, col):
+        with pytest.raises(IndexError):
+            per_copy_entries(*row, *col, [1.0], RHO, params)
+
 
 class TestEntrySingle:
     """Entries of the single-ball matrix, read off ``Trace.single``."""
@@ -411,6 +421,29 @@ class TestDimer:
         i, j = _at(mat.basis, Family.W, 1, 0, Family.V, 1, 0)
         assert got["21"][i, j] != got["12"][i, j]
 
+    @pytest.mark.parametrize("rho, lam, mu, sign_flip, alpha", [
+        (0.1, 1.5, 0.8, False, 1.3),
+        (0.2, 1.0, 1.0, True, -2.0),
+        (0.05, 1.5, 0.8, False, 0.02),
+        (0.1, 1.5, 0.8, False, 4.0),
+    ])
+    def test_quarter_offset_is_half_period_chain(self, rho, lam, mu, sign_flip, alpha):
+        # balls at n -+ 1/4 form one chain of period 1/2: scaled by 2, the
+        # single-ball chain of radius 2 rho, whose operator scales by 1/2.
+        # A density (f, e^{-i beta} f) with 2 beta = alpha is a Bloch
+        # density of that chain at phase beta, so in every sector
+        # A + e^{i beta} C12 = M_single(beta; 2 rho) / 2 at both beta
+        params = LameParams(lam, mu, sign_flip)
+        l_max = 16
+        dimer = Trace(rho, params, l_max).dimer(alpha, DimerGeometry(0.25, rho))
+        halves = [len(block) // 2 for block in dimer.blocks]
+        largest = max(np.abs(block[h:, :h]).max() for block, h in zip(dimer.blocks, halves))
+        chain = Trace(2 * rho, params, l_max)
+        for beta in (alpha / 2, alpha / 2 + math.pi):
+            for block, h, single in zip(dimer.blocks, halves, chain.single(beta).blocks):
+                gap = block[:h, :h] + np.exp(1j * beta) * block[h:, :h] - 0.5 * single
+                assert np.abs(gap).max() <= 1e-13 * largest
+
 
 class TestOperatorStructure:
     """Properties of the physical operator that the trace must preserve."""
@@ -471,11 +504,14 @@ class TestOperatorStructure:
                 assemble_single(alpha, RHO, params, 3).matrix,
             )
 
-    def test_trace_skips_vanishing_entries(self, params):
-        from sphelast.assembly import _geometry
+    def test_trace_stores_every_in_sector_pair(self, params):
+        # every in-sector pair i <= j of a stored family pair (the family
+        # rule: all but (V, V) and V with X), zero weights or not: a sector
+        # of S labels, nV of them V and nX of them X, holds exactly
+        # S (S + 1) / 2 - nV (nV + 1) / 2 - nV nX entries
+        from sphelast.assembly import _geometry, sectors
 
         trace = Trace(RHO, params, 2)
-        n = trace.basis.n_eff
         geo = _geometry(2)
         assert trace.coef.dtype == geo.weights.dtype == np.float64
         assert trace.coef.shape == (len(trace.row), 2)
@@ -483,11 +519,21 @@ class TestOperatorStructure:
         assert geo.weights.shape == (len(trace.row), 2, 2)
         for name in ("bounds", "row", "col", "order"):
             assert getattr(trace, name) is getattr(geo, name)
-        assert np.all(np.any(geo.weights != 0, axis=(1, 2)))
-        for i, j in zip(*stored_labels(trace)):
-            lp, mp, pf = trace.basis.labels[i]
-            l, m, qf = trace.basis.labels[j]
-            assert Family.V not in (pf, qf) or Family.W in (pf, qf)
+        for l_max in range(9):
+            geo = _geometry(l_max)
+            fams = np.array([fam for _l, _m, fam in geo.basis])
+            expected = set()
+            for k, labels in enumerate(sectors(l_max)):
+                size = len(labels)
+                nv, nx = (np.count_nonzero(fams[labels] == f) for f in (Family.V, Family.X))
+                assert geo.bounds[k + 1] - geo.bounds[k] == (
+                    size * (size + 1) // 2 - nv * (nv + 1) // 2 - nv * nx)
+                expected |= {(i, j) for i in labels for j in labels if i <= j and (
+                    Family.V not in (fams[i], fams[j]) or Family.W in (fams[i], fams[j]))}
+            rows, cols = stored_labels(geo)
+            stored = set(zip(rows.tolist(), cols.tolist()))
+            assert len(stored) == len(rows)
+            assert stored == expected
 
     def test_traces_share_one_geometry(self):
         # one read-only geometry per lmax serves every radius, material and
